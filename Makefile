@@ -1,7 +1,9 @@
 # Tier-1 gate: `make check` is what CI and pre-merge runs — build, vet,
-# the full test suite, and a race pass over the hot-path packages whose
-# buffer-reuse discipline is easiest to get wrong. `make race` is the
-# slower full-suite race pass.
+# the full test suite, a whole-package race pass over the hot-path
+# packages whose buffer-reuse and locking discipline is easiest to get
+# wrong, and a -count=50 stress of the cross-datacenter hand-off tests that
+# pin the visibility contract (DESIGN.md §7). `make race` is the slower
+# full-suite race pass.
 GO ?= go
 
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
@@ -49,7 +51,8 @@ vet:
 
 check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic
 	$(GO) test -race ./internal/wire ./internal/core ./internal/storage ./internal/replica ./internal/faultinject ./internal/scale
-	$(GO) test -race -run 'Replicated|ReplicaAppend|SeededKill|GossipHeadResumes|TailSurvives|TailZeroFullScans' ./internal/flstore
+	$(GO) test -race ./internal/flstore ./internal/hyksos
+	$(GO) test -count=50 -run 'TestCausalPropagationAcrossDCs|TestFigure2Scenario' ./internal/hyksos
 
 # trace-smoke proves the tracing layer end to end: the span trees of a
 # reduced tracelat run must cover client → pipeline → maintainer →

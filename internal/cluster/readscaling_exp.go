@@ -147,7 +147,7 @@ func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, erro
 	// AckAll preloading: every group member holds every payload before the
 	// measurement starts, so reads never block on an in-flight
 	// invalidation and the sweep isolates read-path capacity.
-	client, err := flstore.NewReplicatedDirectClientWith(p, apis, nil, r, replica.AckAll,
+	client, err := flstore.NewReplicatedDirectClient(p, apis, nil, r, replica.AckAll,
 		flstore.WithReadPolicy(replica.SpreadReads()))
 	if err != nil {
 		return pt, err

@@ -43,9 +43,13 @@ type MaintainerAPI interface {
 	// NextUnfilled returns the next LId this maintainer will fill.
 	NextUnfilled() (uint64, error)
 
-	// Gossip delivers another maintainer's next-unfilled value (§5.4)
-	// and returns this maintainer's own, so gossip doubles as exchange.
-	Gossip(from int, next uint64) (uint64, error)
+	// GossipVecs is the gossip exchange (§5.4): it delivers a peer's
+	// next-unfilled vector together with its durable-watermark vector
+	// (highest LId per range known quorum-fsynced) and returns this
+	// maintainer's own, so gossip doubles as exchange. Both merge
+	// element-wise max; the durable vector is advisory and never gates
+	// appends.
+	GossipVecs(next, dur []uint64) ([]uint64, []uint64, error)
 }
 
 // ReplicaAPI is the additional surface a replication-aware maintainer
@@ -66,22 +70,6 @@ type ReplicaAPI interface {
 	RangeFrontier(rangeIdx int) (uint64, error)
 	// PullRange streams stored records of a hosted range for catch-up.
 	PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error)
-	// GossipVec exchanges whole next-unfilled vectors so replicated
-	// progress for a dead owner's range spreads.
-	GossipVec(vec []uint64) ([]uint64, error)
-}
-
-// DurableGossipAPI is the durability-aware gossip surface. It is kept
-// separate from ReplicaAPI so pre-durability fakes and deployments keep
-// compiling: the gossiper type-asserts and falls back to GossipVec, and
-// ServeMaintainer registers the handler only when the implementation
-// provides it.
-type DurableGossipAPI interface {
-	// GossipVecs exchanges the next-unfilled vector together with the
-	// durable-watermark vector (highest LId per range known quorum-fsynced).
-	// Both merge element-wise max; the durable vector is advisory and never
-	// gates appends.
-	GossipVecs(next, dur []uint64) ([]uint64, []uint64, error)
 }
 
 // InvalidationAPI is the Hermes-style invalidation surface of a
@@ -98,7 +86,7 @@ type InvalidationAPI interface {
 	// Idempotent and monotone.
 	Invalidate(rangeIdx int, upTo uint64) error
 	// ValidityWatermark returns a hosted range's validity watermark (the
-	// dense-prefix frontier LId: reads below it are served locally) and
+	// stored frontier LId: reads below it are served locally) and
 	// its announced assignment bound; the span between them is the
 	// invalidation backlog.
 	ValidityWatermark(rangeIdx int) (watermark, announced uint64, err error)

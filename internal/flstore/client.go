@@ -51,16 +51,16 @@ type Client struct {
 	// maintainer supports batched reads — the comparison knob the
 	// read-path experiment and benchmarks flip.
 	//
-	// Deprecated: set at construction via NewClientWith and
-	// WithRangeReadDisabled instead of mutating the field.
+	// Deprecated: set at construction via WithRangeReadDisabled instead of
+	// mutating the field.
 	DisableRangeRead bool
 
 	// ReadRetry configures how long reads wait for the head of the log
 	// to pass the requested position before giving up: up to ReadRetries
 	// attempts on a capped-exponential schedule seeded at RetryBackoff.
 	//
-	// Deprecated: set at construction via NewClientWith and
-	// WithReadRetries / WithRetryBackoff instead of mutating the fields.
+	// Deprecated: set at construction via WithReadRetries /
+	// WithRetryBackoff instead of mutating the fields.
 	ReadRetries  int
 	RetryBackoff time.Duration
 
@@ -105,7 +105,7 @@ func isLogicError(err error) bool {
 
 // NewClient starts a session: it polls the controller for the cluster
 // configuration and dials every maintainer and indexer over TCP.
-func NewClient(ctrl ControllerAPI) (*Client, error) {
+func NewClient(ctrl ControllerAPI, opts ...ClientOption) (*Client, error) {
 	cfg, err := ctrl.GetConfig()
 	if err != nil {
 		return nil, fmt.Errorf("flstore: session init: %w", err)
@@ -171,22 +171,21 @@ func NewClient(ctrl ControllerAPI) (*Client, error) {
 	if err := c.initSession(cfg.Replication, ack); err != nil {
 		return nil, err
 	}
-	c.updateRangeCapable()
-	return c, nil
+	return c.configure(opts), nil
 }
 
 // NewDirectClient wires a client to in-process (or pre-dialed) component
 // APIs — the path used by simulations and tests. Replication is off
 // (R = 1); use NewReplicatedDirectClient for replica groups.
-func NewDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI) (*Client, error) {
-	return NewReplicatedDirectClient(p, maintainers, indexers, 1, replica.AckOne)
+func NewDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, opts ...ClientOption) (*Client, error) {
+	return NewReplicatedDirectClient(p, maintainers, indexers, 1, replica.AckOne, opts...)
 }
 
 // NewReplicatedDirectClient wires a client to in-process (or pre-dialed)
 // component APIs with a replica layout of R copies per range under the
 // given ack policy. Every maintainer handle must expose the replica
 // surface when R > 1.
-func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, r int, ack replica.AckPolicy) (*Client, error) {
+func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, r int, ack replica.AckPolicy, opts ...ClientOption) (*Client, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,8 +204,17 @@ func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexer
 	if err := c.initSession(r, ack); err != nil {
 		return nil, err
 	}
+	return c.configure(opts), nil
+}
+
+// configure finishes construction. Options apply last: WithQuorumFanout
+// and WithReadPolicy act on the replica session, which must exist by then.
+func (c *Client) configure(opts []ClientOption) *Client {
 	c.updateRangeCapable()
-	return c, nil
+	for _, opt := range opts {
+		opt(c)
+	}
+	return c
 }
 
 // initSession builds the replica session over the wired maintainers. With

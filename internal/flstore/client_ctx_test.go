@@ -23,7 +23,7 @@ func newCtxTestClient(t *testing.T, opts ...flstore.ClientOption) *flstore.Clien
 		}
 		apis[i] = m
 	}
-	c, err := flstore.NewDirectClientWith(p, apis, nil, opts...)
+	c, err := flstore.NewDirectClient(p, apis, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

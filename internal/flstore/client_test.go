@@ -191,8 +191,13 @@ func TestClientHeadVsHeadExact(t *testing.T) {
 		t.Errorf("gossiped head %d exceeds exact %d", h, exact)
 	}
 	// After a gossip exchange, both agree.
-	ms[0].Gossip(1, mustNext(t, ms[1]))
-	ms[1].Gossip(0, mustNext(t, ms[0]))
+	next1, dur1, err := ms[1].GossipVecs(ms[0].NextVec(), ms[0].DurableVec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ms[0].GossipVecs(next1, dur1); err != nil {
+		t.Fatal(err)
+	}
 	h0, _ := ms[0].Head()
 	h1, _ := ms[1].Head()
 	if h0 != exact || h1 != exact {

@@ -127,22 +127,22 @@ func lcm(a, b uint64) uint64 { return a / gcd(a, b) * b }
 // BOTH placements (so every old range pads closed exactly at it and every
 // new range starts on a whole round) and HeadroomRounds common rounds
 // above the highest live frontier.
-func (o *Orchestrator) boundaryFor(oldP, newP Placement, old MemberSet) (uint64, error) {
+func (o *Orchestrator) boundaryFor(oldP, newP Placement, old MemberSet) uint64 {
 	rl := lcm(uint64(oldP.NumMaintainers)*oldP.BatchSize,
 		uint64(newP.NumMaintainers)*newP.BatchSize)
+	// The boundary must clear what is assigned, not merely what is stored:
+	// a batch still in its commit tail already owns its slots.
 	var maxNext uint64 = 1
-	for i, m := range old.Maintainers {
-		n, err := m.NextUnfilled()
-		if err != nil {
-			return 0, fmt.Errorf("flstore: frontier of maintainer %d: %w", i, err)
-		}
-		if n > maxNext {
+	for _, m := range old.Maintainers {
+		m.mu.Lock()
+		if n := m.nextAssignedLocked(); n > maxNext {
 			maxNext = n
 		}
+		m.mu.Unlock()
 	}
 	rounds := (maxNext - 1 + rl - 1) / rl // ceil to a common round
 	rounds += uint64(o.cfg.HeadroomRounds)
-	return rounds*rl + 1, nil
+	return rounds*rl + 1
 }
 
 // Grow switches the deployment to a new placement: announce, seal, drain,
@@ -162,10 +162,7 @@ func (o *Orchestrator) Grow(newP Placement) (EpochStatus, error) {
 	oldP := old.Maintainers[0].cfg.Placement
 	o.mu.Unlock()
 
-	firstLId, err := o.boundaryFor(oldP, newP, old)
-	if err != nil {
-		return EpochStatus{}, err
-	}
+	firstLId := o.boundaryFor(oldP, newP, old)
 
 	// Construct the new set before announcing: the journal must never
 	// advertise an epoch nobody serves.
@@ -215,8 +212,8 @@ func (o *Orchestrator) Grow(newP Placement) (EpochStatus, error) {
 		targets[t] = append(targets[t], j)
 	}
 	for t, ranges := range targets {
-		if err := next.Maintainers[t].SetLegacy(oldP, ranges); err != nil {
-			return EpochStatus{}, fmt.Errorf("flstore: legacy ranges on new maintainer %d: %w", t, err)
+		if err := next.Maintainers[t].HostMigrated(oldP, ranges); err != nil {
+			return EpochStatus{}, fmt.Errorf("flstore: migrated ranges on new maintainer %d: %w", t, err)
 		}
 	}
 
@@ -269,7 +266,7 @@ func (o *Orchestrator) sourcesFor(oldRange int, old MemberSet, layout replica.La
 func (o *Orchestrator) migrateRange(mig, oldRange int, target *Maintainer, sources []RangePuller) {
 	src := 0
 	for {
-		cursor, done, err := target.LegacyFrontier(oldRange)
+		cursor, done, err := target.MigratedFrontier(oldRange)
 		if err != nil {
 			o.failMigration(mig, fmt.Errorf("flstore: migration frontier of range %d: %w", oldRange, err))
 			return
@@ -294,7 +291,7 @@ func (o *Orchestrator) migrateRange(mig, oldRange int, target *Maintainer, sourc
 			}
 			continue
 		}
-		if err := target.IngestLegacy(recs); err != nil {
+		if err := target.IngestMigrated(recs); err != nil {
 			o.failMigration(mig, fmt.Errorf("flstore: ingesting range %d: %w", oldRange, err))
 			return
 		}

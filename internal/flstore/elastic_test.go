@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/rpc"
+	"repro/internal/storage"
 )
 
 func TestSealAtValidation(t *testing.T) {
@@ -38,8 +39,8 @@ func TestSealAtValidation(t *testing.T) {
 	if err := m.SealAt(25); err == nil {
 		t.Error("reseal at a different boundary accepted")
 	}
-	if got := m.SealedAt(); got != 17 {
-		t.Fatalf("SealedAt = %d, want 17", got)
+	if m.sealLId != 17 {
+		t.Fatalf("sealed at %d, want 17", m.sealLId)
 	}
 }
 
@@ -416,6 +417,86 @@ func TestMigrationSourceFailover(t *testing.T) {
 	for lid := uint64(1); lid < boundary; lid++ {
 		if _, err := (*next)[pOld.Owner(lid)].Read(lid); err != nil {
 			t.Fatalf("migrated read LId %d after failover: %v", lid, err)
+		}
+	}
+}
+
+// TestMigrationRestartResumes restarts a migration target mid-stream: a
+// new-epoch maintainer is reopened over a store holding a partial old
+// range beside its own epoch's records. Re-declaring the migrated ranges
+// must recover the old range's dense prefix — by the same scan that
+// recovers the epoch's own ranges — so the cursor resumes there, Read
+// serves what was recovered, and re-driving the stream (overlap included)
+// completes the range.
+func TestMigrationRestartResumes(t *testing.T) {
+	pOld := Placement{NumMaintainers: 2, BatchSize: 4}
+	pNew := Placement{NumMaintainers: 1, BatchSize: 8}
+	const boundary = 17 // two whole rounds under either placement
+	oldRecs := func(lids ...uint64) []*core.Record {
+		recs := make([]*core.Record, len(lids))
+		for i, lid := range lids {
+			recs[i] = &core.Record{LId: lid, TOId: lid, Body: []byte("old")}
+		}
+		return recs
+	}
+	st := storage.NewMemStore()
+	open := func() *Maintainer {
+		t.Helper()
+		m, err := NewMaintainer(MaintainerConfig{Placement: pNew, FirstLId: boundary, Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.HostMigrated(pOld, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// Old range 0 owns LIds 1-4 and 9-12 below the boundary; the first
+	// incarnation gets three of them in, and one record of its own epoch.
+	m := open()
+	if err := m.IngestMigrated(oldRecs(1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Append([]*core.Record{bodyRec("new")}); err != nil {
+		t.Fatal(err)
+	}
+	// Each entry point keeps to its side of the boundary: a misrouted source
+	// must not fill the other epoch's range.
+	if err := m.IngestMigrated(oldRecs(boundary + 1)); err == nil {
+		t.Error("IngestMigrated accepted a current-epoch LId")
+	}
+	if err := m.ReplicaAppend(oldRecs(4)); err == nil {
+		t.Error("ReplicaAppend accepted a previous-epoch LId")
+	}
+
+	m = open() // restart
+	cursor, done, err := m.MigratedFrontier(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cursor != 4 || done {
+		t.Fatalf("cursor after restart = %d (done=%v), want 4: the dense prefix", cursor, done)
+	}
+	if n, _ := m.NextUnfilled(); n != boundary+1 {
+		t.Errorf("own frontier after restart = %d, want %d", n, boundary+1)
+	}
+	if _, err := m.Read(6); !errors.Is(err, ErrWrongMaintainer) {
+		t.Errorf("Read of old range 1, not migrated here = %v, want ErrWrongMaintainer", err)
+	}
+	if _, err := m.Read(4); !errors.Is(err, core.ErrNoSuchRecord) {
+		t.Errorf("Read at the cursor = %v, want ErrNoSuchRecord", err)
+	}
+
+	// Re-drive from a source that re-sends part of what already landed.
+	if err := m.IngestMigrated(oldRecs(2, 3, 4, 9, 10, 11, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if cursor, done, _ = m.MigratedFrontier(0); !done || cursor < boundary {
+		t.Fatalf("cursor after re-drive = %d (done=%v), want the range complete", cursor, done)
+	}
+	for _, lid := range []uint64{1, 2, 3, 4, 9, 10, 11, 12} {
+		if rec, err := m.Read(lid); err != nil || string(rec.Body) != "old" {
+			t.Fatalf("Read(%d) of a migrated position = %v, %v", lid, rec, err)
 		}
 	}
 }

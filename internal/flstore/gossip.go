@@ -10,10 +10,11 @@ import (
 )
 
 // Gossiper drives the §5.4 head-of-log gossip for one maintainer: on a
-// fixed interval it pushes the maintainer's next-unfilled LId to every peer
-// and absorbs each peer's value from the reply. The message size is fixed
-// (one LId each way), independent of append throughput — the property the
-// paper relies on for gossip not becoming a bottleneck.
+// fixed interval it pushes the maintainer's next-unfilled and
+// durable-watermark vectors to every peer and absorbs each peer's from the
+// reply. The message size is fixed (2N LIds each way), independent of
+// append throughput — the property the paper relies on for gossip not
+// becoming a bottleneck.
 type Gossiper struct {
 	self     *Maintainer
 	peers    []MaintainerAPI // index-aligned; entry for self may be nil
@@ -32,9 +33,9 @@ type Gossiper struct {
 	rounds    metrics.Counter
 
 	// silent[j] is 1 while the last exchange with peer j failed — the
-	// per-peer staleness signal: while a peer is silent its scalar gossip
-	// contribution freezes, and only vector gossip through its group's
-	// survivors keeps the head of the log advancing.
+	// per-peer staleness signal: while a peer is silent its own
+	// contribution freezes, and only the entries its group's survivors
+	// carry keep the head of the log advancing.
 	silent []atomic.Int64
 }
 
@@ -81,42 +82,23 @@ func (g *Gossiper) loop() {
 }
 
 // Round performs one synchronous gossip exchange with every peer. Exposed
-// so tests and deterministic simulations can gossip without timers. Peers
-// exposing GossipVecs exchange next-unfilled and durable-watermark vectors
-// together (still fixed-size: 2N LIds); peers exposing only GossipVec
-// exchange the next-unfilled vector (so replicated progress for a dead
-// owner's range spreads through its followers); others fall back to the
-// scalar §5.4 exchange. A peer whose exchange fails is marked silent until
-// one succeeds again.
+// so tests and deterministic simulations can gossip without timers. A peer
+// whose exchange fails (or whose reply does not fit this placement) is
+// marked silent until one succeeds again.
 func (g *Gossiper) Round() {
 	vec := g.self.NextVec()
 	dur := g.self.DurableVec()
-	next := vec[g.self.Index()]
 	for j, peer := range g.peers {
 		if j == g.self.Index() || peer == nil {
 			continue
 		}
-		if dg, ok := peer.(DurableGossipAPI); ok {
-			theirNext, theirDur, err := dg.GossipVecs(vec, dur)
-			if err != nil {
-				g.silent[j].Store(1)
-				continue // unreachable peer; retry next round
-			}
-			g.self.GossipVecs(theirNext, theirDur)
-		} else if vg, ok := peer.(ReplicaAPI); ok {
-			theirs, err := vg.GossipVec(vec)
-			if err != nil {
-				g.silent[j].Store(1)
-				continue // unreachable peer; retry next round
-			}
-			g.self.GossipVec(theirs)
-		} else {
-			theirs, err := peer.Gossip(g.self.Index(), next)
-			if err != nil {
-				g.silent[j].Store(1)
-				continue
-			}
-			g.self.Gossip(j, theirs)
+		theirNext, theirDur, err := peer.GossipVecs(vec, dur)
+		if err == nil {
+			_, _, err = g.self.GossipVecs(theirNext, theirDur)
+		}
+		if err != nil {
+			g.silent[j].Store(1)
+			continue // unreachable peer; retry next round
 		}
 		g.silent[j].Store(0)
 	}

@@ -113,7 +113,7 @@ func TestSlotsBelow(t *testing.T) {
 		{2, 13, 4},           // two full rounds for the last range
 	}
 	for _, c := range cases {
-		if got := m.slotsBelow(c.rangeIdx, c.bound); got != c.want {
+		if got := slotsBelowP(m.cfg.Placement, c.rangeIdx, c.bound); got != c.want {
 			t.Errorf("slotsBelow(range %d, bound %d) = %d, want %d", c.rangeIdx, c.bound, got, c.want)
 		}
 	}

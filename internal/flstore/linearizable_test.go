@@ -56,12 +56,12 @@ func TestReplicatedLinearizableReadsUnderFaults(t *testing.T) {
 		faulty = append(faulty, NewMaintainerClient(ctl.Wrap(fmt.Sprintf("w->m%d", i), rpc.NewLocalClient(srvs[i]))))
 		clean = append(clean, NewMaintainerClient(rpc.NewLocalClient(srvs[i])))
 	}
-	writer, err := NewReplicatedDirectClientWith(p, faulty, nil, n, replica.AckMajority,
+	writer, err := NewReplicatedDirectClient(p, faulty, nil, n, replica.AckMajority,
 		WithAppendRetries(100), WithAppendBackoff(100*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader, err := NewReplicatedDirectClientWith(p, clean, nil, n, replica.AckMajority,
+	reader, err := NewReplicatedDirectClient(p, clean, nil, n, replica.AckMajority,
 		WithReadPolicy(replica.SpreadReads()),
 		WithReadRetries(500), WithRetryBackoff(200*time.Microsecond))
 	if err != nil {

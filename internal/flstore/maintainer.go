@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -31,7 +33,7 @@ type MaintainerConfig struct {
 	// (§6.3 elasticity): a maintainer constructed for a newly announced
 	// placement starts assigning at the epoch boundary instead of at LId 1.
 	// Positions below it belong to earlier epochs and reach this maintainer
-	// only through migration (SetLegacy/IngestLegacy). 0 and 1 both mean
+	// only through migration (HostMigrated/IngestMigrated). 0 and 1 both mean
 	// the epoch starts at the beginning of the log. FirstLId−1 must be a
 	// whole number of placement rounds (divisible by NumMaintainers ×
 	// BatchSize) so every range's first owned slot sits exactly at the
@@ -90,26 +92,61 @@ type MaintainerConfig struct {
 	ReadBlockWait time.Duration
 }
 
-// rangeState is the per-hosted-range ingestion state: the dense slot
-// frontier plus the out-of-order buffer feeding it. The store only ever
-// holds the dense prefix of every hosted range, which is what makes
-// restart recovery and catch-up gap-free.
+// rangeState is the per-hosted-range ingestion state: the range's geometry,
+// its two slot frontiers, and the out-of-order buffer feeding them. The
+// store only ever holds the dense prefix of every hosted range, which makes
+// restart recovery and catch-up gap-free. A migrated old-epoch range is a
+// rangeState like any other, under the previous placement.
 type rangeState struct {
-	// filled is the number of slots of this range filled so far; the next
-	// LId assigned or accepted for the range is LIdOfSlot(range, filled).
+	p   Placement // the geometry the range's slots are laid out under
+	idx int
+	// announce: the stored frontier feeds nextVec/durVec. False for a migrated
+	// range, which is read by its cursor and never gossiped.
+	announce bool
+	// cap is the slot count the range may fill: unbounded until SealAt (or
+	// migration) closes it at its slot count below an epoch boundary.
+	cap uint64
+	// filled is the assigned frontier (next LId: LIdOfSlot(idx, filled)),
+	// read only to assign slots, check cap, release AppendAfter batches and
+	// pick an epoch boundary — never by readers.
 	filled uint64
-	// pending holds records that arrived ahead of the dense frontier,
-	// keyed by slot.
-	pending map[uint64][]*core.Record
-	// durable is the contiguous count of this range's slots whose records
-	// the local store has confirmed on stable storage (AppendBatch
-	// returned, which for a durable store means fsynced — a group-commit
-	// window resolved, not merely buffered). durable <= filled always:
-	// filled advances at assignment, durable when the disk catches up.
-	durable uint64
-	// durDone holds store batches that completed out of order, ahead of
-	// the contiguous durable frontier: start slot → end slot (exclusive).
-	durDone map[uint64]uint64
+	// pending holds records that arrived ahead of filled, keyed by slot.
+	pending map[uint64]*core.Record
+	// stored is the stored frontier: the contiguous count of slots whose
+	// commit tail finished (<= filled). Every reader-facing signal is this.
+	stored uint64
+	// done parks tails that finished out of order: start slot → end slot.
+	done map[uint64]uint64
+}
+
+func newRange(p Placement, idx int, announce bool, base, cap uint64) *rangeState {
+	return &rangeState{p: p, idx: idx, announce: announce, cap: cap, filled: base, stored: base,
+		pending: make(map[uint64]*core.Record), done: make(map[uint64]uint64)}
+}
+
+// frontier is the stored frontier in next-unfilled LId form.
+func (st *rangeState) frontier() uint64 { return st.p.LIdOfSlot(st.idx, st.stored) }
+
+// drainSpan is the run of st's slots one claim step drained: [start, end).
+type drainSpan struct {
+	st         *rangeState
+	start, end uint64
+}
+
+// tail is one batch in the commit tail: the records a claim step drained,
+// the slot runs they fill and — for a retry — whether the store has them.
+type tail struct {
+	mode   ingestMode
+	recs   []*core.Record
+	spans  []drainSpan
+	stored bool
+}
+
+// rangeSet is a group of hosted ranges laid out under one placement, keyed
+// by range index.
+type rangeSet struct {
+	p      Placement
+	ranges map[int]*rangeState
 }
 
 // Maintainer is one FLStore log maintainer (§5.2): it owns the deterministic
@@ -120,23 +157,25 @@ type rangeState struct {
 // ReplicaAppend, serves failover reads for them, and can assign their
 // positions (AppendFor) while acting as primary.
 type Maintainer struct {
-	cfg    MaintainerConfig
-	store  storage.Store
-	layout replica.Layout
+	cfg   MaintainerConfig
+	store storage.Store
 
 	mu sync.Mutex
 	// hosted maps each range this maintainer stores (own + followed) to
 	// its ingestion state. The key set is fixed at construction.
 	hosted map[int]*rangeState
-	// nextVec[j] is the latest known next-unfilled LId of range j
-	// (nextVec[Index] is maintained locally; hosted followers' entries
-	// advance from replica ingestion, the rest from gossip).
+	// migrated holds the previous-epoch ranges HostMigrated declared.
+	// Written once; atomic so Read routes old positions without taking mu.
+	migrated atomic.Pointer[rangeSet]
+	// nextVec[j] is the latest announced next-unfilled LId of range j:
+	// hosted entries fold in from the local stored frontiers and from
+	// invalidation announcements, the rest from gossip.
 	nextVec []uint64
 	// durVec[j] is the highest known durable watermark of range j
 	// anywhere in the cluster (LId form, exclusive): some member has
 	// fsynced every position of range j below it. Hosted entries fold in
-	// from the local durable frontiers; the rest ride the gossip vector
-	// exchange exactly like nextVec.
+	// from the local stored frontiers when the store is durable-on-return;
+	// the rest ride the gossip vector exchange exactly like nextVec.
 	durVec []uint64
 	// storeDurable caches whether the store reports durability-on-return
 	// (storage.SegmentStore/TieredStore with a sync policy); stores that
@@ -146,26 +185,23 @@ type Maintainer struct {
 	// yet satisfiable.
 	orderBuf orderHeap
 	// pendingCount mirrors the number of records buffered ahead of the
-	// dense frontiers (Σ over hosted ranges of buffered slots) so the
+	// assigned frontiers (Σ over hosted ranges of buffered slots) so the
 	// admission check reads the backlog in O(1) under mu.
 	pendingCount int
+	// failed parks the commit tails that errored; claimLock re-runs them
+	// before the next claim, so nothing is acked over a stuck frontier.
+	failed []tail
 	// sealLId, when non-zero, is the first LId of the epoch that
-	// supersedes this maintainer: appends that would assign at or past it
-	// are rejected whole with an EpochSealedError. sealCaps caps each
-	// hosted range's fill at its slot count below the boundary.
-	sealLId  uint64
-	sealCaps map[int]uint64
-	// legacy, when non-nil, tracks old-epoch ranges migrated onto this
-	// maintainer: records below cfg.FirstLId ingested under the previous
-	// placement's geometry.
-	legacy *legacyState
+	// supersedes this maintainer: every hosted range is capped below it and
+	// appends crossing a cap fail with an EpochSealedError naming it.
+	sealLId uint64
 
 	// tail caches recently appended records for the batched read path;
 	// nil when disabled.
 	tail *tailRing
-	// waitMu guards waitCh, the broadcast channel notifyProgressLocked
-	// closes (and replaces) whenever a next-unfilled entry advances.
-	// Always taken after mu when both are held.
+	// waitMu guards waitCh, the broadcast channel wakeWaiters closes (and
+	// replaces) whenever a next-unfilled entry advances. Always taken after
+	// mu when both are held.
 	waitMu sync.Mutex
 	waitCh chan struct{}
 
@@ -305,7 +341,6 @@ func NewMaintainer(cfg MaintainerConfig) (*Maintainer, error) {
 	m := &Maintainer{
 		cfg:     cfg,
 		store:   cfg.Store,
-		layout:  layout,
 		hosted:  make(map[int]*rangeState, cfg.Replication),
 		nextVec: make([]uint64, cfg.Placement.NumMaintainers),
 		durVec:  make([]uint64, cfg.Placement.NumMaintainers),
@@ -316,136 +351,93 @@ func NewMaintainer(cfg MaintainerConfig) (*Maintainer, error) {
 	if cfg.TailCacheSize > 0 {
 		m.tail = newTailRing(cfg.TailCacheSize)
 	}
-	// Hosted ranges start their dense frontiers at the epoch's base slot:
-	// slot 0 for an epoch beginning the log, the boundary's slot count for
-	// a grown placement's maintainer (everything below the boundary is the
-	// previous epoch's, reachable here only via migration). Because the
-	// boundary is round-aligned the base is a whole number of rounds.
+	// Hosted ranges start their frontiers at the epoch's base slot: slot 0
+	// for an epoch beginning the log, the boundary's slot count for a grown
+	// placement's maintainer (everything below the boundary is the previous
+	// epoch's, reachable here only via migration).
 	for _, r := range layout.Hosts(cfg.Index) {
-		base := slotsBelowP(cfg.Placement, r, cfg.FirstLId)
-		m.hosted[r] = &rangeState{
-			filled:  base,
-			durable: base,
-			pending: make(map[uint64][]*core.Record),
-			durDone: make(map[uint64]uint64),
-		}
+		m.hosted[r] = newRange(cfg.Placement, r, true, slotsBelowP(cfg.Placement, r, cfg.FirstLId), math.MaxUint64)
+	}
+	if err := m.recoverRanges(rangeSet{cfg.Placement, m.hosted}, cfg.FirstLId, 0); err != nil {
+		return nil, err
 	}
 	// Initialize every entry to the corresponding maintainer's first owned
 	// LId of this epoch, so the new member set's Head() starts exactly at
-	// FirstLId−1 (head continuity across a switchover) and at 0 for an
-	// epoch-0 set, until real gossip arrives.
+	// FirstLId−1 (head continuity across a switchover) until gossip arrives.
+	// Hosted entries start at the recovered frontiers, but a volatile
+	// store's contents must not feed the durability vector.
 	for j := range m.nextVec {
 		m.nextVec[j] = cfg.Placement.LIdOfSlot(j, slotsBelowP(cfg.Placement, j, cfg.FirstLId))
 		m.durVec[j] = m.nextVec[j]
 	}
-	// Recover the dense frontiers from a pre-populated store (restart).
-	// The store may hold several hosted ranges' records, so every record
-	// is attributed to its range; a non-dense range (possible only after a
-	// torn batch tail) keeps its frontier at the dense prefix, and the
-	// remainder is re-fetched by catch-up.
-	if max := cfg.Store.MaxLId(); max > 0 {
-		seen := make(map[int]map[uint64]bool)
-		err := cfg.Store.Scan(1, max, func(r *core.Record) bool {
-			if r.LId < cfg.FirstLId {
-				// Previous-epoch records (a restart mid-migration): they
-				// belong to the legacy geometry, not this epoch's frontiers.
-				// SetLegacy re-derives their dense prefix from the store.
-				return true
-			}
-			rangeIdx := cfg.Placement.Owner(r.LId)
-			if _, ok := m.hosted[rangeIdx]; ok {
-				if seen[rangeIdx] == nil {
-					seen[rangeIdx] = make(map[uint64]bool)
-				}
-				seen[rangeIdx][cfg.Placement.SlotOf(r.LId)] = true
-			}
-			return true
-		})
-		if err != nil {
-			return nil, fmt.Errorf("flstore: recovering frontiers: %w", err)
-		}
-		for rangeIdx, slots := range seen {
-			st := m.hosted[rangeIdx]
-			for slots[st.filled] {
-				st.filled++
-			}
-			m.advanceNextLocked(rangeIdx, st)
-			// Whatever the recovery scan read back came off stable
-			// storage, so the durable frontier restarts at the dense
-			// prefix — no re-fsync needed for survivors. A volatile
-			// store's contents are not durable, so its frontier must
-			// not feed the gossiped durability vector.
-			if m.storeDurable {
-				st.durable = st.filled
-				m.advanceDurableLocked(rangeIdx, st)
-			}
+	for r, st := range m.hosted {
+		m.nextVec[r] = st.frontier()
+		if m.storeDurable {
+			m.durVec[r] = m.nextVec[r]
 		}
 	}
 	return m, nil
 }
 
+// recoverRanges re-derives the frontiers of set's ranges from the records a
+// pre-populated store holds in [lo, hi] (hi 0 = unbounded) — a restart.
+// Every record is attributed to its range; the scan is ascending, so a
+// range's dense prefix is the run of slots that keeps matching its
+// frontier. A non-dense range (a torn batch tail) stays at the dense
+// prefix and the rest is re-fetched by catch-up or migration.
+func (m *Maintainer) recoverRanges(set rangeSet, lo, hi uint64) error {
+	if m.store.MaxLId() < lo {
+		return nil
+	}
+	err := m.store.Scan(lo, hi, func(r *core.Record) bool {
+		if st := set.ranges[set.p.Owner(r.LId)]; st != nil && set.p.SlotOf(r.LId) == st.filled {
+			st.filled++
+			st.stored = st.filled
+		}
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("flstore: recovering frontiers: %w", err)
+	}
+	return nil
+}
+
 // Index returns the maintainer's placement index.
 func (m *Maintainer) Index() int { return m.cfg.Index }
 
-// advanceNextLocked folds a hosted range's local frontier into nextVec.
-// Caller holds mu (or is still constructing the maintainer).
-func (m *Maintainer) advanceNextLocked(rangeIdx int, st *rangeState) {
-	if next := m.cfg.Placement.LIdOfSlot(rangeIdx, st.filled); next > m.nextVec[rangeIdx] {
-		m.nextVec[rangeIdx] = next
-		m.notifyProgressLocked()
+// hostedRange looks up one of this epoch's ranges (lock-free: fixed key set).
+func (m *Maintainer) hostedRange(rangeIdx int) (*rangeState, error) {
+	if st, ok := m.hosted[rangeIdx]; ok {
+		return st, nil
 	}
+	return nil, fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
 }
 
-// advanceDurableLocked folds a hosted range's local durable frontier into
-// durVec. Caller holds mu (or is still constructing the maintainer).
-func (m *Maintainer) advanceDurableLocked(rangeIdx int, st *rangeState) {
-	if lid := m.cfg.Placement.LIdOfSlot(rangeIdx, st.durable); lid > m.durVec[rangeIdx] {
-		m.durVec[rangeIdx] = lid
+// publishLocked is the one place a range's local progress becomes visible:
+// the commit tail calls it once the span's slots are stored and posted. It
+// advances the contiguous stored frontier and folds it into nextVec — and
+// into durVec when the store is durable-on-return, which is all the
+// durable watermark is. A range's tails cover abutting slot runs but may
+// finish out of order (appends race to the store; group-commit windows
+// resolve with their fsync), so a run ahead of the frontier parks in done:
+// a batch never publishes past an earlier one in flight. Caller holds mu.
+func (m *Maintainer) publishLocked(sp drainSpan) {
+	st := sp.st
+	st.done[sp.start] = sp.end
+	for end, ok := st.done[st.stored]; ok; end, ok = st.done[st.stored] {
+		delete(st.done, st.stored)
+		st.stored = end
 	}
-}
-
-// markDurable records that the local store confirmed rangeIdx's slots
-// [start, end) on stable storage (its AppendBatch returned) and advances
-// the range's contiguous durable frontier. Store batches for one range
-// are disjoint slot intervals but may *complete* out of order — two
-// appends can reach the store in either order, and group-commit windows
-// resolve when their fsync does — so completions ahead of the frontier
-// park in durDone until the gap closes. Stores without durability-on-
-// return never advance the watermark.
-func (m *Maintainer) markDurable(rangeIdx int, start, end uint64) {
-	if !m.storeDurable || end <= start {
+	if !st.announce {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.hosted[rangeIdx]
-	if !ok {
-		return
+	f := st.frontier()
+	if f > m.nextVec[st.idx] {
+		m.nextVec[st.idx] = f
 	}
-	if end <= st.durable {
-		return
+	if m.storeDurable && f > m.durVec[st.idx] {
+		m.durVec[st.idx] = f
 	}
-	if start <= st.durable {
-		st.durable = end
-	} else {
-		st.durDone[start] = end
-	}
-	for {
-		advanced := false
-		for s, e := range st.durDone {
-			if s <= st.durable {
-				if e > st.durable {
-					st.durable = e
-				}
-				delete(st.durDone, s)
-				advanced = true
-			}
-		}
-		if !advanced {
-			break
-		}
-	}
-	m.advanceDurableLocked(rangeIdx, st)
 }
 
 // DurableWatermark returns a hosted range's local durable watermark: the
@@ -456,16 +448,11 @@ func (m *Maintainer) markDurable(rangeIdx int, start, end uint64) {
 // it per member; contrast ValidityWatermark, which tracks what is locally
 // readable.
 func (m *Maintainer) DurableWatermark(rangeIdx int) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.hosted[rangeIdx]
-	if !ok {
-		return 0, fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
+	f, err := m.RangeFrontier(rangeIdx)
+	if err != nil || !m.storeDurable {
+		return 0, err
 	}
-	if !m.storeDurable {
-		return 0, nil
-	}
-	return m.cfg.Placement.LIdOfSlot(rangeIdx, st.durable), nil
+	return f, nil
 }
 
 // DurableVec returns a copy of the cluster-durability vector: per range,
@@ -473,20 +460,19 @@ func (m *Maintainer) DurableWatermark(rangeIdx int) (uint64, error) {
 func (m *Maintainer) DurableVec() []uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]uint64, len(m.durVec))
-	copy(out, m.durVec)
-	return out
+	return append([]uint64(nil), m.durVec...)
 }
 
 // admit applies the capacity limiter to n records. The success path is
 // allocation-free; on rejection the error carries the limiter's token
 // deficit as the retry-after hint.
-func (m *Maintainer) admit(n int) error {
+func (m *Maintainer) admit(tc trace.Ctx, n int) error {
 	if m.cfg.Limiter.Allow(n) {
 		return nil
 	}
 	m.cfg.Limiter.Penalize(m.cfg.RejectPenalty * float64(n))
 	m.Rejected.Add(uint64(n))
+	tc.Hop(trace.Default(), "maint.admit", 0, "overload", 0, n)
 	return &OverloadError{RetryAfter: m.cfg.Limiter.Delay(n)}
 }
 
@@ -517,6 +503,111 @@ func (m *Maintainer) IngressBacklog() int {
 	return m.orderBuf.size + m.pendingCount
 }
 
+// ingestMode is everything that differs between the callers of the one
+// ingestion pipeline beyond their claim step.
+type ingestMode struct {
+	hop   string // trace hop covering arrival through the claim
+	admit bool   // charge the capacity limiter: serving paths, not migration or padding
+	// strict: own range only, and a taken slot is an error (upstream-assigned
+	// records); otherwise copies of stored or buffered slots are skipped.
+	strict bool
+	post   bool // stream tag postings to the indexers: the acting primary's job, not a copy's
+	ring   bool // feed the tail ring serving reads near the frontier
+	old    bool // the records are the previous epoch's (below FirstLId), not this one's
+}
+
+var (
+	modeAssign   = ingestMode{hop: "maint.assign", admit: true, post: true, ring: true}
+	modeAssigned = ingestMode{hop: "maint.ingest", admit: true, strict: true, post: true, ring: true}
+	modeReplica  = ingestMode{hop: "replica.ingest", admit: true, ring: true}
+	modeMigrate  = ingestMode{old: true}
+	modePad      = ingestMode{post: true, ring: true}
+)
+
+// drainLocked moves the run of buffered records contiguous with st's
+// assigned frontier onto ready, advancing it past them. Caller holds mu.
+func (m *Maintainer) drainLocked(st *rangeState, ready []*core.Record) []*core.Record {
+	for len(st.pending) > 0 {
+		r, ok := st.pending[st.filled]
+		if !ok {
+			break
+		}
+		delete(st.pending, st.filled)
+		m.pendingCount--
+		ready = append(ready, r)
+		st.filled++
+	}
+	return ready
+}
+
+// commit is the one commit tail behind every ingestion entry point: the
+// drained records go to the store, then the tail ring, then the indexers,
+// and only then does their range's frontier cover them and parked readers
+// wake. That order is the visibility contract (DESIGN.md §7). A failed tail
+// publishes nothing and parks on failed for claimLock to re-run; its caller
+// gets the error. key is the caller batch's first LId, for the trace.
+func (m *Maintainer) commit(tc trace.Ctx, key uint64, t tail) (err error) {
+	if len(t.recs) == 0 {
+		// Buffered, not stored: whichever later batch drains it records the store span.
+		tc.Hop(trace.Default(), t.mode.hop, 0, "buffered", key, 0)
+		return nil
+	}
+	if !t.stored {
+		// The hop covers arrival (transit restamped by the wire handler, or the
+		// in-process hand-off) through the claim; the store span wraps
+		// persistence, with fsync nested inside it by the segment store.
+		tc.Hop(trace.Default(), t.mode.hop, 0, "", key, len(t.recs))
+		sw := trace.Begin(tc, "maint.store")
+		err = m.store.AppendBatch(t.recs)
+		sw.End(trace.Default(), trace.Outcome(err, "error"), key, len(t.recs))
+		if t.stored = err == nil; t.stored {
+			if t.mode.ring && m.tail != nil {
+				m.tail.put(t.recs)
+			}
+			m.Appended.Add(uint64(len(t.recs)))
+		}
+	}
+	if err == nil && t.mode.post {
+		err = m.postTags(t.recs)
+	}
+	m.mu.Lock()
+	if err != nil {
+		// A copy: the caller's spans live on its stack.
+		m.failed = append(m.failed, tail{t.mode, t.recs, append([]drainSpan(nil), t.spans...), t.stored})
+		m.mu.Unlock()
+		return err
+	}
+	for _, sp := range t.spans {
+		if sp.end > sp.start {
+			m.publishLocked(sp)
+		}
+	}
+	m.mu.Unlock()
+	m.wakeWaiters()
+	return nil
+}
+
+// claimLock takes mu for a claim step, after re-running every commit tail
+// that failed earlier (the store write if it never landed, then the
+// postings — both idempotent from here). While one keeps failing the claim
+// is refused with its error, mu released: the range's frontier cannot move
+// past the failed batch, so nothing new may be assigned and acked behind it.
+// (A claim racing a re-run is not held back; like the batches in flight at
+// the failure, it parks in done behind the failed one.)
+func (m *Maintainer) claimLock() error {
+	m.mu.Lock()
+	for len(m.failed) > 0 {
+		t := m.failed[0]
+		m.failed = m.failed[1:]
+		m.mu.Unlock()
+		if err := m.commit(trace.Ctx{}, 0, t); err != nil {
+			return fmt.Errorf("flstore: re-running a failed commit tail: %w", err)
+		}
+		m.mu.Lock()
+	}
+	return nil
+}
+
 // Append implements MaintainerAPI: post-assignment of log positions in the
 // maintainer's own range.
 func (m *Maintainer) Append(recs []*core.Record) ([]uint64, error) {
@@ -535,45 +626,37 @@ func (m *Maintainer) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, err
 	if h := m.appendLatency; h != nil {
 		defer h.ObserveSinceEx(time.Now(), uint64(tc.T))
 	}
-	if err := m.admit(len(recs)); err != nil {
-		tc.Hop(trace.Default(), "maint.admit", 0, "overload", 0, len(recs))
+	if err := m.admit(tc, len(recs)); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	st, ok := m.hosted[rangeIdx]
-	if !ok {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
-	}
-	if err := m.backlogOverloadLocked(len(recs)); err != nil {
-		m.mu.Unlock()
-		tc.Hop(trace.Default(), "maint.admit", 0, "overload", 0, len(recs))
+	st, err := m.hostedRange(rangeIdx)
+	if err != nil {
 		return nil, err
 	}
 	for i, r := range recs {
 		if r.LId != 0 {
-			m.mu.Unlock()
 			return nil, fmt.Errorf("flstore: Append record %d already has LId %d", i, r.LId)
 		}
 	}
-	// A sealed epoch caps every hosted range at its slot count below the
-	// announced boundary. Batches that would cross the cap are rejected
-	// whole — splitting one would hand part of an atomic batch to each
-	// epoch — with the typed error carrying the boundary so the client
-	// refreshes its configuration and resumes against the new owners.
-	if m.sealLId != 0 {
-		if cap := m.sealCaps[rangeIdx]; st.filled+uint64(len(recs)) > cap {
-			boundary := m.sealLId
-			m.mu.Unlock()
-			tc.Hop(trace.Default(), "maint.assign", 0, "sealed", 0, len(recs))
-			return nil, &EpochSealedError{FirstLId: boundary}
-		}
+	if err = m.claimLock(); err != nil {
+		return nil, err
+	}
+	// A batch that would cross a sealed epoch's cap is rejected whole
+	// (splitting one would hand part of an atomic batch to each epoch); the
+	// typed error carries the boundary so the client resumes at the new owners.
+	if err = m.backlogOverloadLocked(len(recs)); err == nil && uint64(len(recs)) > st.cap-st.filled {
+		err = &EpochSealedError{FirstLId: m.sealLId}
+	}
+	if err != nil {
+		m.mu.Unlock()
+		tc.Hop(trace.Default(), modeAssign.hop, 0, appendOutcome(err), 0, len(recs))
+		return nil, err
 	}
 	// One range assignment for the whole batch: the range fills its slots
 	// densely, so the batch occupies slots [filled, filled+len).
-	startSlot := st.filled
+	sp := drainSpan{st: st, start: st.filled}
 	lids := make([]uint64, len(recs))
-	m.cfg.Placement.LIdsOfSlots(rangeIdx, st.filled, lids)
+	st.p.LIdsOfSlots(rangeIdx, st.filled, lids)
 	for i, r := range recs {
 		r.LId = lids[i]
 		if r.TOId == 0 {
@@ -585,28 +668,12 @@ func (m *Maintainer) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, err
 		}
 	}
 	st.filled += uint64(len(recs))
-	m.advanceNextLocked(rangeIdx, st)
-	var released []orderBatch
-	if rangeIdx == m.cfg.Index {
-		released = m.releasableOrderBatchesLocked()
-	}
+	ready := m.drainLocked(st, recs[:len(recs):len(recs)])
+	sp.end = st.filled
+	released := m.releasableOrderBatchesLocked()
 	m.mu.Unlock()
 
-	// The assign hop covers arrival (transit restamped by the wire
-	// handler, or the in-process hand-off) through position assignment;
-	// the store span wraps persistence, with fsync nested inside it by
-	// the segment store.
-	tc.Hop(trace.Default(), "maint.assign", 0, "", lids[0], len(recs))
-	sw := trace.Begin(tc, "maint.store")
-	if err := m.store.AppendBatch(recs); err != nil {
-		sw.End(trace.Default(), "error", lids[0], len(recs))
-		return nil, err
-	}
-	sw.End(trace.Default(), "", lids[0], len(recs))
-	m.markDurable(rangeIdx, startSlot, startSlot+uint64(len(recs)))
-	m.cacheAppended(recs)
-	m.Appended.Add(uint64(len(recs)))
-	if err := m.postTags(recs); err != nil {
+	if err := m.commit(tc, lids[0], tail{mode: modeAssign, recs: ready, spans: []drainSpan{sp}}); err != nil {
 		return nil, err
 	}
 	for _, b := range released {
@@ -626,8 +693,7 @@ func (m *Maintainer) AppendAfter(minLId uint64, recs []*core.Record) ([]uint64, 
 		return nil, nil
 	}
 	m.mu.Lock()
-	next := m.cfg.Placement.LIdOfSlot(m.cfg.Index, m.hosted[m.cfg.Index].filled)
-	if next > minLId {
+	if m.nextAssignedLocked() > minLId {
 		m.mu.Unlock()
 		return m.Append(recs)
 	}
@@ -641,11 +707,18 @@ func (m *Maintainer) AppendAfter(minLId uint64, recs []*core.Record) ([]uint64, 
 	return nil, nil // buffered; LIds assigned on release
 }
 
+// nextAssignedLocked is the next LId the own range will assign; it runs
+// ahead of NextUnfilled while commit tails are in flight. Caller holds mu.
+func (m *Maintainer) nextAssignedLocked() uint64 {
+	st := m.hosted[m.cfg.Index]
+	return st.p.LIdOfSlot(st.idx, st.filled)
+}
+
 // releasableOrderBatchesLocked pops buffered batches whose bound is now
 // below the frontier. Caller holds mu.
 func (m *Maintainer) releasableOrderBatchesLocked() []orderBatch {
 	var out []orderBatch
-	next := m.cfg.Placement.LIdOfSlot(m.cfg.Index, m.hosted[m.cfg.Index].filled)
+	next := m.nextAssignedLocked()
 	for m.orderBuf.Len() > 0 && m.orderBuf.batches[0].minLId < next {
 		b := heap.Pop(&m.orderBuf).(orderBatch)
 		m.orderBuf.size -= len(b.recs)
@@ -659,80 +732,7 @@ func (m *Maintainer) releasableOrderBatchesLocked() []orderBatch {
 // dense frontier are buffered so the frontier only advances contiguously,
 // keeping the head-of-log computation exact.
 func (m *Maintainer) AppendAssigned(recs []*core.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	tc := batchTrace(recs)
-	if h := m.appendLatency; h != nil {
-		defer h.ObserveSinceEx(time.Now(), uint64(tc.T))
-	}
-	if err := m.admit(len(recs)); err != nil {
-		tc.Hop(trace.Default(), "maint.admit", 0, "overload", 0, len(recs))
-		return err
-	}
-	m.mu.Lock()
-	st := m.hosted[m.cfg.Index]
-	for _, r := range recs {
-		if r.LId == 0 {
-			m.mu.Unlock()
-			return errors.New("flstore: AppendAssigned record without LId")
-		}
-		if m.cfg.Placement.Owner(r.LId) != m.cfg.Index {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: %d", ErrWrongMaintainer, r.LId)
-		}
-		if m.sealLId != 0 && r.LId >= m.sealLId {
-			boundary := m.sealLId
-			m.mu.Unlock()
-			return &EpochSealedError{FirstLId: boundary}
-		}
-		slot := m.cfg.Placement.SlotOf(r.LId)
-		if slot < st.filled {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: %d", storage.ErrDuplicate, r.LId)
-		}
-		st.pending[slot] = append(st.pending[slot], r)
-		m.pendingCount++
-	}
-	// Drain the contiguous prefix.
-	drainStart := st.filled
-	var ready []*core.Record
-	for {
-		rs, ok := st.pending[st.filled]
-		if !ok {
-			break
-		}
-		if len(rs) > 1 {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: slot %d assigned twice", storage.ErrDuplicate, st.filled)
-		}
-		ready = append(ready, rs[0])
-		delete(st.pending, st.filled)
-		m.pendingCount--
-		st.filled++
-	}
-	drainEnd := st.filled
-	m.advanceNextLocked(m.cfg.Index, st)
-	m.mu.Unlock()
-
-	if len(ready) == 0 {
-		// Parked ahead of the dense frontier: the batch is buffered, not
-		// stored — its store span is recorded by whichever later batch
-		// drains it.
-		tc.Hop(trace.Default(), "maint.ingest", 0, "buffered", recs[0].LId, len(recs))
-		return nil
-	}
-	tc.Hop(trace.Default(), "maint.ingest", 0, "", recs[0].LId, len(ready))
-	sw := trace.Begin(tc, "maint.store")
-	if err := m.store.AppendBatch(ready); err != nil {
-		sw.End(trace.Default(), "error", recs[0].LId, len(ready))
-		return err
-	}
-	sw.End(trace.Default(), "", recs[0].LId, len(ready))
-	m.markDurable(m.cfg.Index, drainStart, drainEnd)
-	m.cacheAppended(ready)
-	m.Appended.Add(uint64(len(ready)))
-	return m.postTags(ready)
+	return m.ingestPlaced(recs, modeAssigned)
 }
 
 // ReplicaAppend ingests copies of records whose positions were assigned by
@@ -743,109 +743,116 @@ func (m *Maintainer) AppendAssigned(recs []*core.Record) error {
 // frames are harmless. Tag postings are not re-sent — the acting primary
 // already streamed them to the indexers.
 func (m *Maintainer) ReplicaAppend(recs []*core.Record) error {
+	return m.ingestPlaced(recs, modeReplica)
+}
+
+// ingestPlaced takes records that arrive already positioned: each claims
+// its own slot in the range its LId names, every touched range drains its
+// dense prefix, and one commit tail stores it all.
+func (m *Maintainer) ingestPlaced(recs []*core.Record, mode ingestMode) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	tc := batchTrace(recs)
-	if h := m.appendLatency; h != nil {
-		defer h.ObserveSinceEx(time.Now(), uint64(tc.T))
+	if mode.admit {
+		if h := m.appendLatency; h != nil {
+			defer h.ObserveSinceEx(time.Now(), uint64(tc.T))
+		}
+		if err := m.admit(tc, len(recs)); err != nil {
+			return err
+		}
 	}
-	if err := m.admit(len(recs)); err != nil {
-		tc.Hop(trace.Default(), "maint.admit", 0, "overload", 0, len(recs))
+	// One span per run of records naming the same range — almost always one;
+	// a range named by two runs drains on the first and empties the second.
+	var buf [1]drainSpan
+	spans := buf[:0]
+	if err := m.claimLock(); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	touched := make(map[int]*rangeState)
 	for _, r := range recs {
-		if r.LId == 0 {
+		st, err := m.placeLocked(r, mode)
+		if err != nil {
 			m.mu.Unlock()
-			return errors.New("flstore: ReplicaAppend record without LId")
+			return err
 		}
-		rangeIdx := m.cfg.Placement.Owner(r.LId)
-		st, ok := m.hosted[rangeIdx]
-		if !ok {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
+		if st != nil && (len(spans) == 0 || spans[len(spans)-1].st != st) {
+			spans = append(spans, drainSpan{st: st})
 		}
-		slot := m.cfg.Placement.SlotOf(r.LId)
-		if slot < st.filled {
-			continue // already stored
-		}
-		if _, buffered := st.pending[slot]; buffered {
-			continue // duplicate of an in-flight copy
-		}
-		st.pending[slot] = []*core.Record{r}
-		m.pendingCount++
-		touched[rangeIdx] = st
 	}
-	var ready []*core.Record
-	drained := make(map[int][2]uint64, len(touched))
-	for rangeIdx, st := range touched {
-		start := st.filled
-		for {
-			rs, ok := st.pending[st.filled]
-			if !ok {
-				break
-			}
-			ready = append(ready, rs[0])
-			delete(st.pending, st.filled)
-			m.pendingCount--
-			st.filled++
-		}
-		drained[rangeIdx] = [2]uint64{start, st.filled}
-		m.advanceNextLocked(rangeIdx, st)
+	ready := make([]*core.Record, 0, len(recs))
+	for i := range spans {
+		sp := &spans[i]
+		sp.start = sp.st.filled
+		ready = m.drainLocked(sp.st, ready)
+		sp.end = sp.st.filled
 	}
 	m.mu.Unlock()
+	return m.commit(tc, recs[0].LId, tail{mode: mode, recs: ready, spans: spans})
+}
 
-	if len(ready) == 0 {
-		tc.Hop(trace.Default(), "replica.ingest", 0, "buffered", recs[0].LId, len(recs))
-		return nil
+// placeLocked buffers r at its own slot of the hosted range its LId names
+// and returns that range, or nil when r was skipped as already stored or
+// in flight. Caller holds mu.
+func (m *Maintainer) placeLocked(r *core.Record, mode ingestMode) (*rangeState, error) {
+	if r.LId == 0 || (r.LId < m.cfg.FirstLId) != mode.old {
+		return nil, fmt.Errorf("flstore: positioned append of LId %d on the wrong side of epoch boundary %d", r.LId, m.cfg.FirstLId)
 	}
-	tc.Hop(trace.Default(), "replica.ingest", 0, "", recs[0].LId, len(ready))
-	sw := trace.Begin(tc, "maint.store")
-	if err := m.store.AppendBatch(ready); err != nil {
-		sw.End(trace.Default(), "error", recs[0].LId, len(ready))
-		return err
+	st := m.rangeOf(r.LId)
+	if mode.strict && st != m.hosted[m.cfg.Index] {
+		return nil, fmt.Errorf("%w: %d", ErrWrongMaintainer, r.LId)
 	}
-	sw.End(trace.Default(), "", recs[0].LId, len(ready))
-	for rangeIdx, span := range drained {
-		m.markDurable(rangeIdx, span[0], span[1])
+	if st == nil {
+		return nil, fmt.Errorf("%w: LId %d at maintainer %d", ErrNotReplica, r.LId, m.cfg.Index)
 	}
-	m.cacheAppended(ready)
-	m.Appended.Add(uint64(len(ready)))
+	slot := st.p.SlotOf(r.LId)
+	if slot >= st.cap {
+		return nil, &EpochSealedError{FirstLId: m.sealLId}
+	}
+	if _, buffered := st.pending[slot]; buffered || slot < st.filled {
+		if mode.strict {
+			return nil, fmt.Errorf("%w: %d", storage.ErrDuplicate, r.LId)
+		}
+		return nil, nil
+	}
+	st.pending[slot] = r
+	m.pendingCount++
+	return st, nil
+}
+
+// rangeOf returns the hosted range holding position lid — this epoch's or
+// a migrated one — or nil when no copy of it is stored here. Safe without
+// mu: the hosted key set is fixed and migrated is written once.
+func (m *Maintainer) rangeOf(lid uint64) *rangeState {
+	if lid >= m.cfg.FirstLId {
+		return m.hosted[m.cfg.Placement.Owner(lid)]
+	}
+	if mg := m.migrated.Load(); mg != nil {
+		return mg.ranges[mg.p.Owner(lid)]
+	}
 	return nil
 }
 
 // RangeFrontier returns the next-unfilled LId of a hosted range as known
-// locally: for the own range this is the assignment frontier, for followed
-// ranges the replicated frontier (everything below it is durably stored
-// here).
+// locally — its stored frontier: everything below it is in the local store
+// and, where this member acted as primary, findable by tag.
 func (m *Maintainer) RangeFrontier(rangeIdx int) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.hosted[rangeIdx]
-	if !ok {
-		return 0, fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
-	}
-	return m.cfg.Placement.LIdOfSlot(rangeIdx, st.filled), nil
+	f, _, err := m.ValidityWatermark(rangeIdx)
+	return f, err
 }
 
 // PullRange streams up to limit stored records of a hosted range with
 // LId >= fromLId, in ascending LId order — the catch-up feed a restarted
 // peer drains to rebuild its copy.
 func (m *Maintainer) PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error) {
-	m.mu.Lock()
-	_, ok := m.hosted[rangeIdx]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
-	}
-	if fromLId == 0 {
-		fromLId = 1
+	st, err := m.hostedRange(rangeIdx)
+	if err != nil {
+		return nil, err
 	}
 	var out []*core.Record
-	err := m.store.Scan(fromLId, 0, func(r *core.Record) bool {
-		if m.cfg.Placement.Owner(r.LId) != rangeIdx {
+	// The range begins at this epoch's boundary; below it the store holds
+	// only migrated records, laid out under another placement.
+	err = m.store.Scan(max(fromLId, m.cfg.FirstLId), 0, func(r *core.Record) bool {
+		if st.p.Owner(r.LId) != rangeIdx {
 			return true
 		}
 		out = append(out, r)
@@ -899,29 +906,26 @@ const (
 // replica ingestion advance — so the head of the log sees the assignment
 // immediately while the positions between the local frontier and the
 // bound become locally *invalid*: Read blocks or fails over for them
-// instead of reporting them absent. Idempotent and monotone; stale
+// instead of reporting them absent. This is the one signal allowed to run
+// ahead of the local payload — the acting primary announces a batch only
+// after its own commit tail finished. Idempotent and monotone; stale
 // announcements are no-ops.
 func (m *Maintainer) Invalidate(rangeIdx int, upTo uint64) error {
+	st, err := m.hostedRange(rangeIdx)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.hosted[rangeIdx]; !ok {
-		return fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
-	}
 	// Normalize the bound to frontier form (the next-unfilled LId of the
 	// range given the announced slot count) so nextVec stays comparable
 	// with the values local fills and gossip write.
-	bound := m.cfg.Placement.LIdOfSlot(rangeIdx, m.slotsBelow(rangeIdx, upTo))
+	bound := st.p.LIdOfSlot(rangeIdx, slotsBelowP(st.p, rangeIdx, upTo))
 	if bound > m.nextVec[rangeIdx] {
 		m.nextVec[rangeIdx] = bound
-		m.notifyProgressLocked()
+		m.wakeWaiters()
 	}
 	return nil
-}
-
-// slotsBelow counts how many of rangeIdx's positions lie strictly below
-// bound — the slot-space form of an announced LId bound.
-func (m *Maintainer) slotsBelow(rangeIdx int, bound uint64) uint64 {
-	return slotsBelowP(m.cfg.Placement, rangeIdx, bound)
 }
 
 // slotsBelowP counts how many of rangeIdx's positions lie strictly below
@@ -947,41 +951,42 @@ func slotsBelowP(p Placement, rangeIdx int, bound uint64) uint64 {
 }
 
 // ValidityWatermark implements InvalidationAPI: a hosted range's validity
-// watermark (the dense-prefix frontier LId — every position below it is
+// watermark (the stored frontier LId — every position below it is
 // resolved and served locally) and its announced assignment bound (every
 // position below it is assigned somewhere in the group). The span between
 // the two is this member's invalidation backlog.
 func (m *Maintainer) ValidityWatermark(rangeIdx int) (watermark, announced uint64, err error) {
+	st, err := m.hostedRange(rangeIdx)
+	if err != nil {
+		return 0, 0, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.hosted[rangeIdx]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
-	}
-	watermark = m.cfg.Placement.LIdOfSlot(rangeIdx, st.filled)
-	announced = m.nextVec[rangeIdx]
-	if announced < watermark {
-		announced = watermark
-	}
-	return watermark, announced, nil
+	return st.frontier(), m.announcedLocked(st), nil
 }
 
-// invalBacklogLocked returns how many of rangeIdx's positions are
-// announced but unresolved here. Caller holds mu.
+// announcedLocked bounds the positions of st known assigned: its nextVec
+// entry (never behind the frontier), or for a migrated range, which nobody
+// announces, the frontier itself. Caller holds mu.
+func (m *Maintainer) announcedLocked(st *rangeState) uint64 {
+	if st.announce {
+		return m.nextVec[st.idx]
+	}
+	return st.frontier()
+}
+
+// invalBacklogLocked returns how many of hosted range rangeIdx's positions
+// are announced but unresolved here. Caller holds mu.
 func (m *Maintainer) invalBacklogLocked(rangeIdx int) uint64 {
-	st, ok := m.hosted[rangeIdx]
-	if !ok {
-		return 0
-	}
-	if ann := m.slotsBelow(rangeIdx, m.nextVec[rangeIdx]); ann > st.filled {
-		return ann - st.filled
-	}
-	return 0
+	st := m.hosted[rangeIdx]
+	return slotsBelowP(st.p, rangeIdx, m.announcedLocked(st)) - st.stored
 }
 
-// Read implements MaintainerAPI. It serves every hosted range: below the
-// range's validity watermark the record comes straight from the local
-// store (any valid replica answers, no owner round trip); between the
+// Read implements MaintainerAPI. It serves every hosted range, migrated
+// ones included: below the range's validity watermark the record comes
+// straight from the local store (any valid replica answers, no owner round
+// trip; positions of ranges not stored here keep the wrong-maintainer
+// semantics — the epoch journal routes them elsewhere); between the
 // watermark and the announced assignment bound the position is invalid
 // here — Read parks up to ReadBlockWait for the in-flight payload, then
 // returns a retryable ReadBlockedError so the caller fails over to a
@@ -994,13 +999,8 @@ func (m *Maintainer) Read(lid uint64) (*core.Record, error) {
 	if lid == 0 {
 		return nil, core.ErrNoSuchRecord
 	}
-	// Positions below the epoch boundary belong to a previous placement's
-	// geometry: they are served from the migrated legacy copy, not routed
-	// by this epoch's layout.
-	if lid < m.cfg.FirstLId {
-		return m.legacyRead(lid)
-	}
-	if !m.layout.Replicas(m.cfg.Index, m.cfg.Placement.Owner(lid)) {
+	st := m.rangeOf(lid)
+	if st == nil {
 		return nil, fmt.Errorf("%w: %d", ErrWrongMaintainer, lid)
 	}
 	if m.cfg.EnforceHead {
@@ -1016,53 +1016,40 @@ func (m *Maintainer) Read(lid uint64) (*core.Record, error) {
 	if !errors.Is(err, core.ErrNoSuchRecord) {
 		return nil, err
 	}
-	return m.blockedRead(lid)
+	return m.blockedRead(st, lid)
 }
 
 // blockedRead resolves a store miss against the invalidation state: a
-// position below the announced bound is assigned — locally invalid, not
-// absent — so the read parks on the progress channel for the in-flight
-// payload (bounded by ReadBlockWait) rather than serving a stale
-// no-such-record. Positions at or above the bound keep the legacy absent
-// semantics.
-func (m *Maintainer) blockedRead(lid uint64) (*core.Record, error) {
-	rangeIdx := m.cfg.Placement.Owner(lid)
-	var deadline time.Time
-	blocked := false
-	for {
+// position below the announced bound, or one this member assigned whose
+// commit tail is still running, is assigned — locally invalid, not absent
+// — so the read parks on the progress channel for the in-flight payload
+// (bounded by ReadBlockWait) rather than serving a stale no-such-record.
+// Positions past both keep the legacy absent semantics.
+func (m *Maintainer) blockedRead(st *rangeState, lid uint64) (*core.Record, error) {
+	// A negative ReadBlockWait puts the deadline in the past: no parking.
+	deadline := time.Now().Add(m.cfg.ReadBlockWait)
+	for blocked := false; ; blocked = true {
 		// Grab the channel before checking state: progress between the
-		// check and the select closes this channel, so no wakeup is lost.
+		// check and the park closes this channel, so no wakeup is lost.
 		ch := m.waitChan()
 		m.mu.Lock()
-		announced := m.nextVec[rangeIdx]
+		absent := lid >= m.announcedLocked(st) && st.p.SlotOf(lid) >= st.filled
 		m.mu.Unlock()
-		if lid >= announced {
+		if absent {
 			return nil, core.ErrNoSuchRecord
 		}
 		// Assigned but missed above: either the payload is still in
-		// flight, or it resolved (frontier advance → store write) between
-		// the miss and now — re-check the store each pass.
+		// flight, or it resolved (store write, then frontier advance)
+		// between the miss and now — re-check the store each pass.
 		if rec, err := m.store.Get(lid); err == nil {
 			m.LocalReadHits.Inc()
 			return rec, nil
 		}
 		if !blocked {
-			blocked = true
 			m.LocalReadBlocks.Inc()
-			if m.cfg.ReadBlockWait < 0 {
-				return nil, &ReadBlockedError{LId: lid, RetryAfter: readBlockHint}
-			}
-			deadline = time.Now().Add(m.cfg.ReadBlockWait)
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		if !park(ch, deadline) {
 			return nil, &ReadBlockedError{LId: lid, RetryAfter: readBlockHint}
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
 		}
 	}
 }
@@ -1108,99 +1095,50 @@ func (m *Maintainer) currentHead() uint64 {
 // Head implements MaintainerAPI.
 func (m *Maintainer) Head() (uint64, error) { return m.currentHead(), nil }
 
-// NextUnfilled implements MaintainerAPI.
+// NextUnfilled implements MaintainerAPI: the own range's stored frontier.
 func (m *Maintainer) NextUnfilled() (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.nextVec[m.cfg.Index], nil
+	return m.RangeFrontier(m.cfg.Index)
 }
 
-// Gossip implements MaintainerAPI: absorb a peer's next-unfilled value and
-// return our own (§5.4's fixed-size gossip).
-func (m *Maintainer) Gossip(from int, next uint64) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if from < 0 || from >= len(m.nextVec) {
-		return 0, fmt.Errorf("flstore: gossip from unknown maintainer %d", from)
-	}
-	if next > m.nextVec[from] {
-		m.nextVec[from] = next
-		m.notifyProgressLocked()
-	}
-	return m.nextVec[m.cfg.Index], nil
-}
-
-// GossipVec merges a peer's whole next-unfilled vector element-wise and
-// returns a copy of ours — the replication-aware gossip: a follower (or
-// acting primary) advances a dead owner's entry from its replicated
-// frontier, and the vector exchange spreads that progress so the head of
-// the log keeps moving without the owner. The message stays fixed-size
-// (N LIds), preserving §5.4's throughput-independence.
-func (m *Maintainer) GossipVec(vec []uint64) ([]uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	changed := false
-	for j, v := range vec {
-		if j < len(m.nextVec) && v > m.nextVec[j] {
-			m.nextVec[j] = v
-			changed = true
-		}
-	}
-	// Fold hosted frontiers in before replying so followers advertise
-	// replicated progress for ranges whose owner may be dead.
-	for rangeIdx, st := range m.hosted {
-		m.advanceNextLocked(rangeIdx, st)
-	}
-	if changed {
-		m.notifyProgressLocked()
-	}
-	out := make([]uint64, len(m.nextVec))
-	copy(out, m.nextVec)
-	return out, nil
-}
-
-// GossipVecs is GossipVec extended with the durable-watermark vector: a
-// second fixed-size (N LIds) vector whose entry j is the highest LId of
-// range j known fsynced on this member's quorum view. Both vectors merge
-// element-wise max; both replies fold in local hosted progress first. The
-// durable vector is monotone and advisory — it never gates appends, it
-// tells readers and operators how far behind the fsync horizon trails the
-// assignment frontier.
+// GossipVecs implements MaintainerAPI — the one gossip exchange (§5.4). It
+// merges a peer's next-unfilled vector and its durable-watermark vector
+// (entry j: the highest LId of range j known fsynced on the peer's quorum
+// view) element-wise max and returns copies of ours. Whole vectors make
+// gossip replication-aware: a follower advances a dead owner's entry from
+// its replicated frontier, and the exchange spreads that so the head of
+// the log keeps moving without the owner. The message stays fixed-size (2N
+// LIds), preserving §5.4's throughput-independence. The durable vector is
+// monotone and advisory — it never gates appends.
 func (m *Maintainer) GossipVecs(next, dur []uint64) ([]uint64, []uint64, error) {
+	if len(next) > len(m.nextVec) || len(dur) > len(m.durVec) {
+		return nil, nil, fmt.Errorf("flstore: gossip vectors of %d/%d entries from a placement wider than %d",
+			len(next), len(dur), len(m.nextVec))
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	changed := false
 	for j, v := range next {
-		if j < len(m.nextVec) && v > m.nextVec[j] {
+		if v > m.nextVec[j] {
 			m.nextVec[j] = v
 			changed = true
 		}
 	}
 	for j, v := range dur {
-		if j < len(m.durVec) && v > m.durVec[j] {
+		if v > m.durVec[j] {
 			m.durVec[j] = v
 		}
 	}
-	for rangeIdx, st := range m.hosted {
-		m.advanceNextLocked(rangeIdx, st)
-		if m.storeDurable {
-			m.advanceDurableLocked(rangeIdx, st)
-		}
-	}
 	if changed {
-		m.notifyProgressLocked()
+		m.wakeWaiters()
 	}
-	outNext := make([]uint64, len(m.nextVec))
-	copy(outNext, m.nextVec)
-	outDur := make([]uint64, len(m.durVec))
-	copy(outDur, m.durVec)
-	return outNext, outDur, nil
+	return append([]uint64(nil), m.nextVec...), append([]uint64(nil), m.durVec...), nil
 }
 
 // NextVec returns a copy of the maintainer's next-unfilled vector.
 func (m *Maintainer) NextVec() []uint64 {
-	out, _ := m.GossipVec(nil)
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]uint64(nil), m.nextVec...)
 }
 
 // PendingAssigned returns how many out-of-order records are buffered
@@ -1208,11 +1146,7 @@ func (m *Maintainer) NextVec() []uint64 {
 func (m *Maintainer) PendingAssigned() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, st := range m.hosted {
-		n += len(st.pending)
-	}
-	return n
+	return m.pendingCount
 }
 
 // OrderBuffered returns how many explicit-order records are parked.

@@ -15,7 +15,7 @@ package flstore
 //      the old epoch's prefix is dense and its head lands exactly at F−1 —
 //      which is where the new member set's head starts;
 //   4. the old ranges migrate asynchronously to the new owners
-//      (SetLegacy + IngestLegacy, fed by PullRange), while the epoch
+//      (HostMigrated + IngestMigrated, fed by PullRange), while the epoch
 //      journal keeps reads routed to the old members until retirement.
 //
 // The Orchestrator in elastic.go drives the sequence.
@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // SealTagKey tags the filler records Pad writes below an epoch boundary.
@@ -54,252 +55,103 @@ func (m *Maintainer) SealAt(firstLId uint64) error {
 		}
 		return fmt.Errorf("flstore: already sealed at %d, cannot reseal at %d", m.sealLId, firstLId)
 	}
-	caps := make(map[int]uint64, len(m.hosted))
 	for r, st := range m.hosted {
-		cap := slotsBelowP(m.cfg.Placement, r, firstLId)
-		if st.filled > cap {
+		if cap := slotsBelowP(st.p, r, firstLId); st.filled > cap {
 			return fmt.Errorf("flstore: seal boundary %d is below range %d's frontier (%d > %d slots)",
 				firstLId, r, st.filled, cap)
 		}
-		caps[r] = cap
+	}
+	for r, st := range m.hosted {
+		st.cap = slotsBelowP(st.p, r, firstLId)
 	}
 	m.sealLId = firstLId
-	m.sealCaps = caps
 	return nil
 }
 
-// SealedAt returns the epoch boundary this maintainer is sealed at, or 0
-// when unsealed.
-func (m *Maintainer) SealedAt() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sealLId
-}
-
 // Pad fills the remainder of this maintainer's own range below the sealed
-// boundary with seal records (TOId = LId, tagged SealTagKey), bypassing
-// the seal check — it IS the sealing protocol's final write. Records that
-// were assigned upstream and still sit in the out-of-order buffer keep
-// their slots; only genuinely empty slots get fillers. After Pad the own
-// range's frontier is exactly the boundary, so once every old owner has
-// padded, the old epoch's head is F−1 with no gap below it. Returns the
-// records written (for replica fan-out when R>1); nil when the range was
-// already full.
+// boundary with seal records (TOId = LId, tagged SealTagKey) — the sealing
+// protocol's final write, landing exactly on the cap. Records that were
+// assigned upstream and still sit in the out-of-order buffer keep their
+// slots; only genuinely empty slots get fillers. After Pad the own range's
+// frontier is exactly the boundary, so once every old owner has padded,
+// the old epoch's head is F−1 with no gap below it. Returns the records
+// written (for replica fan-out when R>1); nil when the range was full.
 func (m *Maintainer) Pad() ([]*core.Record, error) {
-	m.mu.Lock()
+	if err := m.claimLock(); err != nil {
+		return nil, err
+	}
 	if m.sealLId == 0 {
 		m.mu.Unlock()
 		return nil, errors.New("flstore: Pad before SealAt")
 	}
-	rangeIdx := m.cfg.Index
-	st := m.hosted[rangeIdx]
-	cap := m.sealCaps[rangeIdx]
-	if st.filled >= cap {
-		m.mu.Unlock()
-		return nil, nil
-	}
-	startSlot := st.filled
-	lids := make([]uint64, int(cap-startSlot))
-	m.cfg.Placement.LIdsOfSlots(rangeIdx, startSlot, lids)
-	recs := make([]*core.Record, len(lids))
-	for i, lid := range lids {
-		slot := startSlot + uint64(i)
-		if rs, ok := st.pending[slot]; ok {
-			// An upstream-assigned record raced the seal: it owns the
-			// slot, the pad only closes the gaps around it.
-			recs[i] = rs[0]
-			delete(st.pending, slot)
-			m.pendingCount--
-			continue
-		}
-		recs[i] = &core.Record{
-			LId:  lid,
-			TOId: lid,
-			Tags: []core.Tag{{Key: SealTagKey, Value: "1"}},
+	st := m.hosted[m.cfg.Index]
+	sp := drainSpan{st: st, start: st.filled}
+	for slot := st.filled; slot < st.cap; slot++ {
+		if _, raced := st.pending[slot]; !raced {
+			lid := st.p.LIdOfSlot(st.idx, slot)
+			st.pending[slot] = &core.Record{LId: lid, TOId: lid, Tags: []core.Tag{{Key: SealTagKey, Value: "1"}}}
+			m.pendingCount++
 		}
 	}
-	st.filled = cap
-	m.advanceNextLocked(rangeIdx, st)
+	recs := m.drainLocked(st, nil)
+	sp.end = st.filled
 	m.mu.Unlock()
-
-	if err := m.store.AppendBatch(recs); err != nil {
+	if err := m.commit(trace.Ctx{}, 0, tail{mode: modePad, recs: recs, spans: []drainSpan{sp}}); err != nil {
 		return nil, err
 	}
-	m.markDurable(rangeIdx, startSlot, cap)
-	m.cacheAppended(recs)
-	m.Appended.Add(uint64(len(recs)))
 	return recs, nil
 }
 
-// legacyState tracks previous-epoch ranges migrated onto a new-epoch
-// maintainer: positions below cfg.FirstLId, laid out under the OLD
-// placement's geometry, ingested densely per old range.
-type legacyState struct {
-	p      Placement // the previous epoch's placement
-	bound  uint64    // the epoch boundary; legacy positions are < bound
-	ranges map[int]*legacyRange
-}
-
-// legacyRange is one old range's migration state.
-type legacyRange struct {
-	// filled is the dense slot frontier under the legacy placement.
-	filled uint64
-	// target is the range's total slot count below the boundary; the
-	// migration is complete when filled reaches it.
-	target uint64
-	// pending buffers records that arrived ahead of the dense frontier.
-	pending map[uint64]*core.Record
-}
-
-// SetLegacy declares which previous-epoch ranges this maintainer is the
-// migration target for, under the previous placement p. Any prefix
-// already in the store (a restart mid-migration) is recovered, so
-// re-driving the migration is idempotent. Must be called on a maintainer
-// whose epoch starts past LId 1, at most once.
-func (m *Maintainer) SetLegacy(p Placement, ranges []int) error {
+// HostMigrated declares which previous-epoch ranges this maintainer is the
+// migration target for: each becomes a hosted range under the previous
+// placement p, capped at this epoch's boundary. Any prefix already in the
+// store (a restart mid-migration) is recovered, so re-driving the migration
+// is idempotent. Must be called on a maintainer whose epoch starts past
+// LId 1, at most once.
+func (m *Maintainer) HostMigrated(p Placement, ranges []int) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cfg.FirstLId <= 1 {
-		return errors.New("flstore: SetLegacy on an epoch-0 maintainer")
+		return errors.New("flstore: HostMigrated on an epoch-0 maintainer")
 	}
-	if m.legacy != nil {
-		return errors.New("flstore: legacy ranges already configured")
+	if m.migrated.Load() != nil {
+		return errors.New("flstore: migrated ranges already configured")
 	}
-	ls := &legacyState{
-		p:      p,
-		bound:  m.cfg.FirstLId,
-		ranges: make(map[int]*legacyRange, len(ranges)),
-	}
+	mg := rangeSet{p, make(map[int]*rangeState, len(ranges))}
 	for _, r := range ranges {
 		if r < 0 || r >= p.NumMaintainers {
-			return fmt.Errorf("flstore: legacy range %d out of range [0,%d)", r, p.NumMaintainers)
+			return fmt.Errorf("flstore: migrated range %d out of range [0,%d)", r, p.NumMaintainers)
 		}
-		ls.ranges[r] = &legacyRange{
-			target:  slotsBelowP(p, r, ls.bound),
-			pending: make(map[uint64]*core.Record),
-		}
+		mg.ranges[r] = newRange(p, r, false, 0, slotsBelowP(p, r, m.cfg.FirstLId))
 	}
-	if max := m.store.MaxLId(); max > 0 {
-		seen := make(map[int]map[uint64]bool)
-		err := m.store.Scan(1, ls.bound-1, func(rec *core.Record) bool {
-			ri := p.Owner(rec.LId)
-			if _, ok := ls.ranges[ri]; ok {
-				if seen[ri] == nil {
-					seen[ri] = make(map[uint64]bool)
-				}
-				seen[ri][p.SlotOf(rec.LId)] = true
-			}
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("flstore: recovering legacy frontiers: %w", err)
-		}
-		for ri, slots := range seen {
-			lr := ls.ranges[ri]
-			for slots[lr.filled] {
-				lr.filled++
-			}
-		}
+	if err := m.recoverRanges(mg, 1, m.cfg.FirstLId-1); err != nil {
+		return err
 	}
-	m.legacy = ls
+	m.migrated.Store(&mg)
 	return nil
 }
 
-// IngestLegacy ingests migrated previous-epoch records. Like
-// ReplicaAppend it is idempotent (records at or below the dense legacy
-// frontier, and duplicates of buffered slots, are silently skipped) and
-// only stores the contiguous prefix, buffering the rest — so a migration
+// IngestMigrated ingests migrated previous-epoch records through the same
+// idempotent, dense-prefix placement as ReplicaAppend — so a migration
 // stream that fails over to a different source mid-range is harmless.
-func (m *Maintainer) IngestLegacy(recs []*core.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	m.mu.Lock()
-	ls := m.legacy
-	if ls == nil {
-		m.mu.Unlock()
-		return errors.New("flstore: IngestLegacy without SetLegacy")
-	}
-	touched := make(map[int]*legacyRange)
-	for _, r := range recs {
-		if r.LId == 0 || r.LId >= ls.bound {
-			m.mu.Unlock()
-			return fmt.Errorf("flstore: IngestLegacy LId %d outside legacy epoch [1,%d)", r.LId, ls.bound)
-		}
-		ri := ls.p.Owner(r.LId)
-		lr, ok := ls.ranges[ri]
-		if !ok {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: legacy range %d at maintainer %d", ErrNotReplica, ri, m.cfg.Index)
-		}
-		slot := ls.p.SlotOf(r.LId)
-		if slot < lr.filled {
-			continue // already migrated
-		}
-		if _, dup := lr.pending[slot]; dup {
-			continue
-		}
-		lr.pending[slot] = r
-		touched[ri] = lr
-	}
-	var ready []*core.Record
-	for _, lr := range touched {
-		for {
-			r, ok := lr.pending[lr.filled]
-			if !ok {
-				break
-			}
-			ready = append(ready, r)
-			delete(lr.pending, lr.filled)
-			lr.filled++
-		}
-	}
-	m.mu.Unlock()
-
-	if len(ready) == 0 {
-		return nil
-	}
-	return m.store.AppendBatch(ready)
+// Background copying is not serving traffic: it bypasses the capacity
+// limiter and stays out of the tail ring.
+func (m *Maintainer) IngestMigrated(recs []*core.Record) error {
+	return m.ingestPlaced(recs, modeMigrate)
 }
 
-// LegacyFrontier returns the migration cursor for a previous-epoch range:
-// the next legacy LId this maintainer still needs (frontier form under
-// the legacy placement) and whether the range is fully migrated.
-func (m *Maintainer) LegacyFrontier(rangeIdx int) (uint64, bool, error) {
+// MigratedFrontier returns the migration cursor for a previous-epoch
+// range: the next LId this maintainer still needs (frontier form under the
+// previous placement) and whether the range is fully migrated.
+func (m *Maintainer) MigratedFrontier(rangeIdx int) (uint64, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ls := m.legacy
-	if ls == nil {
-		return 0, false, errors.New("flstore: no legacy ranges configured")
+	if mg := m.migrated.Load(); mg != nil && mg.ranges[rangeIdx] != nil {
+		st := mg.ranges[rangeIdx]
+		return st.frontier(), st.stored >= st.cap, nil
 	}
-	lr, ok := ls.ranges[rangeIdx]
-	if !ok {
-		return 0, false, fmt.Errorf("%w: legacy range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
-	}
-	return ls.p.LIdOfSlot(rangeIdx, lr.filled), lr.filled >= lr.target, nil
-}
-
-// legacyRead serves a position below the epoch boundary from the migrated
-// copy. Positions of legacy ranges this maintainer is not the migration
-// target for keep the wrong-maintainer semantics (the epoch journal
-// routes them to the old members until retirement).
-func (m *Maintainer) legacyRead(lid uint64) (*core.Record, error) {
-	m.mu.Lock()
-	ls := m.legacy
-	hosted := false
-	if ls != nil {
-		_, hosted = ls.ranges[ls.p.Owner(lid)]
-	}
-	m.mu.Unlock()
-	if !hosted {
-		return nil, fmt.Errorf("%w: %d", ErrWrongMaintainer, lid)
-	}
-	rec, err := m.store.Get(lid)
-	if err == nil {
-		m.LocalReadHits.Inc()
-	}
-	return rec, err
+	return 0, false, fmt.Errorf("%w: migrated range %d at maintainer %d", ErrNotReplica, rangeIdx, m.cfg.Index)
 }

@@ -96,7 +96,10 @@ func TestMaintainerReadEnforcesHead(t *testing.T) {
 		t.Errorf("Read past head = %v, want ErrPastHead", err)
 	}
 	// Gossip from m1 raises the head; the read now succeeds.
-	m0.Gossip(1, 16) // m1 filled 6-10, so its next owned position is 16
+	// m1 filled 6-10, so its next owned position is 16.
+	if _, _, err := m0.GossipVecs([]uint64{0, 16}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m0.Read(11); err != nil {
 		t.Errorf("Read after gossip failed: %v", err)
 	}
@@ -306,7 +309,11 @@ func TestMaintainerRecoversFrontierFromStore(t *testing.T) {
 
 func TestMaintainerGossipUnknownPeer(t *testing.T) {
 	m := newTestMaintainer(t, 0, 2, 5)
-	if _, err := m.Gossip(5, 100); err == nil {
-		t.Error("gossip from unknown maintainer accepted")
+	// Entry 5 names a maintainer this two-member placement doesn't have.
+	if _, _, err := m.GossipVecs([]uint64{0, 0, 0, 0, 0, 100}, nil); err == nil {
+		t.Error("gossip naming an unknown maintainer accepted")
+	}
+	if h, _ := m.Head(); h != 0 {
+		t.Errorf("rejected gossip moved the head to %d", h)
 	}
 }

@@ -1,7 +1,6 @@
 package flstore
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -27,7 +26,6 @@ const (
 	msgScan
 	msgHead
 	msgNextUnfilled
-	msgGossip
 	msgPost
 	msgLookup
 	msgGetConfig
@@ -36,7 +34,6 @@ const (
 	msgReplicaAppend
 	msgRangeFrontier
 	msgPullRange
-	msgGossipVec
 	msgReplicas
 	msgReadRange
 	msgMultiRead
@@ -382,17 +379,20 @@ func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
 		}
 		return binary.LittleEndian.AppendUint64(nil, n), nil
 	})
-	srv.Handle(msgGossip, func(p []byte) ([]byte, error) {
-		if len(p) < 12 {
-			return nil, errors.New("flstore: short Gossip request")
-		}
-		from := int(binary.LittleEndian.Uint32(p))
-		next := binary.LittleEndian.Uint64(p[4:])
-		mine, err := m.Gossip(from, next)
+	srv.Handle(msgGossipVecs, func(p []byte) ([]byte, error) {
+		next, n, err := decodeLIds(p)
 		if err != nil {
 			return nil, err
 		}
-		return binary.LittleEndian.AppendUint64(nil, mine), nil
+		dur, _, err := decodeLIds(p[n:])
+		if err != nil {
+			return nil, err
+		}
+		myNext, myDur, err := m.GossipVecs(next, dur)
+		if err != nil {
+			return nil, err
+		}
+		return appendLIds(appendLIds(nil, myNext), myDur), nil
 	})
 	if r, ok := m.(ReplicaAPI); ok {
 		serveReplicaOps(srv, r)
@@ -528,34 +528,6 @@ func serveReplicaOps(srv *rpc.Server, r ReplicaAPI) {
 		}
 		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
 	})
-	srv.Handle(msgGossipVec, func(p []byte) ([]byte, error) {
-		vec, _, err := decodeLIds(p)
-		if err != nil {
-			return nil, err
-		}
-		mine, err := r.GossipVec(vec)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, mine), nil
-	})
-	if dg, ok := r.(DurableGossipAPI); ok {
-		srv.Handle(msgGossipVecs, func(p []byte) ([]byte, error) {
-			next, n, err := decodeLIds(p)
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := decodeLIds(p[n:])
-			if err != nil {
-				return nil, err
-			}
-			myNext, myDur, err := dg.GossipVecs(next, dur)
-			if err != nil {
-				return nil, err
-			}
-			return appendLIds(appendLIds(nil, myNext), myDur), nil
-		})
-	}
 }
 
 // ServeIndexer registers RPC handlers exposing ix on srv.
@@ -613,24 +585,6 @@ func ServeReplicas(srv *rpc.Server, fn func() (*replica.ClusterStatus, error)) {
 		}
 		return json.Marshal(st)
 	})
-}
-
-// FetchReplicas retrieves the replica-group status from a server running
-// ServeReplicas.
-//
-// Deprecated: use NewAdmin(c).Replicas(ctx) — the typed admin client adds
-// cancellation, retries, and the rest of the admin surface.
-func FetchReplicas(c rpc.Client) (*replica.ClusterStatus, error) {
-	return NewAdmin(c).Replicas(context.Background())
-}
-
-// FetchStats retrieves a registry snapshot from a server running
-// ServeStats.
-//
-// Deprecated: use NewAdmin(c).Stats(ctx) — the typed admin client adds
-// cancellation, retries, and the rest of the admin surface.
-func FetchStats(c rpc.Client) (metrics.Snapshot, error) {
-	return NewAdmin(c).Stats(context.Background())
 }
 
 func appendLookup(dst []byte, q LookupQuery) []byte {
@@ -826,19 +780,6 @@ func (mc *maintainerClient) NextUnfilled() (uint64, error) {
 	return binary.LittleEndian.Uint64(resp), nil
 }
 
-func (mc *maintainerClient) Gossip(from int, next uint64) (uint64, error) {
-	req := binary.LittleEndian.AppendUint32(nil, uint32(from))
-	req = binary.LittleEndian.AppendUint64(req, next)
-	resp, err := mc.c.Call(msgGossip, req)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short Gossip response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
-}
-
 func (mc *maintainerClient) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error) {
 	tc := batchTrace(recs)
 	req := wire.GetBuf()
@@ -956,15 +897,6 @@ func (mc *maintainerClient) ValidityWatermark(rangeIdx int) (uint64, uint64, err
 		return 0, 0, errors.New("flstore: short Watermark response")
 	}
 	return binary.LittleEndian.Uint64(resp), binary.LittleEndian.Uint64(resp[8:]), nil
-}
-
-func (mc *maintainerClient) GossipVec(vec []uint64) ([]uint64, error) {
-	resp, err := mc.c.Call(msgGossipVec, appendLIds(nil, vec))
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	vec, _, err = decodeLIds(resp)
-	return vec, err
 }
 
 func (mc *maintainerClient) GossipVecs(next, dur []uint64) ([]uint64, []uint64, error) {

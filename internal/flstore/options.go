@@ -1,10 +1,12 @@
 package flstore
 
-// Functional options for Client construction. These supersede mutating the
-// exported knob fields (ReadRetries, RetryBackoff, DisableRangeRead) after
-// construction: options are applied once, before the client serves calls,
-// so there is no window where a concurrent reader sees a half-configured
-// client. The old fields keep working for existing callers.
+// Functional options for Client construction, taken by every constructor
+// (NewClient, NewDirectClient, NewReplicatedDirectClient). These supersede
+// mutating the exported knob fields (ReadRetries, RetryBackoff,
+// DisableRangeRead) after construction: options are applied once, after
+// the replica session is built and before the client serves calls, so there
+// is no window where a concurrent reader sees a half-configured client. The
+// old fields keep working for existing callers.
 
 import (
 	"time"
@@ -82,42 +84,4 @@ func WithReadPolicy(p replica.ReadPolicy) ClientOption {
 			c.session.SetReadPolicy(p)
 		}
 	}
-}
-
-// NewClientWith is NewClient plus construction-time options.
-func NewClientWith(ctrl ControllerAPI, opts ...ClientOption) (*Client, error) {
-	c, err := NewClient(ctrl)
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c, nil
-}
-
-// NewDirectClientWith is NewDirectClient plus construction-time options —
-// the wiring simulations and tests use.
-func NewDirectClientWith(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, opts ...ClientOption) (*Client, error) {
-	c, err := NewDirectClient(p, maintainers, indexers)
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c, nil
-}
-
-// NewReplicatedDirectClientWith is NewReplicatedDirectClient plus
-// construction-time options.
-func NewReplicatedDirectClientWith(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, r int, ack replica.AckPolicy, opts ...ClientOption) (*Client, error) {
-	c, err := NewReplicatedDirectClient(p, maintainers, indexers, r, ack)
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c, nil
 }

@@ -53,24 +53,13 @@ func (t *tailRing) get(lid uint64) *core.Record {
 	return r
 }
 
-// cacheAppended inserts freshly persisted records into the tail ring and
-// wakes parked readers: the frontier advanced (under mu) before the store
-// write, so a watermark-covered read that raced the persistence window is
-// parked on the progress channel waiting for exactly this moment.
-func (m *Maintainer) cacheAppended(recs []*core.Record) {
-	if m.tail != nil {
-		m.tail.put(recs)
-	}
-	m.notifyProgressLocked()
-}
-
-// notifyProgressLocked wakes parked TailWait calls and blocked reads after
-// a next-unfilled entry advanced (local fills, replica ingestion, gossip,
-// or an invalidation announcement) or a batch persisted. Waiters re-check
-// their own condition, so a broadcast that doesn't concern them is just a
-// spurious wakeup. Safe with or without mu held (it takes only waitMu,
-// which is ordered after mu).
-func (m *Maintainer) notifyProgressLocked() {
+// wakeWaiters wakes parked TailWait calls and blocked reads after a commit
+// tail finished (the batch is in the store and its range's frontier was
+// published) or a next-unfilled entry advanced from outside (gossip, an
+// invalidation announcement). Waiters re-check their own condition, so a
+// broadcast that doesn't concern them is just a spurious wakeup. Safe with
+// or without mu held (it takes only waitMu, which is ordered after mu).
+func (m *Maintainer) wakeWaiters() {
 	m.waitMu.Lock()
 	if m.waitCh != nil {
 		close(m.waitCh)
@@ -125,17 +114,25 @@ func (m *Maintainer) TailWait(rangeIdx int, cursor uint64, maxWait time.Duration
 			}
 			return f, nil
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return f, nil
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
+		if !park(ch, deadline) {
 			return m.RangeFrontier(rangeIdx)
 		}
+	}
+}
+
+// park waits for ch to close; false when the deadline came first.
+func park(ch <-chan struct{}, deadline time.Time) bool {
+	remain := time.Until(deadline)
+	if remain <= 0 {
+		return false
+	}
+	timer := time.NewTimer(remain)
+	defer timer.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-timer.C:
+		return false
 	}
 }
 
@@ -186,11 +183,11 @@ func (m *Maintainer) readRange(q RangeQuery) (RangeResult, error) {
 		maxBytes = defaultRangeMaxBytes
 	}
 
-	// Snapshot hosted frontiers once: records strictly below a range's
-	// frontier are densely present in the store (the dense-prefix
-	// invariant), so the walk below needs no further coordination. Indexed
-	// by range with 0 = not hosted (LIds are 1-based, so a hosted range's
-	// frontier is never 0).
+	// Snapshot hosted stored frontiers once: a range's frontier only covers
+	// slots whose store write already returned, so records strictly below
+	// it are densely present in the store and the walk below needs no
+	// further coordination. Indexed by range with 0 = not hosted (LIds are
+	// 1-based, so a hosted range's frontier is never 0).
 	p := m.cfg.Placement
 	var fbuf [16]uint64
 	frontiers := fbuf[:]
@@ -203,7 +200,7 @@ func (m *Maintainer) readRange(q RangeQuery) (RangeResult, error) {
 		if q.Range >= 0 && r != q.Range {
 			continue
 		}
-		frontiers[r] = p.LIdOfSlot(r, st.filled)
+		frontiers[r] = st.frontier()
 		hostedRanges++
 	}
 	m.mu.Unlock()
@@ -335,7 +332,7 @@ func (m *Maintainer) MultiRead(lids []uint64) ([]*core.Record, error) {
 		if lid == 0 {
 			return nil, core.ErrNoSuchRecord
 		}
-		if !m.layout.Replicas(m.cfg.Index, m.cfg.Placement.Owner(lid)) {
+		if m.rangeOf(lid) == nil {
 			return nil, fmt.Errorf("%w: %d", ErrWrongMaintainer, lid)
 		}
 		var rec *core.Record

@@ -1,6 +1,7 @@
 package flstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -186,7 +187,7 @@ func TestReplicaStatusRPCRoundTrip(t *testing.T) {
 			return ms[mi].DurableWatermark(ri)
 		}), nil
 	})
-	st, err := FetchReplicas(rpc.NewLocalClient(srv))
+	st, err := NewAdmin(rpc.NewLocalClient(srv)).Replicas(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package flstore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -34,7 +35,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	c := rpc.NewLocalClient(srv)
 	defer c.Close()
 
-	snap, err := FetchStats(c)
+	snap, err := NewAdmin(c).Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,8 +201,12 @@ func (s *Session) GetTxn(keys ...string) (*TxnResult, error) {
 // context (another session's observed vector) AND the head of the log has
 // advanced past those records, so subsequent Gets can read them — the
 // cross-datacenter causal hand-off used when a client migrates or a test
-// asserts propagation. (Application advances the awareness table slightly
-// before the log maintainers finish persisting, hence the second wait.)
+// asserts propagation. The queues advance the awareness table when they
+// order a record, while their forwarders hand it to the log maintainers
+// off the token path, hence the second wait. That wait suffices because of
+// FLStore's visibility contract (DESIGN.md §7): the head covers a position
+// only after its maintainer has stored the record and the indexers have
+// accepted its tag postings, so a tag-rule Get pinned at this head finds it.
 func (s *Session) WaitFor(ctx vclock.Vector, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

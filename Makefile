@@ -9,7 +9,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic trace-smoke api-snapshot api-check
+.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic bench-e2e trace-smoke api-snapshot api-check
 
 # The public surface of the client-facing packages, as sorted declaration
 # lines from `go doc -all`. api-check fails when the surface drifts from
@@ -49,7 +49,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic
+check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic bench-e2e
 	$(GO) test -race ./internal/wire ./internal/core ./internal/storage ./internal/replica ./internal/faultinject ./internal/scale
 	$(GO) test -race ./internal/flstore ./internal/hyksos
 	$(GO) test -count=50 -run 'TestCausalPropagationAcrossDCs|TestFigure2Scenario' ./internal/hyksos
@@ -70,9 +70,11 @@ bench-scale:
 	$(GO) test -run 'TestScaleSteadySmoke|TestScalePartitionHealReplay' -count=1 ./internal/scale
 
 # bench-durability is the durability-tier smoke: a reduced run of both
-# phases — per-batch vs group-commit fsync arms (the group arms must
-# collapse fsyncs/op below 1 at 8+ appenders) and the three quorum-ack
-# cluster arms — asserting the artifact's ledger and shape invariants.
+# phases — per-batch vs group-commit fsync arms (the group arm offered
+# more than one batch per injected fsync time must collapse fsyncs/op
+# below 1; below that rate there is nothing to coalesce) and the three
+# quorum-ack cluster arms — asserting the artifact's ledger and shape
+# invariants.
 # The full acceptance ratios (group p99 <= 0.5x per-batch at 64
 # appenders, slow-disk quorum p99 <= 2x healthy) run via
 # `repro -exp durability`.
@@ -86,6 +88,13 @@ bench-durability:
 # bounded post-flip append p99. The full-size run is `repro -exp elastic`.
 bench-elastic:
 	$(GO) test -run 'TestElasticSmoke' -count=1 ./internal/cluster
+
+# bench-e2e is the repository benchmark's own smoke (bench/ is a module of
+# its own, so `go test ./...` at the root does not see it): all four
+# workloads of BENCHMARK.json, end to end and traced, at reduced length,
+# with their output checks, plus the driver's unit tests.
+bench-e2e:
+	cd bench && $(GO) test ./...
 
 # fuzz-smoke runs each codec fuzz target briefly: enough to catch decoder
 # regressions on corrupt input without a long campaign.

@@ -51,7 +51,7 @@ func main() {
 		batch        = flag.Uint64("batch", 1000, "placement round size (LIds per maintainer per round)")
 		listen       = flag.String("listen", "127.0.0.1:7000", "controller listen address; components use consecutive ports")
 		dataDir      = flag.String("data", "", "directory for persistent segment stores (empty = in-memory)")
-		fsyncPolicy  = flag.String("fsync", "group", "segment fsync policy: group (one fsync per commit window), each (per batch), never")
+		fsyncPolicy  = flag.String("fsync", "group", "segment fsync policy: group (a lone append syncs at once; appends landing during an fsync share the next one), each (one fsync per batch, serialized), never")
 		tiered       = flag.Bool("tiered", false, "tier sealed segments into a cold archive (requires -data); compaction via storage.TieredStore")
 		gossipEvery  = flag.Duration("gossip", 5*time.Millisecond, "head-of-log gossip interval")
 		metricsAddr  = flag.String("metrics", "", `metrics HTTP listen address ("" = controller port + 100, "off" = disabled)`)

@@ -582,7 +582,7 @@ func runElastic(_ time.Duration) error {
 }
 
 func runDurability(dur time.Duration) error {
-	header("Extension — durability tier (group-commit fsync windows + quorum durability acks)",
+	header("Extension — durability tier (fsync-paced group commit + quorum durability acks)",
 		"not in the paper's evaluation: open-loop appenders against one segment store under per-batch vs group-commit fsync (disk cost injected via the seeded fault controller), then an R=3 replica group with one follower disk slowed 20x under wait-all vs quorum-return acks; bars: group p99 <= 0.5x per-batch p99 at 64 appenders, quorum p99 with the slow disk <= 2x healthy")
 	res, err := cluster.RunDurability(cluster.DurabilityOptions{Duration: dur})
 	if err != nil {

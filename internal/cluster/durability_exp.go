@@ -34,8 +34,6 @@ type DurabilityOptions struct {
 	// SlowFactor multiplies FsyncDelay on the degraded member's disk in
 	// phase B (default 20).
 	SlowFactor int
-	// GroupWindow is the group-commit window (0 = storage default).
-	GroupWindow time.Duration
 	// Seed drives the arrival schedules and the fault schedule.
 	Seed uint64
 }
@@ -137,9 +135,8 @@ func runFsyncArm(opts DurabilityOptions, appenders int, policy storage.SyncPolic
 	ctl := faultinject.New(faultinject.Options{Seed: opts.Seed})
 	ctl.SetLink("disk", faultinject.LinkOptions{DelayP: 1, Delay: opts.FsyncDelay})
 	st, err := storage.OpenSegmentStore(dir, storage.SegmentStoreOptions{
-		Sync:        policy,
-		GroupWindow: opts.GroupWindow,
-		FsyncHook:   diskHook(ctl, "disk"),
+		Sync:      policy,
+		FsyncHook: diskHook(ctl, "disk"),
 	})
 	if err != nil {
 		return arm, err
@@ -202,9 +199,8 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 		}
 		ctl.SetLink(link, faultinject.LinkOptions{DelayP: 1, Delay: delay})
 		st, err := storage.OpenSegmentStore(fmt.Sprintf("%s/m%d", dir, i), storage.SegmentStoreOptions{
-			Sync:        storage.SyncGroupCommit,
-			GroupWindow: opts.GroupWindow,
-			FsyncHook:   diskHook(ctl, link),
+			Sync:      storage.SyncGroupCommit,
+			FsyncHook: diskHook(ctl, link),
 		})
 		if err != nil {
 			return arm, err
@@ -290,8 +286,9 @@ func RunDurability(opts DurabilityOptions) (*DurabilityResult, error) {
 		SlowFactor:   opts.SlowFactor,
 	}
 	// Phase A: fsync collapse. Per-batch fsync is the baseline; group
-	// commit must beat its tail at high concurrency by coalescing the
-	// burst into shared windows.
+	// commit must beat its tail once the offered rate outruns one fsync
+	// per batch, by covering every batch that landed during an fsync with
+	// the next one.
 	var eachP99, groupP99 float64
 	maxAppenders := 0
 	for _, a := range opts.Appenders {

@@ -418,9 +418,10 @@ func (m *Maintainer) hostedRange(rangeIdx int) (*rangeState, error) {
 // advances the contiguous stored frontier and folds it into nextVec — and
 // into durVec when the store is durable-on-return, which is all the
 // durable watermark is. A range's tails cover abutting slot runs but may
-// finish out of order (appends race to the store; group-commit windows
-// resolve with their fsync), so a run ahead of the frontier parks in done:
-// a batch never publishes past an earlier one in flight. Caller holds mu.
+// finish out of order (appends race to the store; group commits return
+// with the fsync that covers them), so a run ahead of the frontier parks
+// in done: a batch never publishes past an earlier one in flight. Caller
+// holds mu.
 func (m *Maintainer) publishLocked(sp drainSpan) {
 	st := sp.st
 	st.done[sp.start] = sp.end

@@ -47,21 +47,14 @@ const (
 	// SyncEachBatch fsyncs once per AppendBatch (the paper's maintainers
 	// persist records before acknowledging).
 	SyncEachBatch
-	// SyncGroupCommit coalesces concurrent AppendBatch calls into commit
-	// windows: callers enqueue on the open window and a single committer
-	// goroutine issues one fsync per window (bounded by GroupWindow and
-	// GroupBytes), waking every waiter. N concurrent appenders pay ~1
-	// fsync instead of N; AppendBatch still returns only after the
+	// SyncGroupCommit is fsync-paced group commit: a batch is written, then
+	// waits until a completed fsync covers its write position. With no
+	// fsync in flight the caller syncs at once, so a lone appender pays
+	// write + fsync like SyncEachBatch; batches that land while an fsync
+	// runs are all covered by the next one, so N concurrent appenders pay
+	// ~1 fsync instead of N. AppendBatch still returns only after the
 	// caller's records are on stable storage.
 	SyncGroupCommit
-)
-
-// Group-commit window defaults: a window closes when it has either
-// collected defaultGroupBytes of framed entries or aged defaultGroupWindow
-// since its first batch, whichever comes first.
-const (
-	defaultGroupWindow = 2 * time.Millisecond
-	defaultGroupBytes  = 1 << 20
 )
 
 // windowByteBuckets bound the storage_commit_window_bytes histogram:
@@ -75,14 +68,8 @@ type SegmentStoreOptions struct {
 	MaxSegmentBytes int64
 	// Sync selects the durability policy.
 	Sync SyncPolicy
-	// GroupWindow is the maximum age of a SyncGroupCommit window: the
-	// longest any enqueued batch waits for its group fsync. 0 uses 2ms.
-	GroupWindow time.Duration
-	// GroupBytes closes a commit window early once it holds this many
-	// framed bytes. 0 uses 1 MiB.
-	GroupBytes int64
 	// FsyncHook, when set, runs immediately before every physical fsync
-	// (still holding the store's sync serialization, so the injected
+	// (inside the store's one-fsync-at-a-time section, so the injected
 	// latency sits exactly where a slow disk's would). The fault-injection
 	// harness uses it to model a degraded disk deterministically.
 	FsyncHook func()
@@ -110,18 +97,6 @@ type recPlacement struct {
 	length int32
 }
 
-// commitWindow is one SyncGroupCommit fsync group: every AppendBatch that
-// lands while the window is open parks on done and resolves with the
-// window's single fsync outcome.
-type commitWindow struct {
-	done    chan struct{} // closed once the window's fsync resolved
-	full    chan struct{} // closed when bytes reach GroupBytes (early cut)
-	err     error         // fsync outcome; read after done closes
-	bytes   int64         // framed bytes enqueued (guarded by store mu)
-	waiters int           // batches enqueued (guarded by store mu)
-	tc      trace.Ctx     // first sampled batch's context, for the fsync span
-}
-
 // SegmentStore is a disk-backed Store: records are appended to rolling
 // segment files and located through an in-memory LId index rebuilt on open.
 type SegmentStore struct {
@@ -138,24 +113,32 @@ type SegmentStore struct {
 	max      uint64
 	closed   bool
 
-	// dirty marks the active file as holding writes not yet fsynced. The
-	// seal path (rotation and Close) syncs only when dirty, so a file
-	// whose last batch already synced is never fsynced a second time with
-	// no intervening data.
-	dirty bool
+	// written is the write position: framed bytes written since open,
+	// across segment files. synced is the covered position: every byte
+	// below it is on stable storage. At most one fsync runs at a time;
+	// syncing marks a group-commit leader's fsync in flight outside mu, and
+	// syncDone (on mu) is broadcast whenever synced or syncErr changes.
+	// Everything in [synced, written) lies in the active file, because the
+	// seal path (rotation, Close) waits out the in-flight fsync and covers
+	// the rest before it closes the file.
+	written  uint64
+	synced   uint64
+	syncing  bool
+	syncDone *sync.Cond
+	// syncErr is the first fsync failure, and sticky: after it the kernel
+	// may have dropped the dirty pages, so a later fsync that succeeds
+	// proves nothing and the store refuses every further AppendBatch.
+	syncErr error
+	// pending counts the batches written since the last fsync began and
+	// pendTC holds the first sampled one's trace context: what the next
+	// fsync covers, for the group histograms and the store.fsync span.
+	pending int
+	pendTC  trace.Ctx
+	// syncFile is the physical sync, a seam for the failed-fsync test.
+	syncFile func(*os.File) error
 
-	// win is the open group-commit window (nil between windows); winKick
-	// wakes the committer when a window opens. commStop/commDone manage
-	// the committer goroutine's lifetime. syncMu serializes physical
-	// fsyncs against the seal path closing the file under them.
-	win      *commitWindow
-	winKick  chan struct{}
-	commStop chan struct{}
-	commDone chan struct{}
-	syncMu   sync.Mutex
-
-	// fsyncs counts physical fsyncs issued (windows, per-batch syncs, and
-	// seals) — the denominator of the fsyncs-per-op budget.
+	// fsyncs counts physical fsyncs issued (group, per-batch and seal) —
+	// the numerator of the fsyncs-per-op budget.
 	fsyncs atomic.Uint64
 
 	// encScratch/placeScratch are grow-only batch-encode buffers reused
@@ -165,8 +148,8 @@ type SegmentStore struct {
 	placeScratch []recPlacement
 
 	// fsyncLatency is set by EnableMetrics (nil until then); every
-	// physical fsync observes it. winBytesH/winWaitersH record each
-	// committed window's size in bytes and batches.
+	// physical fsync observes it. winBytesH/winWaitersH record, once per
+	// group fsync, the bytes and batches that fsync covered.
 	fsyncLatency *metrics.BucketHistogram
 	winBytesH    *metrics.BucketHistogram
 	winWaitersH  *metrics.BucketHistogram
@@ -223,29 +206,19 @@ func OpenSegmentStore(dir string, opts SegmentStoreOptions) (*SegmentStore, erro
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = defaultSegmentSize
 	}
-	if opts.GroupWindow <= 0 {
-		opts.GroupWindow = defaultGroupWindow
-	}
-	if opts.GroupBytes <= 0 {
-		opts.GroupBytes = defaultGroupBytes
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating dir: %w", err)
 	}
 	s := &SegmentStore{
-		dir:    dir,
-		opts:   opts,
-		index:  make(map[uint64]indexEntry),
-		sorted: true,
+		dir:      dir,
+		opts:     opts,
+		index:    make(map[uint64]indexEntry),
+		sorted:   true,
+		syncFile: (*os.File).Sync,
 	}
+	s.syncDone = sync.NewCond(&s.mu)
 	if err := s.recover(); err != nil {
 		return nil, err
-	}
-	if opts.Sync == SyncGroupCommit {
-		s.winKick = make(chan struct{}, 1)
-		s.commStop = make(chan struct{})
-		s.commDone = make(chan struct{})
-		go s.committer()
 	}
 	return s, nil
 }
@@ -358,31 +331,17 @@ func (s *SegmentStore) indexRecord(r *core.Record, seg *segment, off int64, leng
 	}
 }
 
-// fsyncActiveLocked issues one physical fsync on the active file. Caller
-// holds mu; the fsync itself is additionally serialized with syncMu so a
-// committer-side sync of a detached window never races the file's close.
-func (s *SegmentStore) fsyncActiveLocked(tc trace.Ctx) error {
-	return s.doFsync(s.active, tc)
-}
-
-// doFsync performs the physical fsync on f with full accounting: the
-// FsyncHook (fault injection), the fsync counter, and the latency
-// histogram. Callers must guarantee f stays open across the call — either
-// by holding mu (seal path) or by seal taking syncMu before Close.
-func (s *SegmentStore) doFsync(f *os.File, tc trace.Ctx) error {
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	return s.doFsyncSerialized(f, tc)
-}
-
-// doFsyncSerialized is doFsync's body; caller holds syncMu.
-func (s *SegmentStore) doFsyncSerialized(f *os.File, tc trace.Ctx) error {
+// fsync performs the physical fsync on f with full accounting: the
+// FsyncHook (fault injection), the fsync counter, the latency histogram and
+// the store.fsync span. Callers guarantee f stays open across the call:
+// they either hold mu or have set syncing, which the seal path waits out.
+func (s *SegmentStore) fsync(f *os.File, tc trace.Ctx) error {
 	if s.opts.FsyncHook != nil {
 		s.opts.FsyncHook()
 	}
 	fs := trace.Begin(tc, "store.fsync")
 	start := time.Now()
-	err := f.Sync()
+	err := s.syncFile(f)
 	fs.End(trace.Default(), "", 0, 0)
 	s.fsyncs.Add(1)
 	if s.fsyncLatency != nil {
@@ -394,59 +353,72 @@ func (s *SegmentStore) doFsyncSerialized(f *os.File, tc trace.Ctx) error {
 	return nil
 }
 
-// sealWindowLocked completes the open commit window against the active
-// file: one fsync if the file is dirty, then every waiter wakes with the
-// outcome. Caller holds mu. Used by the seal path (rotation, Close) so a
-// window never spans segment files.
-func (s *SegmentStore) sealWindowLocked() error {
-	w := s.win
-	if w == nil {
-		return nil
+// syncLocked issues one fsync covering everything written so far and
+// publishes the outcome: the covered position on success, the sticky error
+// on failure. Caller holds mu with no fsync in flight. With overlap set (the
+// group-commit leader) mu is released while the disk works, so later
+// batches keep landing behind the captured position and are covered by the
+// next fsync; the seal path and SyncEachBatch keep mu held.
+func (s *SegmentStore) syncLocked(overlap bool) error {
+	f, upTo, batches, tc := s.active, s.written, s.pending, s.pendTC
+	bytes := upTo - s.synced
+	s.pending, s.pendTC = 0, trace.Ctx{}
+	if overlap {
+		s.syncing = true
+		s.mu.Unlock()
 	}
-	s.win = nil
-	var err error
-	if s.dirty && s.active != nil {
-		err = s.fsyncActiveLocked(w.tc)
-		if err == nil {
-			s.dirty = false
+	err := s.fsync(f, tc)
+	if overlap {
+		s.mu.Lock()
+		s.syncing = false
+	}
+	if err != nil {
+		s.syncErr = err
+	} else {
+		s.synced = upTo
+	}
+	if s.opts.Sync == SyncGroupCommit {
+		if s.winBytesH != nil {
+			s.winBytesH.Observe(float64(bytes))
+		}
+		if s.winWaitersH != nil {
+			s.winWaitersH.Observe(float64(batches))
 		}
 	}
-	w.err = err
-	s.observeWindowLocked(w)
-	close(w.done)
+	s.syncDone.Broadcast()
 	return err
 }
 
-// observeWindowLocked records a committed window's size. Caller holds mu.
-func (s *SegmentStore) observeWindowLocked(w *commitWindow) {
-	if s.winBytesH != nil {
-		s.winBytesH.Observe(float64(w.bytes))
+// awaitSyncLocked is the SyncGroupCommit wait: it returns once a completed
+// fsync covers pos, or with the sticky error. While another caller's fsync
+// is in flight it waits for that one (which may or may not cover pos);
+// otherwise it leads the next fsync itself, at once — the group is whatever
+// landed while the previous fsync ran, and an idle disk makes nobody wait.
+// Caller holds mu.
+func (s *SegmentStore) awaitSyncLocked(pos uint64) error {
+	for s.synced < pos && s.syncErr == nil {
+		if s.syncing {
+			s.syncDone.Wait()
+		} else {
+			_ = s.syncLocked(true) // the loop reads the outcome back
+		}
 	}
-	if s.winWaitersH != nil {
-		s.winWaitersH.Observe(float64(w.waiters))
-	}
+	return s.syncErr
 }
 
-// sealActiveLocked makes the active file durable (if it holds unsynced
-// writes), completes any open commit window, and closes the file — leaving
-// the store ready to open the next segment clean, with no redundant fsync
-// left for the window committer or the next AppendBatch to repeat.
-// Caller holds mu.
+// sealActiveLocked makes the active file durable (one fsync, only if it
+// holds bytes no fsync covered) and closes it, so commit groups never span
+// segment files and the next segment opens clean. Caller holds mu and has
+// waited out any in-flight fsync.
 func (s *SegmentStore) sealActiveLocked() error {
 	if s.active == nil {
 		return nil
 	}
-	err := s.sealWindowLocked()
-	if err == nil && s.dirty && s.opts.Sync != SyncNever {
-		if err = s.fsyncActiveLocked(trace.Ctx{}); err == nil {
-			s.dirty = false
-		}
+	err := s.syncErr
+	if err == nil && s.opts.Sync != SyncNever && s.synced < s.written {
+		err = s.syncLocked(false)
 	}
-	// Wait out any committer fsync in flight on this handle before
-	// closing it (doFsync holds syncMu for the duration).
-	s.syncMu.Lock()
 	cerr := s.active.Close()
-	s.syncMu.Unlock()
 	s.active = nil
 	if err != nil {
 		return err
@@ -470,100 +442,8 @@ func (s *SegmentStore) rotateLocked() error {
 	}
 	s.active = f
 	s.actSeg = seg
-	s.dirty = false
 	s.segments = append(s.segments, seg)
 	return nil
-}
-
-// committer is the SyncGroupCommit scheduler: it sleeps until a window
-// opens, lets the window collect batches until it is GroupWindow old or
-// GroupBytes full, then detaches it and issues the group's single fsync
-// outside the store lock — window N's fsync overlaps window N+1's writes.
-func (s *SegmentStore) committer() {
-	defer close(s.commDone)
-	for {
-		select {
-		case <-s.commStop:
-			return
-		case <-s.winKick:
-		}
-		s.mu.Lock()
-		w := s.win
-		s.mu.Unlock()
-		if w == nil {
-			continue // sealed by rotation or Close before we woke
-		}
-		timer := time.NewTimer(s.opts.GroupWindow)
-		select {
-		case <-timer.C:
-		case <-w.full:
-			timer.Stop()
-		case <-w.done:
-			timer.Stop() // seal path committed it
-			continue
-		case <-s.commStop:
-			timer.Stop() // commit what's pending before exiting
-		}
-		s.commitWindow(w)
-	}
-}
-
-// commitWindow detaches w (if still open) and fsyncs the active file,
-// waking every batch parked on the window. syncMu is acquired before mu
-// is released so the seal path (which closes the file under syncMu)
-// cannot close the handle between the detach and the fsync; meanwhile
-// batches for the *next* window keep appending under mu — window N's
-// fsync overlaps window N+1's writes.
-func (s *SegmentStore) commitWindow(w *commitWindow) {
-	s.mu.Lock()
-	if s.win != w {
-		s.mu.Unlock()
-		return // already completed by the seal path
-	}
-	s.win = nil
-	f := s.active
-	dirty := s.dirty
-	// Everything written so far is covered by the imminent fsync; batches
-	// landing after this point re-dirty the file and join a new window.
-	s.dirty = false
-	s.observeWindowLocked(w)
-	if dirty && f != nil {
-		s.syncMu.Lock() // mu → syncMu: same order as the seal path
-		s.mu.Unlock()
-		w.err = s.doFsyncSerialized(f, w.tc)
-		s.syncMu.Unlock()
-	} else {
-		s.mu.Unlock()
-	}
-	close(w.done)
-}
-
-// joinWindowLocked enqueues a batch of n framed bytes on the open commit
-// window (opening one if needed) and returns the window to wait on.
-// Caller holds mu.
-func (s *SegmentStore) joinWindowLocked(n int64, tc trace.Ctx) *commitWindow {
-	w := s.win
-	if w == nil {
-		w = &commitWindow{done: make(chan struct{}), full: make(chan struct{})}
-		s.win = w
-		select {
-		case s.winKick <- struct{}{}:
-		default:
-		}
-	}
-	if !w.tc.Sampled() && tc.Sampled() {
-		w.tc = tc
-	}
-	w.bytes += n
-	w.waiters++
-	if w.bytes >= s.opts.GroupBytes {
-		select {
-		case <-w.full:
-		default:
-			close(w.full)
-		}
-	}
-	return w
 }
 
 // Append implements Store.
@@ -571,42 +451,47 @@ func (s *SegmentStore) Append(r *core.Record) error {
 	return s.AppendBatch([]*core.Record{r})
 }
 
-// AppendBatch implements Store. Under SyncGroupCommit the records are
-// written and indexed inline but the call returns only after the batch's
-// commit window fsyncs, so durability-on-return holds under every sync
-// policy except SyncNever.
-func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
-	s.mu.Lock()
-	w, err := s.appendBatchLocked(rs)
-	s.mu.Unlock()
-	if err != nil || w == nil {
-		return err
-	}
-	<-w.done
-	return w.err
+// rotationDueLocked reports whether the next batch must open a new segment
+// file first. Caller holds mu.
+func (s *SegmentStore) rotationDueLocked() bool {
+	return s.active == nil || s.actSeg.size >= s.opts.MaxSegmentBytes
 }
 
-func (s *SegmentStore) appendBatchLocked(rs []*core.Record) (*commitWindow, error) {
+// AppendBatch implements Store. Under SyncGroupCommit the records are
+// written and indexed inline but the call returns only after an fsync
+// covers them, so durability-on-return holds under every sync policy
+// except SyncNever.
+func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Rotation closes the active file, so it waits out an fsync in flight
+	// on it. Wait releases mu: everything below reads state afresh.
+	for s.syncing && s.rotationDueLocked() {
+		s.syncDone.Wait()
+	}
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
+	}
+	if s.syncErr != nil {
+		return s.syncErr
 	}
 	// One trace context covers the whole batch: the first sampled record's
 	// (batches are stored together, so their durability cost is shared).
 	var tc trace.Ctx
 	for _, r := range rs {
 		if r.LId == 0 {
-			return nil, errors.New("storage: record has no LId")
+			return errors.New("storage: record has no LId")
 		}
 		if _, ok := s.index[r.LId]; ok {
-			return nil, fmt.Errorf("%w: %d", ErrDuplicate, r.LId)
+			return fmt.Errorf("%w: %d", ErrDuplicate, r.LId)
 		}
 		if !tc.Sampled() && r.Trace.Sampled() {
 			tc = r.Trace
 		}
 	}
-	if s.active == nil || s.actSeg.size >= s.opts.MaxSegmentBytes {
+	if s.rotationDueLocked() {
 		if err := s.rotateLocked(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Frame the whole batch into one reusable buffer: reserve each entry
@@ -638,16 +523,18 @@ func (s *SegmentStore) appendBatchLocked(rs []*core.Record) (*commitWindow, erro
 	s.encScratch, s.placeScratch = buf, placements
 	wr := trace.Begin(tc, "store.write")
 	if _, err := s.active.Write(buf); err != nil {
-		return nil, fmt.Errorf("storage: writing batch: %w", err)
+		return fmt.Errorf("storage: writing batch: %w", err)
 	}
 	wr.End(trace.Default(), "", rs[0].LId, len(rs))
+	s.written += uint64(len(buf))
+	s.pending++
+	if !s.pendTC.Sampled() {
+		s.pendTC = tc
+	}
 	if s.opts.Sync == SyncEachBatch {
-		if err := s.fsyncActiveLocked(tc); err != nil {
-			return nil, err
+		if err := s.syncLocked(false); err != nil {
+			return err
 		}
-		s.dirty = false
-	} else {
-		s.dirty = true
 	}
 	s.actSeg.size = off
 	for _, p := range placements {
@@ -655,9 +542,9 @@ func (s *SegmentStore) appendBatchLocked(rs []*core.Record) (*commitWindow, erro
 	}
 	s.writeSeq += uint64(len(rs))
 	if s.opts.Sync == SyncGroupCommit {
-		return s.joinWindowLocked(int64(len(buf)), tc), nil
+		return s.awaitSyncLocked(s.written)
 	}
-	return nil, nil
+	return nil
 }
 
 // readAt fetches and decodes one indexed entry.
@@ -777,21 +664,19 @@ func (s *SegmentStore) dropDeletedFromIndex() int {
 	return removed
 }
 
-// Close implements Store. Any open commit window is completed (durably)
-// before the committer goroutine is stopped, so no AppendBatch caller is
-// left parked on a window that will never fsync.
+// Close implements Store. It refuses new appends, waits out an in-flight
+// group fsync, and seals: batches still waiting for coverage are made
+// durable by the seal's fsync and wake with its outcome, so no AppendBatch
+// caller is left parked.
 func (s *SegmentStore) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	err := s.sealActiveLocked()
-	s.mu.Unlock()
-	if s.commStop != nil {
-		close(s.commStop)
-		<-s.commDone
+	for s.syncing {
+		s.syncDone.Wait()
 	}
-	return err
+	return s.sealActiveLocked()
 }

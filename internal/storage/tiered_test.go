@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -50,7 +49,6 @@ func TestTieredBoundaryReadsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	s := openTiered(t, dir, SegmentStoreOptions{
 		Sync:            SyncGroupCommit,
-		GroupWindow:     time.Millisecond,
 		MaxSegmentBytes: 1024, // several sealed segments below the watermark
 	})
 	defer s.Close()

@@ -1,9 +1,7 @@
 # Tier-1 gate: `make check` is what CI and pre-merge runs — build, vet,
-# the full test suite, a whole-package race pass over the hot-path
-# packages whose buffer-reuse and locking discipline is easiest to get
-# wrong, and a -count=50 stress of the cross-datacenter hand-off tests that
-# pin the visibility contract (DESIGN.md §7). `make race` is the slower
-# full-suite race pass.
+# the full test suite, the whole tree again under the race detector
+# (`make race`), and a -count=50 stress of the cross-datacenter hand-off
+# tests that pin the visibility contract (DESIGN.md §7).
 GO ?= go
 
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
@@ -49,9 +47,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic bench-e2e
-	$(GO) test -race ./internal/wire ./internal/core ./internal/storage ./internal/replica ./internal/faultinject ./internal/scale
-	$(GO) test -race ./internal/flstore ./internal/hyksos
+check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic bench-e2e race
 	$(GO) test -count=50 -run 'TestCausalPropagationAcrossDCs|TestFigure2Scenario' ./internal/hyksos
 
 # trace-smoke proves the tracing layer end to end: the span trees of a
@@ -111,11 +107,11 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='Allocs$$' -benchmem -benchtime=100x ./internal/flstore ./internal/chariots
 
 # bench-read runs the read-path benchmarks: batched range read vs single
-# reads, cached tail reads, and push vs poll tailing. The corresponding
+# reads, cached tail reads, and the tail subscription. The corresponding
 # budgets are enforced by TestReadRangeAllocBudget / TestTailCachedReadAllocBudget.
 # The read-scaling smoke drives a miniature replica-count sweep (R=1 and
 # R=3 over real TCP) end to end; the ≥2× throughput bar itself is enforced
 # by `repro -exp readpath` with full budgets.
 bench-read:
-	$(GO) test -run='^$$' -bench='ReadRange|SingleReads|TailCached|TailPushVsPoll' -benchmem -benchtime=100x ./internal/flstore
+	$(GO) test -run='^$$' -bench='ReadRange|SingleReads|TailCached|Tail$$' -benchmem -benchtime=100x ./internal/flstore
 	$(GO) test -run 'TestReadScalingSweepSmoke' -count=1 ./internal/cluster

@@ -384,7 +384,7 @@ func runHyksos(dur time.Duration) error {
 
 func runReadPath(dur time.Duration) error {
 	header("Extension — batched read path (push tail vs poll, range vs single reads)",
-		"not in the paper's evaluation: closed-loop append→visible tail rate on the subscription path vs the seed's poll loop, and bulk range reads vs single-record round trips")
+		"not in the paper's evaluation: closed-loop append→visible tail rate on the subscription path vs a 2 ms poll loop over the public read API, and bulk range reads vs single-record round trips")
 	res, err := cluster.RunReadPath(cluster.ReadPathOptions{
 		Maintainers: 3,
 		Records:     10_000,

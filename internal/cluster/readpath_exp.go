@@ -13,9 +13,9 @@ import (
 // ReadPathOptions configures the read-path experiment: a closed-loop tail
 // (each record is appended only after the tailing consumer has seen the
 // previous one — the append→visible latency expressed as a rate) measured
-// on the push-subscription path and on the legacy poll path, plus a bulk
-// read of the resulting log via one scatter-gather ReadRange versus
-// single-record round trips.
+// on the client's push subscription and on a poll loop a reader without it
+// would write (pollTail), plus a bulk read of the resulting log via one
+// scatter-gather ReadRange versus single-record round trips.
 type ReadPathOptions struct {
 	Maintainers int
 	BatchSize   uint64
@@ -74,22 +74,58 @@ func newReadPathStack(opts ReadPathOptions) (*flstore.Client, error) {
 	return flstore.NewDirectClient(p, apis, nil)
 }
 
+// tailFunc is the shape of Client.Tail: deliver the log from an LId on, in
+// order, until ctx ends or fn returns false.
+type tailFunc func(ctx context.Context, fromLId uint64, fn func(*core.Record) bool) error
+
+// pollInterval is the tick of the poll baseline.
+const pollInterval = 2 * time.Millisecond
+
+// pollTail is the baseline the push subscription is measured against: the
+// tail loop over the public read API — exact head, one scatter-gather read
+// of whatever is new, sleep a tick.
+func pollTail(ctx context.Context, c *flstore.Client, cursor uint64, fn func(*core.Record) bool) error {
+	for {
+		head, err := c.HeadExact()
+		if err != nil {
+			return err
+		}
+		if head >= cursor {
+			recs, err := c.ReadRangeCtx(ctx, cursor, head)
+			if err != nil {
+				return err
+			}
+			for _, rec := range recs {
+				if !fn(rec) {
+					return nil
+				}
+			}
+			cursor = head + 1
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(pollInterval):
+		}
+	}
+}
+
 // runClosedLoopTail appends up to opts.Records records one at a time and,
 // after each append, waits until the tailing consumer has delivered every
 // record the head of the log now covers. Placement is post-assignment —
 // the dense prefix lags the append count by up to a round-robin cycle — so
 // the producer gates on HeadExact rather than on its own count; waiting
 // for its exact append to surface could deadlock on a not-yet-dense LId.
-// On the poll path every head advance pays the poll tick before the
-// consumer sees it; on the push path the consumer is woken directly by the
-// maintainer's frontier advance.
-func runClosedLoopTail(c *flstore.Client, opts ReadPathOptions) (int, time.Duration, error) {
+// tail is the consumer under test: with pollTail every head advance pays
+// the poll tick before the consumer sees it; with Client.Tail the consumer
+// is woken directly by the maintainer's frontier advance.
+func runClosedLoopTail(c *flstore.Client, tail tailFunc, opts ReadPathOptions) (int, time.Duration, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	acks := make(chan uint64, opts.Records)
 	tailErr := make(chan error, 1)
 	go func() {
-		tailErr <- c.Tail(ctx, 1, func(r *core.Record) bool {
+		tailErr <- tail(ctx, 1, func(r *core.Record) bool {
 			acks <- r.LId
 			return true
 		})
@@ -149,7 +185,7 @@ func RunReadPath(opts ReadPathOptions) (ReadPathResult, error) {
 	if err != nil {
 		return res, err
 	}
-	n, elapsed, err := runClosedLoopTail(push, opts)
+	n, elapsed, err := runClosedLoopTail(push, push.Tail, opts)
 	if err != nil {
 		return res, err
 	}
@@ -160,8 +196,9 @@ func RunReadPath(opts ReadPathOptions) (ReadPathResult, error) {
 	if err != nil {
 		return res, err
 	}
-	poll.DisableRangeRead = true
-	n, elapsed, err = runClosedLoopTail(poll, opts)
+	n, elapsed, err = runClosedLoopTail(poll, func(ctx context.Context, from uint64, fn func(*core.Record) bool) error {
+		return pollTail(ctx, poll, from, fn)
+	}, opts)
 	if err != nil {
 		return res, err
 	}

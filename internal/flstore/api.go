@@ -7,11 +7,18 @@ import (
 	"repro/internal/trace"
 )
 
-// MaintainerAPI is the operation surface of one log maintainer. Components
-// program against this interface; it is implemented both by *Maintainer
-// (in-process) and by maintainerClient (over RPC), so deployments can mix
-// direct, loopback-TCP, and cross-machine wiring without code changes.
+// MaintainerAPI is the whole operation surface of one log maintainer: the
+// log operations declared here plus the replication, invalidation and
+// batched-read method groups it embeds. Components program against this
+// interface; it is implemented both by *Maintainer (in-process) and by
+// maintainerClient (over RPC), so deployments can mix direct, loopback-TCP,
+// and cross-machine wiring without code changes. Every MaintainerAPI is a
+// replica.Member.
 type MaintainerAPI interface {
+	ReplicaAPI
+	InvalidationAPI
+	RangeReadAPI
+
 	// Append stores the records with post-assigned LIds (§5.2) and
 	// returns the assigned LIds in order. Records must not carry LIds.
 	Append(recs []*core.Record) ([]uint64, error)
@@ -52,12 +59,10 @@ type MaintainerAPI interface {
 	GossipVecs(next, dur []uint64) ([]uint64, []uint64, error)
 }
 
-// ReplicaAPI is the additional surface a replication-aware maintainer
-// exposes. It is kept separate from MaintainerAPI so unreplicated
-// deployments (and older fakes) keep compiling; callers type-assert, and
-// ServeMaintainer registers these handlers only when the implementation
-// provides them. Together with MaintainerAPI's Append and Read this is a
-// superset of replica.Member.
+// ReplicaAPI groups the methods a replica group's members call on each
+// other and the replica session calls on them: acting-primary appends,
+// follower copies, per-range frontiers and the catch-up feed. Together with
+// MaintainerAPI's Append and Read it is replica.Member.
 type ReplicaAPI interface {
 	// AppendFor post-assigns positions in a hosted range other than the
 	// maintainer's own — the acting-primary failover path.
@@ -72,12 +77,10 @@ type ReplicaAPI interface {
 	PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error)
 }
 
-// InvalidationAPI is the Hermes-style invalidation surface of a
-// replication-aware maintainer. Like ReplicaAPI it is kept separate so
-// unreplicated deployments and older fakes keep compiling: callers
-// type-assert (the replica session probes for replica.Invalidator /
-// replica.WatermarkReporter, which this satisfies), and ServeMaintainer
-// registers the handlers only when the implementation provides them.
+// InvalidationAPI groups the Hermes-style invalidation methods: the
+// announcement an acting primary sends ahead of every fan-out payload and
+// the watermark a follower reports back. It is what replica.Invalidator and
+// replica.WatermarkReporter ask of a member.
 type InvalidationAPI interface {
 	// Invalidate announces that every position of rangeIdx strictly below
 	// upTo has been assigned by the range's acting primary; positions
@@ -124,11 +127,9 @@ type RangeResult struct {
 	CoveredHi uint64
 }
 
-// RangeReadAPI is the batched read surface of a maintainer. Like
-// ReplicaAPI it is kept out of MaintainerAPI so legacy fakes keep
-// compiling: callers type-assert, ServeMaintainer registers its handlers
-// only when the implementation provides them, and the client falls back to
-// the single-record/scan paths when any wired maintainer lacks it.
+// RangeReadAPI groups the batched read methods the client's scatter-gather
+// reads and tail subscriptions are built on: one RPC per owning range for
+// an LId interval or an LId set, and the frontier long-poll.
 type RangeReadAPI interface {
 	// ReadRange returns every hosted record in [q.Lo, q.Hi] as one batch,
 	// ascending, within the query's budgets.

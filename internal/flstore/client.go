@@ -18,51 +18,34 @@ import (
 // Client is the linked library application clients use to talk to FLStore
 // (§3, §5.1): it learns the cluster layout from the controller once at
 // session start, then appends to and reads from the log maintainers
-// directly, consulting indexers only for tag-based reads. Under
-// replication (R > 1) the client drives a replica.Session: appends go to
-// each range's acting primary and fan out to its group, reads fail over
-// across the group, and head computation takes each range's group-wide
-// maximum so a dead maintainer doesn't freeze the head of the log.
+// directly, consulting indexers only for tag-based reads. The client
+// always drives a replica.Session over the latest epoch's members (an
+// unreplicated deployment is a layout of R = 1): appends go to each range's
+// acting primary and fan out to its group, reads fail over across the
+// group, and head computation takes each range's group-wide maximum so a
+// dead maintainer doesn't freeze the head of the log.
 type Client struct {
 	placement   Placement
 	epochs      []Epoch
 	maintainers []MaintainerAPI
 	indexers    []IndexerAPI
-	rr          atomic.Uint64 // round-robin append target (session == nil)
 
 	// epochMembers holds per-epoch maintainer handles, index-aligned with
 	// epochs — the routing side of epoch-carried topology (§6.3). The last
 	// entry is the same slice as maintainers (so SetMaintainer keeps both
 	// views coherent); earlier entries serve reads below their epoch's
-	// successor boundary until the old members retire. Nil entries fall
-	// back to the current member set (pre-topology journals).
+	// successor boundary until the old members retire.
 	epochMembers [][]MaintainerAPI
 
-	// session is the replication layer; nil when R == 1 and the wired
-	// maintainers don't expose the replica surface (legacy fakes).
+	// session is the replication layer over the latest epoch's members.
 	session *replica.Session
 
-	// rangeCapable records whether every wired maintainer implements
-	// RangeReadAPI (recomputed on SetMaintainer); when false the client
-	// stays on the single-record/scan paths.
-	rangeCapable bool
-
-	// DisableRangeRead forces the legacy read paths even when every
-	// maintainer supports batched reads — the comparison knob the
-	// read-path experiment and benchmarks flip.
-	//
-	// Deprecated: set at construction via WithRangeReadDisabled instead of
-	// mutating the field.
-	DisableRangeRead bool
-
-	// ReadRetry configures how long reads wait for the head of the log
-	// to pass the requested position before giving up: up to ReadRetries
-	// attempts on a capped-exponential schedule seeded at RetryBackoff.
-	//
-	// Deprecated: set at construction via WithReadRetries /
-	// WithRetryBackoff instead of mutating the fields.
-	ReadRetries  int
-	RetryBackoff time.Duration
+	// readRetries/retryBackoff configure how long reads wait for the head
+	// of the log to pass the requested position before giving up: up to
+	// readRetries attempts on a capped-exponential schedule seeded at
+	// retryBackoff; configured via WithReadRetries / WithRetryBackoff.
+	readRetries  int
+	retryBackoff time.Duration
 
 	// appendRetries/appendBackoff bound the overload-retry loop on the
 	// append path (0 retries = surface ErrOverloaded to the caller, the
@@ -113,8 +96,8 @@ func NewClient(ctrl ControllerAPI, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		placement:    cfg.Placement,
 		epochs:       cfg.Epochs,
-		ReadRetries:  50,
-		RetryBackoff: 2 * time.Millisecond,
+		readRetries:  50,
+		retryBackoff: 2 * time.Millisecond,
 	}
 	if len(c.epochs) == 0 {
 		// A controller normalizes its journal; tolerate a bare Config.
@@ -183,8 +166,7 @@ func NewDirectClient(p Placement, maintainers []MaintainerAPI, indexers []Indexe
 
 // NewReplicatedDirectClient wires a client to in-process (or pre-dialed)
 // component APIs with a replica layout of R copies per range under the
-// given ack policy. Every maintainer handle must expose the replica
-// surface when R > 1.
+// given ack policy.
 func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, r int, ack replica.AckPolicy, opts ...ClientOption) (*Client, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -198,8 +180,8 @@ func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexer
 		maintainers:  maintainers,
 		epochMembers: [][]MaintainerAPI{maintainers},
 		indexers:     indexers,
-		ReadRetries:  50,
-		RetryBackoff: 2 * time.Millisecond,
+		readRetries:  50,
+		retryBackoff: 2 * time.Millisecond,
 	}
 	if err := c.initSession(r, ack); err != nil {
 		return nil, err
@@ -210,31 +192,21 @@ func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexer
 // configure finishes construction. Options apply last: WithQuorumFanout
 // and WithReadPolicy act on the replica session, which must exist by then.
 func (c *Client) configure(opts []ClientOption) *Client {
-	c.updateRangeCapable()
 	for _, opt := range opts {
 		opt(c)
 	}
 	return c
 }
 
-// initSession builds the replica session over the wired maintainers. With
-// R <= 1 and maintainers that don't expose the replica surface (legacy
-// fakes), the client silently stays on the unreplicated paths; with R > 1
-// every member must support it.
+// initSession builds the replica session over the wired maintainers; an
+// unreplicated deployment (R <= 1) is a layout of one copy per range.
 func (c *Client) initSession(r int, ack replica.AckPolicy) error {
 	if r < 1 {
 		r = 1
 	}
 	members := make([]replica.Member, len(c.maintainers))
 	for i, m := range c.maintainers {
-		rm, ok := m.(replica.Member)
-		if !ok {
-			if r > 1 {
-				return fmt.Errorf("flstore: maintainer %d does not support replication (R=%d)", i, r)
-			}
-			return nil
-		}
-		members[i] = rm
+		members[i] = m
 	}
 	p := c.placement
 	s, err := replica.NewSession(members, replica.SessionConfig{
@@ -254,15 +226,9 @@ func (c *Client) initSession(r int, ack replica.AckPolicy) error {
 // Placement returns the placement the client is operating under.
 func (c *Client) Placement() Placement { return c.placement }
 
-// Session exposes the replication layer (nil on legacy unreplicated
-// wiring): tests and operators use it for health, catch-up, and rejoin.
+// Session exposes the replication layer (never nil): tests and operators
+// use it for health, catch-up, and rejoin.
 func (c *Client) Session() *replica.Session { return c.session }
-
-// pickMaintainer selects the append target round-robin (legacy path).
-func (c *Client) pickMaintainer() MaintainerAPI {
-	i := c.rr.Add(1) - 1
-	return c.maintainers[int(i%uint64(len(c.maintainers)))]
-}
 
 // Append inserts a record with the given body and tags into the shared log
 // (§3's Append(record, tags)) and returns the assigned LId. The record is
@@ -327,7 +293,7 @@ func (c *Client) AppendBatchCtx(ctx context.Context, recs []*core.Record) ([]uin
 				}
 			}
 		}
-		lids, err := c.appendOnce(recs)
+		lids, err := c.session.Append(recs)
 		if err == nil {
 			c.pace.onSuccess(n)
 			var lid0 uint64
@@ -375,15 +341,6 @@ func (c *Client) AppendBatchCtx(ctx context.Context, recs []*core.Record) ([]uin
 	}
 }
 
-// appendOnce performs one append attempt over the session (replicated) or
-// the round-robin direct path.
-func (c *Client) appendOnce(recs []*core.Record) ([]uint64, error) {
-	if c.session != nil {
-		return c.session.Append(recs)
-	}
-	return c.pickMaintainer().Append(recs)
-}
-
 // AppendAfter inserts records constrained to positions after minLId at the
 // given maintainer index (§5.4's cross-maintainer explicit ordering).
 func (c *Client) AppendAfter(maintainer int, minLId uint64, recs []*core.Record) ([]uint64, error) {
@@ -396,45 +353,31 @@ func (c *Client) AppendAfter(maintainer int, minLId uint64, recs []*core.Record)
 // Head returns the head of the log as known by one maintainer — every
 // position at or below it is gap-free and readable.
 func (c *Client) Head() (uint64, error) {
-	if c.session != nil {
-		// Ask any usable member; gossip keeps their estimates close.
-		for i := range c.maintainers {
-			if !c.session.Health().Usable(i) {
-				continue
-			}
-			h, err := c.maintainers[i].Head()
-			if err == nil {
-				return h, nil
-			}
-			if isLogicError(err) {
-				return 0, err
-			}
+	// Ask any usable member; gossip keeps their estimates close.
+	for i := range c.maintainers {
+		if !c.session.Health().Usable(i) {
+			continue
 		}
-		return 0, replica.ErrNoUsableGroup
+		h, err := c.maintainers[i].Head()
+		if err == nil {
+			return h, nil
+		}
+		if isLogicError(err) {
+			return 0, err
+		}
 	}
-	return c.pickMaintainer().Head()
+	return 0, replica.ErrNoUsableGroup
 }
 
 // HeadExact polls every range's next-unfilled position and computes the
-// precise head, bypassing gossip staleness. Under replication each range's
-// frontier is the maximum over its group's usable members, so the head
-// keeps advancing while a maintainer is down. Get-transactions use this to
-// pin their snapshot (Algorithm 1 line 2).
+// precise head, bypassing gossip staleness. Each range's frontier is the
+// maximum over its group's usable members, so the head keeps advancing
+// while a maintainer is down. Get-transactions use this to pin their
+// snapshot (Algorithm 1 line 2).
 func (c *Client) HeadExact() (uint64, error) {
-	if c.session != nil {
-		next, err := c.session.Frontiers()
-		if err != nil {
-			return 0, err
-		}
-		return Head(next), nil
-	}
-	next := make([]uint64, len(c.maintainers))
-	for i, m := range c.maintainers {
-		n, err := m.NextUnfilled()
-		if err != nil {
-			return 0, err
-		}
-		next[i] = n
+	next, err := c.session.Frontiers()
+	if err != nil {
+		return 0, err
 	}
 	return Head(next), nil
 }
@@ -451,23 +394,18 @@ func epochIndexOf(epochs []Epoch, lid uint64) (int, error) {
 	return i - 1, nil
 }
 
-// ownerOf routes an LId to its maintainer under the epoch journal, using
-// the owning epoch's own member set when the journal carries topology.
-func (c *Client) ownerOf(lid uint64) (MaintainerAPI, error) {
-	ei, err := epochIndexOf(c.epochs, lid)
-	if err != nil {
-		return nil, err
+// readAt runs one read-side call against range owner of epoch ei. Failover
+// routing knows only the latest epoch's groups, so that epoch's ranges go
+// through the session; a range of an earlier epoch routes directly to that
+// epoch's own member via the journal. fn returns its result through its
+// closure.
+func (c *Client) readAt(ei, owner int, fn func(MaintainerAPI) error) error {
+	if ei == len(c.epochs)-1 {
+		// Every session member was installed as a MaintainerAPI
+		// (initSession, SetMaintainer), so the conversion back is total.
+		return c.session.ReadWith(owner, func(m replica.Member) error { return fn(m.(MaintainerAPI)) })
 	}
-	p := c.epochs[ei].Placement
-	members := c.maintainers
-	if ei < len(c.epochMembers) && c.epochMembers[ei] != nil {
-		members = c.epochMembers[ei]
-	}
-	idx := p.Owner(lid)
-	if idx >= len(members) {
-		return nil, fmt.Errorf("flstore: owner %d of LId %d not in session", idx, lid)
-	}
-	return members[idx], nil
+	return fn(c.epochMembers[ei][owner])
 }
 
 // ReadLId returns the record at lid, retrying while the position is beyond
@@ -480,25 +418,15 @@ func (c *Client) ReadLId(lid uint64) (*core.Record, error) {
 // ReadLIdCtx is ReadLId with cancellation: ctx aborts the past-head retry
 // loop between attempts, returning ctx.Err().
 func (c *Client) ReadLIdCtx(ctx context.Context, lid uint64) (*core.Record, error) {
-	var read func() (*core.Record, error)
-	if c.session != nil {
-		ei, err := epochIndexOf(c.epochs, lid)
-		if err != nil {
-			return nil, err
-		}
-		// Failover routing knows only the latest epoch's groups; records
-		// written under an earlier epoch route directly to that epoch's
-		// members via the journal.
-		if ei == len(c.epochs)-1 {
-			read = func() (*core.Record, error) { return c.session.Read(lid) }
-		}
+	ei, err := epochIndexOf(c.epochs, lid)
+	if err != nil {
+		return nil, err
 	}
-	if read == nil {
-		m, err := c.ownerOf(lid)
-		if err != nil {
-			return nil, err
-		}
-		read = func() (*core.Record, error) { return m.Read(lid) }
+	owner := c.epochs[ei].Placement.Owner(lid)
+	var rec *core.Record
+	read := func(m MaintainerAPI) (err error) {
+		rec, err = m.Read(lid)
+		return err
 	}
 	// Past-head waits resolve as soon as the gap below the position fills,
 	// so retry on a capped-exponential schedule with jitter (the PR-3
@@ -507,13 +435,13 @@ func (c *Client) ReadLIdCtx(ctx context.Context, lid uint64) (*core.Record, erro
 	// unresolved invalidation (every group member knows the position is
 	// assigned but none has the payload yet — e.g. mid-failover) retry on
 	// the same schedule, stretched to the server's pacing hint.
-	bo := rpc.Backoff{Base: c.RetryBackoff, Max: 8 * c.RetryBackoff, Factor: 2, Jitter: 0.2}
+	bo := rpc.Backoff{Base: c.retryBackoff, Max: 8 * c.retryBackoff, Factor: 2, Jitter: 0.2}
 	var lastErr error
-	for attempt := 0; attempt <= c.ReadRetries; attempt++ {
+	for attempt := 0; attempt <= c.readRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rec, err := read()
+		err := c.readAt(ei, owner, read)
 		if err == nil {
 			return rec, nil
 		}
@@ -521,7 +449,7 @@ func (c *Client) ReadLIdCtx(ctx context.Context, lid uint64) (*core.Record, erro
 		if !errors.Is(err, core.ErrPastHead) && !errors.Is(err, ErrReadBlocked) {
 			return nil, err
 		}
-		if c.RetryBackoff > 0 {
+		if c.retryBackoff > 0 {
 			d := bo.Delay(attempt+1, jitterRnd)
 			if hint := RetryAfter(err); hint > d {
 				d = hint
@@ -599,21 +527,20 @@ func (c *Client) readByTag(rule core.Rule) ([]*core.Record, error) {
 
 // scanMerged fans a scan out to every maintainer, deduplicates by LId
 // (replica copies appear at up to R maintainers), and reports whether at
-// least one maintainer answered. Under replication an unreachable or
-// evicted maintainer is skipped — its records are served by its group
-// peers.
+// least one maintainer answered. An unreachable or evicted maintainer is
+// skipped — its records are served by its group peers.
 func (c *Client) scanMerged(rule core.Rule) ([]*core.Record, error) {
 	var all []*core.Record
 	seen := make(map[uint64]struct{})
 	answered := 0
 	var lastErr error
 	for i, m := range c.maintainers {
-		if c.session != nil && !c.session.Health().Usable(i) {
+		if !c.session.Health().Usable(i) {
 			continue
 		}
 		recs, err := m.Scan(rule)
 		if err != nil {
-			if c.session == nil || isLogicError(err) {
+			if isLogicError(err) {
 				return nil, err
 			}
 			c.session.Health().ReportFailure(i)
@@ -672,39 +599,27 @@ func (c *Client) readByScan(rule core.Rule) ([]*core.Record, error) {
 func (c *Client) Maintainers() []MaintainerAPI { return c.maintainers }
 
 // SetMaintainer replaces the handle at index i — the rewiring done after a
-// maintainer restarts on a fresh connection. The replica session (when
-// present) is updated in lockstep; the handle must expose the replica
-// surface if the session does.
+// maintainer restarts on a fresh connection. The replica session is updated
+// in lockstep.
 func (c *Client) SetMaintainer(i int, m MaintainerAPI) error {
 	if i < 0 || i >= len(c.maintainers) {
 		return fmt.Errorf("flstore: maintainer %d out of range", i)
 	}
-	if c.session != nil {
-		rm, ok := m.(replica.Member)
-		if !ok {
-			return fmt.Errorf("flstore: maintainer %d does not support replication", i)
-		}
-		c.session.SetMember(i, rm)
-	}
+	c.session.SetMember(i, m)
 	c.maintainers[i] = m
-	c.updateRangeCapable()
 	return nil
 }
 
 // Tail streams the log in LId order starting at fromLId (≥1): fn is
 // called for every record at or below the advancing head of the log, in
 // position order with no gaps, until ctx is cancelled or fn returns
-// false. On range-capable wiring this is a push subscription: the client
-// parks on the laggard range's TailWait long-poll and drains each newly
-// covered window with scatter-gather range reads merged by placement — no
-// poll tick, no rescans, no sort. Legacy wiring degrades to a bounded
-// poll (interval RetryBackoff, ≥1ms).
+// false. It is a push subscription: the client parks on the laggard
+// range's TailWait long-poll and drains each newly covered window with
+// scatter-gather range reads merged by placement — no poll tick, no
+// rescans, no sort.
 func (c *Client) Tail(ctx context.Context, fromLId uint64, fn func(*core.Record) bool) error {
 	if fromLId == 0 {
 		fromLId = 1
-	}
-	if !c.rangeOK() {
-		return c.tailPoll(ctx, fromLId, fn)
 	}
 	cursor := fromLId
 	for {
@@ -730,48 +645,6 @@ func (c *Client) Tail(ctx context.Context, fromLId uint64, fn func(*core.Record)
 				}
 			}
 			cursor = hi + 1
-		}
-	}
-}
-
-// tailPoll is the legacy tail loop for wiring without the batched read
-// surface. The window is merged by placement (position lid at index
-// lid−cursor) rather than sorted; §5.4 makes it gap-free below the head,
-// and any straggler a scan missed is fetched via ReadLId.
-func (c *Client) tailPoll(ctx context.Context, fromLId uint64, fn func(*core.Record) bool) error {
-	poll := c.RetryBackoff
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	cursor := fromLId
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		head, err := c.HeadExact()
-		if err != nil {
-			return err
-		}
-		if head >= cursor {
-			window, err := c.readRange(ctx, trace.Ctx{}, cursor, head)
-			if err != nil {
-				return err
-			}
-			for _, rec := range window {
-				if !fn(rec) {
-					return nil
-				}
-			}
-			cursor = head + 1
-		}
-		timer := time.NewTimer(poll)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		case <-timer.C:
 		}
 	}
 }

@@ -106,32 +106,3 @@ func TestAppendBatchCtxCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-// TestOptionDefaultsMatchLegacyFields pins the construction-time options to
-// the documented legacy defaults so NewClientWith with no options behaves
-// exactly like NewClient plus field mutation never happening.
-func TestOptionDefaultsMatchLegacyFields(t *testing.T) {
-	c := newCtxTestClient(t)
-	if c.ReadRetries != 50 {
-		t.Errorf("default ReadRetries = %d, want 50", c.ReadRetries)
-	}
-	if c.RetryBackoff != 2*time.Millisecond {
-		t.Errorf("default RetryBackoff = %v, want 2ms", c.RetryBackoff)
-	}
-	if c.DisableRangeRead {
-		t.Error("default DisableRangeRead = true, want false")
-	}
-	if c.PaceRate() != 0 {
-		t.Errorf("default PaceRate = %v, want 0 (pacing off)", c.PaceRate())
-	}
-
-	opt := newCtxTestClient(t,
-		flstore.WithReadRetries(7),
-		flstore.WithRetryBackoff(9*time.Millisecond),
-		flstore.WithRangeReadDisabled(true),
-	)
-	if opt.ReadRetries != 7 || opt.RetryBackoff != 9*time.Millisecond || !opt.DisableRangeRead {
-		t.Errorf("options not applied: retries=%d backoff=%v disable=%v",
-			opt.ReadRetries, opt.RetryBackoff, opt.DisableRangeRead)
-	}
-}

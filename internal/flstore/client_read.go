@@ -2,13 +2,11 @@ package flstore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/replica"
 	"repro/internal/trace"
 )
 
@@ -20,31 +18,6 @@ const tailChunk = 4096
 // shorter than the server's default so context cancellation and failover
 // re-routing are observed promptly; a parked reader simply re-parks.
 const clientTailWait = 25 * time.Millisecond
-
-// errNoRangeRead reports a maintainer handle that doesn't implement
-// RangeReadAPI despite the capability check — only possible after a
-// mid-flight SetMaintainer swap to a legacy handle.
-var errNoRangeRead = errors.New("flstore: maintainer does not support range reads")
-
-// rangeOK reports whether the batched read path is usable for this call:
-// every wired maintainer exposes RangeReadAPI, the caller didn't force the
-// legacy path, and the log has a single placement epoch (the scatter-gather
-// merge routes by one placement's math; elastic histories fall back).
-func (c *Client) rangeOK() bool {
-	return c.rangeCapable && !c.DisableRangeRead && len(c.epochs) <= 1
-}
-
-// updateRangeCapable recomputes whether every maintainer handle implements
-// the batched read surface. Called at session init and on SetMaintainer.
-func (c *Client) updateRangeCapable() {
-	for _, m := range c.maintainers {
-		if _, ok := m.(RangeReadAPI); !ok {
-			c.rangeCapable = false
-			return
-		}
-	}
-	c.rangeCapable = len(c.maintainers) > 0
-}
 
 // ReadRange returns the records at positions [lo, hi] in LId order, with hi
 // clamped to the head of the log (hi 0 means "up to the head"). One
@@ -92,44 +65,13 @@ func (c *Client) ReadRangeCtx(ctx context.Context, lo, hi uint64) ([]*core.Recor
 // of the log.
 func (c *Client) readRange(ctx context.Context, tc trace.Ctx, lo, hi uint64) ([]*core.Record, error) {
 	out := make([]*core.Record, hi-lo+1)
-	if c.rangeOK() {
-		owners := c.ownersIn(lo, hi)
-		if len(owners) == 1 {
-			// Single-owner windows (small ranges, per-partition readers)
-			// stay on the caller's goroutine.
-			if err := c.rangeFromOwner(ctx, tc, owners[0], lo, hi, out); err != nil {
-				return nil, err
-			}
-		} else {
-			// One worker per extra owner; the first owner's share drains on
-			// the caller's goroutine while the others run.
-			var wg sync.WaitGroup
-			errs := make([]error, len(owners)-1)
-			for i, owner := range owners[1:] {
-				wg.Add(1)
-				go func(i, owner int) {
-					defer wg.Done()
-					errs[i] = c.rangeFromOwner(ctx, tc, owner, lo, hi, out)
-				}(i, owner)
-			}
-			err := c.rangeFromOwner(ctx, tc, owners[0], lo, hi, out)
-			wg.Wait()
-			if err != nil {
-				return nil, err
-			}
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else if err := c.readRangeScan(lo, hi, out); err != nil {
+	if err := c.gather(ctx, tc, lo, hi, out); err != nil {
 		return nil, err
 	}
 	// Safety net: any position still missing (a lagging follower answered
-	// for an evicted owner, or a legacy scan raced the head) is fetched
-	// through the single-record path with its own failover and past-head
-	// waiting. Positions ≤ head exist somewhere, so this terminates.
+	// for an evicted owner) is fetched through the single-record path with
+	// its own failover and past-head waiting. Positions ≤ head exist
+	// somewhere, so this terminates.
 	for i, r := range out {
 		if r == nil {
 			rec, err := c.ReadLIdCtx(ctx, lo+uint64(i))
@@ -142,10 +84,65 @@ func (c *Client) readRange(ctx context.Context, tc trace.Ctx, lo, hi uint64) ([]
 	return out, nil
 }
 
+// gather drains [lo, hi] into out (position lid at out[lid-lo]). The window
+// is cut at the journal's epoch boundaries and every slice runs the same
+// scatter-gather under its own epoch's placement and member set, so a read
+// across an elastic flip costs one more round of range reads, not a
+// different path.
+func (c *Client) gather(ctx context.Context, tc trace.Ctx, lo, hi uint64, out []*core.Record) error {
+	ei, err := epochIndexOf(c.epochs, lo)
+	if err != nil {
+		return err
+	}
+	for ; lo <= hi; ei++ {
+		end := hi
+		if ei+1 < len(c.epochs) && c.epochs[ei+1].FirstLId <= hi {
+			end = c.epochs[ei+1].FirstLId - 1
+		}
+		if err := c.gatherEpoch(ctx, tc, ei, lo, end, out[:end-lo+1]); err != nil {
+			return err
+		}
+		out, lo = out[end-lo+1:], end+1
+	}
+	return nil
+}
+
+// gatherEpoch is gather for a window inside epoch ei: one range-read worker
+// per owning range of that epoch.
+func (c *Client) gatherEpoch(ctx context.Context, tc trace.Ctx, ei int, lo, hi uint64, out []*core.Record) error {
+	owners := ownersIn(c.epochs[ei].Placement, lo, hi)
+	if len(owners) == 1 {
+		// Single-owner windows (small ranges, per-partition readers)
+		// stay on the caller's goroutine.
+		return c.rangeFromOwner(ctx, tc, ei, owners[0], lo, hi, out)
+	}
+	// One worker per extra owner; the first owner's share drains on
+	// the caller's goroutine while the others run.
+	var wg sync.WaitGroup
+	errs := make([]error, len(owners)-1)
+	for i, owner := range owners[1:] {
+		wg.Add(1)
+		go func(i, owner int) {
+			defer wg.Done()
+			errs[i] = c.rangeFromOwner(ctx, tc, ei, owner, lo, hi, out)
+		}(i, owner)
+	}
+	err := c.rangeFromOwner(ctx, tc, ei, owners[0], lo, hi, out)
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ownersIn lists the maintainer indices owning at least one position in
-// [lo, hi] under the current placement.
-func (c *Client) ownersIn(lo, hi uint64) []int {
-	p := c.placement
+// [lo, hi] under placement p.
+func ownersIn(p Placement, lo, hi uint64) []int {
 	n := uint64(p.NumMaintainers)
 	first := (lo - 1) / p.BatchSize
 	last := (hi - 1) / p.BatchSize
@@ -173,14 +170,14 @@ func (c *Client) ownersIn(lo, hi uint64) []int {
 	return out
 }
 
-// rangeFromOwner drains owner's share of [lo, hi] into out (position lid at
-// out[lid-lo]), following CoveredHi continuations until the range is
-// covered. Under replication each RPC fails over across the owning group; a
-// response that makes no progress (a lagging follower serving an evicted
-// owner's range) stops the worker and leaves the holes to readRange's
-// single-record safety net rather than reporting a healthy-but-behind
-// member as failed.
-func (c *Client) rangeFromOwner(ctx context.Context, tc trace.Ctx, owner int, lo, hi uint64, out []*core.Record) error {
+// rangeFromOwner drains the share of [lo, hi] that range owner of epoch ei
+// holds into out (position lid at out[lid-lo]), following CoveredHi
+// continuations until the range is covered. Each RPC routes by readAt (the
+// latest epoch fails over across the owning group); a response that makes
+// no progress (a lagging follower serving an evicted owner's range) stops
+// the worker and leaves the holes to readRange's single-record safety net
+// rather than reporting a healthy-but-behind member as failed.
+func (c *Client) rangeFromOwner(ctx context.Context, tc trace.Ctx, ei, owner int, lo, hi uint64, out []*core.Record) error {
 	cursor := lo
 	for cursor <= hi {
 		if err := ctx.Err(); err != nil {
@@ -188,28 +185,12 @@ func (c *Client) rangeFromOwner(ctx context.Context, tc trace.Ctx, owner int, lo
 		}
 		q := RangeQuery{Lo: cursor, Hi: hi, Range: owner, Trace: tc}
 		var res RangeResult
-		if c.session != nil {
-			err := c.session.ReadWith(owner, func(mem replica.Member) error {
-				rr, ok := mem.(RangeReadAPI)
-				if !ok {
-					return errNoRangeRead
-				}
-				var e error
-				res, e = rr.ReadRange(q)
-				return e
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			rr, ok := c.maintainers[owner].(RangeReadAPI)
-			if !ok {
-				return errNoRangeRead
-			}
-			var err error
-			if res, err = rr.ReadRange(q); err != nil {
-				return err
-			}
+		err := c.readAt(ei, owner, func(m MaintainerAPI) (err error) {
+			res, err = m.ReadRange(q)
+			return err
+		})
+		if err != nil {
+			return err
 		}
 		for _, r := range res.Records {
 			if r.LId >= lo && r.LId <= hi {
@@ -227,8 +208,10 @@ func (c *Client) rangeFromOwner(ctx context.Context, tc trace.Ctx, owner int, lo
 // ReadRangeOwned returns the records owned by maintainer owner within
 // [lo, hi] (hi clamped to the head of the log; 0 = head), ascending — the
 // per-partition surface partitioned consumers (stream reader groups) use.
-// One range-read RPC per continuation goes to the owning group; every owned
-// position at or below the clamped hi is guaranteed present in the result.
+// Partitions are the latest epoch's ranges: within that epoch one range-read
+// RPC per continuation goes to the owning group, and the part of the window
+// an earlier epoch laid out is gathered whole. Every owned position at or
+// below the clamped hi is guaranteed present in the result.
 func (c *Client) ReadRangeOwned(owner int, lo, hi uint64) ([]*core.Record, error) {
 	if owner < 0 || owner >= c.placement.NumMaintainers {
 		return nil, fmt.Errorf("flstore: partition %d out of range", owner)
@@ -247,20 +230,16 @@ func (c *Client) ReadRangeOwned(owner int, lo, hi uint64) ([]*core.Record, error
 		return nil, nil
 	}
 	window := make([]*core.Record, hi-lo+1)
-	if c.rangeOK() {
-		if err := c.rangeFromOwner(context.Background(), trace.Ctx{}, owner, lo, hi, window); err != nil {
+	last := len(c.epochs) - 1
+	cut := max(lo, c.epochs[last].FirstLId)
+	if cut > lo {
+		if err := c.gather(context.Background(), trace.Ctx{}, lo, min(cut-1, hi), window); err != nil {
 			return nil, err
 		}
-	} else {
-		// Legacy wiring: one partition scan at the owner's handle.
-		recs, err := c.maintainers[owner].Scan(core.Rule{MinLId: lo, MaxLId: hi})
-		if err != nil {
+	}
+	if cut <= hi {
+		if err := c.rangeFromOwner(context.Background(), trace.Ctx{}, last, owner, cut, hi, window[cut-lo:]); err != nil {
 			return nil, err
-		}
-		for _, r := range recs {
-			if r.LId >= lo && r.LId <= hi {
-				window[r.LId-lo] = r
-			}
 		}
 	}
 	// Walk the owner's blocks in [lo, hi]; any owned position still
@@ -292,26 +271,11 @@ func (c *Client) ReadRangeOwned(owner int, lo, hi uint64) ([]*core.Record, error
 	return out, nil
 }
 
-// readRangeScan is the legacy fallback for readRange: a merged scan across
-// maintainers, placed into out by position.
-func (c *Client) readRangeScan(lo, hi uint64, out []*core.Record) error {
-	recs, err := c.scanMerged(core.Rule{MinLId: lo, MaxLId: hi})
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if r.LId >= lo && r.LId <= hi {
-			out[r.LId-lo] = r
-		}
-	}
-	return nil
-}
-
 // ReadLIds returns the records at the given positions, in input order — the
 // retrieval half of an indexer-resolved tag read. Positions are grouped by
-// owning maintainer and fetched with one MultiRead RPC per owner,
-// concurrently; anything an owner's response omits (not yet replicated at
-// the member that answered) falls back to the single-record path.
+// epoch and owning range and fetched with one MultiRead RPC per group,
+// concurrently; anything a response omits (not yet replicated at the member
+// that answered) falls back to the single-record path.
 func (c *Client) ReadLIds(lids []uint64) ([]*core.Record, error) {
 	return c.ReadLIdsCtx(context.Background(), lids)
 }
@@ -324,22 +288,25 @@ func (c *Client) ReadLIdsCtx(ctx context.Context, lids []uint64) ([]*core.Record
 		return nil, err
 	}
 	out := make([]*core.Record, len(lids))
-	if c.rangeOK() && len(lids) > 1 {
-		byOwner := make(map[int][]uint64)
+	if len(lids) > 1 {
+		type rangeKey struct{ ei, owner int }
+		byOwner := make(map[rangeKey][]uint64)
 		for _, lid := range lids {
-			if lid != 0 {
-				owner := c.placement.Owner(lid)
-				byOwner[owner] = append(byOwner[owner], lid)
+			// A position no epoch covers (0) is left to the single-record
+			// path, which reports it.
+			if ei, err := epochIndexOf(c.epochs, lid); err == nil {
+				k := rangeKey{ei, c.epochs[ei].Placement.Owner(lid)}
+				byOwner[k] = append(byOwner[k], lid)
 			}
 		}
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		got := make(map[uint64]*core.Record, len(lids))
-		for owner, group := range byOwner {
+		for k, group := range byOwner {
 			wg.Add(1)
-			go func(owner int, group []uint64) {
+			go func(k rangeKey, group []uint64) {
 				defer wg.Done()
-				recs, err := c.multiReadOwner(owner, group)
+				recs, err := c.multiReadOwner(k.ei, k.owner, group)
 				if err != nil {
 					return // the single-record fallback covers the group
 				}
@@ -348,7 +315,7 @@ func (c *Client) ReadLIdsCtx(ctx context.Context, lids []uint64) ([]*core.Record
 					got[r.LId] = r
 				}
 				mu.Unlock()
-			}(owner, group)
+			}(k, group)
 		}
 		wg.Wait()
 		for i, lid := range lids {
@@ -367,76 +334,33 @@ func (c *Client) ReadLIdsCtx(ctx context.Context, lids []uint64) ([]*core.Record
 	return out, nil
 }
 
-// multiReadOwner issues one MultiRead against owner's group with read
-// failover.
-func (c *Client) multiReadOwner(owner int, lids []uint64) ([]*core.Record, error) {
-	if c.session != nil {
-		var recs []*core.Record
-		err := c.session.ReadWith(owner, func(mem replica.Member) error {
-			rr, ok := mem.(RangeReadAPI)
-			if !ok {
-				return errNoRangeRead
-			}
-			var e error
-			recs, e = rr.MultiRead(lids)
-			return e
-		})
-		return recs, err
-	}
-	rr, ok := c.maintainers[owner].(RangeReadAPI)
-	if !ok {
-		return nil, errNoRangeRead
-	}
-	return rr.MultiRead(lids)
-}
-
-// frontiersVec returns every range's next-unfilled position (group-wide
-// maximum under replication) — the vector Head() folds.
-func (c *Client) frontiersVec() ([]uint64, error) {
-	if c.session != nil {
-		return c.session.Frontiers()
-	}
-	next := make([]uint64, len(c.maintainers))
-	for i, m := range c.maintainers {
-		n, err := m.NextUnfilled()
-		if err != nil {
-			return nil, err
-		}
-		next[i] = n
-	}
-	return next, nil
+// multiReadOwner issues one MultiRead against range owner of epoch ei,
+// routed by readAt.
+func (c *Client) multiReadOwner(ei, owner int, lids []uint64) (recs []*core.Record, err error) {
+	err = c.readAt(ei, owner, func(m MaintainerAPI) (err error) {
+		recs, err = m.MultiRead(lids)
+		return err
+	})
+	return recs, err
 }
 
 // tailWaitRange parks at rangeIdx's group until the range's local frontier
 // passes cursor or maxWait elapses, with read failover across the group.
 func (c *Client) tailWaitRange(rangeIdx int, cursor uint64, maxWait time.Duration) error {
-	if c.session != nil {
-		return c.session.ReadWith(rangeIdx, func(mem replica.Member) error {
-			rr, ok := mem.(RangeReadAPI)
-			if !ok {
-				return errNoRangeRead
-			}
-			_, err := rr.TailWait(rangeIdx, cursor, maxWait)
-			return err
-		})
-	}
-	rr, ok := c.maintainers[rangeIdx].(RangeReadAPI)
-	if !ok {
-		return errNoRangeRead
-	}
-	_, err := rr.TailWait(rangeIdx, cursor, maxWait)
-	return err
+	return c.readAt(len(c.epochs)-1, rangeIdx, func(m MaintainerAPI) error {
+		_, err := m.TailWait(rangeIdx, cursor, maxWait)
+		return err
+	})
 }
 
 // waitHead blocks until the head of the log reaches cursor, ctx is
 // cancelled, or deadline passes (zero deadline = unbounded), and returns
 // the last head observed. The head advances exactly when the laggard
 // range's frontier does, so each round parks on that range's TailWait
-// long-poll instead of sleeping a fixed tick; legacy wiring without the
-// batched read surface degrades to a bounded sleep poll.
+// long-poll instead of sleeping a fixed tick.
 func (c *Client) waitHead(ctx context.Context, cursor uint64, deadline time.Time) (uint64, error) {
 	for {
-		next, err := c.frontiersVec()
+		next, err := c.session.Frontiers()
 		if err != nil {
 			return 0, err
 		}
@@ -444,10 +368,8 @@ func (c *Client) waitHead(ctx context.Context, cursor uint64, deadline time.Time
 		if cursor == 0 || head >= cursor {
 			return head, nil
 		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return head, err
-			}
+		if err := ctx.Err(); err != nil {
+			return head, err
 		}
 		wait := clientTailWait
 		if !deadline.IsZero() {
@@ -459,35 +381,18 @@ func (c *Client) waitHead(ctx context.Context, cursor uint64, deadline time.Time
 				wait = remain
 			}
 		}
-		if c.rangeOK() {
-			// Park at the first range whose frontier hasn't passed the
-			// cursor; when it has, the loop recomputes the head (other
-			// ranges kept advancing concurrently).
-			lag := 0
-			for r, n := range next {
-				if n <= cursor {
-					lag = r
-					break
-				}
+		// Park at the first range whose frontier hasn't passed the
+		// cursor; when it has, the loop recomputes the head (other
+		// ranges kept advancing concurrently).
+		lag := 0
+		for r, n := range next {
+			if n <= cursor {
+				lag = r
+				break
 			}
-			if err := c.tailWaitRange(lag, cursor, wait); err != nil {
-				return head, err
-			}
-			continue
 		}
-		poll := c.RetryBackoff
-		if poll <= 0 {
-			poll = time.Millisecond
-		}
-		if poll > wait {
-			poll = wait
-		}
-		if ctx != nil {
-			if err := sleepCtx(ctx, poll); err != nil {
-				return head, err
-			}
-		} else {
-			time.Sleep(poll)
+		if err := c.tailWaitRange(lag, cursor, wait); err != nil {
+			return head, err
 		}
 	}
 }
@@ -498,11 +403,7 @@ func (c *Client) waitHead(ctx context.Context, cursor uint64, deadline time.Time
 // advances (TailWait) rather than polling, so the wake-up latency is the
 // append-to-notify path, not a poll interval.
 func (c *Client) WaitHead(lid uint64, timeout time.Duration) (uint64, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	return c.waitHead(nil, lid, deadline)
+	return c.WaitHeadCtx(context.Background(), lid, timeout)
 }
 
 // WaitHeadCtx is WaitHead with cancellation: ctx aborts the frontier

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -42,6 +43,30 @@ func TestDirectClientValidation(t *testing.T) {
 	p := Placement{NumMaintainers: 2, BatchSize: 1}
 	if _, err := NewDirectClient(p, make([]MaintainerAPI, 1), nil); err == nil {
 		t.Error("maintainer count mismatch accepted")
+	}
+}
+
+// TestClientOptionDefaults pins the documented defaults of the read-retry
+// options and that the constructors apply what they are given; a client
+// always owns a session, R = 1 included.
+func TestClientOptionDefaults(t *testing.T) {
+	c, ms := buildDirect(t, 2, 0, 4)
+	if c.readRetries != 50 || c.retryBackoff != 2*time.Millisecond {
+		t.Errorf("defaults: retries=%d backoff=%v, want 50 and 2ms", c.readRetries, c.retryBackoff)
+	}
+	if c.PaceRate() != 0 {
+		t.Errorf("default PaceRate = %v, want 0 (pacing off)", c.PaceRate())
+	}
+	if c.Session() == nil {
+		t.Fatal("unreplicated client has no session")
+	}
+	opt, err := NewDirectClient(c.Placement(), []MaintainerAPI{ms[0], ms[1]}, nil,
+		WithReadRetries(7), WithRetryBackoff(9*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.readRetries != 7 || opt.retryBackoff != 9*time.Millisecond {
+		t.Errorf("options not applied: retries=%d backoff=%v", opt.readRetries, opt.retryBackoff)
 	}
 }
 

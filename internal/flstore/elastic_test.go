@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -320,6 +322,197 @@ func TestOrchestratorGrowEndToEnd(t *testing.T) {
 	if lids[0] != boundary {
 		t.Fatalf("first new-epoch append got LId %d, want the boundary %d", lids[0], boundary)
 	}
+}
+
+// gatedPuller holds every pull until the gate closes, so a test can look at
+// a deployment while the old epoch's migration has not moved a record.
+type gatedPuller struct {
+	inner RangePuller
+	gate  <-chan struct{}
+}
+
+func (g gatedPuller) PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error) {
+	<-g.gate
+	return g.inner.PullRange(rangeIdx, fromLId, limit)
+}
+
+// TestClientReadsAcrossEpochs drives every batched read of the client
+// across an elastic flip, over loopback TCP: records appended under a
+// 2-maintainer epoch, a Grow to 4, more appends, then a client that learned
+// both epochs from the controller's journal reads the whole log. Each
+// surface must return every LId exactly once, in order, with the body that
+// was appended (or the seal filler Pad wrote), from ReadRange/MultiRead
+// RPCs cut at the epoch boundary — never from a Scan — both while the old
+// epoch's migration is held back and after it completes.
+func TestClientReadsAcrossEpochs(t *testing.T) {
+	serve := func(p Placement, firstLId uint64) (MemberSet, error) {
+		var ms MemberSet
+		for i := 0; i < p.NumMaintainers; i++ {
+			m, err := NewMaintainer(MaintainerConfig{Index: i, Placement: p, FirstLId: firstLId})
+			if err != nil {
+				return ms, err
+			}
+			srv := rpc.NewServer()
+			ServeMaintainer(srv, m)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				return ms, err
+			}
+			t.Cleanup(func() { srv.Close() })
+			ms.Maintainers = append(ms.Maintainers, m)
+			ms.Addrs = append(ms.Addrs, addr.String())
+		}
+		return ms, nil
+	}
+	pOld, pNew := Placement{NumMaintainers: 2, BatchSize: 4}, Placement{NumMaintainers: 4, BatchSize: 4}
+	old, err := serve(pOld, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := NewController(Config{Placement: pOld, MaintainerAddrs: old.Addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next MemberSet
+	gate := make(chan struct{})
+	orch, err := NewOrchestrator(OrchestratorConfig{
+		Controller: ctrl,
+		Current:    old,
+		Grow: func(p Placement, firstLId uint64) (MemberSet, error) {
+			ms, err := serve(p, firstLId)
+			next = ms
+			return ms, err
+		},
+		PullSources: func(oldRange int) []RangePuller {
+			return []RangePuller{gatedPuller{old.Maintainers[oldRange], gate}}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := make(map[uint64]string)
+	appendN := func(c *Client, n int, prefix string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			body := fmt.Sprintf("%s-%d", prefix, i)
+			lid, err := c.Append([]byte(body), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[lid] = body
+		}
+	}
+	before, err := NewClient(ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(before, 21, "old")
+	st, err := orch.Grow(pNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(c, 32, "new") // two whole rounds of the new placement
+	head, err := c.HeadExact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head != st.FirstLId-1+32 {
+		t.Fatalf("head = %d, want %d (boundary %d)", head, st.FirstLId-1+32, st.FirstLId)
+	}
+
+	inOrder := func(what string, recs []*core.Record, lids []uint64) {
+		t.Helper()
+		if len(recs) != len(lids) {
+			t.Fatalf("%s returned %d records, want %d", what, len(recs), len(lids))
+		}
+		for i, r := range recs {
+			if r.LId != lids[i] {
+				t.Fatalf("%s position %d holds LId %d, want %d", what, i, r.LId, lids[i])
+			}
+			body, appended := want[r.LId]
+			if string(r.Body) != body {
+				t.Fatalf("%s LId %d body = %q, want %q", what, r.LId, r.Body, body)
+			}
+			if sealed := len(r.Tags) == 1 && r.Tags[0].Key == SealTagKey; sealed == appended {
+				t.Fatalf("%s LId %d: appended=%v but seal filler=%v", what, r.LId, appended, sealed)
+			}
+		}
+	}
+	all := make([]uint64, head)
+	for i := range all {
+		all[i] = uint64(i + 1)
+	}
+	check := func(phase string) {
+		t.Helper()
+		var rangeReads, multiReads [2]uint64
+		for i, m := range old.Maintainers {
+			rangeReads[i], multiReads[i] = m.RangeReads.Value(), m.MultiReads.Value()
+		}
+		recs, err := c.ReadRange(1, 0)
+		if err != nil {
+			t.Fatalf("%s: ReadRange: %v", phase, err)
+		}
+		inOrder(phase+": ReadRange", recs, all)
+
+		shuffled := append([]uint64(nil), all...)
+		rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		if recs, err = c.ReadLIds(shuffled); err != nil {
+			t.Fatalf("%s: ReadLIds: %v", phase, err)
+		}
+		inOrder(phase+": ReadLIds", recs, shuffled)
+
+		var tailed []*core.Record
+		err = c.Tail(context.Background(), 1, func(r *core.Record) bool {
+			tailed = append(tailed, r)
+			return uint64(len(tailed)) < head
+		})
+		if err != nil {
+			t.Fatalf("%s: Tail: %v", phase, err)
+		}
+		inOrder(phase+": Tail", tailed, all)
+
+		// The latest placement's partitions tile the whole log, old epoch
+		// included: each position in exactly one, ascending within it.
+		var owned []*core.Record
+		for part := 0; part < pNew.NumMaintainers; part++ {
+			recs, err := c.ReadRangeOwned(part, 1, 0)
+			if err != nil {
+				t.Fatalf("%s: ReadRangeOwned(%d): %v", phase, part, err)
+			}
+			for i, r := range recs {
+				if pNew.Owner(r.LId) != part || (i > 0 && r.LId <= recs[i-1].LId) {
+					t.Fatalf("%s: partition %d position %d holds LId %d", phase, part, i, r.LId)
+				}
+			}
+			owned = append(owned, recs...)
+		}
+		sort.Slice(owned, func(i, j int) bool { return owned[i].LId < owned[j].LId })
+		inOrder(phase+": ReadRangeOwned", owned, all)
+
+		for set, ms := range [][]*Maintainer{old.Maintainers, next.Maintainers} {
+			for i, m := range ms {
+				if n := m.ScanCalls.Value(); n != 0 {
+					t.Errorf("%s: epoch %d maintainer %d served %d scans", phase, set, i, n)
+				}
+				if set == 0 && (m.RangeReads.Value() == rangeReads[i] || m.MultiReads.Value() == multiReads[i]) {
+					t.Errorf("%s: old maintainer %d served no range read or no multi-read", phase, i)
+				}
+			}
+		}
+	}
+	check("migration held")
+	close(gate)
+	if err := orch.WaitMigration(); err != nil {
+		t.Fatal(err)
+	}
+	check("migration done")
 }
 
 // severAfter serves `after` pulls, then severs the injector link so the

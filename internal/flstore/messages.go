@@ -45,6 +45,16 @@ const (
 	msgAdminPropose
 )
 
+// Smallest encodings of the variable-size elements the control-plane
+// decoders count-prefix: wire.AppendString is a u16 length plus bytes, a
+// posting two strings and a u64 LId. Decoders size their result by what
+// the remaining bytes can hold at these sizes, never by the claimed count
+// alone.
+const (
+	minStringSize  = 2
+	minPostingSize = 2*minStringSize + 8
+)
+
 // --- encoding helpers ---
 
 func appendRule(dst []byte, ru core.Rule) []byte {
@@ -173,7 +183,9 @@ func decodePostings(buf []byte) ([]Posting, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	off := 4
-	ps := make([]Posting, 0, n)
+	// A posting is at least two empty strings and an LId; a count the
+	// remaining bytes cannot hold fails in the loop, not in the allocator.
+	ps := make([]Posting, 0, min(n, (len(buf)-off)/minPostingSize))
 	for i := 0; i < n; i++ {
 		key, used, err := wire.DecodeString(buf[off:])
 		if err != nil {
@@ -234,7 +246,7 @@ func decodeConfig(buf []byte) (*Config, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
-		addrs := make([]string, 0, n)
+		addrs := make([]string, 0, min(n, (len(buf)-off)/minStringSize))
 		for i := 0; i < n; i++ {
 			s, used, err := wire.DecodeString(buf[off:])
 			if err != nil {
@@ -299,51 +311,71 @@ func decodeConfig(buf []byte) (*Config, error) {
 
 // --- server adapters ---
 
+// batchPrefix is the width of the fixed header that precedes the record
+// batch in a batch-carrying request: AppendAfter's u64 bound, AppendFor's
+// u32 range index, nothing for the rest. Stub and handler both frame by it.
+func batchPrefix(msg uint8) int {
+	switch msg {
+	case msgAppendAfter:
+		return 8
+	case msgAppendFor:
+		return 4
+	}
+	return 0
+}
+
+// serveBatch is the handler behind the five batch-carrying calls. The
+// request payload is borrowed (it aliases the connection's read scratch);
+// DecodeRecordsShared materializes retainable records in O(1) allocations
+// per batch. The RPC envelope's trace context is restamped onto the decoded
+// records (the codec doesn't carry it), so the maintainer's hops join the
+// caller's trace; untraced requests arrive with the zero context. The calls
+// that assign positions reply with the LIds, the two that ingest placed
+// records with an empty body.
+func serveBatch(m MaintainerAPI, msg uint8, tc *trace.Ctx, p []byte) ([]byte, error) {
+	n := batchPrefix(msg)
+	if len(p) < n {
+		return nil, errors.New("flstore: short append request")
+	}
+	recs, _, err := core.DecodeRecordsShared(p[n:])
+	if err != nil {
+		return nil, err
+	}
+	stampRecords(recs, tc)
+	var lids []uint64
+	switch msg {
+	case msgAppend:
+		lids, err = m.Append(recs)
+	case msgAppendAfter:
+		lids, err = m.AppendAfter(binary.LittleEndian.Uint64(p), recs)
+	case msgAppendFor:
+		lids, err = m.AppendFor(int(binary.LittleEndian.Uint32(p)), recs)
+	case msgAppendAssigned:
+		return nil, m.AppendAssigned(recs)
+	case msgReplicaAppend:
+		return nil, m.ReplicaAppend(recs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return appendLIds(nil, lids), nil
+}
+
+// u64Reply encodes the reply of the calls that answer with one position.
+func u64Reply(v uint64, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return binary.LittleEndian.AppendUint64(nil, v), nil
+}
+
 // ServeMaintainer registers RPC handlers exposing m on srv.
 func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
-	// The append handlers decode with DecodeRecordsShared: the request
-	// payload is borrowed (it aliases the connection's read scratch), and
-	// the arena decode materializes retainable records in O(1) allocations
-	// per batch. They register traced: the RPC envelope's trace context is
-	// restamped onto the decoded records (the codec doesn't carry it), so
-	// the maintainer's hops join the caller's trace; untraced requests
-	// reach the same handlers with the zero context.
-	srv.HandleTraced(msgAppend, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		recs, _, err := core.DecodeRecordsShared(p)
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		lids, err := m.Append(recs)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, lids), nil
-	})
-	srv.HandleTraced(msgAppendAssigned, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		recs, _, err := core.DecodeRecordsShared(p)
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		return nil, m.AppendAssigned(recs)
-	})
-	srv.HandleTraced(msgAppendAfter, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		if len(p) < 8 {
-			return nil, errors.New("flstore: short AppendAfter request")
-		}
-		minLId := binary.LittleEndian.Uint64(p)
-		recs, _, err := core.DecodeRecordsShared(p[8:])
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		lids, err := m.AppendAfter(minLId, recs)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, lids), nil
-	})
+	for _, msg := range []uint8{msgAppend, msgAppendAssigned, msgAppendAfter, msgAppendFor, msgReplicaAppend} {
+		srv.HandleTraced(msg, func(tc *trace.Ctx, p []byte) ([]byte, error) {
+			return serveBatch(m, msg, tc, p)
+		})
+	}
 	srv.Handle(msgRead, func(p []byte) ([]byte, error) {
 		if len(p) < 8 {
 			return nil, errors.New("flstore: short Read request")
@@ -365,20 +397,8 @@ func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
 		}
 		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
 	})
-	srv.Handle(msgHead, func(p []byte) ([]byte, error) {
-		h, err := m.Head()
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, h), nil
-	})
-	srv.Handle(msgNextUnfilled, func(p []byte) ([]byte, error) {
-		n, err := m.NextUnfilled()
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, n), nil
-	})
+	srv.Handle(msgHead, func(p []byte) ([]byte, error) { return u64Reply(m.Head()) })
+	srv.Handle(msgNextUnfilled, func(p []byte) ([]byte, error) { return u64Reply(m.NextUnfilled()) })
 	srv.Handle(msgGossipVecs, func(p []byte) ([]byte, error) {
 		next, n, err := decodeLIds(p)
 		if err != nil {
@@ -394,46 +414,53 @@ func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
 		}
 		return appendLIds(appendLIds(nil, myNext), myDur), nil
 	})
-	if r, ok := m.(ReplicaAPI); ok {
-		serveReplicaOps(srv, r)
-	}
-	if rr, ok := m.(RangeReadAPI); ok {
-		serveRangeReadOps(srv, rr)
-	}
-	if iv, ok := m.(InvalidationAPI); ok {
-		serveInvalidationOps(srv, iv)
-	}
-}
 
-// serveInvalidationOps registers the Hermes-style invalidation handlers
-// for maintainers that implement InvalidationAPI. msgInvalidate is the
-// fast-path control frame riding ahead of every fan-out payload: two
-// fixed words, no response body, decoded in place.
-func serveInvalidationOps(srv *rpc.Server, iv InvalidationAPI) {
+	// Replication: the catch-up feed and per-range frontiers (the two
+	// batch-carrying replica calls are registered above).
+	srv.Handle(msgRangeFrontier, func(p []byte) ([]byte, error) {
+		if len(p) < 4 {
+			return nil, errors.New("flstore: short RangeFrontier request")
+		}
+		return u64Reply(m.RangeFrontier(int(binary.LittleEndian.Uint32(p))))
+	})
+	srv.Handle(msgPullRange, func(p []byte) ([]byte, error) {
+		if len(p) < 16 {
+			return nil, errors.New("flstore: short PullRange request")
+		}
+		rangeIdx := int(binary.LittleEndian.Uint32(p))
+		from := binary.LittleEndian.Uint64(p[4:])
+		limit := int(binary.LittleEndian.Uint32(p[12:]))
+		recs, err := m.PullRange(rangeIdx, from, limit)
+		if err != nil {
+			return nil, err
+		}
+		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
+	})
+
+	// Hermes-style invalidation. msgInvalidate is the fast-path control
+	// frame riding ahead of every fan-out payload: two fixed words, no
+	// response body, decoded in place.
 	srv.Handle(msgInvalidate, func(p []byte) ([]byte, error) {
 		if len(p) < 16 {
 			return nil, errors.New("flstore: short Invalidate request")
 		}
-		return nil, iv.Invalidate(int(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]))
+		return nil, m.Invalidate(int(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]))
 	})
 	srv.Handle(msgWatermark, func(p []byte) ([]byte, error) {
 		if len(p) < 8 {
 			return nil, errors.New("flstore: short Watermark request")
 		}
-		wm, ann, err := iv.ValidityWatermark(int(binary.LittleEndian.Uint64(p)))
+		wm, ann, err := m.ValidityWatermark(int(binary.LittleEndian.Uint64(p)))
 		if err != nil {
 			return nil, err
 		}
 		resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), wm)
 		return binary.LittleEndian.AppendUint64(resp, ann), nil
 	})
-}
 
-// serveRangeReadOps registers the batched read-path handlers for
-// maintainers that implement RangeReadAPI. msgTailWait is registered
-// detached: a parked long-poll must not head-of-line-block the pipelined
-// requests behind it on a shared connection.
-func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
+	// Batched reads. msgTailWait is registered detached: a parked long-poll
+	// must not head-of-line-block the pipelined requests behind it on a
+	// shared connection.
 	srv.HandleTraced(msgReadRange, func(tc *trace.Ctx, p []byte) ([]byte, error) {
 		if len(p) < 28 {
 			return nil, errors.New("flstore: short ReadRange request")
@@ -446,7 +473,7 @@ func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
 			MaxBytes:   int(binary.LittleEndian.Uint32(p[24:])),
 			Trace:      *tc,
 		}
-		res, err := rr.ReadRange(q)
+		res, err := m.ReadRange(q)
 		if err != nil {
 			return nil, err
 		}
@@ -457,7 +484,7 @@ func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
 		if err != nil {
 			return nil, err
 		}
-		recs, err := rr.MultiRead(lids)
+		recs, err := m.MultiRead(lids)
 		if err != nil {
 			return nil, err
 		}
@@ -470,63 +497,7 @@ func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
 		rangeIdx := int(int32(binary.LittleEndian.Uint32(p)))
 		cursor := binary.LittleEndian.Uint64(p[4:])
 		maxWait := time.Duration(int64(binary.LittleEndian.Uint64(p[12:])))
-		f, err := rr.TailWait(rangeIdx, cursor, maxWait)
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, f), nil
-	})
-}
-
-// serveReplicaOps registers the replication handlers for maintainers that
-// implement ReplicaAPI.
-func serveReplicaOps(srv *rpc.Server, r ReplicaAPI) {
-	srv.HandleTraced(msgAppendFor, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		if len(p) < 4 {
-			return nil, errors.New("flstore: short AppendFor request")
-		}
-		rangeIdx := int(binary.LittleEndian.Uint32(p))
-		recs, _, err := core.DecodeRecordsShared(p[4:])
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		lids, err := r.AppendFor(rangeIdx, recs)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, lids), nil
-	})
-	srv.HandleTraced(msgReplicaAppend, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		recs, _, err := core.DecodeRecordsShared(p)
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		return nil, r.ReplicaAppend(recs)
-	})
-	srv.Handle(msgRangeFrontier, func(p []byte) ([]byte, error) {
-		if len(p) < 4 {
-			return nil, errors.New("flstore: short RangeFrontier request")
-		}
-		f, err := r.RangeFrontier(int(binary.LittleEndian.Uint32(p)))
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, f), nil
-	})
-	srv.Handle(msgPullRange, func(p []byte) ([]byte, error) {
-		if len(p) < 16 {
-			return nil, errors.New("flstore: short PullRange request")
-		}
-		rangeIdx := int(binary.LittleEndian.Uint32(p))
-		from := binary.LittleEndian.Uint64(p[4:])
-		limit := int(binary.LittleEndian.Uint32(p[12:]))
-		recs, err := r.PullRange(rangeIdx, from, limit)
-		if err != nil {
-			return nil, err
-		}
-		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
+		return u64Reply(m.TailWait(rangeIdx, cursor, maxWait))
 	})
 }
 
@@ -679,65 +650,64 @@ type maintainerClient struct{ c rpc.Client }
 // NewMaintainerClient wraps an RPC client as a MaintainerAPI.
 func NewMaintainerClient(c rpc.Client) MaintainerAPI { return &maintainerClient{c: c} }
 
-func (mc *maintainerClient) Append(recs []*core.Record) ([]uint64, error) {
-	// Encode the batch into a pooled buffer: Call only borrows the request
-	// payload for the call's duration, so it can go back to the pool after.
-	// The batch's trace context (if any) rides the traced envelope —
-	// CallTraced degrades to a plain Call for untraced batches.
+// callBatch is the stub behind the five batch-carrying calls. The request
+// — the message's fixed header (batchPrefix) then the batch — is encoded
+// into a pooled buffer: Call only borrows the payload for the call's
+// duration, so it goes back to the pool after. The batch's trace context
+// (if any) rides the traced envelope; CallTraced degrades to a plain Call
+// for untraced batches. When the call assigns positions (wantLIds) the
+// reply's LIds are stamped onto the caller's records, mirroring the
+// in-process behaviour; a batch buffered for later release assigns none.
+func (mc *maintainerClient) callBatch(msg uint8, prefix uint64, recs []*core.Record, wantLIds bool) ([]uint64, error) {
 	tc := batchTrace(recs)
 	req := wire.GetBuf()
+	switch batchPrefix(msg) {
+	case 8:
+		*req = binary.LittleEndian.AppendUint64(*req, prefix)
+	case 4:
+		*req = binary.LittleEndian.AppendUint32(*req, uint32(prefix))
+	}
 	*req = core.AppendRecords(*req, recs)
-	resp, err := rpc.CallTraced(mc.c, &tc, msgAppend, *req)
+	resp, err := rpc.CallTraced(mc.c, &tc, msg, *req)
 	wire.PutBuf(req)
-	if err != nil {
+	if err != nil || !wantLIds {
 		return nil, mapRemoteError(err)
 	}
 	lids, _, err := decodeLIds(resp)
-	if err != nil {
+	if err != nil || len(lids) == 0 {
 		return nil, err
 	}
-	// Mirror the in-process behaviour: assign LIds onto the caller's
-	// records.
 	for i, r := range recs {
 		if i < len(lids) {
 			r.LId = lids[i]
 		}
 	}
 	return lids, nil
+}
+
+// callU64 is the stub behind the calls that answer with one position.
+func (mc *maintainerClient) callU64(msg uint8, name string, req []byte) (uint64, error) {
+	resp, err := mc.c.Call(msg, req)
+	if err != nil {
+		return 0, mapRemoteError(err)
+	}
+	if len(resp) < 8 {
+		return 0, fmt.Errorf("flstore: short %s response", name)
+	}
+	return binary.LittleEndian.Uint64(resp), nil
+}
+
+func (mc *maintainerClient) Append(recs []*core.Record) ([]uint64, error) {
+	return mc.callBatch(msgAppend, 0, recs, true)
 }
 
 func (mc *maintainerClient) AppendAssigned(recs []*core.Record) error {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	*req = core.AppendRecords(*req, recs)
-	_, err := rpc.CallTraced(mc.c, &tc, msgAppendAssigned, *req)
-	wire.PutBuf(req)
-	return mapRemoteError(err)
+	_, err := mc.callBatch(msgAppendAssigned, 0, recs, false)
+	return err
 }
 
 func (mc *maintainerClient) AppendAfter(minLId uint64, recs []*core.Record) ([]uint64, error) {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	*req = binary.LittleEndian.AppendUint64(*req, minLId)
-	*req = core.AppendRecords(*req, recs)
-	resp, err := rpc.CallTraced(mc.c, &tc, msgAppendAfter, *req)
-	wire.PutBuf(req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	lids, _, err := decodeLIds(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(lids) == 0 {
-		return nil, nil
-	}
-	for i, r := range recs {
-		if i < len(lids) {
-			r.LId = lids[i]
-		}
-	}
-	return lids, nil
+	return mc.callBatch(msgAppendAfter, minLId, recs, true)
 }
 
 func (mc *maintainerClient) Read(lid uint64) (*core.Record, error) {
@@ -759,70 +729,28 @@ func (mc *maintainerClient) Scan(rule core.Rule) ([]*core.Record, error) {
 }
 
 func (mc *maintainerClient) Head() (uint64, error) {
-	resp, err := mc.c.Call(msgHead, nil)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short Head response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return mc.callU64(msgHead, "Head", nil)
 }
 
 func (mc *maintainerClient) NextUnfilled() (uint64, error) {
-	resp, err := mc.c.Call(msgNextUnfilled, nil)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short NextUnfilled response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return mc.callU64(msgNextUnfilled, "NextUnfilled", nil)
 }
 
 func (mc *maintainerClient) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error) {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	*req = binary.LittleEndian.AppendUint32(*req, uint32(rangeIdx))
-	*req = core.AppendRecords(*req, recs)
-	resp, err := rpc.CallTraced(mc.c, &tc, msgAppendFor, *req)
-	wire.PutBuf(req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	lids, _, err := decodeLIds(resp)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range recs {
-		if i < len(lids) {
-			r.LId = lids[i]
-		}
-	}
-	return lids, nil
+	return mc.callBatch(msgAppendFor, uint64(rangeIdx), recs, true)
 }
 
 func (mc *maintainerClient) ReplicaAppend(recs []*core.Record) error {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	*req = core.AppendRecords(*req, recs)
-	_, err := rpc.CallTraced(mc.c, &tc, msgReplicaAppend, *req)
-	wire.PutBuf(req)
-	return mapRemoteError(err)
+	_, err := mc.callBatch(msgReplicaAppend, 0, recs, false)
+	return err
 }
 
 func (mc *maintainerClient) RangeFrontier(rangeIdx int) (uint64, error) {
 	req := wire.GetBuf()
 	*req = binary.LittleEndian.AppendUint32(*req, uint32(rangeIdx))
-	resp, err := mc.c.Call(msgRangeFrontier, *req)
+	f, err := mc.callU64(msgRangeFrontier, "RangeFrontier", *req)
 	wire.PutBuf(req)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short RangeFrontier response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return f, err
 }
 
 func (mc *maintainerClient) PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error) {
@@ -870,14 +798,7 @@ func (mc *maintainerClient) TailWait(rangeIdx int, cursor uint64, maxWait time.D
 	req = binary.LittleEndian.AppendUint32(req, uint32(int32(rangeIdx)))
 	req = binary.LittleEndian.AppendUint64(req, cursor)
 	req = binary.LittleEndian.AppendUint64(req, uint64(int64(maxWait)))
-	resp, err := mc.c.Call(msgTailWait, req)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short TailWait response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return mc.callU64(msgTailWait, "TailWait", req)
 }
 
 func (mc *maintainerClient) Invalidate(rangeIdx int, upTo uint64) error {

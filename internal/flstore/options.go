@@ -1,12 +1,10 @@
 package flstore
 
 // Functional options for Client construction, taken by every constructor
-// (NewClient, NewDirectClient, NewReplicatedDirectClient). These supersede
-// mutating the exported knob fields (ReadRetries, RetryBackoff,
-// DisableRangeRead) after construction: options are applied once, after
-// the replica session is built and before the client serves calls, so there
-// is no window where a concurrent reader sees a half-configured client. The
-// old fields keep working for existing callers.
+// (NewClient, NewDirectClient, NewReplicatedDirectClient) and the only way
+// to configure a Client: options are applied once, after the replica session
+// is built and before the client serves calls, so there is no window where
+// a concurrent reader sees a half-configured client.
 
 import (
 	"time"
@@ -20,21 +18,13 @@ type ClientOption func(*Client)
 // WithReadRetries bounds how many attempts reads make while the requested
 // position is past the head of the log (default 50).
 func WithReadRetries(n int) ClientOption {
-	return func(c *Client) { c.ReadRetries = n }
+	return func(c *Client) { c.readRetries = n }
 }
 
 // WithRetryBackoff sets the base of the capped-exponential schedule read
-// retries sleep on, and the legacy tail/poll tick (default 2ms; 0 disables
-// sleeping between read retries).
+// retries sleep on (default 2ms; 0 disables sleeping between read retries).
 func WithRetryBackoff(d time.Duration) ClientOption {
-	return func(c *Client) { c.RetryBackoff = d }
-}
-
-// WithRangeReadDisabled forces the legacy single-record/scan read paths
-// even when every maintainer supports batched reads — the comparison knob
-// the read-path experiment and benchmarks flip.
-func WithRangeReadDisabled(v bool) ClientOption {
-	return func(c *Client) { c.DisableRangeRead = v }
+	return func(c *Client) { c.retryBackoff = d }
 }
 
 // WithAppendRetries lets the append path retry a retryable rejection
@@ -64,24 +54,16 @@ func WithAdaptivePacing() ClientOption {
 // WithQuorumFanout lets replicated appends return as soon as the ack
 // policy's quorum of copies is stored (fsynced on durable members),
 // detaching the remaining fan-out — a degraded follower's disk stops
-// sitting on the append p99. No-op on unreplicated clients; see
+// sitting on the append p99. With R = 1 there is no fan-out to detach; see
 // replica.SessionConfig.QuorumFanout for the trade-off.
 func WithQuorumFanout() ClientOption {
-	return func(c *Client) {
-		if c.session != nil {
-			c.session.SetQuorumFanout(true)
-		}
-	}
+	return func(c *Client) { c.session.SetQuorumFanout(true) }
 }
 
-// WithReadPolicy sets the replica read-placement policy on a replicated
-// client (replica.OwnerFirst, replica.SpreadReads, replica.NearestFirst).
-// Reads still fail over across the group in policy order when the picked
-// member is down or behind. No-op on unreplicated clients.
+// WithReadPolicy sets the replica read-placement policy
+// (replica.OwnerFirst, replica.SpreadReads, replica.NearestFirst). Reads
+// still fail over across the group in policy order when the picked member
+// is down or behind. With R = 1 every policy picks the owner.
 func WithReadPolicy(p replica.ReadPolicy) ClientOption {
-	return func(c *Client) {
-		if c.session != nil {
-			c.session.SetReadPolicy(p)
-		}
-	}
+	return func(c *Client) { c.session.SetReadPolicy(p) }
 }

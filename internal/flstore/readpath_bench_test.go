@@ -171,38 +171,28 @@ func TestTailCachedReadAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkTailPushVsPoll contrasts the two tail implementations on a
-// pre-filled log: the subscription path drains it in chunked range reads;
-// the legacy path (DisableRangeRead) re-derives the head and merges scans.
-func BenchmarkTailPushVsPoll(b *testing.B) {
-	for _, legacy := range []bool{false, true} {
-		name := "push"
-		if legacy {
-			name = "poll"
-		}
-		b.Run(name, func(b *testing.B) {
-			c, _ := newReadStack(b, 2, 8)
-			c.DisableRangeRead = legacy
-			head, err := c.HeadExact()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seen := uint64(0)
-				err := c.Tail(ctx, 1, func(r *core.Record) bool {
-					seen++
-					return seen < head
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if seen != head {
-					b.Fatalf("tailed %d of %d", seen, head)
-				}
-			}
+// BenchmarkTail drains a pre-filled log through the tail subscription:
+// chunked scatter-gather range reads up to the head.
+func BenchmarkTail(b *testing.B) {
+	c, _ := newReadStack(b, 2, 8)
+	head, err := c.HeadExact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seen := uint64(0)
+		err := c.Tail(ctx, 1, func(r *core.Record) bool {
+			seen++
+			return seen < head
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if seen != head {
+			b.Fatalf("tailed %d of %d", seen, head)
+		}
 	}
 }

@@ -300,24 +300,6 @@ func TestClientReadRangeMergesByPlacement(t *testing.T) {
 	if recs, err = c.ReadRange(head+1, head+10); err != nil || len(recs) != 0 {
 		t.Fatalf("past-head range = %d recs, %v", len(recs), err)
 	}
-	// The legacy scan path returns the same full window.
-	full, err := c.ReadRange(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.DisableRangeRead = true
-	legacy, err := c.ReadRange(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != len(legacy) {
-		t.Fatalf("legacy path returned %d records, batched %d", len(legacy), len(full))
-	}
-	for i := range legacy {
-		if legacy[i].LId != full[i].LId || !bytes.Equal(legacy[i].Body, full[i].Body) {
-			t.Fatalf("legacy/batched disagree at %d: %d vs %d", i, legacy[i].LId, full[i].LId)
-		}
-	}
 }
 
 func TestClientReadLIdsPreservesInputOrder(t *testing.T) {
@@ -500,10 +482,6 @@ func TestTailSurvivesMaintainerKillMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !client.rangeOK() {
-		t.Fatal("replicated RPC wiring lost the batched read surface")
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	got := collectTail(t, client, ctx)
@@ -676,11 +654,7 @@ func TestRangeReadOverRPC(t *testing.T) {
 	}
 	srv := rpc.NewServer()
 	ServeMaintainer(srv, m)
-	mc := NewMaintainerClient(rpc.NewLocalClient(srv))
-	rr, ok := mc.(RangeReadAPI)
-	if !ok {
-		t.Fatal("RPC maintainer client lacks RangeReadAPI")
-	}
+	rr := NewMaintainerClient(rpc.NewLocalClient(srv))
 	var recs []*core.Record
 	for i := 0; i < 10; i++ {
 		recs = append(recs, &core.Record{Body: []byte(fmt.Sprintf("r%d", i)),

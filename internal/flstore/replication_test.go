@@ -12,14 +12,14 @@ import (
 	"repro/internal/rpc"
 )
 
-// The maintainer and its RPC client must both satisfy the replica-session
-// surface; a signature drift fails compilation here rather than at a
-// type-assertion inside initSession.
+// The maintainer and its RPC client both implement the whole maintainer
+// surface, and that surface is what a replica session asks of a member: the
+// client converts []MaintainerAPI to []replica.Member element-wise, so a
+// signature drift fails compilation here.
 var (
-	_ replica.Member = (*Maintainer)(nil)
-	_ replica.Member = (*maintainerClient)(nil)
-	_ ReplicaAPI     = (*Maintainer)(nil)
-	_ ReplicaAPI     = (*maintainerClient)(nil)
+	_ MaintainerAPI  = (*Maintainer)(nil)
+	_ MaintainerAPI  = (*maintainerClient)(nil)
+	_ replica.Member = MaintainerAPI(nil)
 )
 
 // buildReplicatedDirect wires n in-process maintainers with replication r

@@ -1,18 +1,18 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§7), plus the ablations DESIGN.md calls out. Each benchmark
-// reports the experiment's headline metrics via b.ReportMetric, so
+// evaluation (§7), the ablations DESIGN.md calls out and the extension
+// experiments: one sub-benchmark per entry of cluster.Experiments, the same
+// table `go run ./cmd/repro` prints in full. Each reports the entry's
+// headline metrics via b.ReportMetric, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Experiments/fig7' -benchtime 1x
 //
-// prints the reproduced numbers; `go run ./cmd/repro` prints the same
-// experiments as full tables with the paper's values alongside.
+// prints one experiment's reproduced numbers.
 //
-// The measurement windows here are kept short (the benchmarks re-run per
+// The measurement window here is kept short (an experiment re-runs per
 // b.N iteration); EXPERIMENTS.md records the full-length runs.
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -21,255 +21,24 @@ import (
 
 const benchWindow = 500 * time.Millisecond
 
-// BenchmarkFig7SingleMaintainerLoadCurve reproduces Figure 7: achieved
-// throughput of one maintainer as the offered target sweeps past its
-// capacity — rise, peak, slight decline.
-func BenchmarkFig7SingleMaintainerLoadCurve(b *testing.B) {
-	for _, target := range []float64{50_000, 150_000, 300_000} {
-		b.Run(fmt.Sprintf("target=%.0fK", target/1000), func(b *testing.B) {
-			var achieved float64
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunFLStore(cluster.FLStoreOptions{
-					Profile:         cluster.PrivateCloud(),
-					Maintainers:     1,
-					TargetPerClient: target,
-					Duration:        benchWindow,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				achieved = res.AchievedTotal
-			}
-			b.ReportMetric(achieved, "achieved-appends/s")
-			b.ReportMetric(target, "offered-appends/s")
-		})
-	}
-}
-
-// BenchmarkFig8FLStoreScaling reproduces Figure 8: cumulative append
-// throughput versus maintainer count for the paper's three series.
-func BenchmarkFig8FLStoreScaling(b *testing.B) {
-	series := []struct {
-		name    string
-		profile cluster.Profile
-		target  float64
-	}{
-		{"public-125K", cluster.PublicCloud(), 125_000},
-		{"public-250K", cluster.PublicCloud(), 250_000},
-		{"private", cluster.PrivateCloud(), 250_000},
-	}
-	for _, s := range series {
-		for _, n := range []int{1, 5, 10} {
-			b.Run(fmt.Sprintf("%s/maintainers=%d", s.name, n), func(b *testing.B) {
-				var achieved float64
-				for i := 0; i < b.N; i++ {
-					res, err := cluster.RunFLStore(cluster.FLStoreOptions{
-						Profile:         s.profile,
-						Maintainers:     n,
-						TargetPerClient: s.target,
-						Duration:        benchWindow,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					achieved = res.AchievedTotal
-				}
-				b.ReportMetric(achieved, "achieved-appends/s")
-				b.ReportMetric(achieved/float64(n), "per-maintainer-appends/s")
-			})
-		}
-	}
-}
-
-// benchPipeline runs one Tables-2–5 configuration and reports the client
-// (end-to-end) and bottleneck stage throughputs.
-func benchPipeline(b *testing.B, clients, batchers, filters, queues int) {
-	b.Helper()
-	var clientTotal, bottleneck float64
-	var stage string
-	for i := 0; i < b.N; i++ {
-		res, err := cluster.RunPipeline(cluster.PipelineOptions{
-			Profile: cluster.PrivateCloud(),
-			Clients: clients, Batchers: batchers, Filters: filters,
-			Queues: queues, Maintainers: queues,
-			Duration: benchWindow,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		totals := res.StageTotals()
-		clientTotal = totals["Client"]
-		stage = res.Bottleneck
-		bottleneck = totals[stage]
-	}
-	b.ReportMetric(clientTotal, "client-appends/s")
-	b.ReportMetric(bottleneck, "bottleneck-appends/s")
-	b.Logf("bottleneck stage: %s", stage)
-}
-
-// BenchmarkTable2PipelineBaseline: one machine per stage — every stage
-// runs at roughly the same ≈125K records/s.
-func BenchmarkTable2PipelineBaseline(b *testing.B) { benchPipeline(b, 1, 1, 1, 1) }
-
-// BenchmarkTable3TwoClients: a second client halves per-client throughput;
-// the batcher stage becomes the bottleneck.
-func BenchmarkTable3TwoClients(b *testing.B) { benchPipeline(b, 2, 1, 1, 1) }
-
-// BenchmarkTable4TwoBatchers: a second batcher moves the bottleneck to the
-// filter stage.
-func BenchmarkTable4TwoBatchers(b *testing.B) { benchPipeline(b, 2, 2, 1, 1) }
-
-// BenchmarkTable5TwoOfEachStage: two machines per stage double the whole
-// pipeline.
-func BenchmarkTable5TwoOfEachStage(b *testing.B) { benchPipeline(b, 2, 2, 2, 2) }
-
-// BenchmarkFig9Timeseries reproduces Figure 9's drain study: a fixed
-// record count flows through the Table-4 configuration; the reported
-// metrics are the queue stage's steady rate and its post-spike rate after
-// the batchers stop transmitting.
-func BenchmarkFig9Timeseries(b *testing.B) {
-	var steady, spike float64
-	for i := 0; i < b.N; i++ {
-		profile := cluster.PrivateCloud()
-		res, err := cluster.RunPipeline(cluster.PipelineOptions{
-			Profile: profile,
-			Clients: 2, Batchers: 2, Filters: 1, Queues: 1, Maintainers: 1,
-			Records:      uint64(200_000 / profile.ScaleFactor()),
-			SampleWindow: 100 * time.Millisecond,
-			ChannelDepth: 1 << 21,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples := res.Samples["Queue"]
-		batcher := res.Samples["Batcher 1"]
-		// Steady phase: while the batcher is active; spike: after.
-		var batcherEnd time.Duration
-		for _, s := range batcher {
-			if s.Count > 0 {
-				batcherEnd = s.Elapsed
-			}
-		}
-		var steadySum, spikeMax float64
-		var steadyN int
-		for _, s := range samples {
-			if s.Elapsed <= batcherEnd {
-				steadySum += s.Rate
-				steadyN++
-			} else if s.Rate > spikeMax {
-				spikeMax = s.Rate
-			}
-		}
-		if steadyN > 0 {
-			steady = steadySum / float64(steadyN)
-		}
-		spike = spikeMax
-	}
-	b.ReportMetric(steady, "queue-steady-appends/s")
-	b.ReportMetric(spike, "queue-after-spike-appends/s")
-}
-
-// BenchmarkAblationSequencerVsFLStore: the motivating comparison — a
-// CORFU-style pre-assignment sequencer plateaus while FLStore scales.
-func BenchmarkAblationSequencerVsFLStore(b *testing.B) {
-	for _, n := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
-			var seq, fl float64
-			for i := 0; i < b.N; i++ {
-				points, err := cluster.RunSequencerVsFLStore(cluster.PrivateCloud(),
-					[]int{n}, 200_000, benchWindow)
-				if err != nil {
-					b.Fatal(err)
-				}
-				seq = points[0].Sequencer
-				fl = points[0].FLStore
-			}
-			b.ReportMetric(seq, "sequencer-appends/s")
-			b.ReportMetric(fl, "flstore-appends/s")
-		})
-	}
-}
-
-// BenchmarkAblationBatchSize: FLStore's placement round size does not gate
-// append bandwidth (§5.2 design choice).
-func BenchmarkAblationBatchSize(b *testing.B) {
-	for _, batch := range []uint64{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			var achieved float64
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunFLStoreWithBatch(cluster.FLStoreOptions{
-					Profile:         cluster.PrivateCloud(),
-					Maintainers:     4,
-					TargetPerClient: 125_000,
-					Duration:        benchWindow,
-				}, batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				achieved = res.AchievedTotal
-			}
-			b.ReportMetric(achieved, "achieved-appends/s")
-		})
-	}
-}
-
-// BenchmarkAblationGossipInterval: gossip frequency trades head-of-log
-// freshness (read latency) without touching append throughput (§5.4).
-func BenchmarkAblationGossipInterval(b *testing.B) {
-	for _, interval := range []time.Duration{time.Millisecond, 20 * time.Millisecond} {
-		b.Run(fmt.Sprintf("gossip=%s", interval), func(b *testing.B) {
-			var lag uint64
-			var thr float64
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range cluster.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			var rep *cluster.Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				lag, thr, err = cluster.RunGossipAblation(cluster.PrivateCloud(), 4, 100_000, interval, benchWindow)
-				if err != nil {
+				if rep, err = e.Run(benchWindow); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(lag), "head-lag-records")
-			b.ReportMetric(thr, "achieved-appends/s")
-		})
-	}
-}
-
-// BenchmarkAblationTokenCarry: deferred records carried with the token
-// versus parked at one queue (§6.2 trade-off).
-func BenchmarkAblationTokenCarry(b *testing.B) {
-	for _, carry := range []bool{true, false} {
-		b.Run(fmt.Sprintf("carry=%v", carry), func(b *testing.B) {
-			var lat time.Duration
-			for i := 0; i < b.N; i++ {
-				var err error
-				lat, err = cluster.RunTokenCarryAblation(carry, 200*time.Millisecond)
-				if err != nil {
-					b.Fatal(err)
+			for _, m := range rep.Metrics {
+				b.ReportMetric(m.Value, m.Name)
+			}
+			for _, bar := range rep.Bars {
+				if err := bar.Err(); err != nil {
+					b.Log(err) // bars are stated for repro's full window
 				}
 			}
-			b.ReportMetric(float64(lat.Microseconds()), "dependent-apply-us")
-		})
-	}
-}
-
-// BenchmarkAblationBatcherFlush: the batcher flush threshold's effect on
-// end-to-end throughput (§6.2 batching).
-func BenchmarkAblationBatcherFlush(b *testing.B) {
-	for _, thresh := range []int{1, 512} {
-		b.Run(fmt.Sprintf("flush=%d", thresh), func(b *testing.B) {
-			var clientTotal float64
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunPipeline(cluster.PipelineOptions{
-					Profile: cluster.PrivateCloud(),
-					Clients: 1, Batchers: 1, Filters: 1, Queues: 1, Maintainers: 1,
-					Duration:       benchWindow,
-					FlushThreshold: thresh,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				clientTotal = res.StageTotals()["Client"]
-			}
-			b.ReportMetric(clientTotal, "client-appends/s")
 		})
 	}
 }

@@ -1,90 +1,45 @@
 package cluster
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sequencer"
 	"repro/internal/workload"
 )
 
-// SequencerOptions configures the CORFU-baseline ablation: the same
-// storage substrate as FLStore but with pre-assigned positions handed out
-// by a central, capacity-limited sequencer.
-type SequencerOptions struct {
-	// SequencerCap bounds the sequencer machine (reservations/second).
-	SequencerCap float64
-	// UnitCap bounds each storage unit (writes/second).
-	UnitCap float64
-	// Units is the stripe width.
-	Units int
-	// Clients drive the client-driven protocol, each offering
-	// TargetPerClient appends/second.
-	Clients         int
-	TargetPerClient float64
-	Duration        time.Duration
-	// Scale divides simulated rates, as in Profile.Scale.
-	Scale float64
-}
-
-// SequencerResult is one measured point of the baseline.
-type SequencerResult struct {
-	Units         int
-	AchievedTotal float64
-	// SequencerRejects is the rate of reservations refused at
-	// saturation — the bottleneck made visible.
-	SequencerRejects float64
-}
-
-// RunSequencer measures the baseline's append throughput.
-func RunSequencer(opts SequencerOptions) (SequencerResult, error) {
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
-	}
-	scale := opts.Scale
-	if scale < 1 {
-		scale = 1
-	}
-	seq := sequencer.NewSequencer(newSimLimiter(opts.SequencerCap / scale))
-	units := make([]*sequencer.StorageUnit, opts.Units)
+// runSequencer measures the CORFU-baseline's append throughput (paper
+// units): the same storage substrate as FLStore — one striped storage unit
+// and one client per machine — but with positions pre-assigned by a
+// central sequencer that runs on the same class of machine as a
+// maintainer, so its reservation capacity equals one machine's
+// record-processing capacity.
+func runSequencer(profile Profile, machines int, targetPerClient float64, d time.Duration) (float64, error) {
+	machineCap := profile.down(profile.MaintainerCap)
+	units := make([]*sequencer.StorageUnit, machines)
 	for i := range units {
-		units[i] = sequencer.NewStorageUnit(nil, newSimLimiter(opts.UnitCap/scale))
+		units[i] = sequencer.NewStorageUnit(nil, newSimLimiter(machineCap))
 	}
-	log, err := sequencer.NewLog(seq, units)
+	log, err := sequencer.NewLog(sequencer.NewSequencer(newSimLimiter(machineCap)), units)
 	if err != nil {
-		return SequencerResult{}, err
+		return 0, err
 	}
-
-	var accepted metrics.Counter
-	var wg sync.WaitGroup
-	watch := metrics.NewStopwatch()
-	for c := 0; c < opts.Clients; c++ {
-		g := &workload.OpenLoopGen{TargetPerSec: opts.TargetPerClient / scale, BatchSize: 64}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.Run(func(recs []*core.Record) int {
-				ok := 0
-				for _, r := range recs {
-					if _, err := log.Append(r); err == nil {
-						ok++
-					}
+	gens, elapsed := openLoop(machines, profile.down(targetPerClient), 0, d, func(int) workload.TimedSink {
+		return func(_ time.Time, recs []*core.Record) int {
+			ok := 0
+			for _, r := range recs {
+				if _, err := log.Append(r); err == nil {
+					ok++
 				}
-				accepted.Add(uint64(ok))
-				return ok
-			}, opts.Duration)
-		}()
+			}
+			return ok
+		}
+	})
+	var accepted uint64
+	for _, g := range gens {
+		accepted += g.Accepted.Value()
 	}
-	wg.Wait()
-	watch.Stop()
-	elapsed := watch.Elapsed().Seconds()
-	return SequencerResult{
-		Units:            opts.Units,
-		AchievedTotal:    float64(accepted.Value()) / elapsed * scale,
-		SequencerRejects: float64(seq.Rejected.Value()) / elapsed * scale,
-	}, nil
+	return float64(accepted) / elapsed.Seconds() * profile.ScaleFactor(), nil
 }
 
 // AblationPoint pairs the baseline and FLStore at the same scale.
@@ -101,35 +56,15 @@ type AblationPoint struct {
 func RunSequencerVsFLStore(profile Profile, machineCounts []int, targetPerClient float64, duration time.Duration) ([]AblationPoint, error) {
 	var out []AblationPoint
 	for _, n := range machineCounts {
-		seqRes, err := RunSequencer(SequencerOptions{
-			// The sequencer runs on the same class of machine as a
-			// maintainer: its reservation capacity equals one
-			// machine's record-processing capacity.
-			SequencerCap:    profile.MaintainerCap,
-			UnitCap:         profile.MaintainerCap,
-			Units:           n,
-			Clients:         n,
-			TargetPerClient: targetPerClient,
-			Duration:        duration,
-			Scale:           profile.scale(),
-		})
+		seq, err := runSequencer(profile, n, targetPerClient, duration)
 		if err != nil {
 			return nil, err
 		}
-		flRes, err := RunFLStore(FLStoreOptions{
-			Profile:         profile,
-			Maintainers:     n,
-			TargetPerClient: targetPerClient,
-			Duration:        duration,
-		})
+		fl, err := RunFLStore(FLStoreOptions{Profile: profile, Maintainers: n, TargetPerClient: targetPerClient, Duration: duration})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, AblationPoint{
-			Machines:  n,
-			Sequencer: seqRes.AchievedTotal,
-			FLStore:   flRes.AchievedTotal,
-		})
+		out = append(out, AblationPoint{Machines: n, Sequencer: seq, FLStore: fl.AchievedTotal})
 	}
 	return out, nil
 }

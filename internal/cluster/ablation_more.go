@@ -2,70 +2,13 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chariots"
 	"repro/internal/core"
 	"repro/internal/flstore"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
-
-// RunFLStoreWithBatch is RunFLStore with an explicit placement round size
-// (the §5.2 batch-size ablation).
-func RunFLStoreWithBatch(opts FLStoreOptions, placementBatch uint64) (FLStoreResult, error) {
-	if opts.Maintainers < 1 {
-		return FLStoreResult{}, fmt.Errorf("cluster: need >= 1 maintainer")
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
-	}
-	scale := opts.Profile.scale()
-	p := flstore.Placement{NumMaintainers: opts.Maintainers, BatchSize: placementBatch}
-	maintainers := make([]*flstore.Maintainer, opts.Maintainers)
-	for i := range maintainers {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{
-			Index:         i,
-			Placement:     p,
-			Limiter:       newSimLimiter(opts.Profile.down(opts.Profile.MaintainerCap)),
-			RejectPenalty: opts.Profile.RejectPenalty,
-		})
-		if err != nil {
-			return FLStoreResult{}, err
-		}
-		maintainers[i] = m
-	}
-	var wg sync.WaitGroup
-	watch := metrics.NewStopwatch()
-	var offered metrics.Counter
-	for i := range maintainers {
-		m := maintainers[i]
-		g := &workload.OpenLoopGen{TargetPerSec: opts.TargetPerClient / scale, BatchSize: 64}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.Run(func(recs []*core.Record) int {
-				offered.Add(uint64(len(recs)))
-				if _, err := m.Append(recs); err != nil {
-					return 0
-				}
-				return len(recs)
-			}, opts.Duration)
-		}()
-	}
-	wg.Wait()
-	watch.Stop()
-	res := FLStoreResult{Maintainers: opts.Maintainers, TargetPerClient: opts.TargetPerClient}
-	elapsed := watch.Elapsed().Seconds()
-	for _, m := range maintainers {
-		rate := float64(m.Appended.Value()) / elapsed * scale
-		res.PerMaintainer = append(res.PerMaintainer, rate)
-		res.AchievedTotal += rate
-	}
-	res.OfferedTotal = float64(offered.Value()) / elapsed * scale
-	return res, nil
-}
 
 // RunGossipAblation measures how the gossip interval (§5.4) affects the
 // reader-visible head of the log while appends run at a fixed rate: the
@@ -73,96 +16,30 @@ func RunFLStoreWithBatch(opts FLStoreOptions, placementBatch uint64) (FLStoreRes
 // gossiped view exposes, plus the achieved throughput (which gossip must
 // not affect — the fixed-size-gossip claim).
 func RunGossipAblation(profile Profile, maintainers int, targetPerClient float64, interval, dur time.Duration) (meanLag uint64, throughput float64, err error) {
-	p := flstore.Placement{NumMaintainers: maintainers, BatchSize: 1000}
-	scale := profile.scale()
-	ms := make([]*flstore.Maintainer, maintainers)
-	for i := range ms {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{
-			Index:     i,
-			Placement: p,
-			Limiter:   newSimLimiter(profile.down(profile.MaintainerCap)),
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		ms[i] = m
-	}
-	apis := make([]flstore.MaintainerAPI, maintainers)
-	for i, m := range ms {
-		apis[i] = m
-	}
-	var gossipers []*flstore.Gossiper
-	for i, m := range ms {
-		peers := make([]flstore.MaintainerAPI, maintainers)
-		for j := range peers {
-			if j != i {
-				peers[j] = apis[j]
-			}
-		}
-		g := flstore.NewGossiper(m, peers, interval)
-		g.Start()
-		gossipers = append(gossipers, g)
-	}
-	defer func() {
-		for _, g := range gossipers {
-			g.Stop()
-		}
-	}()
-
-	stop := make(chan struct{})
+	// Written only by the sampler, which runFLStore joins before returning.
 	var lagSamples, lagTotal uint64
-	go func() {
-		ticker := time.NewTicker(time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				// True head from fresh next-unfilled values.
-				next := make([]uint64, maintainers)
-				for i, m := range ms {
-					next[i], _ = m.NextUnfilled()
-				}
-				trueHead := flstore.Head(next)
-				gossiped, _ := ms[0].Head()
-				if trueHead > gossiped {
-					lagTotal += trueHead - gossiped
-				}
-				lagSamples++
-			}
+	res, err := runFLStore(FLStoreOptions{
+		Profile: profile, Maintainers: maintainers, TargetPerClient: targetPerClient, Duration: dur,
+	}, interval, func(rig *Rig) {
+		// True head from fresh next-unfilled values.
+		next := make([]uint64, len(rig.Maintainers))
+		for i, m := range rig.Maintainers {
+			next[i], _ = m.NextUnfilled()
 		}
-	}()
-
-	var wg sync.WaitGroup
-	watch := metrics.NewStopwatch()
-	for i := range ms {
-		m := ms[i]
-		g := &workload.OpenLoopGen{TargetPerSec: targetPerClient / scale, BatchSize: 64}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.Run(func(recs []*core.Record) int {
-				if _, err := m.Append(recs); err != nil {
-					return 0
-				}
-				return len(recs)
-			}, dur)
-		}()
-	}
-	wg.Wait()
-	watch.Stop()
-	close(stop)
-
-	var total uint64
-	for _, m := range ms {
-		total += m.Appended.Value()
+		gossiped, _ := rig.Maintainers[0].Head()
+		if trueHead := flstore.Head(next); trueHead > gossiped {
+			lagTotal += trueHead - gossiped
+		}
+		lagSamples++
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	if lagSamples > 0 {
 		// Lag in records scales with the rate; convert to paper units.
-		meanLag = uint64(float64(lagTotal) / float64(lagSamples) * scale)
+		meanLag = uint64(float64(lagTotal) / float64(lagSamples) * profile.ScaleFactor())
 	}
-	return meanLag, float64(total) / watch.Elapsed().Seconds() * scale, nil
+	return meanLag, res.AchievedTotal, nil
 }
 
 // RunTokenCarryAblation measures the apply latency of dependency-blocked
@@ -171,7 +48,6 @@ func RunGossipAblation(profile Profile, maintainers int, targetPerClient float64
 // saw them (reconsidered once per token revolution).
 func RunTokenCarryAblation(carry bool, dur time.Duration) (time.Duration, error) {
 	dc, err := chariots.New(chariots.Config{
-		Self:           0,
 		NumDCs:         2, // external records with dependencies
 		Queues:         4,
 		Maintainers:    2,
@@ -190,12 +66,8 @@ func RunTokenCarryAblation(carry bool, dur time.Duration) (time.Duration, error)
 	// Inject remote-host records with a gap: TOId t+1 arrives before
 	// TOId t, so it defers until t lands; measure the defer latency.
 	hist := metrics.NewHistogram(0)
-	rounds := int(dur / (5 * time.Millisecond))
-	if rounds < 20 {
-		rounds = 20
-	}
 	toid := uint64(1)
-	for i := 0; i < rounds; i++ {
+	for i := 0; i < max(20, int(dur/(5*time.Millisecond))); i++ {
 		blocked := &core.Record{Host: 1, TOId: toid + 1, Body: []byte("dependent")}
 		unblocker := &core.Record{Host: 1, TOId: toid, Body: []byte("first")}
 		start := time.Now()
@@ -216,12 +88,11 @@ func RunTokenCarryAblation(carry bool, dur time.Duration) (time.Duration, error)
 // forwarded immediately; with larger thresholds a lone record waits for
 // the flush interval — the §6.2 batching trade-off (throughput-side
 // batching buys amortization and costs latency).
-func RunFlushLatency(thresh int, interval time.Duration, appends int) (time.Duration, error) {
+func RunFlushLatency(thresh int) (time.Duration, error) {
 	dc, err := chariots.New(chariots.Config{
-		Self:           0,
 		NumDCs:         1,
 		FlushThreshold: thresh,
-		FlushInterval:  interval,
+		FlushInterval:  2 * time.Millisecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {
@@ -230,7 +101,7 @@ func RunFlushLatency(thresh int, interval time.Duration, appends int) (time.Dura
 	dc.Start()
 	defer dc.Stop()
 	hist := metrics.NewHistogram(0)
-	for i := 0; i < appends; i++ {
+	for i := 0; i < 200; i++ {
 		start := time.Now()
 		if _, err := dc.Append([]byte("latency-probe"), nil); err != nil {
 			return 0, err

@@ -56,20 +56,23 @@ type AutoscaleDecision struct {
 	Err string `json:"err,omitempty"`
 }
 
+// Pressure thresholds: a tick breaches when any signal of its tier
+// reaches its threshold.
+const (
+	backlogRatioHigh = 0.5                   // log tier: backlog/budget
+	appendP99High    = 10 * time.Millisecond // log tier: append p99
+	durableLagHigh   = 50000                 // log tier: head − durable watermark, records
+	rejectsHigh      = 1                     // log tier: rejected appends per tick
+	creditRatioHigh  = 0.8                   // pipeline: high-water/capacity
+)
+
 // AutoscaleConfig wires an Autoscaler.
 type AutoscaleConfig struct {
 	// Snapshot samples the deployment's registry (required for Run;
 	// Observe can be driven with explicit snapshots instead).
 	Snapshot func() metrics.Snapshot
 
-	// Thresholds; zero values take the defaults in parentheses.
-	BacklogRatioHigh float64       // log tier: backlog/budget (0.5)
-	AppendP99High    time.Duration // log tier: append p99 (10ms)
-	DurableLagHigh   float64       // log tier: head − durable watermark, records (50000)
-	RejectsHigh      float64       // log tier: rejected appends per tick (1)
-	CreditRatioHigh  float64       // pipeline: high-water/capacity (0.8)
-
-	// Ticks is how many consecutive breaching ticks arm a hook (3).
+	// Ticks is how many consecutive breaching ticks arm a hook.
 	Ticks int
 
 	// GrowLog and GrowPipeline are the one-shot-per-episode grow hooks;
@@ -92,28 +95,8 @@ type Autoscaler struct {
 	rejectsSeeded bool
 }
 
-// NewAutoscaler returns an autoscaler with defaults applied.
-func NewAutoscaler(cfg AutoscaleConfig) *Autoscaler {
-	if cfg.BacklogRatioHigh <= 0 {
-		cfg.BacklogRatioHigh = 0.5
-	}
-	if cfg.AppendP99High <= 0 {
-		cfg.AppendP99High = 10 * time.Millisecond
-	}
-	if cfg.DurableLagHigh <= 0 {
-		cfg.DurableLagHigh = 50000
-	}
-	if cfg.RejectsHigh <= 0 {
-		cfg.RejectsHigh = 1
-	}
-	if cfg.CreditRatioHigh <= 0 {
-		cfg.CreditRatioHigh = 0.8
-	}
-	if cfg.Ticks <= 0 {
-		cfg.Ticks = 3
-	}
-	return &Autoscaler{cfg: cfg}
-}
+// NewAutoscaler returns an autoscaler over cfg.
+func NewAutoscaler(cfg AutoscaleConfig) *Autoscaler { return &Autoscaler{cfg: cfg} }
 
 // maxRatio returns the largest num/den over series of the num family,
 // pairing each with the den series carrying identical labels.
@@ -186,11 +169,11 @@ func (a *Autoscaler) Observe(sn metrics.Snapshot) AutoscaleDecision {
 	a.rejects, a.rejectsSeeded = rejects, true
 	sig := dec.Signals
 
-	dec.LogPressure = sig.BacklogRatio >= a.cfg.BacklogRatioHigh ||
-		sig.AppendP99 >= a.cfg.AppendP99High ||
-		sig.DurableLag >= a.cfg.DurableLagHigh ||
-		sig.RejectsDelta >= a.cfg.RejectsHigh
-	dec.PipePressure = sig.CreditRatio >= a.cfg.CreditRatioHigh
+	dec.LogPressure = sig.BacklogRatio >= backlogRatioHigh ||
+		sig.AppendP99 >= appendP99High ||
+		sig.DurableLag >= durableLagHigh ||
+		sig.RejectsDelta >= rejectsHigh
+	dec.PipePressure = sig.CreditRatio >= creditRatioHigh
 
 	if dec.LogPressure {
 		a.logStreak++
@@ -229,11 +212,8 @@ func (a *Autoscaler) Observe(sn metrics.Snapshot) AutoscaleDecision {
 }
 
 // Run ticks the autoscaler every interval until ctx is done, invoking
-// onDecision (when non-nil) after each tick.
+// onDecision after each tick.
 func (a *Autoscaler) Run(ctx context.Context, interval time.Duration, onDecision func(AutoscaleDecision)) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -241,10 +221,7 @@ func (a *Autoscaler) Run(ctx context.Context, interval time.Duration, onDecision
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			dec := a.Observe(a.cfg.Snapshot())
-			if onDecision != nil {
-				onDecision(dec)
-			}
+			onDecision(a.Observe(a.cfg.Snapshot()))
 		}
 	}
 }

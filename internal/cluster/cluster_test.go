@@ -53,29 +53,29 @@ func TestFigure7Shape(t *testing.T) {
 		}
 		low, atCap, over := points[0], points[1], points[2]
 		// Rising region: achieved tracks the target below capacity.
-		if low.Achieved < 0.7*low.Target {
-			return fmt.Errorf("under-capacity point achieved %.0f of %.0f target", low.Achieved, low.Target)
+		if low.AchievedTotal < 0.7*low.TargetPerClient {
+			return fmt.Errorf("under-capacity point achieved %.0f of %.0f target", low.AchievedTotal, low.TargetPerClient)
 		}
 		// The observed peak sits near the machine capacity (150K).
-		peak := low.Achieved
+		peak := low.AchievedTotal
 		for _, p := range points[1:] {
-			if p.Achieved > peak {
-				peak = p.Achieved
+			if p.AchievedTotal > peak {
+				peak = p.AchievedTotal
 			}
 		}
 		if peak < 115_000 || peak > 170_000 {
 			return fmt.Errorf("peak achieved %.0f, want ≈150K", peak)
 		}
-		if atCap.Achieved < 100_000 {
-			return fmt.Errorf("at-capacity point collapsed to %.0f", atCap.Achieved)
+		if atCap.AchievedTotal < 100_000 {
+			return fmt.Errorf("at-capacity point collapsed to %.0f", atCap.AchievedTotal)
 		}
 		// Deep overload declines below the peak (reject work) but stays
 		// well above zero — the paper's ≈120K plateau-with-droop.
-		if over.Achieved >= peak {
-			return fmt.Errorf("no decline past saturation: peak %.0f, overload %.0f", peak, over.Achieved)
+		if over.AchievedTotal >= peak {
+			return fmt.Errorf("no decline past saturation: peak %.0f, overload %.0f", peak, over.AchievedTotal)
 		}
-		if over.Achieved < 90_000 {
-			return fmt.Errorf("overload throughput collapsed to %.0f", over.Achieved)
+		if over.AchievedTotal < 90_000 {
+			return fmt.Errorf("overload throughput collapsed to %.0f", over.AchievedTotal)
 		}
 		return nil
 	})
@@ -110,7 +110,7 @@ func TestPipelineTable2Shape(t *testing.T) {
 	checkShape(t, "table 2 balance", func() error {
 		res, err := RunPipeline(PipelineOptions{
 			Profile: PrivateCloud(),
-			Clients: 1, Batchers: 1, Filters: 1, Queues: 1, Maintainers: 1,
+			Clients: 1, Batchers: 1, Filters: 1, Queues: 1,
 			Duration: 500 * time.Millisecond,
 		})
 		if err != nil {
@@ -133,7 +133,7 @@ func TestPipelineTable3ClientsHalve(t *testing.T) {
 	checkShape(t, "table 3 client halving", func() error {
 		res, err := RunPipeline(PipelineOptions{
 			Profile: PrivateCloud(),
-			Clients: 2, Batchers: 1, Filters: 1, Queues: 1, Maintainers: 1,
+			Clients: 2, Batchers: 1, Filters: 1, Queues: 1,
 			Duration: 500 * time.Millisecond,
 		})
 		if err != nil {
@@ -158,7 +158,7 @@ func TestPipelineTable5Doubles(t *testing.T) {
 	checkShape(t, "table 5 doubling", func() error {
 		single, err := RunPipeline(PipelineOptions{
 			Profile: PrivateCloud(),
-			Clients: 1, Batchers: 1, Filters: 1, Queues: 1, Maintainers: 1,
+			Clients: 1, Batchers: 1, Filters: 1, Queues: 1,
 			Duration: 400 * time.Millisecond,
 		})
 		if err != nil {
@@ -166,7 +166,7 @@ func TestPipelineTable5Doubles(t *testing.T) {
 		}
 		double, err := RunPipeline(PipelineOptions{
 			Profile: PrivateCloud(),
-			Clients: 2, Batchers: 2, Filters: 2, Queues: 2, Maintainers: 2,
+			Clients: 2, Batchers: 2, Filters: 2, Queues: 2,
 			Duration: 400 * time.Millisecond,
 		})
 		if err != nil {
@@ -185,7 +185,7 @@ func TestPipelineFigure9Timeseries(t *testing.T) {
 		profile := PrivateCloud()
 		res, err := RunPipeline(PipelineOptions{
 			Profile: profile,
-			Clients: 2, Batchers: 2, Filters: 1, Queues: 1, Maintainers: 1,
+			Clients: 2, Batchers: 2, Filters: 1, Queues: 1,
 			Records:      uint64(60_000 / profile.ScaleFactor()),
 			SampleWindow: 25 * time.Millisecond,
 		})
@@ -261,11 +261,7 @@ func TestProfiles(t *testing.T) {
 			t.Errorf("%s scale factor %v < 1", p.Name, p.ScaleFactor())
 		}
 	}
-	u := Unlimited()
-	if u.MaintainerCap != 0 {
-		t.Error("unlimited profile has limits")
-	}
-	if u.ScaleFactor() != 1 {
-		t.Errorf("unlimited scale = %v", u.ScaleFactor())
+	if got := (Profile{}).ScaleFactor(); got != 1 {
+		t.Errorf("unset scale = %v, want 1", got)
 	}
 }

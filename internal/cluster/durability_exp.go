@@ -21,74 +21,42 @@ import (
 // so the experiment measures the durability protocols, not the host
 // filesystem, and a run is reproducible by seed.
 type DurabilityOptions struct {
-	// Appenders are the concurrency points of the fsync sweep
-	// (default 1, 8, 64).
+	// Appenders are the concurrency points of the fsync sweep, ascending.
 	Appenders []int
-	// PerAppenderPerSec is each session's offered arrival rate
-	// (default 25/s).
+	// PerAppenderPerSec is each session's offered arrival rate.
 	PerAppenderPerSec float64
-	// Duration is the arrival-schedule horizon per arm (default 2s).
+	// Duration is the arrival-schedule horizon per arm.
 	Duration time.Duration
-	// FsyncDelay is the injected cost of one healthy fsync (default 1ms).
-	FsyncDelay time.Duration
-	// SlowFactor multiplies FsyncDelay on the degraded member's disk in
-	// phase B (default 20).
+	// SlowFactor multiplies fsyncDelay on the degraded member's disk in
+	// phase B.
 	SlowFactor int
 	// Seed drives the arrival schedules and the fault schedule.
 	Seed uint64
 }
 
-func (o *DurabilityOptions) defaults() {
-	if len(o.Appenders) == 0 {
-		o.Appenders = []int{1, 8, 64}
-	}
-	if o.PerAppenderPerSec <= 0 {
-		o.PerAppenderPerSec = 25
-	}
-	if o.Duration <= 0 {
-		o.Duration = 2 * time.Second
-	}
-	if o.FsyncDelay <= 0 {
-		o.FsyncDelay = time.Millisecond
-	}
-	if o.SlowFactor <= 0 {
-		o.SlowFactor = 20
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
+// fsyncDelay is the injected cost of one healthy fsync.
+const fsyncDelay = time.Millisecond
 
 // FsyncArm is one point of the phase-A sweep: a fixed appender count
 // driven open-loop against one segment store under one fsync policy.
 type FsyncArm struct {
-	Appenders      int     `json:"appenders"`
-	Policy         string  `json:"policy"`
-	Offered        uint64  `json:"offered"`
-	Completed      uint64  `json:"completed"`
-	Errors         uint64  `json:"errors"`
-	OfferedPerSec  float64 `json:"offered_per_sec"`
-	AchievedPerSec float64 `json:"achieved_per_sec"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	MaxMs          float64 `json:"max_ms"`
-	Fsyncs         uint64  `json:"fsyncs"`
-	FsyncsPerOp    float64 `json:"fsyncs_per_op"`
+	Appenders int    `json:"appenders"`
+	Policy    string `json:"policy"`
+	LoadStats
+	OfferedPerSec float64 `json:"offered_per_sec"`
+	MaxMs         float64 `json:"max_ms"`
+	Fsyncs        uint64  `json:"fsyncs"`
+	FsyncsPerOp   float64 `json:"fsyncs_per_op"`
 }
 
 // QuorumArm is one phase-B cluster run: a 3-member replica group with a
 // given ack/fan-out mode and optionally one member's disk slowed.
 type QuorumArm struct {
-	Name           string  `json:"name"`
-	Ack            string  `json:"ack"`
-	QuorumFanout   bool    `json:"quorum_fanout"`
-	SlowMember     int     `json:"slow_member"` // -1 = all disks healthy
-	Offered        uint64  `json:"offered"`
-	Completed      uint64  `json:"completed"`
-	Errors         uint64  `json:"errors"`
-	AchievedPerSec float64 `json:"achieved_per_sec"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
+	Name         string `json:"name"`
+	Ack          string `json:"ack"`
+	QuorumFanout bool   `json:"quorum_fanout"`
+	SlowMember   int    `json:"slow_member"` // -1 = all disks healthy
+	LoadStats
 	// SlowDurableLag is how many of the range's positions the slow (or
 	// last) member's local durable watermark trails the primary's at the
 	// end of the run — the detached stragglers' catch-up debt.
@@ -133,7 +101,7 @@ func runFsyncArm(opts DurabilityOptions, appenders int, policy storage.SyncPolic
 	}
 	defer os.RemoveAll(dir)
 	ctl := faultinject.New(faultinject.Options{Seed: opts.Seed})
-	ctl.SetLink("disk", faultinject.LinkOptions{DelayP: 1, Delay: opts.FsyncDelay})
+	ctl.SetLink("disk", faultinject.LinkOptions{DelayP: 1, Delay: fsyncDelay})
 	st, err := storage.OpenSegmentStore(dir, storage.SegmentStoreOptions{
 		Sync:      policy,
 		FsyncHook: diskHook(ctl, "disk"),
@@ -156,19 +124,11 @@ func runFsyncArm(opts DurabilityOptions, appenders int, policy storage.SyncPolic
 	if err := st.Close(); err != nil {
 		return arm, err
 	}
-	if got := stats.Completed + stats.ShedServer + stats.ShedClient + stats.Errors; got != stats.Offered {
-		return arm, fmt.Errorf("cluster: durability ledger violated: offered %d != accounted %d", stats.Offered, got)
+	if arm.LoadStats, err = loadStats(stats); err != nil {
+		return arm, err
 	}
-	arm.Offered = stats.Offered
-	arm.Completed = stats.Completed
-	arm.Errors = stats.Errors
 	arm.OfferedPerSec = float64(appenders) * opts.PerAppenderPerSec
-	if stats.Elapsed > 0 {
-		arm.AchievedPerSec = float64(stats.Completed) / stats.Elapsed.Seconds()
-	}
-	arm.P50Ms = float64(stats.Hist.Quantile(0.50)) / float64(time.Millisecond)
-	arm.P99Ms = float64(stats.Hist.Quantile(0.99)) / float64(time.Millisecond)
-	arm.MaxMs = float64(stats.Hist.Max()) / float64(time.Millisecond)
+	arm.MaxMs = ms(stats.Hist.Max())
 	arm.Fsyncs = st.FsyncCount()
 	if stats.Completed > 0 {
 		arm.FsyncsPerOp = float64(arm.Fsyncs) / float64(stats.Completed)
@@ -182,43 +142,43 @@ func runFsyncArm(opts DurabilityOptions, appenders int, policy storage.SyncPolic
 // acting primary.
 func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, quorumFanout bool, slowMember int) (QuorumArm, error) {
 	arm := QuorumArm{Name: name, Ack: ack.String(), QuorumFanout: quorumFanout, SlowMember: slowMember}
-	const n, r = 3, 3
+	const n = 3
 	dir, err := os.MkdirTemp("", "durability-quorum-*")
 	if err != nil {
 		return arm, err
 	}
 	defer os.RemoveAll(dir)
 	ctl := faultinject.New(faultinject.Options{Seed: opts.Seed})
-	p := flstore.Placement{NumMaintainers: n, BatchSize: 8}
-	ms := make([]*flstore.Maintainer, n)
-	for i := 0; i < n; i++ {
-		link := fmt.Sprintf("m%d.disk", i)
-		delay := opts.FsyncDelay
-		if i == slowMember {
-			delay = opts.FsyncDelay * time.Duration(opts.SlowFactor)
-		}
-		ctl.SetLink(link, faultinject.LinkOptions{DelayP: 1, Delay: delay})
-		st, err := storage.OpenSegmentStore(fmt.Sprintf("%s/m%d", dir, i), storage.SegmentStoreOptions{
-			Sync:      storage.SyncGroupCommit,
-			FsyncHook: diskHook(ctl, link),
-		})
-		if err != nil {
-			return arm, err
-		}
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{
-			Index: i, Placement: p, Replication: r, Store: st,
-		})
-		if err != nil {
-			return arm, err
-		}
-		ms[i] = m
+	rig, err := NewRig(RigSpec{
+		Maintainers: n, Replication: n, Round: 8,
+		Member: func(i int, cfg *flstore.MaintainerConfig) (err error) {
+			link := fmt.Sprintf("m%d.disk", i)
+			delay := fsyncDelay
+			if i == slowMember {
+				delay *= time.Duration(opts.SlowFactor)
+			}
+			ctl.SetLink(link, faultinject.LinkOptions{DelayP: 1, Delay: delay})
+			cfg.Store, err = storage.OpenSegmentStore(fmt.Sprintf("%s/m%d", dir, i), storage.SegmentStoreOptions{
+				Sync:      storage.SyncGroupCommit,
+				FsyncHook: diskHook(ctl, link),
+			})
+			return err
+		},
+	})
+	if err != nil {
+		return arm, err
 	}
+	defer rig.Close()
+	// The session fans out to the maintainers directly, not through the
+	// rig's RPC handles: the arms compare ack protocols against disk cost,
+	// and the bar is stated for that path.
+	p := rig.Placement
 	members := make([]replica.Member, n)
-	for i, m := range ms {
+	for i, m := range rig.Maintainers {
 		members[i] = m
 	}
 	sess, err := replica.NewSession(members, replica.SessionConfig{
-		Layout:       replica.Layout{N: n, R: r},
+		Layout:       replica.Layout{N: n, R: n},
 		Ack:          ack,
 		Owner:        func(lid uint64) int { return p.Owner(lid) },
 		QuorumFanout: quorumFanout,
@@ -241,17 +201,9 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 		},
 	})
 	stats := eng.Run()
-	if got := stats.Completed + stats.ShedServer + stats.ShedClient + stats.Errors; got != stats.Offered {
-		return arm, fmt.Errorf("cluster: durability ledger violated: offered %d != accounted %d", stats.Offered, got)
+	if arm.LoadStats, err = loadStats(stats); err != nil {
+		return arm, err
 	}
-	arm.Offered = stats.Offered
-	arm.Completed = stats.Completed
-	arm.Errors = stats.Errors
-	if stats.Elapsed > 0 {
-		arm.AchievedPerSec = float64(stats.Completed) / stats.Elapsed.Seconds()
-	}
-	arm.P50Ms = float64(stats.Hist.Quantile(0.50)) / float64(time.Millisecond)
-	arm.P99Ms = float64(stats.Hist.Quantile(0.99)) / float64(time.Millisecond)
 	// Detached stragglers: give the slow member a moment to drain, then
 	// measure how far its durable watermark still trails the primary's.
 	lagMember := slowMember
@@ -260,8 +212,8 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		primaryWM, _ := ms[0].DurableWatermark(0)
-		memberWM, _ := ms[lagMember].DurableWatermark(0)
+		primaryWM, _ := rig.Maintainers[0].DurableWatermark(0)
+		memberWM, _ := rig.Maintainers[lagMember].DurableWatermark(0)
 		if memberWM >= primaryWM || time.Now().After(deadline) {
 			if primaryWM > memberWM && memberWM > 0 {
 				arm.SlowDurableLag = p.SlotOf(primaryWM) - p.SlotOf(memberWM)
@@ -270,44 +222,32 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for _, m := range ms {
-		if err := m.Store().Close(); err != nil {
-			return arm, err
-		}
-	}
-	return arm, nil
+	return arm, rig.Close()
 }
 
 // RunDurability executes both phases and returns the artifact payload.
 func RunDurability(opts DurabilityOptions) (*DurabilityResult, error) {
-	opts.defaults()
 	res := &DurabilityResult{
-		FsyncDelayMs: float64(opts.FsyncDelay) / float64(time.Millisecond),
+		FsyncDelayMs: ms(fsyncDelay),
 		SlowFactor:   opts.SlowFactor,
 	}
 	// Phase A: fsync collapse. Per-batch fsync is the baseline; group
 	// commit must beat its tail once the offered rate outruns one fsync
 	// per batch, by covering every batch that landed during an fsync with
 	// the next one.
-	var eachP99, groupP99 float64
-	maxAppenders := 0
+	var each, group FsyncArm
 	for _, a := range opts.Appenders {
-		each, err := runFsyncArm(opts, a, storage.SyncEachBatch, "each")
-		if err != nil {
+		var err error
+		if each, err = runFsyncArm(opts, a, storage.SyncEachBatch, "each"); err != nil {
 			return nil, err
 		}
-		group, err := runFsyncArm(opts, a, storage.SyncGroupCommit, "group")
-		if err != nil {
+		if group, err = runFsyncArm(opts, a, storage.SyncGroupCommit, "group"); err != nil {
 			return nil, err
 		}
 		res.FsyncArms = append(res.FsyncArms, each, group)
-		if a >= maxAppenders {
-			maxAppenders = a
-			eachP99, groupP99 = each.P99Ms, group.P99Ms
-		}
 	}
-	if eachP99 > 0 {
-		res.GroupP99Ratio64 = groupP99 / eachP99
+	if each.P99Ms > 0 { // the last, largest appender count
+		res.GroupP99Ratio64 = group.P99Ms / each.P99Ms
 	}
 	// Phase B: quorum acks vs a degraded follower disk.
 	healthy, err := runQuorumArm(opts, "healthy-quorum", replica.AckMajority, true, -1)

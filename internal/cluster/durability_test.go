@@ -21,7 +21,6 @@ func TestDurabilitySmoke(t *testing.T) {
 		Appenders:         []int{1, 64},
 		PerAppenderPerSec: 40,
 		Duration:          300 * time.Millisecond,
-		FsyncDelay:        time.Millisecond,
 		SlowFactor:        10,
 		Seed:              7,
 	})

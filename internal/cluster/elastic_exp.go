@@ -24,20 +24,16 @@ import (
 	"repro/internal/scale"
 )
 
-// ElasticOptions configures the elasticity experiment.
+// ElasticOptions configures the elasticity experiment. The placement
+// widens from elasticBefore to elasticAfter maintainers at the switchover.
 type ElasticOptions struct {
-	// MaintainersBefore/After are the placement widths on either side of
-	// the switchover (2 → 4).
-	MaintainersBefore int
-	MaintainersAfter  int
-	BatchSize         uint64
 	// PerMaintainerRate is each maintainer's admission capacity in
 	// records/sec (the limiter modeling machine capacity).
 	PerMaintainerRate float64
 	// BaseRate is phase A's aggregate offered rate; phases B and C offer
-	// 2×BaseRate. Pick BaseRate < Before×PerMaintainerRate < 2×BaseRate
-	// < After×PerMaintainerRate so only the doubled load saturates the
-	// old set.
+	// 2×BaseRate. Pick BaseRate < elasticBefore×PerMaintainerRate <
+	// 2×BaseRate < elasticAfter×PerMaintainerRate so only the doubled load
+	// saturates the old set.
 	BaseRate float64
 	// PhaseA/PhaseB/PhaseC are the three phase durations: steady state,
 	// doubled load (the autoscaler fires in here), and post-flip steady
@@ -45,13 +41,17 @@ type ElasticOptions struct {
 	PhaseA, PhaseB, PhaseC time.Duration
 	// Sessions is the concurrent client-session count per phase.
 	Sessions int
-	// RecordSize is the append payload size in bytes.
-	RecordSize int
-	// AutoscaleTick/AutoscaleTicks configure the autoscaler loop.
-	AutoscaleTick  time.Duration
-	AutoscaleTicks int
-	Seed           uint64
+	// AutoscaleTick is the autoscaler's observation period; two breaching
+	// ticks in a row fire the switchover.
+	AutoscaleTick time.Duration
 }
+
+const (
+	elasticBefore, elasticAfter = 2, 4
+	elasticRound                = 4
+	elasticRecordSize           = 128
+	elasticSeed                 = 42
+)
 
 // ElasticResult is the measured outcome.
 type ElasticResult struct {
@@ -82,134 +82,101 @@ type ElasticResult struct {
 	P99Bounded bool `json:"p99_bounded"`
 }
 
-// elasticStack is the running deployment the experiment drives.
+// elasticStack is the running deployment the experiment drives: one rig
+// per epoch's member set, and the controller they are reached through.
 type elasticStack struct {
 	reg      *metrics.Registry
-	ctrl     *flstore.Controller
 	orch     *flstore.Orchestrator
 	ctrlAddr string
-	servers  []*rpc.Server
-	conns    []*rpc.TCPClient
-	gossips  []*flstore.Gossiper
+	rigs     []*Rig
+	ctrlSrv  *rpc.Server
 }
 
 func (st *elasticStack) close() {
-	for _, g := range st.gossips {
-		g.Stop()
+	for _, rig := range st.rigs {
+		rig.Close()
 	}
-	for _, c := range st.conns {
-		c.Close()
-	}
-	for _, s := range st.servers {
-		s.Close()
-	}
+	st.ctrlSrv.Close()
 }
 
-// startMembers builds, serves, and gossips one epoch's maintainers.
+// startMembers stands up one epoch's maintainers, served over loopback TCP
+// and gossiping, with their metrics labelled by epoch.
 func (st *elasticStack) startMembers(p flstore.Placement, firstLId uint64, rate float64, epoch string) (flstore.MemberSet, error) {
-	ms := flstore.MemberSet{
-		Maintainers: make([]*flstore.Maintainer, p.NumMaintainers),
-		Addrs:       make([]string, p.NumMaintainers),
-	}
-	for i := 0; i < p.NumMaintainers; i++ {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{
-			Index:     i,
-			Placement: p,
-			FirstLId: firstLId,
+	rig, err := NewRig(RigSpec{
+		Maintainers: p.NumMaintainers, Round: p.BatchSize, TCP: true, Gossip: time.Millisecond,
+		Member: func(_ int, cfg *flstore.MaintainerConfig) error {
+			cfg.FirstLId = firstLId
 			// A small burst keeps the capacity model crisp: offering more
 			// than the aggregate rate must produce rejects within a fraction
 			// of a second, not after draining a deep token bucket.
-			Limiter: ratelimit.New(rate, 32),
-		})
-		if err != nil {
-			return ms, err
-		}
-		m.EnableMetrics(st.reg, metrics.L("epoch", epoch))
-		srv := rpc.NewServer()
-		flstore.ServeMaintainer(srv, m)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return ms, err
-		}
-		st.servers = append(st.servers, srv)
-		ms.Maintainers[i] = m
-		ms.Addrs[i] = addr.String()
+			cfg.Limiter = ratelimit.New(rate, 32)
+			return nil
+		},
+		Serve: func(_ int, m *flstore.Maintainer) flstore.MaintainerAPI {
+			m.EnableMetrics(st.reg, metrics.L("epoch", epoch))
+			return m
+		},
+	})
+	if err != nil {
+		return flstore.MemberSet{}, err
 	}
-	for i, m := range ms.Maintainers {
-		peers := make([]flstore.MaintainerAPI, p.NumMaintainers)
-		for j, pm := range ms.Maintainers {
-			if j != i {
-				peers[j] = pm
-			}
-		}
-		g := flstore.NewGossiper(m, peers, time.Millisecond)
-		g.Start()
-		st.gossips = append(st.gossips, g)
-	}
-	return ms, nil
+	st.rigs = append(st.rigs, rig)
+	return flstore.MemberSet{Maintainers: rig.Maintainers, Addrs: rig.Addrs}, nil
 }
 
 // newElasticStack stands the deployment up: old members, controller with
 // admin surface, and an orchestrator whose grow factory starts the new
 // member set on demand.
 func newElasticStack(opts ElasticOptions) (*elasticStack, error) {
-	st := &elasticStack{reg: metrics.NewRegistry()}
-	pOld := flstore.Placement{NumMaintainers: opts.MaintainersBefore, BatchSize: opts.BatchSize}
+	st := &elasticStack{reg: metrics.NewRegistry(), ctrlSrv: rpc.NewServer()}
+	if err := st.start(opts); err != nil {
+		st.close()
+		return nil, err
+	}
+	return st, nil
+}
+
+func (st *elasticStack) start(opts ElasticOptions) error {
+	pOld := flstore.Placement{NumMaintainers: elasticBefore, BatchSize: elasticRound}
 	old, err := st.startMembers(pOld, 1, opts.PerMaintainerRate, "1")
 	if err != nil {
-		st.close()
-		return nil, err
+		return err
 	}
-	st.ctrl, err = flstore.NewController(flstore.Config{Placement: pOld, MaintainerAddrs: old.Addrs})
+	ctrl, err := flstore.NewController(flstore.Config{Placement: pOld, MaintainerAddrs: old.Addrs})
 	if err != nil {
-		st.close()
-		return nil, err
+		return err
 	}
 	st.orch, err = flstore.NewOrchestrator(flstore.OrchestratorConfig{
-		Controller: st.ctrl,
+		Controller: ctrl,
 		Current:    old,
 		Grow: func(p flstore.Placement, firstLId uint64) (flstore.MemberSet, error) {
 			return st.startMembers(p, firstLId, opts.PerMaintainerRate, "2")
 		},
 	})
 	if err != nil {
-		st.close()
-		return nil, err
+		return err
 	}
-	ctrlSrv := rpc.NewServer()
-	flstore.ServeController(ctrlSrv, st.ctrl)
-	flstore.ServeStats(ctrlSrv, st.reg)
-	flstore.ServeAdmin(ctrlSrv, st.orch)
-	addr, err := ctrlSrv.Listen("127.0.0.1:0")
+	flstore.ServeController(st.ctrlSrv, ctrl)
+	flstore.ServeStats(st.ctrlSrv, st.reg)
+	flstore.ServeAdmin(st.ctrlSrv, st.orch)
+	addr, err := st.ctrlSrv.Listen("127.0.0.1:0")
 	if err != nil {
-		st.close()
-		return nil, err
+		return err
 	}
-	st.servers = append(st.servers, ctrlSrv)
 	st.ctrlAddr = addr.String()
-	return st, nil
-}
-
-// dialCtrl opens a fresh controller connection.
-func (st *elasticStack) dialCtrl() (*rpc.TCPClient, error) {
-	c, err := rpc.Dial(st.ctrlAddr)
-	if err != nil {
-		return nil, err
-	}
-	st.conns = append(st.conns, c)
-	return c, nil
+	return nil
 }
 
 // elasticSessions is a bank of per-session clients that re-poll the
 // controller when their epoch is sealed under them — the §5.1 "after
-// problems" session refresh.
+// problems" session refresh. clients[i] belongs to session i's goroutine
+// while a phase runs; mu guards everything the sessions share.
 type elasticSessions struct {
 	ctrlAddr string
-	mu       sync.Mutex
 	clients  []*flstore.Client
-	conns    []*rpc.TCPClient
 
-	lidMu       sync.Mutex
+	mu          sync.Mutex
+	conns       []*rpc.TCPClient
 	lids        map[uint64]int
 	dups        int
 	sealRetries uint64
@@ -235,63 +202,45 @@ func (es *elasticSessions) refresh(i int) error {
 	if err != nil {
 		return err
 	}
-	c, err := flstore.NewClient(flstore.NewControllerClient(conn))
-	if err != nil {
-		conn.Close()
-		return err
-	}
 	es.mu.Lock()
-	es.clients[i] = c
 	es.conns = append(es.conns, conn)
 	es.mu.Unlock()
-	return nil
-}
-
-func (es *elasticSessions) client(i int) *flstore.Client {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	return es.clients[i]
+	es.clients[i], err = flstore.NewClient(flstore.NewControllerClient(conn))
+	return err
 }
 
 func (es *elasticSessions) close() {
-	es.mu.Lock()
-	defer es.mu.Unlock()
 	for _, c := range es.conns {
-		if c != nil {
-			c.Close()
-		}
+		c.Close()
 	}
 }
 
 // op issues one append for session i, refreshing the session on a sealed
 // epoch before surfacing the (retryable) error to the engine.
 func (es *elasticSessions) op(i int, body []byte) error {
-	lid, err := es.client(i).Append(body, nil)
-	if err != nil {
-		if errors.Is(err, flstore.ErrEpochSealed) {
-			es.lidMu.Lock()
-			es.sealRetries++
-			es.lidMu.Unlock()
-			if rerr := es.refresh(i); rerr != nil {
-				return rerr
-			}
+	lid, err := es.clients[i].Append(body, nil)
+	es.mu.Lock()
+	if err == nil {
+		if es.lids[lid]++; es.lids[lid] > 1 {
+			es.dups++
 		}
-		return err
+	} else if errors.Is(err, flstore.ErrEpochSealed) {
+		es.sealRetries++
 	}
-	es.lidMu.Lock()
-	es.lids[lid]++
-	if es.lids[lid] > 1 {
-		es.dups++
+	es.mu.Unlock()
+	if errors.Is(err, flstore.ErrEpochSealed) {
+		if rerr := es.refresh(i); rerr != nil {
+			return rerr
+		}
 	}
-	es.lidMu.Unlock()
-	return nil
+	return err
 }
 
 // runPhase drives one open-loop phase and returns its stats.
-func runPhase(es *elasticSessions, opts ElasticOptions, rate float64, d time.Duration, seed uint64) scale.Stats {
-	body := make([]byte, opts.RecordSize)
+func runPhase(es *elasticSessions, sessions int, rate float64, d time.Duration, seed uint64) scale.Stats {
+	body := make([]byte, elasticRecordSize)
 	eng := scale.NewEngine(scale.Config{
-		Sessions:     opts.Sessions,
+		Sessions:     sessions,
 		TargetPerSec: rate,
 		Duration:     d,
 		Seed:         seed,
@@ -317,51 +266,20 @@ func runPhase(es *elasticSessions, opts ElasticOptions, rate float64, d time.Dur
 	return eng.Run()
 }
 
+// FullElastic is the full-size run behind `repro -exp elastic`.
+var FullElastic = ElasticOptions{
+	PerMaintainerRate: 1200,
+	BaseRate:          1600,
+	PhaseA:            1500 * time.Millisecond,
+	PhaseB:            2500 * time.Millisecond,
+	PhaseC:            1500 * time.Millisecond,
+	Sessions:          8,
+	AutoscaleTick:     100 * time.Millisecond,
+}
+
 // RunElastic executes the elasticity experiment.
 func RunElastic(opts ElasticOptions) (ElasticResult, error) {
-	if opts.MaintainersBefore <= 0 {
-		opts.MaintainersBefore = 2
-	}
-	if opts.MaintainersAfter <= 0 {
-		opts.MaintainersAfter = 2 * opts.MaintainersBefore
-	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = 4
-	}
-	if opts.PerMaintainerRate <= 0 {
-		opts.PerMaintainerRate = 1200
-	}
-	if opts.BaseRate <= 0 {
-		opts.BaseRate = 1600
-	}
-	if opts.PhaseA <= 0 {
-		opts.PhaseA = 1500 * time.Millisecond
-	}
-	if opts.PhaseB <= 0 {
-		opts.PhaseB = 2500 * time.Millisecond
-	}
-	if opts.PhaseC <= 0 {
-		opts.PhaseC = 1500 * time.Millisecond
-	}
-	if opts.Sessions <= 0 {
-		opts.Sessions = 8
-	}
-	if opts.RecordSize <= 0 {
-		opts.RecordSize = 128
-	}
-	if opts.AutoscaleTick <= 0 {
-		opts.AutoscaleTick = 100 * time.Millisecond
-	}
-	if opts.AutoscaleTicks <= 0 {
-		opts.AutoscaleTicks = 2
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 42
-	}
-	res := ElasticResult{
-		MaintainersBefore: opts.MaintainersBefore,
-		MaintainersAfter:  opts.MaintainersAfter,
-	}
+	res := ElasticResult{MaintainersBefore: elasticBefore, MaintainersAfter: elasticAfter}
 
 	st, err := newElasticStack(opts)
 	if err != nil {
@@ -372,12 +290,10 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 	// The autoscaler watches the registry and fires the switchover once
 	// rejects persist. It runs for the whole experiment; phase A must not
 	// trigger it.
-	pNew := flstore.Placement{NumMaintainers: opts.MaintainersAfter, BatchSize: opts.BatchSize}
-	var decMu sync.Mutex
-	ticks, grew := 0, false
+	pNew := flstore.Placement{NumMaintainers: elasticAfter, BatchSize: elasticRound}
 	as := NewAutoscaler(AutoscaleConfig{
 		Snapshot: st.reg.Snapshot,
-		Ticks:    opts.AutoscaleTicks,
+		Ticks:    2,
 		GrowLog: func() error {
 			_, gerr := st.orch.Grow(pNew)
 			return gerr
@@ -387,13 +303,10 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 	asDone := make(chan struct{})
 	go func() {
 		defer close(asDone)
+		// res's autoscale fields are this goroutine's until asDone closes.
 		as.Run(asCtx, opts.AutoscaleTick, func(d AutoscaleDecision) {
-			decMu.Lock()
-			ticks++
-			if d.GrewLog {
-				grew = true
-			}
-			decMu.Unlock()
+			res.AutoscaleTicks++
+			res.GrowTriggered = res.GrowTriggered || d.GrewLog
 		})
 	}()
 
@@ -405,15 +318,24 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 	}
 	defer es.close()
 
-	statsA := runPhase(es, opts, opts.BaseRate, opts.PhaseA, opts.Seed)
-	statsB := runPhase(es, opts, 2*opts.BaseRate, opts.PhaseB, opts.Seed+1)
-	statsC := runPhase(es, opts, 2*opts.BaseRate, opts.PhaseC, opts.Seed+2)
+	// A ledger violation in any phase voids the run, after the autoscaler
+	// has been stopped.
+	phase := func(i uint64, rate float64, d time.Duration) LoadStats {
+		ls, lerr := loadStats(runPhase(es, opts.Sessions, rate, d, elasticSeed+i))
+		if err == nil {
+			err = lerr
+		}
+		return ls
+	}
+	before := phase(0, opts.BaseRate, opts.PhaseA)
+	during := phase(1, 2*opts.BaseRate, opts.PhaseB)
+	after := phase(2, 2*opts.BaseRate, opts.PhaseC)
 	asCancel()
 	<-asDone
+	if err != nil {
+		return res, err
+	}
 
-	decMu.Lock()
-	res.AutoscaleTicks, res.GrowTriggered = ticks, grew
-	decMu.Unlock()
 	if !res.GrowTriggered {
 		return res, errors.New("cluster: autoscaler never triggered the epoch flip")
 	}
@@ -423,10 +345,11 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 
 	// Inspect the epoch journal through the typed admin surface — the
 	// same path logctl epochs takes.
-	conn, err := st.dialCtrl()
+	conn, err := rpc.Dial(st.ctrlAddr)
 	if err != nil {
 		return res, err
 	}
+	defer conn.Close()
 	admin := flstore.NewAdmin(conn)
 	eps, err := admin.Epochs(context.Background())
 	if err != nil {
@@ -450,18 +373,11 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 	// Integrity: every acknowledged LId unique and readable through the
 	// epoch-routed read path (old-epoch positions hit the old members,
 	// new-epoch positions the new).
-	es.lidMu.Lock()
 	res.UniqueLIds = len(es.lids)
 	res.DuplicateLIds = es.dups
 	res.SealRetries = es.sealRetries
-	lids := make([]uint64, 0, len(es.lids))
 	for lid := range es.lids {
-		lids = append(lids, lid)
-	}
-	es.lidMu.Unlock()
-	reader := es.client(0)
-	for _, lid := range lids {
-		if _, rerr := reader.ReadLId(lid); rerr != nil {
+		if _, rerr := es.clients[0].ReadLId(lid); rerr != nil {
 			res.LostLIds++
 		}
 	}
@@ -470,12 +386,9 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 			res.DuplicateLIds, res.LostLIds)
 	}
 
-	res.AppendsBefore = statsA.Completed
-	res.AppendsDuring = statsB.Completed
-	res.AppendsAfter = statsC.Completed
-	res.P99BeforeMs = float64(statsA.Hist.Quantile(0.99)) / float64(time.Millisecond)
-	res.P99DuringMs = float64(statsB.Hist.Quantile(0.99)) / float64(time.Millisecond)
-	res.P99AfterMs = float64(statsC.Hist.Quantile(0.99)) / float64(time.Millisecond)
+	res.AppendsBefore, res.P99BeforeMs = before.Completed, before.P99Ms
+	res.AppendsDuring, res.P99DuringMs = during.Completed, during.P99Ms
+	res.AppendsAfter, res.P99AfterMs = after.Completed, after.P99Ms
 	bound := 10 * res.P99BeforeMs
 	if bound < 50 {
 		bound = 50

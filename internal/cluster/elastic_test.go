@@ -15,8 +15,6 @@ import (
 // bounded post-flip p99.
 func TestElasticSmoke(t *testing.T) {
 	res, err := RunElastic(ElasticOptions{
-		MaintainersBefore: 2,
-		MaintainersAfter:  4,
 		PerMaintainerRate: 600,
 		BaseRate:          800,
 		PhaseA:            500 * time.Millisecond,
@@ -24,7 +22,6 @@ func TestElasticSmoke(t *testing.T) {
 		PhaseC:            500 * time.Millisecond,
 		Sessions:          4,
 		AutoscaleTick:     50 * time.Millisecond,
-		AutoscaleTicks:    2,
 	})
 	if err != nil {
 		t.Fatalf("RunElastic: %v (result %+v)", err, res)
@@ -159,8 +156,8 @@ func TestAutoscalerSignals(t *testing.T) {
 // a filter.
 func TestAutoscalerGrowsPipeline(t *testing.T) {
 	dc, err := chariots.New(chariots.Config{
-		Self:   0,
-		NumDCs: 1,
+		Self:     0,
+		NumDCs:   1,
 		Batchers: 1, Filters: 1, Queues: 1, Maintainers: 1,
 		PlacementBatch: 100,
 		FlushThreshold: 8,

@@ -6,23 +6,18 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/flstore"
 	"repro/internal/replica"
 	"repro/internal/rpc"
 )
 
 // FailoverOptions configures the replicated-FLStore failure experiment: a
 // three-phase run (healthy → one maintainer severed → restarted and caught
-// up) that measures what the client sees through the failure. Faults come
-// from a seeded schedule, so a run is reproducible by (Seed, phase sizes).
+// up) over three maintainers with R=3 that measures what the client sees
+// through the failure. The fault is a scripted sever/heal of one link, so
+// a run is reproducible by its phase size.
 type FailoverOptions struct {
-	Maintainers     int
-	Replication     int
 	Ack             replica.AckPolicy
-	Seed            uint64
 	AppendsPerPhase int
-	// KillIndex is the maintainer severed in phase two (default 1).
-	KillIndex int
 }
 
 // FailoverResult is one failure-experiment run.
@@ -51,41 +46,21 @@ type FailoverResult struct {
 // controller.
 func RunFailover(opts FailoverOptions) (FailoverResult, error) {
 	var res FailoverResult
-	n, r := opts.Maintainers, opts.Replication
-	if n < 2 || r < 2 || r > n {
-		return res, fmt.Errorf("cluster: failover needs 2 <= R <= N, got N=%d R=%d", n, r)
-	}
 	if opts.AppendsPerPhase <= 0 {
-		opts.AppendsPerPhase = 300
+		return res, fmt.Errorf("cluster: failover needs AppendsPerPhase > 0")
 	}
-	kill := opts.KillIndex
-	if kill <= 0 || kill >= n {
-		kill = 1
-	}
-	p := flstore.Placement{NumMaintainers: n, BatchSize: 8}
-	ctl := faultinject.New(faultinject.Options{Seed: opts.Seed})
-	ms := make([]*flstore.Maintainer, n)
-	srvs := make([]*rpc.Server, n)
-	for i := 0; i < n; i++ {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{Index: i, Placement: p, Replication: r})
-		if err != nil {
-			return res, err
-		}
-		srv := rpc.NewServer()
-		flstore.ServeMaintainer(srv, m)
-		ms[i], srvs[i] = m, srv
-	}
-	wire := func(i int) flstore.MaintainerAPI {
-		return flstore.NewMaintainerClient(ctl.Wrap(fmt.Sprintf("c->m%d", i), rpc.NewLocalClient(srvs[i])))
-	}
-	apis := make([]flstore.MaintainerAPI, n)
-	for i := range apis {
-		apis[i] = wire(i)
-	}
-	client, err := flstore.NewReplicatedDirectClient(p, apis, nil, r, opts.Ack)
+	const kill = 1 // the maintainer severed in phase two
+	link := func(i int) string { return fmt.Sprintf("c->m%d", i) }
+	ctl := faultinject.New(faultinject.Options{Seed: 1})
+	rig, err := NewRig(RigSpec{
+		Maintainers: 3, Replication: 3, Round: 8, Ack: opts.Ack,
+		Link: func(i int, c rpc.Client) rpc.Client { return ctl.Wrap(link(i), c) },
+	})
 	if err != nil {
 		return res, err
 	}
+	defer rig.Close()
+	client := rig.Client
 
 	var latencies []time.Duration
 	phase := func(idx int) {
@@ -101,7 +76,7 @@ func RunFailover(opts FailoverOptions) (FailoverResult, error) {
 	}
 
 	phase(0)
-	ctl.Sever(fmt.Sprintf("c->m%d", kill))
+	ctl.Sever(link(kill))
 	phase(1)
 	res.Evicted = client.Session().Health().State(kill) == replica.Evicted
 	if res.HeadAfterKill, err = client.HeadExact(); err != nil {
@@ -110,11 +85,8 @@ func RunFailover(opts FailoverOptions) (FailoverResult, error) {
 
 	// Restart: heal the link and run the rejoin sequence (catch-up, then
 	// readmission). The maintainer's in-memory state survived — only its
-	// links were cut — so catch-up transfers exactly the missed records.
-	ctl.Heal(fmt.Sprintf("c->m%d", kill))
-	if err := client.SetMaintainer(kill, wire(kill)); err != nil {
-		return res, err
-	}
+	// link was cut — so catch-up transfers exactly the missed records.
+	ctl.Heal(link(kill))
 	if res.CatchUpRecords, err = client.Session().Rejoin(kill, 0); err != nil {
 		return res, fmt.Errorf("cluster: rejoin: %w", err)
 	}
@@ -129,10 +101,7 @@ func RunFailover(opts FailoverOptions) (FailoverResult, error) {
 			res.ReadFailures++
 		}
 	}
-	if len(latencies) > 0 {
-		sorted := append([]time.Duration(nil), latencies...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		res.AppendP99 = sorted[(len(sorted)*99)/100]
-	}
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	res.AppendP99 = latencies[(len(latencies)*99)/100]
 	return res, nil
 }

@@ -8,10 +8,7 @@ import (
 
 func TestRunFailoverSurvivesKill(t *testing.T) {
 	res, err := RunFailover(FailoverOptions{
-		Maintainers:     3,
-		Replication:     3,
 		Ack:             replica.AckMajority,
-		Seed:            1,
 		AppendsPerPhase: 60,
 	})
 	if err != nil {

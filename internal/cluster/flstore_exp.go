@@ -1,27 +1,26 @@
 package cluster
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flstore"
-	"repro/internal/metrics"
 	"repro/internal/ratelimit"
 	"repro/internal/workload"
 )
 
 // FLStoreOptions configures one FLStore scaling run (Figures 7–8): n
 // maintainers, n open-loop client machines offering TargetPerClient
-// records/second each (client i appends to maintainer i, the paper's
-// "identical number of client machines").
+// 512-byte records/second each (client i appends to maintainer i, the
+// paper's "identical number of client machines").
 type FLStoreOptions struct {
 	Profile         Profile
 	Maintainers     int
 	TargetPerClient float64
 	Duration        time.Duration
-	RecordSize      int
+	// Round is the placement round size (default 1000; the §5.2 ablation
+	// sweeps it).
+	Round uint64
 }
 
 // FLStoreResult is one measured point.
@@ -30,74 +29,71 @@ type FLStoreResult struct {
 	TargetPerClient float64
 	// AchievedTotal is the cumulative append throughput (records/s).
 	AchievedTotal float64
-	// PerMaintainer is each maintainer's achieved rate.
-	PerMaintainer []float64
-	// OfferedTotal is the cumulative offered load.
-	OfferedTotal float64
 }
 
 // RunFLStore executes one scaling point.
-func RunFLStore(opts FLStoreOptions) (FLStoreResult, error) {
-	if opts.Maintainers < 1 {
-		return FLStoreResult{}, fmt.Errorf("cluster: need >= 1 maintainer")
-	}
+func RunFLStore(opts FLStoreOptions) (FLStoreResult, error) { return runFLStore(opts, 0, nil) }
+
+// runFLStore is the FLStore load driver: it stands the maintainers up
+// behind their capacity limiters, optionally gossiping, offers the load,
+// and — when sample is set — calls it every millisecond of the run from
+// one goroutine that has exited by the time runFLStore returns.
+func runFLStore(opts FLStoreOptions, gossip time.Duration, sample func(*Rig)) (FLStoreResult, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
-	scale := opts.Profile.scale()
-	p := flstore.Placement{NumMaintainers: opts.Maintainers, BatchSize: 1000}
-	maintainers := make([]*flstore.Maintainer, opts.Maintainers)
-	for i := range maintainers {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{
-			Index:         i,
-			Placement:     p,
-			Limiter:       newSimLimiter(opts.Profile.down(opts.Profile.MaintainerCap)),
-			RejectPenalty: opts.Profile.RejectPenalty,
-		})
-		if err != nil {
-			return FLStoreResult{}, err
-		}
-		maintainers[i] = m
+	if opts.Round == 0 {
+		opts.Round = 1000
 	}
+	rig, err := NewRig(RigSpec{
+		Maintainers: opts.Maintainers,
+		Round:       opts.Round,
+		Gossip:      gossip,
+		Member: func(_ int, cfg *flstore.MaintainerConfig) error {
+			cfg.Limiter = newSimLimiter(opts.Profile.down(opts.Profile.MaintainerCap))
+			cfg.RejectPenalty = opts.Profile.RejectPenalty
+			return nil
+		},
+	})
+	if err != nil {
+		return FLStoreResult{}, err
+	}
+	defer rig.Close()
 
-	gens := make([]*workload.OpenLoopGen, opts.Maintainers)
-	var wg sync.WaitGroup
-	watch := metrics.NewStopwatch()
-	for i := range gens {
-		gens[i] = &workload.OpenLoopGen{
-			TargetPerSec: opts.TargetPerClient / scale,
-			RecordSize:   opts.RecordSize,
-			BatchSize:    64,
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		if sample == nil {
+			return
 		}
-		m := maintainers[i]
-		wg.Add(1)
-		go func(g *workload.OpenLoopGen) {
-			defer wg.Done()
-			g.Run(func(recs []*core.Record) int {
-				if _, err := m.Append(recs); err != nil {
-					return 0 // overloaded: offered load dropped
-				}
-				return len(recs)
-			}, opts.Duration)
-		}(gens[i])
-	}
-	wg.Wait()
-	watch.Stop()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				sample(rig)
+			}
+		}
+	}()
+	scale := opts.Profile.ScaleFactor()
+	_, elapsed := openLoop(opts.Maintainers, opts.TargetPerClient/scale, 0, opts.Duration, func(i int) workload.TimedSink {
+		m := rig.Maintainers[i]
+		return func(_ time.Time, recs []*core.Record) int {
+			if _, err := m.Append(recs); err != nil {
+				return 0 // overloaded: offered load dropped
+			}
+			return len(recs)
+		}
+	})
+	close(stop)
+	<-sampled
 
-	res := FLStoreResult{
-		Maintainers:     opts.Maintainers,
-		TargetPerClient: opts.TargetPerClient,
-		PerMaintainer:   make([]float64, opts.Maintainers),
-	}
+	res := FLStoreResult{Maintainers: opts.Maintainers, TargetPerClient: opts.TargetPerClient}
 	// Measurements scale back to paper units.
-	elapsed := watch.Elapsed().Seconds()
-	for i, m := range maintainers {
-		rate := float64(m.Appended.Value()) / elapsed * scale
-		res.PerMaintainer[i] = rate
-		res.AchievedTotal += rate
-	}
-	for _, g := range gens {
-		res.OfferedTotal += float64(g.Offered.Value()) / elapsed * scale
+	for _, m := range rig.Maintainers {
+		res.AchievedTotal += float64(m.Appended.Value()) / elapsed.Seconds() * scale
 	}
 	return res, nil
 }
@@ -118,28 +114,17 @@ func newSimLimiter(rate float64) *ratelimit.Limiter {
 	return l
 }
 
-// Figure7Point is one x/y pair of the Figure 7 load curve.
-type Figure7Point struct {
-	Target   float64
-	Achieved float64
-}
-
 // RunFigure7 sweeps the offered load on a single maintainer (Figure 7:
 // throughput rises with the target, peaks at the machine's capacity, then
 // declines slightly as rejection work eats into it).
-func RunFigure7(profile Profile, targets []float64, duration time.Duration) ([]Figure7Point, error) {
-	var points []Figure7Point
+func RunFigure7(profile Profile, targets []float64, duration time.Duration) ([]FLStoreResult, error) {
+	var points []FLStoreResult
 	for _, target := range targets {
-		res, err := RunFLStore(FLStoreOptions{
-			Profile:         profile,
-			Maintainers:     1,
-			TargetPerClient: target,
-			Duration:        duration,
-		})
+		res, err := RunFLStore(FLStoreOptions{Profile: profile, Maintainers: 1, TargetPerClient: target, Duration: duration})
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, Figure7Point{Target: target, Achieved: res.AchievedTotal})
+		points = append(points, res)
 	}
 	return points, nil
 }
@@ -166,12 +151,7 @@ func RunFigure8(maintainerCounts []int, duration time.Duration) ([]Figure8Series
 	for _, cfg := range configs {
 		series := Figure8Series{Label: cfg.label}
 		for _, n := range maintainerCounts {
-			res, err := RunFLStore(FLStoreOptions{
-				Profile:         cfg.profile,
-				Maintainers:     n,
-				TargetPerClient: cfg.target,
-				Duration:        duration,
-			})
+			res, err := RunFLStore(FLStoreOptions{Profile: cfg.profile, Maintainers: n, TargetPerClient: cfg.target, Duration: duration})
 			if err != nil {
 				return nil, err
 			}

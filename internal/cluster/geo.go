@@ -10,8 +10,8 @@ import (
 )
 
 // GeoCluster is a set of Chariots datacenters wired all-to-all through
-// latency links — the multi-datacenter deployments of the examples and of
-// the visibility experiment, packaged.
+// latency links — the multi-datacenter deployment of the visibility
+// experiment.
 type GeoCluster struct {
 	DCs   []*chariots.Datacenter
 	links []*chariots.LatencyLink
@@ -71,7 +71,6 @@ func (g *GeoCluster) Stop() {
 
 // VisibilityResult is one point of the geo-visibility experiment.
 type VisibilityResult struct {
-	OneWay time.Duration
 	// Mean/P99 time from a local append's acknowledgement to the record
 	// being applied at the remote datacenter.
 	Mean time.Duration
@@ -110,9 +109,5 @@ func RunGeoVisibility(oneWay time.Duration, appends int) (VisibilityResult, erro
 		}
 		hist.Observe(time.Since(start))
 	}
-	return VisibilityResult{
-		OneWay: oneWay,
-		Mean:   hist.Mean(),
-		P99:    hist.Quantile(0.99),
-	}, nil
+	return VisibilityResult{Mean: hist.Mean(), P99: hist.Quantile(0.99)}, nil
 }

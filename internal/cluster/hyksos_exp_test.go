@@ -11,7 +11,6 @@ func TestRunHyksosSmoke(t *testing.T) {
 		Keys:        20,
 		PutFraction: 0.3,
 		Duration:    300 * time.Millisecond,
-		ZipfSkew:    1.2,
 	})
 	if err != nil {
 		t.Fatal(err)

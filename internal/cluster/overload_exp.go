@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,20 +22,16 @@ import (
 	"repro/internal/workload"
 )
 
-// OverloadOptions configures the overload comparison.
-type OverloadOptions struct {
-	// MaintainerRate is the bottleneck stage's capacity (records/second).
-	MaintainerRate float64
-	// OverloadFactor scales the offered load relative to MaintainerRate
-	// (the acceptance scenario is 2×).
-	OverloadFactor float64
-	// Credits is the admission arm's pipeline credit bound (records).
-	Credits int
-	// Duration is the measured window per arm (after warmup).
-	Duration time.Duration
-	// RecordSize is the record body size.
-	RecordSize int
-}
+const (
+	// overloadMaintainerRate is the bottleneck stage's capacity
+	// (records/second); the open-loop generator offers overloadFactor×
+	// that in overloadRecordSize-byte records.
+	overloadMaintainerRate = 20_000
+	overloadFactor         = 2
+	overloadRecordSize     = 128
+	// overloadCredits is the admission arm's pipeline credit bound (records).
+	overloadCredits = 2048
+)
 
 // OverloadArm is one measured arm of the comparison.
 type OverloadArm struct {
@@ -83,17 +78,17 @@ type OverloadResult struct {
 }
 
 // runOverloadArm builds one single-DC pipeline with the maintainer stage
-// capped at opts.MaintainerRate, saturates it at OverloadFactor× with an
-// open-loop generator, and probes admitted-append latency closed-loop.
-func runOverloadArm(opts OverloadOptions, admission bool) (OverloadArm, error) {
+// capped at overloadMaintainerRate, saturates it at overloadFactor× with an
+// open-loop generator for window plus a quarter-window warmup, and probes
+// admitted-append latency open-loop over the window.
+func runOverloadArm(window time.Duration, admission bool) (OverloadArm, error) {
 	arm := OverloadArm{Admission: admission}
 	cfg := chariots.Config{
-		Self:   0,
 		NumDCs: 1,
-		Rates:  chariots.StageRates{Maintainer: opts.MaintainerRate},
+		Rates:  chariots.StageRates{Maintainer: overloadMaintainerRate},
 	}
 	if admission {
-		cfg.PipelineCredits = opts.Credits
+		cfg.PipelineCredits = overloadCredits
 		cfg.ShedOnSaturation = true
 	} else {
 		cfg.PipelineCredits = -1 // counting-only: the seed's unbounded ingress
@@ -105,46 +100,41 @@ func runOverloadArm(opts OverloadOptions, admission bool) (OverloadArm, error) {
 	dc.Start()
 	defer dc.Stop()
 
-	// Open-loop offered load at OverloadFactor× the bottleneck capacity.
-	gen := &workload.OpenLoopGen{
-		TargetPerSec: opts.MaintainerRate * opts.OverloadFactor,
-		RecordSize:   opts.RecordSize,
-		BatchSize:    64,
-	}
+	// Open-loop offered load at overloadFactor× the bottleneck capacity,
+	// running beside the probe below.
 	var acceptHist scale.Hist
-	var wg sync.WaitGroup
-	wg.Add(1)
+	genDone := make(chan *workload.OpenLoopGen, 1)
 	go func() {
-		defer wg.Done()
-		gen.RunTimed(func(intended time.Time, recs []*core.Record) int {
-			if err := dc.TryInject(recs); err != nil {
-				return 0 // shed (or, admission off, never: credits unbounded)
+		gens, _ := openLoop(1, overloadMaintainerRate*overloadFactor, overloadRecordSize, window+window/4, func(int) workload.TimedSink {
+			return func(intended time.Time, recs []*core.Record) int {
+				if err := dc.TryInject(recs); err != nil {
+					return 0 // shed (or, admission off, never: credits unbounded)
+				}
+				// Accepted: offered-vs-accepted latency against the
+				// schedule's intended offer time. With admission off
+				// TryInject blocks on the pipeline's full buffers; that wait
+				// — and the wait of every batch scheduled behind it — is
+				// exactly the latency a re-anchoring generator would forgive.
+				acceptHist.Record(time.Since(intended))
+				return len(recs)
 			}
-			// Accepted: offered-vs-accepted latency against the schedule's
-			// intended offer time. With admission off TryInject blocks on
-			// the pipeline's full buffers; that wait — and the wait of
-			// every batch scheduled behind it — is exactly the latency the
-			// re-anchoring generator used to forgive.
-			acceptHist.Record(time.Since(intended))
-			return len(recs)
-		}, opts.Duration+opts.Duration/4)
+		})
+		genDone <- gens[0]
 	}()
 
 	// Let the pipeline reach its saturated steady state before probing.
-	time.Sleep(opts.Duration / 4)
+	time.Sleep(window / 4)
 
 	// Open-loop probe: 50 concurrent sessions offer appends on a fixed
 	// aggregate 200/s schedule, and every probe's latency runs from its
 	// intended start to the AppendAck — shed-retry pacing and queueing
 	// behind a slow earlier probe on the same session both accrue to the
-	// probe they delayed (coordinated-omission-safe). The closed-loop
-	// predecessor restarted its clock on every retry, reporting only the
-	// final admitted attempt.
+	// probe they delayed (coordinated-omission-safe).
 	var probeSheds atomic.Uint64
 	probe := scale.NewEngine(scale.Config{
 		Sessions:     50,
 		TargetPerSec: 200,
-		Duration:     opts.Duration,
+		Duration:     window,
 		Seed:         1,
 		RetryFor:     30 * time.Second,
 		Op: func(int, time.Time) error {
@@ -159,62 +149,44 @@ func runOverloadArm(opts OverloadOptions, admission bool) (OverloadArm, error) {
 			return flstore.RetryAfter(err), true
 		},
 	})
-	probeStats := probe.Run()
-	if probeStats.Errors > 0 {
-		wg.Wait()
-		return arm, fmt.Errorf("cluster: %d probe appends failed", probeStats.Errors)
+	probeLoad, err := loadStats(probe.Run())
+	gen := <-genDone
+	if err != nil {
+		return arm, err
 	}
-	wg.Wait()
+	if probeLoad.Errors > 0 {
+		return arm, fmt.Errorf("cluster: %d probe appends failed", probeLoad.Errors)
+	}
 
 	stats := dc.CreditStats()
 	arm.Offered = gen.Offered.Value()
 	arm.Accepted = gen.Accepted.Value()
 	arm.Shed = stats.Sheds
 	arm.CreditHighWater = stats.MaxInUse
-	arm.ProbeCount = int(probeStats.Completed)
+	arm.ProbeCount = int(probeLoad.Completed)
 	arm.ProbeSheds = probeSheds.Load()
-	if probeStats.Completed > 0 {
-		arm.ProbeP50Ms = float64(probeStats.Hist.Quantile(0.50)) / float64(time.Millisecond)
-		arm.ProbeP99Ms = float64(probeStats.Hist.Quantile(0.99)) / float64(time.Millisecond)
-	}
-	if acceptHist.Count() > 0 {
-		arm.AcceptP50Ms = float64(acceptHist.Quantile(0.50)) / float64(time.Millisecond)
-		arm.AcceptP99Ms = float64(acceptHist.Quantile(0.99)) / float64(time.Millisecond)
-	}
-	arm.AppliedPerSec = float64(dc.AppliedCount()) / (opts.Duration + opts.Duration/4).Seconds()
+	arm.ProbeP50Ms, arm.ProbeP99Ms = probeLoad.P50Ms, probeLoad.P99Ms
+	arm.AcceptP50Ms, arm.AcceptP99Ms = ms(acceptHist.Quantile(0.50)), ms(acceptHist.Quantile(0.99))
+	arm.AppliedPerSec = float64(dc.AppliedCount()) / (window + window/4).Seconds()
 	// Drain what the pipeline still holds so Stop does not race the
 	// forwarders mid-batch (and the off arm's backlog empties).
 	dc.Quiesce(50*time.Millisecond, 30*time.Second)
 	return arm, nil
 }
 
-// RunOverload executes both arms and derives the comparison ratios.
-func RunOverload(opts OverloadOptions) (OverloadResult, error) {
-	if opts.MaintainerRate <= 0 {
-		opts.MaintainerRate = 20_000
-	}
-	if opts.OverloadFactor <= 0 {
-		opts.OverloadFactor = 2
-	}
-	if opts.Credits <= 0 {
-		opts.Credits = 2048
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
-	}
-	if opts.RecordSize <= 0 {
-		opts.RecordSize = 128
-	}
+// RunOverload executes both arms, each measured over window, and derives
+// the comparison ratios.
+func RunOverload(window time.Duration) (OverloadResult, error) {
 	res := OverloadResult{
-		MaintainerRate: opts.MaintainerRate,
-		OfferedRate:    opts.MaintainerRate * opts.OverloadFactor,
-		Credits:        opts.Credits,
+		MaintainerRate: overloadMaintainerRate,
+		OfferedRate:    overloadMaintainerRate * overloadFactor,
+		Credits:        overloadCredits,
 	}
 	var err error
-	if res.On, err = runOverloadArm(opts, true); err != nil {
+	if res.On, err = runOverloadArm(window, true); err != nil {
 		return res, fmt.Errorf("cluster: admission-on arm: %w", err)
 	}
-	if res.Off, err = runOverloadArm(opts, false); err != nil {
+	if res.Off, err = runOverloadArm(window, false); err != nil {
 		return res, fmt.Errorf("cluster: admission-off arm: %w", err)
 	}
 	if res.On.CreditHighWater > 0 {

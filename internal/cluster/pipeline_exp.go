@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/chariots"
@@ -19,20 +21,14 @@ type PipelineOptions struct {
 	Clients  int
 	Batchers int
 	Filters  int
-	Queues   int
-	// Maintainers defaults to Queues (the paper's tables pair them).
-	Maintainers int
+	// Queues is also the maintainer count (the paper's tables pair them).
+	Queues int
 
 	// Duration runs the generators for a fixed time (tables), while
 	// Records pushes a fixed record count and waits for the pipeline to
 	// drain (Figure 9). Exactly one must be set.
 	Duration time.Duration
 	Records  uint64
-
-	// Warmup excludes the buffer-fill transient from duration-based
-	// measurements (defaults to max(Duration/3, 200ms)). Counters are
-	// snapshotted after the warmup; rates use only the steady window.
-	Warmup time.Duration
 
 	// SampleWindow, when > 0, records a per-machine throughput
 	// timeseries at this granularity (Figure 9).
@@ -51,9 +47,8 @@ type PipelineOptions struct {
 
 // MachineRow is one row of a Table 2–5-style report.
 type MachineRow struct {
-	Name    string
-	PerSec  float64
-	Records uint64
+	Name   string
+	PerSec float64
 }
 
 // PipelineResult is one pipeline run's measurements.
@@ -73,27 +68,23 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 	if (opts.Duration == 0) == (opts.Records == 0) {
 		return nil, fmt.Errorf("cluster: set exactly one of Duration or Records")
 	}
-	if opts.Maintainers == 0 {
-		opts.Maintainers = opts.Queues
-	}
 	// Buffer and batch sizes scale with the rates so buffering *time*
 	// (records ÷ rate) matches the unscaled system: backpressure and
 	// drain-tail shapes depend on it.
-	scale0 := opts.Profile.scale()
+	scale := opts.Profile.ScaleFactor()
 	dc, err := chariots.New(chariots.Config{
-		Self:           0,
 		NumDCs:         1,
 		Batchers:       opts.Batchers,
 		Filters:        opts.Filters,
 		Queues:         opts.Queues,
-		Maintainers:    opts.Maintainers,
+		Maintainers:    opts.Queues,
 		PlacementBatch: 1000,
-		FlushThreshold: scaledSize(flushThreshold(opts.FlushThreshold), scale0, 8),
+		FlushThreshold: scaledSize(cmp.Or(opts.FlushThreshold, 512), scale, 8),
 		FlushInterval:  time.Millisecond,
 		TokenIdleWait:  100 * time.Microsecond,
 		Rates:          opts.Profile.stageRates(),
 		FilterNICRate:  opts.Profile.down(opts.Profile.FilterNICRate),
-		ChannelDepth:   scaledSize(channelDepth(opts.ChannelDepth), scale0, 512),
+		ChannelDepth:   scaledSize(cmp.Or(opts.ChannelDepth, 1<<15), scale, 512),
 	})
 	if err != nil {
 		return nil, err
@@ -103,7 +94,6 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 
 	// Client machines: closed-loop generators bounded by the client
 	// machine's own capacity and by pipeline backpressure.
-	scale := opts.Profile.scale()
 	gens := make([]*workload.ClosedLoopGen, opts.Clients)
 	for i := range gens {
 		gens[i] = &workload.ClosedLoopGen{
@@ -112,55 +102,58 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 		}
 	}
 
-	// Samplers (Figure 9): one per machine plus one per client.
-	var samplers map[string]*metrics.ThroughputSampler
+	// Every machine's throughput counter, clients first.
+	type machine struct {
+		name  string
+		count *metrics.Counter
+	}
+	var machines []machine
+	for i, g := range gens {
+		machines = append(machines, machine{clientName(i, opts.Clients), &g.Sent})
+	}
+	for _, m := range dc.Machines() {
+		machines = append(machines, machine{m.Name, &m.Processed})
+	}
+
+	// Samplers (Figure 9): one per machine.
+	samplers := make(map[string]*metrics.ThroughputSampler)
 	if opts.SampleWindow > 0 {
-		samplers = make(map[string]*metrics.ThroughputSampler)
-		for i, g := range gens {
-			name := clientName(i, opts.Clients)
-			samplers[name] = metrics.NewThroughputSampler(&g.Sent, opts.SampleWindow)
-		}
-		for _, m := range dc.Machines() {
-			samplers[m.Name] = metrics.NewThroughputSampler(&m.Processed, opts.SampleWindow)
-		}
-		for _, s := range samplers {
+		for _, m := range machines {
+			s := metrics.NewThroughputSampler(m.count, opts.SampleWindow)
 			s.Start()
+			defer s.Stop()
+			samplers[m.name] = s
 		}
 	}
 
 	stop := make(chan struct{})
 	done := make(chan struct{}, opts.Clients)
-	var perClientQuota uint64
-	if opts.Records > 0 {
-		perClientQuota = opts.Records / uint64(opts.Clients)
-	}
+	quota := opts.Records / uint64(opts.Clients)
 	watch := metrics.NewStopwatch()
 	for _, g := range gens {
-		g := g
 		go func() {
 			defer func() { done <- struct{}{} }()
-			if perClientQuota > 0 {
-				// Fixed record count: generate the quota then stop.
-				g.Run(func(recs []*core.Record) {
-					dc.Inject(recs)
-				}, stopWhen(func() bool { return g.Sent.Value() >= perClientQuota }, stop))
-			} else {
-				g.Run(func(recs []*core.Record) { dc.Inject(recs) }, stop)
+			genStop, sent := stop, uint64(0)
+			if quota > 0 {
+				genStop = make(chan struct{}) // fixed record count: closed by the sink once the quota is in
 			}
+			g.Run(func(recs []*core.Record) {
+				dc.Inject(recs)
+				if sent += uint64(len(recs)); quota > 0 && sent >= quota {
+					close(genStop)
+				}
+			}, genStop)
 		}()
 	}
 
-	var base map[string]uint64
+	base := make(map[string]uint64)
 	if opts.Duration > 0 {
-		warmup := opts.Warmup
-		if warmup == 0 {
-			warmup = opts.Duration / 3
-			if warmup < 200*time.Millisecond {
-				warmup = 200 * time.Millisecond
-			}
+		// The warmup excludes the buffer-fill transient: counters are
+		// snapshotted after it and rates use only the steady window.
+		time.Sleep(max(opts.Duration/3, 200*time.Millisecond))
+		for _, m := range machines {
+			base[m.name] = m.count.Value()
 		}
-		time.Sleep(warmup)
-		base = snapshotCounters(gens, dc, opts.Clients)
 		watch = metrics.NewStopwatch()
 		time.Sleep(opts.Duration)
 		close(stop)
@@ -171,7 +164,6 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 		for range gens {
 			<-done
 		}
-		close(stop)
 		// Wait for the pipeline to drain every injected record.
 		var sentTotal uint64
 		for _, g := range gens {
@@ -188,28 +180,16 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 	}
 	watch.Stop()
 	for _, s := range samplers {
-		s.Stop()
+		s.Stop() // sampling ends with the measurement; the deferred Stop covers error returns
 	}
 
 	res := &PipelineResult{
 		Applied: dc.AppliedCount(),
 		Elapsed: watch.Elapsed(),
 	}
-	elapsed := watch.Elapsed().Seconds()
-	delta := func(name string, now uint64) uint64 {
-		if base == nil {
-			return now
-		}
-		return now - base[name]
-	}
-	for i, g := range gens {
-		name := clientName(i, opts.Clients)
-		n := delta(name, g.Sent.Value())
-		res.Rows = append(res.Rows, MachineRow{Name: name, PerSec: float64(n) / elapsed * scale, Records: n})
-	}
-	for _, m := range dc.Machines() {
-		n := delta(m.Name, m.Processed.Value())
-		res.Rows = append(res.Rows, MachineRow{Name: m.Name, PerSec: float64(n) / elapsed * scale, Records: n})
+	for _, m := range machines {
+		n := m.count.Value() - base[m.name]
+		res.Rows = append(res.Rows, MachineRow{Name: m.name, PerSec: float64(n) / watch.Elapsed().Seconds() * scale})
 	}
 	// The bottleneck is the non-client stage with the lowest cumulative
 	// throughput (stage capacity is the sum of its machines).
@@ -223,7 +203,7 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 			res.Bottleneck = stage
 		}
 	}
-	if samplers != nil {
+	if len(samplers) > 0 {
 		res.Samples = make(map[string][]metrics.Sample, len(samplers))
 		for name, s := range samplers {
 			samples := s.Samples()
@@ -236,20 +216,6 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 	return res, nil
 }
 
-func flushThreshold(v int) int {
-	if v > 0 {
-		return v
-	}
-	return 512
-}
-
-func channelDepth(v int) int {
-	if v > 0 {
-		return v
-	}
-	return 1 << 15
-}
-
 // scaledSize divides a record-count-denominated size by the simulation
 // scale, bounded below by min.
 func scaledSize(v int, scale float64, min int) int {
@@ -260,43 +226,11 @@ func scaledSize(v int, scale float64, min int) int {
 	return out
 }
 
-// snapshotCounters captures every machine's counter for warmup exclusion.
-func snapshotCounters(gens []*workload.ClosedLoopGen, dc *chariots.Datacenter, nClients int) map[string]uint64 {
-	base := make(map[string]uint64)
-	for i, g := range gens {
-		base[clientName(i, nClients)] = g.Sent.Value()
-	}
-	for _, m := range dc.Machines() {
-		base[m.Name] = m.Processed.Value()
-	}
-	return base
-}
-
 func clientName(i, total int) string {
 	if total == 1 {
 		return "Client"
 	}
 	return fmt.Sprintf("Client %d", i+1)
-}
-
-// stopWhen derives a stop channel that closes when cond becomes true or
-// parent closes, polled at 500µs.
-func stopWhen(cond func() bool, parent <-chan struct{}) <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		defer close(ch)
-		for {
-			select {
-			case <-parent:
-				return
-			case <-time.After(500 * time.Microsecond):
-				if cond() {
-					return
-				}
-			}
-		}
-	}()
-	return ch
 }
 
 // Table renders the result the way the paper prints Tables 2–5.
@@ -306,6 +240,32 @@ func (r *PipelineResult) Table() string {
 		tb.AddRow(row.Name, fmt.Sprintf("%.1f", row.PerSec/1000))
 	}
 	return tb.String()
+}
+
+// QueueSpike summarizes a sampled drain run (Figure 9): the queue stage's
+// mean rate while batcher 1 was still transmitting, and its peak rate
+// after the batcher stopped.
+func (r *PipelineResult) QueueSpike() (steady, spike float64) {
+	var batcherEnd time.Duration
+	for _, s := range r.Samples["Batcher 1"] {
+		if s.Count > 0 {
+			batcherEnd = s.Elapsed
+		}
+	}
+	var sum float64
+	var n int
+	for _, s := range r.Samples["Queue"] {
+		if s.Elapsed <= batcherEnd {
+			sum += s.Rate
+			n++
+		} else {
+			spike = max(spike, s.Rate)
+		}
+	}
+	if n > 0 {
+		steady = sum / float64(n)
+	}
+	return steady, spike
 }
 
 // StageTotals sums per-stage throughput across machines of the same kind.
@@ -318,10 +278,6 @@ func (r *PipelineResult) StageTotals() map[string]float64 {
 }
 
 func stageOf(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == ' ' {
-			return name[:i]
-		}
-	}
-	return name
+	stage, _, _ := strings.Cut(name, " ")
+	return stage
 }

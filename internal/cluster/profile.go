@@ -90,11 +90,6 @@ func PublicCloud() Profile {
 	}
 }
 
-// Unlimited removes every capacity limiter: the raw throughput of this Go
-// implementation on the host machine (not a reproduction profile — used
-// to measure implementation overhead).
-func Unlimited() Profile { return Profile{Name: "unlimited"} }
-
 // autoScale picks a simulation scale the host can sustain: the paper's
 // largest configurations aggregate ≈2.5M records/s across what were 20
 // physical machines, which a many-core host can simulate at full rate but
@@ -116,18 +111,10 @@ func autoScale() float64 {
 // ScaleFactor returns the effective simulation scale divisor (≥ 1).
 // Callers sizing fixed workloads (record counts) divide by it so run
 // times stay comparable across hosts.
-func (p Profile) ScaleFactor() float64 { return p.scale() }
-
-// scale returns the effective divisor (≥ 1).
-func (p Profile) scale() float64 {
-	if p.Scale < 1 {
-		return 1
-	}
-	return p.Scale
-}
+func (p Profile) ScaleFactor() float64 { return max(p.Scale, 1) }
 
 // down converts a paper-unit rate to the simulated rate.
-func (p Profile) down(rate float64) float64 { return rate / p.scale() }
+func (p Profile) down(rate float64) float64 { return rate / p.ScaleFactor() }
 
 // stageRates converts the profile to the chariots per-stage limits, in
 // simulated (scaled-down) units.

@@ -7,24 +7,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flstore"
-	"repro/internal/rpc"
 )
 
-// ReadPathOptions configures the read-path experiment: a closed-loop tail
-// (each record is appended only after the tailing consumer has seen the
-// previous one — the append→visible latency expressed as a rate) measured
-// on the client's push subscription and on a poll loop a reader without it
-// would write (pollTail), plus a bulk read of the resulting log via one
-// scatter-gather ReadRange versus single-record round trips.
-type ReadPathOptions struct {
-	Maintainers int
-	BatchSize   uint64
-	Records     int
-	RecordSize  int
-	// Budget caps the wall clock per measured mode; a mode that does not
-	// reach Records within the budget reports the rate it sustained.
-	Budget time.Duration
-}
+// The read-path experiment: a closed-loop tail (each record is appended
+// only after the tailing consumer has seen the previous one — the
+// append→visible latency expressed as a rate) measured on the client's
+// push subscription and on a poll loop a reader without it would write
+// (pollTail), plus a bulk read of the resulting log via one scatter-gather
+// ReadRange versus single-record round trips. Every measured mode is
+// capped by a wall-clock budget; a mode that does not reach readPathRecords
+// within it reports the rate it sustained.
+const (
+	readPathMaintainers = 3
+	readPathRecords     = 10_000
+	readPathRecordSize  = 128
+)
 
 // ReadPathResult is the measured comparison. Rates are records/second.
 type ReadPathResult struct {
@@ -41,8 +38,8 @@ type ReadPathResult struct {
 	RangeSpeedup     float64 `json:"range_speedup"`
 	// ReadScaling is the replica-count sweep: aggregate hot-range read
 	// throughput as the group size R grows, every replica serving valid
-	// reads locally under the invalidation protocol. Filled by the repro
-	// driver from RunReadScaling, not by RunReadPath.
+	// reads locally under the invalidation protocol. Filled by the readpath
+	// table entry from RunReadScaling, not by RunReadPath.
 	ReadScaling []ReadScalingPoint `json:"read_scaling,omitempty"`
 	// ReadScalingX is the largest-R/smallest-R aggregate throughput ratio
 	// — the acceptance bar is ≥ 2× for R 1→3.
@@ -56,23 +53,10 @@ type ReadScalingPoint struct {
 	ReadsPerSec float64 `json:"reads_per_sec"`
 }
 
-// newReadPathStack wires client→rpc→maintainers in-process: real dispatch
-// and codec work on every hop, so the poll/push difference reflects the
+// readPathSpec wires client→rpc→maintainers in-process: real dispatch and
+// codec work on every hop, so the poll/push difference reflects the
 // protocol, not the transport.
-func newReadPathStack(opts ReadPathOptions) (*flstore.Client, error) {
-	p := flstore.Placement{NumMaintainers: opts.Maintainers, BatchSize: opts.BatchSize}
-	apis := make([]flstore.MaintainerAPI, opts.Maintainers)
-	for i := range apis {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{Index: i, Placement: p})
-		if err != nil {
-			return nil, err
-		}
-		srv := rpc.NewServer()
-		flstore.ServeMaintainer(srv, m)
-		apis[i] = flstore.NewMaintainerClient(rpc.NewLocalClient(srv))
-	}
-	return flstore.NewDirectClient(p, apis, nil)
-}
+var readPathSpec = RigSpec{Maintainers: readPathMaintainers, Round: 8}
 
 // tailFunc is the shape of Client.Tail: deliver the log from an LId on, in
 // order, until ctx ends or fn returns false.
@@ -110,7 +94,7 @@ func pollTail(ctx context.Context, c *flstore.Client, cursor uint64, fn func(*co
 	}
 }
 
-// runClosedLoopTail appends up to opts.Records records one at a time and,
+// runClosedLoopTail appends up to readPathRecords records one at a time and,
 // after each append, waits until the tailing consumer has delivered every
 // record the head of the log now covers. Placement is post-assignment —
 // the dense prefix lags the append count by up to a round-robin cycle — so
@@ -119,10 +103,10 @@ func pollTail(ctx context.Context, c *flstore.Client, cursor uint64, fn func(*co
 // tail is the consumer under test: with pollTail every head advance pays
 // the poll tick before the consumer sees it; with Client.Tail the consumer
 // is woken directly by the maintainer's frontier advance.
-func runClosedLoopTail(c *flstore.Client, tail tailFunc, opts ReadPathOptions) (int, time.Duration, error) {
+func runClosedLoopTail(c *flstore.Client, tail tailFunc, budget time.Duration) (records int, perSec float64, err error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	acks := make(chan uint64, opts.Records)
+	acks := make(chan uint64, readPathRecords) // never blocks the consumer
 	tailErr := make(chan error, 1)
 	go func() {
 		tailErr <- tail(ctx, 1, func(r *core.Record) bool {
@@ -130,80 +114,63 @@ func runClosedLoopTail(c *flstore.Client, tail tailFunc, opts ReadPathOptions) (
 			return true
 		})
 	}()
-	body := make([]byte, opts.RecordSize)
+	body := make([]byte, readPathRecordSize)
 	start := time.Now()
-	deadline := start.Add(opts.Budget)
+	deadline := start.Add(budget)
 	seen := uint64(0) // highest LId the consumer has delivered
 	appended := 0
-	for appended < opts.Records && time.Now().Before(deadline) {
+	for appended < readPathRecords && time.Now().Before(deadline) {
 		if _, err := c.Append(body, nil); err != nil {
-			return int(seen), time.Since(start), err
+			return 0, 0, err
 		}
 		appended++
 		head, err := c.HeadExact()
 		if err != nil {
-			return int(seen), time.Since(start), err
+			return 0, 0, err
 		}
 		for seen < head {
 			select {
 			case lid := <-acks:
 				seen = lid
 			case err := <-tailErr:
-				return int(seen), time.Since(start), fmt.Errorf("cluster: tail exited early: %v", err)
+				return 0, 0, fmt.Errorf("cluster: tail exited early: %v", err)
 			case <-time.After(5 * time.Second):
-				return int(seen), time.Since(start), fmt.Errorf("cluster: LId %d never became visible (head %d)", seen+1, head)
+				return 0, 0, fmt.Errorf("cluster: LId %d never became visible (head %d)", seen+1, head)
 			}
 		}
 	}
 	elapsed := time.Since(start)
 	cancel()
 	<-tailErr // consumer exits on context cancellation
-	return int(seen), elapsed, nil
+	return int(seen), float64(seen) / elapsed.Seconds(), nil
 }
 
-// RunReadPath measures the four read-path rates.
-func RunReadPath(opts ReadPathOptions) (ReadPathResult, error) {
-	if opts.Maintainers <= 0 {
-		opts.Maintainers = 3
-	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = 8
-	}
-	if opts.Records <= 0 {
-		opts.Records = 10_000
-	}
-	if opts.RecordSize <= 0 {
-		opts.RecordSize = 128
-	}
-	if opts.Budget <= 0 {
-		opts.Budget = 2 * time.Second
-	}
-	res := ReadPathResult{Maintainers: opts.Maintainers, Records: opts.Records}
+// RunReadPath measures the four read-path rates, each within budget.
+func RunReadPath(budget time.Duration) (ReadPathResult, error) {
+	res := ReadPathResult{Maintainers: readPathMaintainers, Records: readPathRecords}
 
 	// Closed-loop tail, push then poll, each on a fresh log.
-	push, err := newReadPathStack(opts)
+	pushRig, err := NewRig(readPathSpec)
 	if err != nil {
 		return res, err
 	}
-	n, elapsed, err := runClosedLoopTail(push, push.Tail, opts)
-	if err != nil {
+	defer pushRig.Close()
+	push := pushRig.Client
+	if res.TailPushRecords, res.TailPushPerSec, err = runClosedLoopTail(push, push.Tail, budget); err != nil {
 		return res, err
 	}
-	res.TailPushRecords = n
-	res.TailPushPerSec = float64(n) / elapsed.Seconds()
 
-	poll, err := newReadPathStack(opts)
+	pollRig, err := NewRig(readPathSpec)
 	if err != nil {
 		return res, err
 	}
-	n, elapsed, err = runClosedLoopTail(poll, func(ctx context.Context, from uint64, fn func(*core.Record) bool) error {
-		return pollTail(ctx, poll, from, fn)
-	}, opts)
+	defer pollRig.Close()
+	res.TailPollRecords, res.TailPollPerSec, err = runClosedLoopTail(pollRig.Client, func(ctx context.Context, from uint64, fn func(*core.Record) bool) error {
+		return pollTail(ctx, pollRig.Client, from, fn)
+	}, budget)
 	if err != nil {
 		return res, err
 	}
-	res.TailPollRecords = n
-	res.TailPollPerSec = float64(n) / elapsed.Seconds()
 	if res.TailPollPerSec > 0 {
 		res.TailSpeedup = res.TailPushPerSec / res.TailPollPerSec
 	}
@@ -225,7 +192,7 @@ func RunReadPath(opts ReadPathOptions) (ReadPathResult, error) {
 	res.RangeReadPerSec = float64(len(recs)) / time.Since(start).Seconds()
 
 	start = time.Now()
-	deadline := start.Add(opts.Budget)
+	deadline := start.Add(budget)
 	read := 0
 	for lid := uint64(1); lid <= head && time.Now().Before(deadline); lid++ {
 		if _, err := push.ReadLId(lid); err != nil {

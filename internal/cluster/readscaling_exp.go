@@ -9,87 +9,58 @@ import (
 	"repro/internal/core"
 	"repro/internal/flstore"
 	"repro/internal/replica"
-	"repro/internal/rpc"
 )
 
 // ReadScalingOptions configures the replica read-scaling sweep: the same
-// hot range read under growing replica-group sizes. Every point runs over
-// real loopback TCP with one shared connection per maintainer, so each
-// member models a fixed serving capacity (the server handles one
-// connection's requests in order); the sweep measures how much aggregate
-// read throughput the invalidation protocol unlocks by letting any valid
-// replica answer locally instead of funneling every read to the owner.
+// hot range read by three maintainers under growing replica-group sizes.
+// Every point runs over real loopback TCP with one shared connection per
+// maintainer, so each member models a fixed serving capacity (the server
+// handles one connection's requests in order); the sweep measures how much
+// aggregate read throughput the invalidation protocol unlocks by letting
+// any valid replica answer locally instead of funneling every read to the
+// owner.
 type ReadScalingOptions struct {
-	Maintainers int
-	BatchSize   uint64
+	BatchSize uint64
 	// Records is the preloaded log size per point.
-	Records    int
-	RecordSize int
+	Records int
 	// Readers is the number of concurrent reader goroutines per point.
 	Readers int
 	// Budget caps the measured wall clock per point.
 	Budget time.Duration
-	// Replicas are the R values swept, ascending (default 1, 2, 3).
+	// Replicas are the R values swept, ascending.
 	Replicas []int
-	// ServiceDelay is each member's per-read service time (default
-	// 100µs): the serving loop holds the connection for this long per
-	// request, modeling a member whose reads cost real work (storage,
-	// WAN hop) rather than a loopback cache hit. Sleeping instead of
-	// spinning keeps the model honest on small machines — per-member
-	// capacity is 1/ServiceDelay regardless of host core count, so the
-	// sweep measures protocol-level read spreading, not scheduler noise.
-	ServiceDelay time.Duration
 }
 
-// pacedMember fronts a maintainer with a fixed per-read service time. It
-// embeds the maintainer, so ServeMaintainer's type assertions see the full
-// replica/range-read/invalidation surface; only Read — the swept call — is
-// paced. Reads are served inline in connection order, so the delay bounds
-// one connection's read throughput exactly like a busy member would.
-type pacedMember struct {
-	*flstore.Maintainer
-	delay time.Duration
-}
+const (
+	readScalingMaintainers = 3
+	readScalingRecordSize  = 128
+	// readServiceDelay is each member's per-read service time: the serving
+	// loop holds the connection for this long per request, modeling a
+	// member whose reads cost real work (storage, WAN hop) rather than a
+	// loopback cache hit. Sleeping instead of spinning keeps the model
+	// honest on small machines — per-member capacity is 1/readServiceDelay
+	// regardless of host core count, so the sweep measures protocol-level
+	// read spreading, not scheduler noise.
+	readServiceDelay = 100 * time.Microsecond
+)
 
-func (p *pacedMember) Read(lid uint64) (*core.Record, error) {
-	if p.delay > 0 {
-		time.Sleep(p.delay)
-	}
+// pacedMember fronts a maintainer with the fixed per-read service time. It
+// embeds the maintainer, so it serves the whole MaintainerAPI; only Read —
+// the swept call — is paced. Reads are served inline in connection order,
+// so the delay bounds one connection's read throughput exactly like a busy
+// member would.
+type pacedMember struct{ *flstore.Maintainer }
+
+func (p pacedMember) Read(lid uint64) (*core.Record, error) {
+	time.Sleep(readServiceDelay)
 	return p.Maintainer.Read(lid)
 }
 
 // RunReadScaling measures aggregate single-record read throughput against
 // one hot range for each configured replica-group size.
 func RunReadScaling(opts ReadScalingOptions) ([]ReadScalingPoint, error) {
-	if opts.Maintainers <= 0 {
-		opts.Maintainers = 3
-	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = 8
-	}
-	if opts.Records <= 0 {
-		opts.Records = 3_000
-	}
-	if opts.RecordSize <= 0 {
-		opts.RecordSize = 128
-	}
-	if opts.Readers <= 0 {
-		opts.Readers = 16
-	}
-	if opts.Budget <= 0 {
-		opts.Budget = time.Second
-	}
-	if opts.ServiceDelay == 0 {
-		opts.ServiceDelay = 100 * time.Microsecond
-	}
-	if len(opts.Replicas) == 0 {
-		opts.Replicas = []int{1, 2, 3}
-	}
 	points := make([]ReadScalingPoint, 0, len(opts.Replicas))
 	for _, r := range opts.Replicas {
-		if r < 1 || r > opts.Maintainers {
-			return nil, fmt.Errorf("cluster: replication %d out of range [1,%d]", r, opts.Maintainers)
-		}
 		pt, err := runReadScalingPoint(opts, r)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: read scaling R=%d: %w", r, err)
@@ -101,58 +72,27 @@ func RunReadScaling(opts ReadScalingOptions) ([]ReadScalingPoint, error) {
 
 func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, error) {
 	pt := ReadScalingPoint{Replication: r}
-	p := flstore.Placement{NumMaintainers: opts.Maintainers, BatchSize: opts.BatchSize}
 
 	// Real TCP stack, one shared pipelined connection per maintainer: the
 	// server serves a connection's requests in order, so per-member
 	// throughput is bounded no matter how many client goroutines pile on —
 	// the capacity model that makes replica spreading measurable. (The
 	// in-process LocalClient dispatches on the caller's goroutine and would
-	// show no scaling at all.)
-	servers := make([]*rpc.Server, opts.Maintainers)
-	conns := make([]*rpc.TCPClient, opts.Maintainers)
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		for _, s := range servers {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
-	apis := make([]flstore.MaintainerAPI, opts.Maintainers)
-	for i := range apis {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{Index: i, Placement: p, Replication: r})
-		if err != nil {
-			return pt, err
-		}
-		srv := rpc.NewServer()
-		flstore.ServeMaintainer(srv, &pacedMember{Maintainer: m, delay: opts.ServiceDelay})
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return pt, err
-		}
-		servers[i] = srv
-		conn, err := rpc.Dial(addr.String())
-		if err != nil {
-			return pt, err
-		}
-		conns[i] = conn
-		apis[i] = flstore.NewMaintainerClient(conn)
-	}
-
-	// AckAll preloading: every group member holds every payload before the
-	// measurement starts, so reads never block on an in-flight
-	// invalidation and the sweep isolates read-path capacity.
-	client, err := flstore.NewReplicatedDirectClient(p, apis, nil, r, replica.AckAll,
-		flstore.WithReadPolicy(replica.SpreadReads()))
+	// show no scaling at all.) AckAll preloading: every group member holds
+	// every payload before the measurement starts, so reads never block on
+	// an in-flight invalidation and the sweep isolates read-path capacity.
+	rig, err := NewRig(RigSpec{
+		Maintainers: readScalingMaintainers, Replication: r, Round: opts.BatchSize,
+		Ack: replica.AckAll, TCP: true,
+		Serve: func(_ int, m *flstore.Maintainer) flstore.MaintainerAPI { return pacedMember{m} },
+	})
 	if err != nil {
 		return pt, err
 	}
-	body := make([]byte, opts.RecordSize)
+	defer rig.Close()
+	client, p := rig.Client, rig.Placement
+	client.Session().SetReadPolicy(replica.SpreadReads())
+	body := make([]byte, readScalingRecordSize)
 	for appended := 0; appended < opts.Records; appended++ {
 		if _, err := client.Append(body, nil); err != nil {
 			return pt, err
@@ -165,7 +105,7 @@ func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, erro
 	if err != nil {
 		return pt, err
 	}
-	hot := make([]uint64, 0, int(head)/opts.Maintainers+1)
+	hot := make([]uint64, 0, int(head)/readScalingMaintainers+1)
 	for lid := uint64(1); lid <= head; lid++ {
 		if p.Owner(lid) == 0 {
 			hot = append(hot, lid)

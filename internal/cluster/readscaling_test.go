@@ -16,12 +16,11 @@ func TestReadScalingSweepSmoke(t *testing.T) {
 		t.Skip("spins up TCP stacks")
 	}
 	opts := ReadScalingOptions{
-		Maintainers: 3,
-		BatchSize:   4,
-		Records:     120,
-		Readers:     4,
-		Budget:      150 * time.Millisecond,
-		Replicas:    []int{1, 3},
+		BatchSize: 4,
+		Records:   120,
+		Readers:   4,
+		Budget:    150 * time.Millisecond,
+		Replicas:  []int{1, 3},
 	}
 	points, err := RunReadScaling(opts)
 	if err != nil {

@@ -41,27 +41,20 @@ func RunScaleScenario(name string, opt scale.Options) (scale.Result, error) {
 	return res, nil
 }
 
-// RunScaleMatrix runs the named scenarios (all of them when names is
-// empty) with one seed and shared options, registering each run's scale_*
-// series on a fresh metrics registry.
-func RunScaleMatrix(names []string, opt scale.Options) (ScaleBench, error) {
-	if len(names) == 0 {
-		names = scale.Names()
-	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-		opt.Seed = 1
-	}
-	bench := ScaleBench{Seed: seed}
+// scaleSeed seeds every scenario run of the matrix.
+const scaleSeed = 1
+
+// RunScaleMatrix runs the named scenarios at their declared full size,
+// registering each run's scale_* series on a fresh metrics registry.
+func RunScaleMatrix(names []string) (ScaleBench, error) {
+	bench := ScaleBench{Seed: scaleSeed}
 	for _, name := range names {
-		o := opt
-		o.Registry = metrics.NewRegistry()
-		res, err := RunScaleScenario(name, o)
+		reg := metrics.NewRegistry()
+		res, err := RunScaleScenario(name, scale.Options{Seed: scaleSeed, Registry: reg})
 		if err != nil {
 			return bench, err
 		}
-		if snap := o.Registry.Snapshot().Find("scale_offered_total", nil); snap == nil || uint64(snap.Value) != res.Offered {
+		if snap := reg.Snapshot().Find("scale_offered_total", nil); snap == nil || uint64(snap.Value) != res.Offered {
 			return bench, fmt.Errorf("cluster: scenario %s scale_offered_total metric disagrees with ledger", name)
 		}
 		bench.Scenarios = append(bench.Scenarios, res)

@@ -54,7 +54,7 @@ func TestScaleInvariancePipeline(t *testing.T) {
 			p.Scale = scale
 			res, err := RunPipeline(PipelineOptions{
 				Profile: p,
-				Clients: 2, Batchers: 1, Filters: 1, Queues: 1, Maintainers: 1,
+				Clients: 2, Batchers: 1, Filters: 1, Queues: 1,
 				Duration: 500 * time.Millisecond,
 			})
 			if err != nil {

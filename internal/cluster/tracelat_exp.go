@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/chariots"
 	"repro/internal/core"
-	"repro/internal/flstore"
 	"repro/internal/replica"
-	"repro/internal/rpc"
 	"repro/internal/trace"
 )
 
@@ -28,15 +27,6 @@ import (
 //   - one chariots datacenter covers dc.append → pipe.batch → pipe.filter
 //     → pipe.queue → the embedded maintainers (the pipeline leg, asserted
 //     for stage coverage).
-
-// TraceLatOptions configures the tracing-accuracy experiment.
-type TraceLatOptions struct {
-	// Maintainers and Replication shape the FLStore leg (defaults 3, 2).
-	Maintainers int
-	Replication int
-	// Appends is the number of measured client appends (default 150).
-	Appends int
-}
 
 // StageBudget is one row of the per-stage latency budget: how much of the
 // covered end-to-end time was attributed to this stage.
@@ -68,26 +58,12 @@ type TraceLatResult struct {
 	PipelineStages []string `json:"pipeline_stages"`
 }
 
-// RunTraceLat executes the experiment against in-process deployments.
-// It force-samples every operation for the duration of the run and
-// restores the prior sampling rate (and clears the flight recorder) on
-// return.
-func RunTraceLat(opts TraceLatOptions) (TraceLatResult, error) {
+// RunTraceLat executes the experiment against in-process deployments,
+// measuring the given number of client appends. It force-samples every
+// operation for the duration of the run and restores the prior sampling
+// rate (and clears the flight recorder) on return.
+func RunTraceLat(appends int) (TraceLatResult, error) {
 	var res TraceLatResult
-	n, r := opts.Maintainers, opts.Replication
-	if n <= 0 {
-		n = 3
-	}
-	if r <= 0 {
-		r = 2
-	}
-	if r > n {
-		r = n
-	}
-	appends := opts.Appends
-	if appends <= 0 {
-		appends = 150
-	}
 
 	prev := trace.SamplingRate()
 	rec := trace.Default()
@@ -96,22 +72,13 @@ func RunTraceLat(opts TraceLatOptions) (TraceLatResult, error) {
 		rec.Reset()
 	}()
 
-	// --- FLStore leg: replicated deployment over local RPC. ---
-	p := flstore.Placement{NumMaintainers: n, BatchSize: 8}
-	apis := make([]flstore.MaintainerAPI, n)
-	for i := 0; i < n; i++ {
-		m, err := flstore.NewMaintainer(flstore.MaintainerConfig{Index: i, Placement: p, Replication: r})
-		if err != nil {
-			return res, err
-		}
-		srv := rpc.NewServer()
-		flstore.ServeMaintainer(srv, m)
-		apis[i] = flstore.NewMaintainerClient(rpc.NewLocalClient(srv))
-	}
-	client, err := flstore.NewReplicatedDirectClient(p, apis, nil, r, replica.AckMajority)
+	// --- FLStore leg: three maintainers, R=2, over local RPC. ---
+	rig, err := NewRig(RigSpec{Maintainers: 3, Replication: 2, Round: 8, Ack: replica.AckMajority})
 	if err != nil {
 		return res, err
 	}
+	defer rig.Close()
+	client := rig.Client
 
 	// Warm up unsampled so lazy initialization stays out of the budget.
 	trace.SetSampling(0)
@@ -163,7 +130,6 @@ func RunTraceLat(opts TraceLatOptions) (TraceLatResult, error) {
 	// --- Pipeline leg: one chariots datacenter. ---
 	rec.Reset()
 	dc, err := chariots.New(chariots.Config{
-		Self:           0,
 		NumDCs:         1,
 		Batchers:       1,
 		Filters:        1,
@@ -183,11 +149,7 @@ func RunTraceLat(opts TraceLatOptions) (TraceLatResult, error) {
 	dc.Start()
 	defer dc.Stop()
 
-	pipeAppends := appends / 3
-	if pipeAppends < 20 {
-		pipeAppends = 20
-	}
-	for i := 0; i < pipeAppends; i++ {
+	for i := 0; i < max(appends/3, 20); i++ {
 		if _, err := dc.Append([]byte(fmt.Sprintf("pl-%d", i)), nil); err != nil {
 			return res, fmt.Errorf("cluster: tracelat pipeline append %d: %w", i, err)
 		}
@@ -200,12 +162,8 @@ func RunTraceLat(opts TraceLatOptions) (TraceLatResult, error) {
 // HasStages reports whether every named stage appears in the set (a
 // sorted stageSet result).
 func HasStages(set []string, want ...string) bool {
-	have := make(map[string]bool, len(set))
-	for _, s := range set {
-		have[s] = true
-	}
 	for _, w := range want {
-		if !have[w] {
+		if !slices.Contains(set, w) {
 			return false
 		}
 	}

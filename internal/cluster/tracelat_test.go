@@ -8,7 +8,7 @@ import "testing"
 // per-stage budget must attribute at least 90% of the latency the client
 // measured end to end.
 func TestTraceSmoke(t *testing.T) {
-	res, err := RunTraceLat(TraceLatOptions{Maintainers: 3, Replication: 2, Appends: 60})
+	res, err := RunTraceLat(60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ func newDC(self core.DCID) *chariots.Datacenter {
 		Maintainers:    2,
 		Indexers:       1,
 		FlushThreshold: 1,
-		FlushInterval:  200 * time.Microsecond,
 		SendThreshold:  1,
 		SendInterval:   200 * time.Microsecond,
 	})

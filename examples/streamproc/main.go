@@ -24,7 +24,6 @@ func newDC(self core.DCID) *chariots.Datacenter {
 		Maintainers:    3,
 		Indexers:       1,
 		FlushThreshold: 8,
-		FlushInterval:  200 * time.Microsecond,
 		SendThreshold:  8,
 		SendInterval:   200 * time.Microsecond,
 	})

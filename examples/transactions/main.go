@@ -22,7 +22,6 @@ func newDC(self core.DCID) *chariots.Datacenter {
 		NumDCs:         2,
 		Maintainers:    2,
 		FlushThreshold: 1,
-		FlushInterval:  200 * time.Microsecond,
 		SendThreshold:  1,
 		SendInterval:   200 * time.Microsecond,
 	})

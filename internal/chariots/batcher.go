@@ -5,21 +5,24 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/ratelimit"
 )
 
 // Batcher is one machine of the batching stage (§6.2): it buffers records
 // received from application clients and receivers, one buffer per filter
-// (records are mapped to filters by the shared FilterRouting), and sends a
-// buffer downstream once it exceeds the flush threshold or the flush
-// interval elapses. Batchers are completely independent of each other —
-// adding one requires no coordination.
+// (records are mapped to filters by the shared FilterRouting) and hands the
+// buffers downstream as soon as its inbox runs dry or one of them reaches
+// the flush threshold. Hand-off is work-paced: a lone record is forwarded
+// at once, and under backlog the inbox never runs dry, so batches fill to
+// the threshold and the blocking downstream send is the pacing. Batchers
+// are completely independent of each other — adding one requires no
+// coordination.
 type Batcher struct {
 	StageMachine
-	in       chan []*core.Record
-	routing  *FilterRouting
-	thresh   int
-	interval time.Duration
+	in      chan []*core.Record
+	routing *FilterRouting
+	thresh  int // ceiling on how long a buffer grows before it is handed on
 
 	// filters and the per-filter buffers may grow while the batcher
 	// runs (AddFilter); guarded by filterMu.
@@ -33,16 +36,20 @@ type Batcher struct {
 	// stopC aborts downstream sends during shutdown so a full filter
 	// inbox cannot wedge the batcher.
 	stopC <-chan struct{}
+
+	// handoffWait, when set (by Datacenter.EnableMetrics, before the
+	// batcher starts), observes per flush how long the round's first
+	// record sat in the batcher, downstream send included; since is when
+	// that record was absorbed.
+	handoffWait *metrics.BucketHistogram
+	since       time.Time
 }
 
 // NewBatcher builds a batcher machine. in is its ingress; filters are the
 // downstream filter inboxes, index-aligned with the routing.
-func NewBatcher(name string, limiter *ratelimit.Limiter, in chan []*core.Record, routing *FilterRouting, filters []chan<- []*core.Record, threshold int, interval time.Duration) *Batcher {
+func NewBatcher(name string, limiter *ratelimit.Limiter, in chan []*core.Record, routing *FilterRouting, filters []chan<- []*core.Record, threshold int) *Batcher {
 	if threshold < 1 {
 		threshold = 1
-	}
-	if interval <= 0 {
-		interval = time.Millisecond
 	}
 	return &Batcher{
 		StageMachine: StageMachine{Name: name, Limiter: limiter},
@@ -50,7 +57,6 @@ func NewBatcher(name string, limiter *ratelimit.Limiter, in chan []*core.Record,
 		routing:      routing,
 		filters:      filters,
 		thresh:       threshold,
-		interval:     interval,
 		bufs:         make([][]*core.Record, len(filters)),
 	}
 }
@@ -60,8 +66,6 @@ func (b *Batcher) In() chan []*core.Record { return b.in }
 
 // run consumes the ingress until stop closes, then flushes what remains.
 func (b *Batcher) run(stop <-chan struct{}) {
-	ticker := time.NewTicker(b.interval)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-stop:
@@ -76,18 +80,34 @@ func (b *Batcher) run(stop <-chan struct{}) {
 				}
 			}
 		case recs := <-b.in:
-			b.absorb(recs)
-		case <-ticker.C:
+			b.fill(recs)
 			b.flushAll()
 		}
 	}
 }
 
-// absorb charges the batch against the machine's capacity, distributes the
-// records to per-filter buffers, and flushes any buffer past the threshold.
-func (b *Batcher) absorb(recs []*core.Record) {
+// fill absorbs recs and then whatever else the inbox already holds, until
+// the inbox is empty or a buffer has reached the threshold.
+func (b *Batcher) fill(recs []*core.Record) {
+	if b.handoffWait != nil {
+		b.since = time.Now()
+	}
+	for full := b.absorb(recs); !full; {
+		select {
+		case recs = <-b.in:
+			full = b.absorb(recs)
+		default:
+			return
+		}
+	}
+}
+
+// absorb charges the batch against the machine's capacity and distributes
+// the records to per-filter buffers; it reports whether a buffer has
+// reached the threshold.
+func (b *Batcher) absorb(recs []*core.Record) (full bool) {
 	if len(recs) == 0 {
-		return
+		return false
 	}
 	b.work(len(recs))
 	b.filterMu.Lock()
@@ -102,21 +122,17 @@ func (b *Batcher) absorb(recs []*core.Record) {
 		}
 		if b.bufs[f] == nil {
 			// Flushing hands the buffer downstream, so each round
-			// starts fresh; size it for a full batch up front.
-			b.bufs[f] = make([]*core.Record, 0, b.thresh)
+			// starts fresh, sized for the batch that opens it: a
+			// lone record must not pay for a full threshold.
+			b.bufs[f] = make([]*core.Record, 0, len(recs))
 		}
 		b.bufs[f] = append(b.bufs[f], r)
 	}
-	var full []int
 	for f := range b.bufs {
-		if len(b.bufs[f]) >= b.thresh {
-			full = append(full, f)
-		}
+		full = full || len(b.bufs[f]) >= b.thresh
 	}
 	b.filterMu.Unlock()
-	for _, f := range full {
-		b.flush(f)
-	}
+	return full
 }
 
 // addFilter publishes a new filter inbox to a (possibly running) batcher.
@@ -156,6 +172,9 @@ func (b *Batcher) flush(f int) {
 		}
 	}
 	nic.WaitN(len(batch))
+	if h := b.handoffWait; h != nil {
+		h.Observe(time.Since(b.since).Seconds())
+	}
 }
 
 func (b *Batcher) flushAll() {

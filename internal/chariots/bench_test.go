@@ -20,7 +20,6 @@ func BenchmarkPipelineRawThroughput(b *testing.B) {
 		Queues:         1,
 		Maintainers:    2,
 		FlushThreshold: 256,
-		FlushInterval:  time.Millisecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {
@@ -64,7 +63,6 @@ func BenchmarkAppendAckLatency(b *testing.B) {
 		Self:           0,
 		NumDCs:         1,
 		FlushThreshold: 1,
-		FlushInterval:  100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {

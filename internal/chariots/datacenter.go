@@ -47,11 +47,11 @@ type Config struct {
 	// round); defaults to 1000, the paper's Figure 4 example.
 	PlacementBatch uint64
 
-	// FlushThreshold/FlushInterval control batcher buffers; a buffer is
-	// sent downstream when it holds FlushThreshold records or the
-	// interval elapses.
+	// FlushThreshold is the most records a batcher lets a per-filter
+	// buffer grow to before handing it downstream. It is a ceiling, not a
+	// target: buffers are also handed on whenever the batcher's inbox
+	// runs dry, so it only shapes batches under backlog.
 	FlushThreshold int
-	FlushInterval  time.Duration
 
 	// SendThreshold/SendInterval control sender batching; the interval
 	// also paces awareness-table heartbeats when idle.
@@ -124,9 +124,6 @@ func (c *Config) setDefaults() error {
 		c.PlacementBatch = 1000
 	}
 	def(&c.FlushThreshold, 256)
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = time.Millisecond
-	}
 	def(&c.SendThreshold, 256)
 	if c.SendInterval <= 0 {
 		c.SendInterval = time.Millisecond
@@ -322,7 +319,7 @@ func New(cfg Config) (*Datacenter, error) {
 	for i := 0; i < cfg.Batchers; i++ {
 		in := make(chan []*core.Record, depthFor(cfg.ChannelDepth, cfg.FlushThreshold))
 		b := NewBatcher(machineName("Batcher", i, cfg.Batchers), newLim(cfg.Rates.Batcher), in,
-			dc.routing, filterIns, cfg.FlushThreshold, cfg.FlushInterval)
+			dc.routing, filterIns, cfg.FlushThreshold)
 		b.stopC = dc.group.stop
 		if cfg.FilterNICRate > 0 {
 			b.nics = filterNICs

@@ -25,7 +25,7 @@ func (dc *Datacenter) AddBatcher(rate float64) *Batcher {
 	dc.startMu.Lock()
 	name := machineName("Batcher", len(dc.batchers), len(dc.batchers)+2)
 	b := NewBatcher(name, ratelimit.New(rate, 64), in, dc.routing, filterIns,
-		dc.cfg.FlushThreshold, dc.cfg.FlushInterval)
+		dc.cfg.FlushThreshold)
 	b.stopC = dc.group.stop
 	dc.batchers = append(dc.batchers, b)
 	started := dc.started && !dc.stopped

@@ -81,9 +81,18 @@ func (dc *Datacenter) EnableMetrics(reg *metrics.Registry) {
 			metrics.L("stage", stage), metrics.L("machine", name), dcLbl)
 	}
 
+	// What replaced the flush and send timers: per flush/shipment, how long
+	// its oldest record sat in the stage. ≈ 0 when idle; the downstream
+	// stall when backed up.
+	handoffWait := func(stage, name string) *metrics.BucketHistogram {
+		return reg.Histogram("chariots_stage_handoff_wait_seconds", metrics.LatencyBuckets,
+			metrics.L("stage", stage), metrics.L("machine", name), dcLbl)
+	}
+
 	for _, b := range dc.batchers {
 		b.enableMetrics(reg, "batcher", dcLbl)
 		inboxDepth("batcher", b.Name, b.in)
+		b.handoffWait = handoffWait("batcher", b.Name)
 	}
 	for _, f := range dc.filters {
 		f := f

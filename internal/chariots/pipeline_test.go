@@ -22,7 +22,6 @@ func fastCfg(self core.DCID, numDCs int) Config {
 		Receivers:      2,
 		PlacementBatch: 8,
 		FlushThreshold: 16,
-		FlushInterval:  200 * time.Microsecond,
 		SendThreshold:  16,
 		SendInterval:   200 * time.Microsecond,
 		TokenIdleWait:  100 * time.Microsecond,

@@ -53,7 +53,6 @@ func RunTokenCarryAblation(carry bool, dur time.Duration) (time.Duration, error)
 		Maintainers:    2,
 		PlacementBatch: 100,
 		FlushThreshold: 4,
-		FlushInterval:  200 * time.Microsecond,
 		TokenIdleWait:  300 * time.Microsecond,
 		CarryDeferred:  carry,
 	})
@@ -92,7 +91,6 @@ func RunFlushLatency(thresh int) (time.Duration, error) {
 	dc, err := chariots.New(chariots.Config{
 		NumDCs:         1,
 		FlushThreshold: thresh,
-		FlushInterval:  2 * time.Millisecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {

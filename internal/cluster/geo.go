@@ -86,7 +86,6 @@ func RunGeoVisibility(oneWay time.Duration, appends int) (VisibilityResult, erro
 	g, err := NewGeoCluster(2, oneWay, chariots.Config{
 		Maintainers:    2,
 		FlushThreshold: 1,
-		FlushInterval:  200 * time.Microsecond,
 		SendThreshold:  1,
 		SendInterval:   200 * time.Microsecond,
 		TokenIdleWait:  100 * time.Microsecond,

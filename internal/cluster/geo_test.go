@@ -13,7 +13,6 @@ func TestGeoClusterConvergence(t *testing.T) {
 	g, err := NewGeoCluster(3, 2*time.Millisecond, chariots.Config{
 		Maintainers:    2,
 		FlushThreshold: 4,
-		FlushInterval:  200 * time.Microsecond,
 		SendThreshold:  4,
 		SendInterval:   200 * time.Microsecond,
 		TokenIdleWait:  100 * time.Microsecond,

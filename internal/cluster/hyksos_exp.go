@@ -40,7 +40,6 @@ func RunHyksos(opts HyksosOptions) (*HyksosResult, error) {
 		Maintainers:    2,
 		Indexers:       2,
 		FlushThreshold: 1,
-		FlushInterval:  200 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {

@@ -138,7 +138,6 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 		Indexers:       1,
 		PlacementBatch: 4,
 		FlushThreshold: 1,
-		FlushInterval:  100 * time.Microsecond,
 		SendThreshold:  1,
 		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,

@@ -21,7 +21,6 @@ func hyksosCfg(self core.DCID, numDCs int) chariots.Config {
 		Indexers:       2,
 		PlacementBatch: 4,
 		FlushThreshold: 1, // low latency for interactive KV tests
-		FlushInterval:  100 * time.Microsecond,
 		SendThreshold:  1,
 		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,

@@ -33,6 +33,7 @@ var goldenFamilies = []string{
 	"chariots_sender_errors_total",
 	"chariots_sender_shipped_total",
 	"chariots_stage_batch_records",
+	"chariots_stage_handoff_wait_seconds",
 	"chariots_stage_inbox_batches",
 	"chariots_stage_processed_total",
 	"flstore_admission_backlog_budget_records",

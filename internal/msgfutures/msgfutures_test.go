@@ -19,7 +19,6 @@ func txnCfg(self core.DCID, numDCs int) chariots.Config {
 		Maintainers:    2,
 		PlacementBatch: 4,
 		FlushThreshold: 1,
-		FlushInterval:  100 * time.Microsecond,
 		SendThreshold:  1,
 		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,

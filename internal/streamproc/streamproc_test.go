@@ -18,7 +18,6 @@ func streamCfg(self core.DCID, numDCs int) chariots.Config {
 		Indexers:       1,
 		PlacementBatch: 8,
 		FlushThreshold: 8,
-		FlushInterval:  100 * time.Microsecond,
 		SendThreshold:  8,
 		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,

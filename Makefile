@@ -7,7 +7,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic bench-e2e trace-smoke api-snapshot api-check loc
+.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic bench-e2e trace-smoke api-snapshot api-check loc timers
 
 # The public surface of the client-facing packages, as sorted declaration
 # lines from `go doc -all`. api-check fails when the surface drifts from
@@ -127,3 +127,17 @@ loc:
 		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); \
 	done; \
 	awk -v t=$$total -v b=$(LOC_BASELINE) 'BEGIN { printf "%-18s %6d  (%+.1f%% of the %d baseline)\n", "sum", t, (t-b)*100/b, b }'
+
+# timers is the ledger for ROADMAP items 3(c) and 4 ("fewer timers than
+# today"): call sites in non-test internal/ that wait on or schedule by the
+# wall clock, per package and in total. Every one is a place where
+# something waits out a duration instead of an event, and a site virtual
+# time will have to reach.
+TIMER_CALLS = time\.(NewTicker|NewTimer|After|AfterFunc|Sleep|Tick)\(
+timers:
+	@total=0; for d in $$(find internal -type d | LC_ALL=C sort); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec grep -E -o '$(TIMER_CALLS)' {} + | wc -l); \
+		if [ $$n -gt 0 ]; then printf '%-24s %4d\n' $$d $$n; fi; \
+		total=$$((total + n)); \
+	done; \
+	printf '%-24s %4d\n' total $$total

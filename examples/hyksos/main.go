@@ -21,7 +21,6 @@ func newDC(self core.DCID) *chariots.Datacenter {
 		Indexers:       1,
 		FlushThreshold: 1,
 		SendThreshold:  1,
-		SendInterval:   200 * time.Microsecond,
 	})
 	if err != nil {
 		log.Fatal(err)

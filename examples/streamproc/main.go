@@ -25,7 +25,6 @@ func newDC(self core.DCID) *chariots.Datacenter {
 		Indexers:       1,
 		FlushThreshold: 8,
 		SendThreshold:  8,
-		SendInterval:   200 * time.Microsecond,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -23,7 +23,6 @@ func newDC(self core.DCID) *chariots.Datacenter {
 		Maintainers:    2,
 		FlushThreshold: 1,
 		SendThreshold:  1,
-		SendInterval:   200 * time.Microsecond,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -53,10 +53,11 @@ type Config struct {
 	// runs dry, so it only shapes batches under backlog.
 	FlushThreshold int
 
-	// SendThreshold/SendInterval control sender batching; the interval
-	// also paces awareness-table heartbeats when idle.
+	// SendThreshold is the most records a sender puts in one shipment. A
+	// ceiling, like FlushThreshold: a sender ships what the feed holds the
+	// moment it is free, and the Awareness Table travels with every
+	// shipment or, when it changed and no records are due, on its own.
 	SendThreshold int
-	SendInterval  time.Duration
 
 	// TokenIdleWait bounds how long an idle queue holds the token.
 	TokenIdleWait time.Duration
@@ -125,9 +126,6 @@ func (c *Config) setDefaults() error {
 	}
 	def(&c.FlushThreshold, 256)
 	def(&c.SendThreshold, 256)
-	if c.SendInterval <= 0 {
-		c.SendInterval = time.Millisecond
-	}
 	def(&c.ChannelDepth, 8192)
 	if c.PipelineCredits == 0 { // negative = explicitly unbounded
 		c.PipelineCredits = 32768
@@ -348,7 +346,7 @@ func New(cfg Config) (*Datacenter, error) {
 	}
 	for i := 0; i < cfg.Senders; i++ {
 		s := NewSender(machineName("Sender", i, cfg.Senders), newLim(cfg.Rates.Sender),
-			dc.state, cfg.SendThreshold, cfg.SendInterval)
+			dc.state, cfg.SendThreshold)
 		dc.senders = append(dc.senders, s)
 	}
 	return dc, nil
@@ -360,13 +358,6 @@ func depthFor(depth, flush int) int {
 		d = 4
 	}
 	return d
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Self returns this datacenter's id.

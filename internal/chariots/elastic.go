@@ -46,7 +46,7 @@ func (dc *Datacenter) AddBatcher(rate float64) *Batcher {
 func (dc *Datacenter) AddSender(rate float64) *Sender {
 	dc.startMu.Lock()
 	name := machineName("Sender", len(dc.senders), len(dc.senders)+2)
-	s := NewSender(name, ratelimit.New(rate, 64), dc.state, dc.cfg.SendThreshold, dc.cfg.SendInterval)
+	s := NewSender(name, ratelimit.New(rate, 64), dc.state, dc.cfg.SendThreshold)
 	dc.senders = append(dc.senders, s)
 	started := dc.started && !dc.stopped
 	dc.startMu.Unlock()

@@ -1,10 +1,12 @@
 package chariots
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/vclock"
 )
 
 // The hand-off rules of the pipeline's waiting stages (DESIGN.md §3.3) are
@@ -86,5 +88,94 @@ func TestBatcherFillsToThresholdUnderBacklog(t *testing.T) {
 	case extra := <-filter:
 		t.Fatalf("a further batch of %d records followed the backlog", len(extra))
 	default:
+	}
+}
+
+// countingReceiver counts the shipments that reach a datacenter, by kind.
+type countingReceiver struct {
+	ReceiverAPI
+	withRecords, tableOnly atomic.Int64
+}
+
+func (c *countingReceiver) Deliver(snap Snapshot) error {
+	if len(snap.Records) == 0 {
+		c.tableOnly.Add(1)
+	} else {
+		c.withRecords.Add(1)
+	}
+	return c.ReceiverAPI.Deliver(snap)
+}
+
+// startPairNoAntiEntropy starts two connected in-process datacenters whose
+// senders' anti-entropy tick is out of reach, so every table-only shipment
+// the returned counters see was prompted by a change. in[i] counts what
+// reaches datacenter i.
+func startPairNoAntiEntropy(t *testing.T) (dcs [2]*Datacenter, in [2]*countingReceiver) {
+	t.Helper()
+	for i := range dcs {
+		dc, err := New(fastCfg(core.DCID(i), 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range dc.senders {
+			s.antiEntropy = time.Hour
+		}
+		dcs[i] = dc
+	}
+	for i, dc := range dcs {
+		// Both of the peer's senders ship through one counter.
+		in[i] = &countingReceiver{ReceiverAPI: dc.Receivers()[0]}
+		dcs[1-i].ConnectTo(core.DCID(i), []ReceiverAPI{in[i]})
+	}
+	for _, dc := range dcs {
+		dc.Start()
+		t.Cleanup(dc.Stop)
+	}
+	return dcs, in
+}
+
+// tablesAgree reports whether both awareness tables hold want in every row:
+// each datacenter has applied everything and knows the other has too.
+func tablesAgree(dcs [2]*Datacenter, want vclock.Vector) bool {
+	for _, dc := range dcs {
+		for row := 0; row < 2; row++ {
+			if got := dc.ATable().Row(core.DCID(row)); !got.Covers(want) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Change-driven table shipping alone must carry awareness to convergence —
+// each side learns what the other applied with no periodic heartbeat — and
+// must then stop: two idle datacenters do not ping-pong tables.
+func TestTableShipmentsConvergeThenQuiesce(t *testing.T) {
+	dcs, in := startPairNoAntiEntropy(t)
+	const fromA, fromB = 200, 100
+	for i := 0; i < fromA; i++ {
+		dcs[0].AppendAsync([]byte("a"), nil)
+		if i < fromB {
+			dcs[1].AppendAsync([]byte("b"), nil)
+		}
+	}
+	want := vclock.Vector{fromA, fromB}
+	deadline := time.Now().Add(handoffWatchdog)
+	for !tablesAgree(dcs, want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("tables never converged to %v without the anti-entropy tick:\ndc0 %v\ndc1 %v",
+				want, dcs[0].ATable().Snapshot(), dcs[1].ATable().Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Fully converged tables have nothing left to teach each other: all
+	// that may still arrive is what was in flight.
+	before := in[0].tableOnly.Load() + in[1].tableOnly.Load()
+	time.Sleep(100 * time.Millisecond)
+	if extra := in[0].tableOnly.Load() + in[1].tableOnly.Load() - before; extra > 4 {
+		t.Errorf("%d table-only shipments in 100 ms between converged, idle datacenters: tables are ping-ponging", extra)
+	}
+	if in[0].withRecords.Load() == 0 || in[1].withRecords.Load() == 0 {
+		t.Error("a datacenter received no record shipment")
 	}
 }

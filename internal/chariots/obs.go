@@ -122,6 +122,7 @@ func (dc *Datacenter) EnableMetrics(reg *metrics.Registry) {
 	for _, s := range dc.senders {
 		s := s
 		s.enableMetrics(reg, "sender", dcLbl)
+		s.handoffWait = handoffWait("sender", s.Name)
 		mLbl := metrics.L("machine", s.Name)
 		reg.CounterFunc("chariots_sender_shipped_total", func() float64 { return float64(s.Shipped.Value()) }, mLbl, dcLbl)
 		reg.CounterFunc("chariots_sender_errors_total", func() float64 { return float64(s.Errors.Value()) }, mLbl, dcLbl)
@@ -134,7 +135,7 @@ func (dc *Datacenter) EnableMetrics(reg *metrics.Registry) {
 		dc.gossipers[i].EnableMetrics(reg, dcLbl)
 	}
 
-	reg.GaugeFunc("chariots_feed_records", func() float64 { return float64(len(dc.state.localFeed)) }, dcLbl)
+	reg.GaugeFunc("chariots_feed_batches", func() float64 { return float64(len(dc.state.localFeed)) }, dcLbl)
 	reg.CounterFunc("chariots_applied_records_total", func() float64 { return float64(dc.AppliedCount()) }, dcLbl)
 
 	// Pipeline credit gate (DESIGN.md §8): capacity, records between

@@ -343,17 +343,29 @@ func (q *Queue) persist(recs []*core.Record, outs []chan []*core.Record, stop <-
 				ring.record(rec.TOId, time.Now().UnixNano())
 			}
 			q.state.fireAck(rec)
-			if q.state.feedEnabled {
-				if q.stopC == nil {
-					q.state.localFeed <- rec
-				} else {
-					select {
-					case q.state.localFeed <- rec:
-					case <-q.stopC:
-					}
+		}
+	}
+	if applied > 0 && q.state.feedEnabled {
+		// One hand-off per token cycle. recs is this cycle's own slice, so
+		// an all-local cycle — the common one — passes it on as it is.
+		local := recs
+		if applied < len(recs) {
+			local = make([]*core.Record, 0, applied)
+			for _, rec := range recs {
+				if rec.Host == q.state.self {
+					local = append(local, rec)
 				}
 			}
 		}
+		select {
+		case q.state.localFeed <- local:
+		case <-q.stopC: // nil (blocks forever) for a queue built outside a datacenter
+		}
+	}
+	if applied < len(recs) {
+		// Remote records moved the self row and no shipment of ours will
+		// say so: have a sender ship the table.
+		q.state.signalTableChanged()
 	}
 	// Return pipeline credits for the local records now applied. Only local
 	// records acquire credits (Inject charges them; receivers do not), and

@@ -75,26 +75,42 @@ func (r *Receiver) Deliver(snap Snapshot) error {
 			}
 		}
 	}
-	if snap.ATable != nil {
-		r.state.atable.MergeSnapshot(snap.ATable)
+	if snap.ATable != nil && r.state.atable.MergeSnapshot(snap.ATable) {
+		// What the table just learned is news to the other datacenters
+		// too; a merge that raised nothing ends the exchange.
+		r.state.signalTableChanged()
 	}
 	return nil
 }
 
+// tableAntiEntropy is how often an otherwise idle sender ships the
+// Awareness Table unprompted. Table-only shipments are change-driven
+// (dcState.tableChanged); this slow tick only repairs a table-only delivery
+// the link lost, after which nothing would change again to prompt another.
+const tableAntiEntropy = time.Second
+
 // Sender is one machine of the propagation stage (§6.2): it consumes the
-// shared feed of applied local records, batches them, and ships each batch
-// — with an Awareness Table snapshot — to every remote datacenter. Each
-// sender is bounded by its own capacity limiter, so higher replication
-// throughput is reached by adding senders.
+// shared feed of applied local records and ships them — with an Awareness
+// Table snapshot — to every remote datacenter. Hand-off is work-paced: the
+// sender ships whatever the feed holds (at most threshold records) the
+// moment it is free, and since Deliver is synchronous the next shipment
+// accumulates while the last is on the wire. Each sender is bounded by its
+// own capacity limiter, so higher replication throughput is reached by
+// adding senders.
 type Sender struct {
 	StageMachine
-	state     *dcState
-	threshold int
-	interval  time.Duration
+	state       *dcState
+	threshold   int
+	antiEntropy time.Duration // tableAntiEntropy, except in tests
 
 	mu    sync.Mutex
 	dests map[core.DCID][]ReceiverAPI
 	rr    map[core.DCID]uint64
+
+	// handoffWait, when set (by Datacenter.EnableMetrics, before the sender
+	// starts), observes per shipment how long its oldest record waited
+	// between being applied and being handed to the link.
+	handoffWait *metrics.BucketHistogram
 
 	// Shipped counts records propagated (once per remote datacenter).
 	Shipped metrics.Counter
@@ -103,19 +119,17 @@ type Sender struct {
 	Errors metrics.Counter
 }
 
-// NewSender builds a sender machine.
-func NewSender(name string, limiter *ratelimit.Limiter, state *dcState, threshold int, interval time.Duration) *Sender {
+// NewSender builds a sender machine; threshold is the most records one
+// shipment carries.
+func NewSender(name string, limiter *ratelimit.Limiter, state *dcState, threshold int) *Sender {
 	if threshold < 1 {
 		threshold = 1
-	}
-	if interval <= 0 {
-		interval = time.Millisecond
 	}
 	return &Sender{
 		StageMachine: StageMachine{Name: name, Limiter: limiter},
 		state:        state,
 		threshold:    threshold,
-		interval:     interval,
+		antiEntropy:  tableAntiEntropy,
 		dests:        make(map[core.DCID][]ReceiverAPI),
 		rr:           make(map[core.DCID]uint64),
 	}
@@ -130,50 +144,74 @@ func (s *Sender) Connect(dc core.DCID, receivers []ReceiverAPI) {
 }
 
 func (s *Sender) run(stop <-chan struct{}) {
-	buf := make([]*core.Record, 0, s.threshold)
-	ticker := time.NewTicker(s.interval)
+	ticker := time.NewTicker(s.antiEntropy)
 	defer ticker.Stop()
-	flush := func() {
-		if len(buf) == 0 {
-			// Heartbeat: ship the table alone so awareness (and
-			// therefore GC) converges even when idle.
-			s.ship(nil)
-			return
-		}
-		s.ship(buf)
-		buf = buf[:0]
-	}
 	for {
 		select {
 		case <-stop:
+			// Ship what the feed still holds, then leave.
 			for {
 				select {
-				case rec := <-s.state.localFeed:
-					buf = append(buf, rec)
+				case recs := <-s.state.localFeed:
+					s.ship(recs)
 				default:
-					if len(buf) > 0 {
-						s.ship(buf)
-					}
 					return
 				}
 			}
-		case rec := <-s.state.localFeed:
-			buf = append(buf, rec)
-			if len(buf) >= s.threshold {
-				s.ship(buf)
-				buf = buf[:0]
+		case pending := <-s.state.localFeed:
+			for len(pending) > 0 {
+				pending = s.gather(pending)
+				n := min(len(pending), s.threshold)
+				// The table rides with the records; a pending table-only
+				// signal has nothing to add.
+				select {
+				case <-s.state.tableChanged:
+				default:
+				}
+				// The shipped prefix is lent to the snapshot (a LatencyLink
+				// may hold it after ship returns) and capped, so topping up
+				// the remainder never writes into it.
+				s.ship(pending[:n:n])
+				pending = pending[n:]
 			}
+		case <-s.state.tableChanged:
+			s.ship(nil)
 		case <-ticker.C:
-			flush()
+			s.ship(nil)
 		}
 	}
 }
 
-// ship sends one snapshot (records may be nil for a pure table heartbeat)
-// to every connected datacenter.
+// gather tops pending up with what the feed already holds, without
+// blocking, until it is a full shipment or the feed is empty.
+func (s *Sender) gather(pending []*core.Record) []*core.Record {
+	for len(pending) < s.threshold {
+		select {
+		case recs := <-s.state.localFeed:
+			pending = append(pending, recs...)
+		default:
+			return pending
+		}
+	}
+	return pending
+}
+
+// ship sends one snapshot (no records for a table-only shipment) to every
+// connected datacenter. It takes ownership of recs: applied records are
+// immutable, so the snapshot borrows them read-only instead of cloning —
+// an RPC receiver encodes them onto the wire, and an in-process receiver
+// clones before mutating (Owned is false).
 func (s *Sender) ship(recs []*core.Record) {
 	if len(recs) > 0 {
 		s.work(len(recs))
+		// Applied records are immutable here, so the span is recorded off
+		// a context copy without advancing the records' chains.
+		spanRecords(recs, "pipe.send")
+		if ring := s.state.applyTimes.Load(); s.handoffWait != nil && ring != nil {
+			if ns := ring.at(recs[0].TOId); ns != 0 {
+				s.handoffWait.Observe(time.Since(time.Unix(0, ns)).Seconds())
+			}
+		}
 	}
 	var table []vclock.Vector = s.state.atable.Snapshot()
 
@@ -193,27 +231,13 @@ func (s *Sender) ship(recs []*core.Record) {
 	}
 	s.mu.Unlock()
 
-	// Applied records are immutable, so the snapshot borrows them
-	// read-only instead of cloning: an RPC receiver encodes them onto the
-	// wire, and an in-process receiver clones before mutating (Owned is
-	// false). Only the slice header is copied — the sender's batch buffer
-	// is reused after ship returns, and a LatencyLink may still hold the
-	// snapshot then.
-	var shipped []*core.Record
-	if len(recs) > 0 {
-		shipped = make([]*core.Record, len(recs))
-		copy(shipped, recs)
-		// Applied records are immutable here, so the span is recorded off
-		// a context copy without advancing the records' chains.
-		spanRecords(shipped, "pipe.send")
-	}
-	snap := Snapshot{From: s.state.self, Records: shipped, ATable: table}
+	snap := Snapshot{From: s.state.self, Records: recs, ATable: table}
 	for _, t := range targets {
 		if err := t.rx.Deliver(snap); err != nil {
 			s.Errors.Inc()
 			continue
 		}
-		s.Shipped.Add(uint64(len(shipped)))
+		s.Shipped.Add(uint64(len(recs)))
 	}
 }
 

@@ -38,10 +38,35 @@ func (c *collectingReceiver) records() int {
 	return n
 }
 
+func (c *collectingReceiver) waitCount(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.count() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shipments arrived, want %d", c.count(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// localRecs returns host-0 records with TOIds and LIds from..to.
+func localRecs(from, to int) []*core.Record {
+	var recs []*core.Record
+	for i := from; i <= to; i++ {
+		recs = append(recs, &core.Record{Host: 0, TOId: uint64(i), LId: uint64(i)})
+	}
+	return recs
+}
+
+// The sender's contract: it ships what the feed holds as soon as it is
+// free, at most threshold records a shipment; it ships the table alone
+// once per table-changed signal and otherwise stays silent; and the slow
+// anti-entropy heartbeat is the only shipment nothing prompted.
 func TestSenderShipsBatchesAndHeartbeats(t *testing.T) {
 	state := newDCState(0, 2, 64)
 	state.feedEnabled = true
-	s := NewSender("Sender", nil, state, 4, 2*time.Millisecond)
+	s := NewSender("Sender", nil, state, 4)
+	s.antiEntropy = time.Hour // out of reach: every shipment below is prompted
 	rx := &collectingReceiver{}
 	s.Connect(1, []ReceiverAPI{rx})
 
@@ -52,32 +77,39 @@ func TestSenderShipsBatchesAndHeartbeats(t *testing.T) {
 		s.run(stop)
 	}()
 
-	// Feed 10 records: with threshold 4, at least two full shipments.
-	for i := 1; i <= 10; i++ {
-		state.localFeed <- &core.Record{Host: 0, TOId: uint64(i), LId: uint64(i)}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rx.records() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d records shipped", rx.records())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Idle period: heartbeats (snapshots with no records) keep flowing.
-	before := rx.count()
-	time.Sleep(20 * time.Millisecond)
-	if rx.count() <= before {
-		t.Error("no heartbeats while idle")
-	}
+	// One token cycle of 10 records at threshold 4: shipments of 4, 4, 2.
+	state.localFeed <- localRecs(1, 10)
+	rx.waitCount(t, 3)
+	// A table change with no records due ships the table alone, once.
+	state.signalTableChanged()
+	rx.waitCount(t, 4)
+	// A lone record does not wait for company.
+	state.localFeed <- localRecs(11, 11)
+	rx.waitCount(t, 5)
 	close(stop)
 	<-done
-	if got := s.Shipped.Value(); got != 10 {
-		t.Errorf("Shipped = %d, want 10", got)
+
+	if got := s.Shipped.Value(); got != 11 {
+		t.Errorf("Shipped = %d, want 11", got)
 	}
-	// Every shipment carries the awareness table.
 	rx.mu.Lock()
 	defer rx.mu.Unlock()
+	want := []int{4, 4, 2, 0, 1}
+	if len(rx.snaps) != len(want) {
+		t.Fatalf("%d shipments, want %d: an idle sender must stay silent", len(rx.snaps), len(want))
+	}
+	next := uint64(1)
 	for i, snap := range rx.snaps {
+		if len(snap.Records) != want[i] {
+			t.Errorf("shipment %d carries %d records, want %d", i, len(snap.Records), want[i])
+		}
+		for _, r := range snap.Records {
+			if r.TOId != next {
+				t.Fatalf("shipment %d carries TOId %d, want %d", i, r.TOId, next)
+			}
+			next++
+		}
+		// Every shipment carries the awareness table.
 		if snap.ATable == nil {
 			t.Fatalf("snapshot %d missing awareness table", i)
 		}
@@ -87,17 +119,32 @@ func TestSenderShipsBatchesAndHeartbeats(t *testing.T) {
 	}
 }
 
+// With nothing to prompt it, a sender still ships the table at the
+// anti-entropy period, so a lost table-only delivery is repaired.
+func TestSenderAntiEntropyHeartbeat(t *testing.T) {
+	state := newDCState(0, 2, 64)
+	s := NewSender("Sender", nil, state, 4)
+	s.antiEntropy = time.Millisecond
+	rx := &collectingReceiver{}
+	s.Connect(1, []ReceiverAPI{rx})
+	runStage(t, s.run)
+	rx.waitCount(t, 3)
+	if rx.records() != 0 {
+		t.Error("a heartbeat carried records")
+	}
+}
+
 func TestSenderShipsToAllConnectedDCs(t *testing.T) {
 	state := newDCState(0, 3, 64)
 	state.feedEnabled = true
-	s := NewSender("Sender", nil, state, 1, time.Millisecond)
+	s := NewSender("Sender", nil, state, 1)
 	rx1, rx2 := &collectingReceiver{}, &collectingReceiver{}
 	s.Connect(1, []ReceiverAPI{rx1})
 	s.Connect(2, []ReceiverAPI{rx2})
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() { defer close(done); s.run(stop) }()
-	state.localFeed <- &core.Record{Host: 0, TOId: 1, LId: 1}
+	state.localFeed <- localRecs(1, 1)
 	deadline := time.Now().Add(5 * time.Second)
 	for rx1.records() < 1 || rx2.records() < 1 {
 		if time.Now().After(deadline) {
@@ -112,7 +159,7 @@ func TestSenderShipsToAllConnectedDCs(t *testing.T) {
 func TestSenderShipsCopiesNotAliases(t *testing.T) {
 	state := newDCState(0, 2, 64)
 	state.feedEnabled = true
-	s := NewSender("Sender", nil, state, 1, time.Millisecond)
+	s := NewSender("Sender", nil, state, 1)
 	rx := &collectingReceiver{}
 	s.Connect(1, []ReceiverAPI{rx})
 	stop := make(chan struct{})
@@ -120,7 +167,7 @@ func TestSenderShipsCopiesNotAliases(t *testing.T) {
 	go func() { defer close(done); s.run(stop) }()
 
 	orig := &core.Record{Host: 0, TOId: 1, LId: 1, Body: []byte("original")}
-	state.localFeed <- orig
+	state.localFeed <- []*core.Record{orig}
 	deadline := time.Now().Add(5 * time.Second)
 	for rx.records() < 1 {
 		if time.Now().After(deadline) {

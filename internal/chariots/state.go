@@ -26,11 +26,19 @@ type dcState struct {
 	atable *vclock.ATable
 
 	// localFeed carries applied local records (LIds assigned) from the
-	// queues to the senders. feedEnabled is false in single-datacenter
-	// deployments (no senders), where pushing to the feed would fill it
-	// and stall the queues.
-	localFeed   chan *core.Record
+	// queues to the senders, one slice per token cycle; the slice belongs
+	// to the sender that receives it. feedEnabled is false in
+	// single-datacenter deployments (no senders), where pushing to the
+	// feed would fill it and stall the queues.
+	localFeed   chan []*core.Record
 	feedEnabled bool
+
+	// tableChanged tells the senders the Awareness Table learned
+	// something no record shipment will carry: remote records moved the
+	// self row (queue.persist), or a merged snapshot raised an entry
+	// (Receiver.Deliver). One pending signal is enough — the shipment it
+	// triggers snapshots the table afresh — so raising it never blocks.
+	tableChanged chan struct{}
 
 	// acks maps a locally submitted *core.Record to the channel waiting
 	// for its AppendAck. Pointer identity is stable because intra-DC
@@ -48,15 +56,27 @@ type dcState struct {
 	credits *creditGate
 }
 
+// newDCState builds the shared state; feedDepth is the feed's depth in
+// token cycles (default 4096: deep enough that a sender stalled on one WAN
+// round trip does not stall the token, and credits bound what a cycle holds).
 func newDCState(self core.DCID, n int, feedDepth int) *dcState {
 	if feedDepth < 1 {
-		feedDepth = 1 << 14
+		feedDepth = 1 << 12
 	}
 	return &dcState{
-		self:      self,
-		n:         n,
-		atable:    vclock.NewATable(self, n),
-		localFeed: make(chan *core.Record, feedDepth),
+		self:         self,
+		n:            n,
+		atable:       vclock.NewATable(self, n),
+		localFeed:    make(chan []*core.Record, feedDepth),
+		tableChanged: make(chan struct{}, 1),
+	}
+}
+
+// signalTableChanged raises the coalescing table-changed signal.
+func (s *dcState) signalTableChanged() {
+	select {
+	case s.tableChanged <- struct{}{}:
+	default:
 	}
 }
 

@@ -87,7 +87,6 @@ func RunGeoVisibility(oneWay time.Duration, appends int) (VisibilityResult, erro
 		Maintainers:    2,
 		FlushThreshold: 1,
 		SendThreshold:  1,
-		SendInterval:   200 * time.Microsecond,
 		TokenIdleWait:  100 * time.Microsecond,
 	})
 	if err != nil {

@@ -139,7 +139,6 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 		PlacementBatch: 4,
 		FlushThreshold: 1,
 		SendThreshold:  1,
-		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {

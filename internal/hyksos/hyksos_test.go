@@ -22,7 +22,6 @@ func hyksosCfg(self core.DCID, numDCs int) chariots.Config {
 		PlacementBatch: 4,
 		FlushThreshold: 1, // low latency for interactive KV tests
 		SendThreshold:  1,
-		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	}
 }

@@ -21,7 +21,7 @@ var goldenFamilies = []string{
 	"chariots_credit_in_use_records",
 	"chariots_credit_shed_total",
 	"chariots_credit_waits_total",
-	"chariots_feed_records",
+	"chariots_feed_batches",
 	"chariots_filter_dropped_total",
 	"chariots_filter_overflow_total",
 	"chariots_gc_collected_total",

@@ -20,7 +20,6 @@ func txnCfg(self core.DCID, numDCs int) chariots.Config {
 		PlacementBatch: 4,
 		FlushThreshold: 1,
 		SendThreshold:  1,
-		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	}
 }

@@ -19,7 +19,6 @@ func streamCfg(self core.DCID, numDCs int) chariots.Config {
 		PlacementBatch: 8,
 		FlushThreshold: 8,
 		SendThreshold:  8,
-		SendInterval:   100 * time.Microsecond,
 		TokenIdleWait:  50 * time.Microsecond,
 	}
 }

@@ -46,13 +46,17 @@ func (v Vector) Advance(dc core.DCID, toid uint64) bool {
 	return true
 }
 
-// Merge raises every entry of v to at least the corresponding entry of o.
-func (v Vector) Merge(o Vector) {
+// Merge raises every entry of v to at least the corresponding entry of o,
+// and reports whether the vector changed.
+func (v Vector) Merge(o Vector) bool {
+	changed := false
 	for i := range v {
 		if i < len(o) && o[i] > v[i] {
 			v[i] = o[i]
+			changed = true
 		}
 	}
+	return changed
 }
 
 // Covers reports whether v dominates o in every component: v is at least
@@ -205,15 +209,19 @@ func (a *ATable) Snapshot() []Vector {
 // into this one: every entry becomes the max of the two. The self row is
 // merged too — a peer may legitimately know more about what we were sent
 // than our last local update (e.g. after recovery) — but local application
-// remains the primary driver of the self row via RecordApplied.
-func (a *ATable) MergeSnapshot(snap []Vector) {
+// remains the primary driver of the self row via RecordApplied. It reports
+// whether any entry rose: a table that learned nothing has nothing to pass
+// on, which is what lets idle datacenters stop exchanging tables.
+func (a *ATable) MergeSnapshot(snap []Vector) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	changed := false
 	for i := range a.t {
-		if i < len(snap) {
-			a.t[i].Merge(snap[i])
+		if i < len(snap) && a.t[i].Merge(snap[i]) {
+			changed = true
 		}
 	}
+	return changed
 }
 
 // KnownBy reports A's certainty that datacenter dc knows record (host,

@@ -173,7 +173,12 @@ func TestATableMergeSnapshot(t *testing.T) {
 	b.Advance(1, 1, 7)
 	b.Advance(0, 0, 9) // B's (possibly stale or fresher) view of A
 
-	a.MergeSnapshot(b.Snapshot())
+	if !a.MergeSnapshot(b.Snapshot()) {
+		t.Error("a merge that raised entries reported no change")
+	}
+	if a.MergeSnapshot(b.Snapshot()) {
+		t.Error("merging the same snapshot again reported a change")
+	}
 	if got := a.Get(1, 1); got != 7 {
 		t.Errorf("merged [1][1] = %d, want 7", got)
 	}

@@ -15,12 +15,10 @@ import (
 
 func newDC(self core.DCID) *chariots.Datacenter {
 	dc, err := chariots.New(chariots.Config{
-		Self:           self,
-		NumDCs:         2,
-		Maintainers:    2,
-		Indexers:       1,
-		FlushThreshold: 1,
-		SendThreshold:  1,
+		Self:        self,
+		NumDCs:      2,
+		Maintainers: 2,
+		Indexers:    1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -18,11 +18,9 @@ import (
 
 func newDC(self core.DCID) *chariots.Datacenter {
 	dc, err := chariots.New(chariots.Config{
-		Self:           self,
-		NumDCs:         2,
-		Maintainers:    2,
-		FlushThreshold: 1,
-		SendThreshold:  1,
+		Self:        self,
+		NumDCs:      2,
+		Maintainers: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -20,7 +20,6 @@ func BenchmarkPipelineRawThroughput(b *testing.B) {
 		Queues:         1,
 		Maintainers:    2,
 		FlushThreshold: 256,
-		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -59,12 +58,7 @@ func BenchmarkPipelineRawThroughput(b *testing.B) {
 // BenchmarkAppendAckLatency measures one synchronous Append through the
 // whole pipeline (ordering latency, not throughput).
 func BenchmarkAppendAckLatency(b *testing.B) {
-	dc, err := New(Config{
-		Self:           0,
-		NumDCs:         1,
-		FlushThreshold: 1,
-		TokenIdleWait:  50 * time.Microsecond,
-	})
+	dc, err := New(Config{NumDCs: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

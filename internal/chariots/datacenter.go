@@ -59,8 +59,6 @@ type Config struct {
 	// shipment or, when it changed and no records are due, on its own.
 	SendThreshold int
 
-	// TokenIdleWait bounds how long an idle queue holds the token.
-	TokenIdleWait time.Duration
 	// CarryDeferred ships dependency-blocked records with the token
 	// instead of parking them at the queue that saw them (§6.2).
 	CarryDeferred bool
@@ -283,7 +281,7 @@ func New(cfg Config) (*Datacenter, error) {
 	for i := 0; i < cfg.Queues; i++ {
 		in := make(chan []*core.Record, depthFor(cfg.ChannelDepth, cfg.FlushThreshold))
 		q := NewQueue(machineName("Queue", i, cfg.Queues), newLim(cfg.Rates.Queue), i,
-			dc.state, in, placement, appendAPIs, cfg.CarryDeferred, cfg.TokenIdleWait)
+			dc.state, in, placement, appendAPIs, cfg.CarryDeferred)
 		q.stopC = dc.group.stop
 		dc.queues = append(dc.queues, q)
 		queueIns = append(queueIns, in)
@@ -428,9 +426,10 @@ func (dc *Datacenter) Stop() {
 	dc.group.halt()
 }
 
-// ingressShedHint is the retry hint attached to shed rejections: one flush
-// interval's worth of drain is the shortest wait after which the pipeline
-// can plausibly have freed credits.
+// ingressShedHint is the retry hint attached to shed rejections. Credits
+// come back a token cycle at a time (up to a thousand records, well under a
+// millisecond of drain), so after this long a saturated pipeline has
+// plausibly freed some; sooner retries would mostly be shed again.
 const ingressShedHint = time.Millisecond
 
 // Inject pushes a batch of records into a round-robin-selected batcher —

@@ -71,7 +71,7 @@ func (dc *Datacenter) AddQueue(after int, rate float64) (*Queue, error) {
 	dc.startMu.Lock()
 	name := machineName("Queue", len(dc.queues), len(dc.queues)+2)
 	q := NewQueue(name, ratelimit.New(rate, 64), len(dc.queues), dc.state, in,
-		anchor.placement, anchor.maintainers, dc.cfg.CarryDeferred, dc.cfg.TokenIdleWait)
+		anchor.placement, anchor.maintainers, dc.cfg.CarryDeferred)
 	q.stopC = dc.group.stop
 	dc.queues = append(dc.queues, q)
 	started := dc.started && !dc.stopped

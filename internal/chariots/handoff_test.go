@@ -1,6 +1,7 @@
 package chariots
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -177,5 +178,95 @@ func TestTableShipmentsConvergeThenQuiesce(t *testing.T) {
 	}
 	if in[0].withRecords.Load() == 0 || in[1].withRecords.Load() == 0 {
 		t.Error("a datacenter received no record shipment")
+	}
+}
+
+func tokenPasses(dc *Datacenter) uint64 {
+	var n uint64
+	for _, q := range dc.queues {
+		n += q.passes.Value()
+	}
+	return n
+}
+
+// remoteRecord is host's record toid as a receiver would get it, depending
+// on (depHost, depTOId) when depTOId is non-zero.
+func remoteRecord(host core.DCID, toid uint64, depHost core.DCID, depTOId uint64) Snapshot {
+	rec := &core.Record{Host: host, TOId: toid, Body: []byte("r")}
+	if depTOId != 0 {
+		rec.Deps = []core.Dep{{DC: depHost, TOId: depTOId}}
+	}
+	return Snapshot{From: host, Records: []*core.Record{rec}}
+}
+
+// One dependency-blocked record and no input must not keep the token
+// moving: the ring makes a revolution or two while the record finds its
+// queue, then the holder waits for input. (With the 200 µs idle timer, and
+// the idle wait skipped whenever something was parked, the ring made tens
+// of thousands of passes in this window.) Once the dependency is delivered
+// the record applies with no timer to wait out.
+func TestTokenRestsOnBlockedRecord(t *testing.T) {
+	const queues = 4
+	for _, carry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("carry=%v", carry), func(t *testing.T) {
+			dc := startDC(t, Config{NumDCs: 3, Queues: queues, CarryDeferred: carry})
+			// The fresh token makes exactly one revolution, then rests.
+			deadline := time.Now().Add(handoffWatchdog)
+			for tokenPasses(dc) < queues {
+				if time.Now().After(deadline) {
+					t.Fatalf("token made %d passes at start-up, want %d", tokenPasses(dc), queues)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			rx := dc.Receivers()[0]
+			if err := rx.Deliver(remoteRecord(1, 1, 2, 1)); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(200 * time.Millisecond)
+			if got := tokenPasses(dc) - queues; got > 2*queues {
+				t.Errorf("token made %d passes in 200 ms over one blocked record and no input, want at most two revolutions (%d)", got, 2*queues)
+			}
+			if dc.Applied().Get(1) != 0 {
+				t.Fatal("blocked record applied before its dependency")
+			}
+			if err := rx.Deliver(remoteRecord(2, 1, 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if !dc.WaitForTOId(1, 1, handoffWatchdog) {
+				t.Fatal("blocked record never applied after its dependency arrived")
+			}
+		})
+	}
+}
+
+// Input reaching a queue that does not hold the token is applied without
+// any timer: the pump's wake-up moves the token to it. The filter deals
+// batches round-robin, so over 4×10 acknowledged appends every queue of the
+// ring has been the non-holder with the input.
+func TestRingAppliesInputAtNonHolder(t *testing.T) {
+	const queues = 4
+	dc := startDC(t, Config{NumDCs: 1, Queues: queues})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 10*queues; i++ {
+			if _, err := dc.Append([]byte("x"), nil); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(handoffWatchdog):
+		t.Fatalf("appends stalled after %d applied: a wake-up was lost", dc.AppliedCount())
+	}
+	for i, q := range dc.queues {
+		if q.Applied.Value() == 0 {
+			t.Errorf("queue %d applied nothing", i)
+		}
 	}
 }

@@ -109,6 +109,7 @@ func (dc *Datacenter) EnableMetrics(reg *metrics.Registry) {
 		mLbl := metrics.L("machine", q.Name)
 		reg.GaugeFunc("chariots_queue_buffered_batches", func() float64 { return float64(len(q.buffered)) }, mLbl, dcLbl)
 		reg.CounterFunc("chariots_queue_applied_total", func() float64 { return float64(q.Applied.Value()) }, mLbl, dcLbl)
+		reg.CounterFunc("chariots_token_passes_total", func() float64 { return float64(q.passes.Value()) }, mLbl, dcLbl)
 	}
 	for _, sm := range dc.maintainerMachines {
 		sm.enableMetrics(reg, "maintainer", dcLbl)

@@ -23,7 +23,6 @@ func fastCfg(self core.DCID, numDCs int) Config {
 		PlacementBatch: 8,
 		FlushThreshold: 16,
 		SendThreshold:  16,
-		TokenIdleWait:  100 * time.Microsecond,
 	}
 }
 

@@ -106,7 +106,7 @@ func TestQueueApplyMatchesAbstractProperty(t *testing.T) {
 		p := flstore.Placement{NumMaintainers: 1, BatchSize: 100}
 		m, _ := flstore.NewMaintainer(flstore.MaintainerConfig{Index: 0, Placement: p})
 		q := NewQueue("Queue", nil, 0, state, make(chan []*core.Record, 1), p,
-			[]flstore.MaintainerAPI{m}, false, time.Millisecond)
+			[]flstore.MaintainerAPI{m}, false)
 		tok := NewToken(nDCs)
 		var qIn []*core.Record
 		for _, r := range work {

@@ -51,23 +51,23 @@ type Queue struct {
 	// discusses the trade-off; the ablation bench measures it).
 	carryDeferred bool
 	parked        []*core.Record
-
-	// idleWait bounds how long the queue holds an idle token waiting
-	// for input before passing it on.
-	idleWait time.Duration
+	// triedAt is the token's NextLId when this queue last tried its
+	// waiting records. Applicability depends only on the token's applied
+	// vector, which moves exactly when NextLId does, so until NextLId
+	// differs there is nothing to retry.
+	triedAt  uint64
 	maxDrain int
 	// stopC aborts feed pushes during shutdown.
 	stopC <-chan struct{}
 
 	// Applied counts records this queue appended to the log.
 	Applied metrics.Counter
+	// passes counts how often this queue handed the token on.
+	passes metrics.Counter
 }
 
 // NewQueue builds a queue machine.
-func NewQueue(name string, limiter *ratelimit.Limiter, index int, state *dcState, in chan []*core.Record, placement flstore.Placement, maintainers []flstore.MaintainerAPI, carryDeferred bool, idleWait time.Duration) *Queue {
-	if idleWait <= 0 {
-		idleWait = 200 * time.Microsecond
-	}
+func NewQueue(name string, limiter *ratelimit.Limiter, index int, state *dcState, in chan []*core.Record, placement flstore.Placement, maintainers []flstore.MaintainerAPI, carryDeferred bool) *Queue {
 	return &Queue{
 		StageMachine:  StageMachine{Name: name, Limiter: limiter},
 		index:         index,
@@ -78,7 +78,6 @@ func NewQueue(name string, limiter *ratelimit.Limiter, index int, state *dcState
 		placement:     placement,
 		maintainers:   maintainers,
 		carryDeferred: carryDeferred,
-		idleWait:      idleWait,
 		// Keep per-cycle batches below the capacity limiters' burst so
 		// the queue→maintainer→store charges overlap in time the way
 		// independent machines do, instead of serializing one
@@ -146,38 +145,41 @@ func (q *Queue) run(stop <-chan struct{}) {
 		case tok = <-q.tokenIn:
 		}
 
+		// An idle holder — no input here, nothing applied anywhere since it
+		// last tried its waiting records — keeps the token until some pump
+		// of this datacenter announces input, then passes it on if the
+		// input is another queue's. Nothing circulates, and nothing is
+		// retried, while there is nothing to do.
 		drained := q.drainBuffered()
-		if len(drained) == 0 && len(tok.Deferred) == 0 && len(q.parked) == 0 {
-			// Idle: wait briefly for input rather than spinning the
-			// token around an empty ring.
-			timer := time.NewTimer(q.idleWait)
+		for len(drained) == 0 && tok.NextLId == q.triedAt && q.state.pendingInput.Load() == 0 {
 			select {
 			case <-stop:
-				timer.Stop()
 				return
-			case recs := <-q.buffered:
-				drained = recs
-				timer.Stop()
-			case <-timer.C:
+			case <-q.state.inputWake:
 			}
+			drained = q.drainBuffered()
 		}
 
-		work := drained
-		work = append(work, tok.Deferred...)
-		work = append(work, q.parked...)
-		tok.Deferred = nil
-		q.parked = nil
+		if len(drained) > 0 || tok.NextLId != q.triedAt {
+			work := drained
+			work = append(work, tok.Deferred...)
+			work = append(work, q.parked...)
+			tok.Deferred = nil
+			q.parked = nil
 
-		applied, leftover := q.apply(tok, work, outs, stop)
-		if applied > 0 {
-			q.Applied.Add(uint64(applied))
-		}
-		if q.carryDeferred {
-			tok.Deferred = leftover
-		} else {
-			q.parked = leftover
+			applied, leftover := q.apply(tok, work, outs, stop)
+			if applied > 0 {
+				q.Applied.Add(uint64(applied))
+			}
+			if q.carryDeferred {
+				tok.Deferred = leftover
+			} else {
+				q.parked = leftover
+			}
+			q.triedAt = tok.NextLId
 		}
 
+		q.passes.Inc()
 		select {
 		case <-stop:
 			return
@@ -198,8 +200,13 @@ func (q *Queue) pump(stop, done <-chan struct{}) {
 			return
 		case recs := <-q.in:
 			q.work(len(recs))
+			// Counted before it is drainable, so a holder that finds the
+			// count at zero has missed nothing, and woken after, so the
+			// holder it wakes finds the batch.
+			q.state.pendingInput.Add(1)
 			select {
 			case q.buffered <- recs:
+				q.state.wakeHolder()
 			case <-stop:
 				return
 			case <-done:
@@ -239,6 +246,7 @@ func (q *Queue) drainBuffered() []*core.Record {
 	for len(out) < q.maxDrain {
 		select {
 		case recs := <-q.buffered:
+			q.state.pendingInput.Add(-1)
 			if out == nil {
 				out = recs
 			} else {

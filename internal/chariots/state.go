@@ -40,6 +40,13 @@ type dcState struct {
 	// triggers snapshots the table afresh — so raising it never blocks.
 	tableChanged chan struct{}
 
+	// pendingInput counts the batches the datacenter's queue pumps have
+	// taken in and no token holder has drained yet; inputWake is the
+	// coalescing signal raised beside it. Together they let an idle token
+	// holder wait for work — anywhere on the ring — instead of polling.
+	pendingInput atomic.Int64
+	inputWake    chan struct{}
+
 	// acks maps a locally submitted *core.Record to the channel waiting
 	// for its AppendAck. Pointer identity is stable because intra-DC
 	// stages pass records in process; external copies are cloned at the
@@ -69,6 +76,15 @@ func newDCState(self core.DCID, n int, feedDepth int) *dcState {
 		atable:       vclock.NewATable(self, n),
 		localFeed:    make(chan []*core.Record, feedDepth),
 		tableChanged: make(chan struct{}, 1),
+		inputWake:    make(chan struct{}, 1),
+	}
+}
+
+// wakeHolder wakes the token holder if it is waiting for input.
+func (s *dcState) wakeHolder() {
+	select {
+	case s.inputWake <- struct{}{}:
+	default:
 	}
 }
 

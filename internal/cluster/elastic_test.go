@@ -161,7 +161,6 @@ func TestAutoscalerGrowsPipeline(t *testing.T) {
 		Batchers: 1, Filters: 1, Queues: 1, Maintainers: 1,
 		PlacementBatch: 100,
 		FlushThreshold: 8,
-		TokenIdleWait:  100 * time.Microsecond,
 		Rates: chariots.StageRates{
 			Batcher: 1e6, Filter: 1e6, Queue: 1e6, Maintainer: 1e6,
 			Store: 1e6, Sender: 1e6, Receiver: 1e6,

@@ -83,12 +83,7 @@ type VisibilityResult struct {
 // paper motivates geo-replication but does not quantify visibility; the
 // expected shape is lag ≈ one-way delay + pipeline time.)
 func RunGeoVisibility(oneWay time.Duration, appends int) (VisibilityResult, error) {
-	g, err := NewGeoCluster(2, oneWay, chariots.Config{
-		Maintainers:    2,
-		FlushThreshold: 1,
-		SendThreshold:  1,
-		TokenIdleWait:  100 * time.Microsecond,
-	})
+	g, err := NewGeoCluster(2, oneWay, chariots.Config{Maintainers: 2})
 	if err != nil {
 		return VisibilityResult{}, err
 	}

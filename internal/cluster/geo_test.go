@@ -14,7 +14,6 @@ func TestGeoClusterConvergence(t *testing.T) {
 		Maintainers:    2,
 		FlushThreshold: 4,
 		SendThreshold:  4,
-		TokenIdleWait:  100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

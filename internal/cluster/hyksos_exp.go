@@ -36,11 +36,9 @@ type HyksosResult struct {
 // measuring operation latencies and total throughput.
 func RunHyksos(opts HyksosOptions) (*HyksosResult, error) {
 	dc, err := chariots.New(chariots.Config{
-		NumDCs:         1,
-		Maintainers:    2,
-		Indexers:       2,
-		FlushThreshold: 1,
-		TokenIdleWait:  50 * time.Microsecond,
+		NumDCs:      1,
+		Maintainers: 2,
+		Indexers:    2,
 	})
 	if err != nil {
 		return nil, err

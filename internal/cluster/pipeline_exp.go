@@ -80,7 +80,6 @@ func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
 		Maintainers:    opts.Queues,
 		PlacementBatch: 1000,
 		FlushThreshold: scaledSize(cmp.Or(opts.FlushThreshold, 512), scale, 8),
-		TokenIdleWait:  100 * time.Microsecond,
 		Rates:          opts.Profile.stageRates(),
 		FilterNICRate:  opts.Profile.down(opts.Profile.FilterNICRate),
 		ChannelDepth:   scaledSize(cmp.Or(opts.ChannelDepth, 1<<15), scale, 512),

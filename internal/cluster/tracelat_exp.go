@@ -137,9 +137,6 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 		Maintainers:    2,
 		Indexers:       1,
 		PlacementBatch: 4,
-		FlushThreshold: 1,
-		SendThreshold:  1,
-		TokenIdleWait:  50 * time.Microsecond,
 	})
 	if err != nil {
 		return res, err

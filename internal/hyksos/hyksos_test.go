@@ -20,9 +20,6 @@ func hyksosCfg(self core.DCID, numDCs int) chariots.Config {
 		Maintainers:    2,
 		Indexers:       2,
 		PlacementBatch: 4,
-		FlushThreshold: 1, // low latency for interactive KV tests
-		SendThreshold:  1,
-		TokenIdleWait:  50 * time.Microsecond,
 	}
 }
 

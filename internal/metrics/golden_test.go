@@ -36,6 +36,7 @@ var goldenFamilies = []string{
 	"chariots_stage_handoff_wait_seconds",
 	"chariots_stage_inbox_batches",
 	"chariots_stage_processed_total",
+	"chariots_token_passes_total",
 	"flstore_admission_backlog_budget_records",
 	"flstore_admission_backlog_records",
 	"flstore_admission_backlog_rejected_total",

@@ -18,9 +18,6 @@ func txnCfg(self core.DCID, numDCs int) chariots.Config {
 		NumDCs:         numDCs,
 		Maintainers:    2,
 		PlacementBatch: 4,
-		FlushThreshold: 1,
-		SendThreshold:  1,
-		TokenIdleWait:  50 * time.Microsecond,
 	}
 }
 

@@ -19,7 +19,6 @@ func streamCfg(self core.DCID, numDCs int) chariots.Config {
 		PlacementBatch: 8,
 		FlushThreshold: 8,
 		SendThreshold:  8,
-		TokenIdleWait:  50 * time.Microsecond,
 	}
 }
 

@@ -1,7 +1,8 @@
 # Tier-1 gate: `make check` is what CI and pre-merge runs — build, vet,
 # the full test suite, the whole tree again under the race detector
 # (`make race`), and a -count=50 stress of the cross-datacenter hand-off
-# tests that pin the visibility contract (DESIGN.md §7).
+# tests that pin the visibility contract (DESIGN.md §7) and of the pipeline's
+# work-paced hand-off tests (DESIGN.md §3.3) — the ones a lost wake-up breaks.
 GO ?= go
 
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
@@ -49,6 +50,7 @@ vet:
 
 check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic bench-e2e race
 	$(GO) test -count=50 -run 'TestCausalPropagationAcrossDCs|TestFigure2Scenario' ./internal/hyksos
+	$(GO) test -count=50 -run 'TestTokenRestsOnBlockedRecord|TestRingAppliesInputAtNonHolder|TestTableShipmentsConvergeThenQuiesce|TestSenderShipsBatchesAndHeartbeats|TestMsgFuturesCommitsOnChangeDrivenTables' ./internal/chariots
 
 # trace-smoke proves the tracing layer end to end: the span trees of a
 # reduced tracelat run must cover client → pipeline → maintainer →

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/ratelimit"
 )
 
@@ -33,16 +32,10 @@ type Batcher struct {
 	// limiters (index-aligned with filters): transmitting a batch to a
 	// filter charges that filter's ingress.
 	nics []*ratelimit.Limiter
-	// stopC aborts downstream sends during shutdown so a full filter
-	// inbox cannot wedge the batcher.
-	stopC <-chan struct{}
 
-	// handoffWait, when set (by Datacenter.EnableMetrics, before the
-	// batcher starts), observes per flush how long the round's first
-	// record sat in the batcher, downstream send included; since is when
-	// that record was absorbed.
-	handoffWait *metrics.BucketHistogram
-	since       time.Time
+	// since is when the round's first record was absorbed (kept only when
+	// handoffWait is set); the wait observed runs to the end of the send.
+	since time.Time
 }
 
 // NewBatcher builds a batcher machine. in is its ingress; filters are the
@@ -64,24 +57,16 @@ func NewBatcher(name string, limiter *ratelimit.Limiter, in chan []*core.Record,
 // In returns the batcher's ingress channel.
 func (b *Batcher) In() chan []*core.Record { return b.in }
 
-// run consumes the ingress until stop closes, then flushes what remains.
+// run consumes the ingress until stop closes; what is still buffered then
+// is dropped with the rest of the pipeline's in-flight records.
 func (b *Batcher) run(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
-			// Drain whatever is already queued, then flush.
-			for {
-				select {
-				case recs := <-b.in:
-					b.absorb(recs)
-				default:
-					b.flushAll()
-					return
-				}
-			}
+			return
 		case recs := <-b.in:
 			b.fill(recs)
-			b.flushAll()
+			b.flushAll(stop)
 		}
 	}
 }
@@ -143,45 +128,37 @@ func (b *Batcher) addFilter(in chan<- []*core.Record) {
 	b.filterMu.Unlock()
 }
 
-func (b *Batcher) flush(f int) {
-	b.filterMu.Lock()
-	batch := b.bufs[f]
-	b.bufs[f] = nil
-	dst := b.filters[f]
-	var nic *ratelimit.Limiter
-	if f < len(b.nics) {
-		nic = b.nics[f]
-	}
-	b.filterMu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	// Buffer wait plus batching shows up as the pipe.batch span: the hop
-	// covers ingress → flush for each sampled record.
-	hopRecords(batch, "pipe.batch")
-	// Transmit, then charge the destination filter's NIC: a transfer
-	// that blocks on a full inbox must not consume NIC tokens, or the
-	// filter's egress share starves while records sit undelivered.
-	if b.stopC == nil {
-		dst <- batch
-	} else {
-		select {
-		case dst <- batch:
-		case <-b.stopC:
+// flushAll hands every non-empty buffer to its filter; stop aborts a send
+// so a full filter inbox cannot wedge the batcher through shutdown.
+func (b *Batcher) flushAll(stop <-chan struct{}) {
+	for f := 0; ; f++ {
+		b.filterMu.Lock()
+		if f == len(b.bufs) {
+			b.filterMu.Unlock()
 			return
 		}
-	}
-	nic.WaitN(len(batch))
-	if h := b.handoffWait; h != nil {
-		h.Observe(time.Since(b.since).Seconds())
-	}
-}
-
-func (b *Batcher) flushAll() {
-	b.filterMu.Lock()
-	n := len(b.bufs)
-	b.filterMu.Unlock()
-	for f := 0; f < n; f++ {
-		b.flush(f)
+		batch, dst := b.bufs[f], b.filters[f]
+		b.bufs[f] = nil
+		b.filterMu.Unlock()
+		if len(batch) == 0 {
+			continue
+		}
+		// Buffer wait plus batching shows up as the pipe.batch span: the
+		// hop covers ingress → flush for each sampled record.
+		hopRecords(batch, "pipe.batch")
+		// Transmit, then charge the destination filter's NIC: a transfer
+		// that blocks on a full inbox must not consume NIC tokens, or the
+		// filter's egress share starves while records sit undelivered.
+		select {
+		case dst <- batch:
+		case <-stop:
+			return
+		}
+		if f < len(b.nics) {
+			b.nics[f].WaitN(len(batch))
+		}
+		if h := b.handoffWait; h != nil {
+			h.Observe(time.Since(b.since).Seconds())
+		}
 	}
 }

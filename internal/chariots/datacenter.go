@@ -170,7 +170,7 @@ func New(cfg Config) (*Datacenter, error) {
 		return nil, err
 	}
 	dc := &Datacenter{cfg: cfg, group: newStageGroup()}
-	dc.state = newDCState(cfg.Self, cfg.NumDCs, 0)
+	dc.state = newDCState(cfg.Self, cfg.NumDCs)
 	dc.state.feedEnabled = cfg.Senders > 0 && cfg.NumDCs > 1
 	creditCap := cfg.PipelineCredits
 	if creditCap < 0 {
@@ -192,11 +192,7 @@ func New(cfg Config) (*Datacenter, error) {
 		// threshold, queue drain cycle) so that consecutive stages'
 		// token-bucket charges overlap in time the way independent
 		// machines do rather than serializing within one goroutine.
-		b := int(rate / 40)
-		if b < 64 {
-			b = 64
-		}
-		return b
+		return max(int(rate/40), 64)
 	}
 	newLim := func(rate float64) *ratelimit.Limiter {
 		return ratelimit.New(rate, burst(rate))
@@ -282,7 +278,6 @@ func New(cfg Config) (*Datacenter, error) {
 		in := make(chan []*core.Record, depthFor(cfg.ChannelDepth, cfg.FlushThreshold))
 		q := NewQueue(machineName("Queue", i, cfg.Queues), newLim(cfg.Rates.Queue), i,
 			dc.state, in, placement, appendAPIs, cfg.CarryDeferred)
-		q.stopC = dc.group.stop
 		dc.queues = append(dc.queues, q)
 		queueIns = append(queueIns, in)
 	}
@@ -316,7 +311,6 @@ func New(cfg Config) (*Datacenter, error) {
 		in := make(chan []*core.Record, depthFor(cfg.ChannelDepth, cfg.FlushThreshold))
 		b := NewBatcher(machineName("Batcher", i, cfg.Batchers), newLim(cfg.Rates.Batcher), in,
 			dc.routing, filterIns, cfg.FlushThreshold)
-		b.stopC = dc.group.stop
 		if cfg.FilterNICRate > 0 {
 			b.nics = filterNICs
 		}
@@ -351,11 +345,7 @@ func New(cfg Config) (*Datacenter, error) {
 }
 
 func depthFor(depth, flush int) int {
-	d := depth / max(flush, 1)
-	if d < 4 {
-		d = 4
-	}
-	return d
+	return max(depth/max(flush, 1), 4)
 }
 
 // Self returns this datacenter's id.
@@ -388,25 +378,26 @@ func (dc *Datacenter) Start() {
 	}
 	dc.started = true
 	for _, b := range dc.batchers {
-		b := b
-		dc.group.go1(func() { b.run(dc.group.stop) })
+		dc.launch(b.run)
 	}
 	for _, f := range dc.filters {
-		f := f
-		dc.group.go1(func() { f.run(dc.group.stop) })
+		dc.launch(f.run)
 	}
 	for _, q := range dc.queues {
-		q := q
-		dc.group.go1(func() { q.run(dc.group.stop) })
+		dc.launch(q.run)
 	}
 	for _, s := range dc.senders {
-		s := s
-		dc.group.go1(func() { s.run(dc.group.stop) })
+		dc.launch(s.run)
 	}
 	for _, g := range dc.gossipers {
 		g.Start()
 	}
 	dc.queues[0].TokenIn() <- dc.initialToken
+}
+
+// launch runs one stage machine until the datacenter stops.
+func (dc *Datacenter) launch(run func(stop <-chan struct{})) {
+	dc.group.go1(func() { run(dc.group.stop) })
 }
 
 // Stop halts the pipeline and joins all goroutines. Records still in

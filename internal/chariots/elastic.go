@@ -26,12 +26,11 @@ func (dc *Datacenter) AddBatcher(rate float64) *Batcher {
 	name := machineName("Batcher", len(dc.batchers), len(dc.batchers)+2)
 	b := NewBatcher(name, ratelimit.New(rate, 64), in, dc.routing, filterIns,
 		dc.cfg.FlushThreshold)
-	b.stopC = dc.group.stop
 	dc.batchers = append(dc.batchers, b)
 	started := dc.started && !dc.stopped
 	dc.startMu.Unlock()
 	if started {
-		dc.group.go1(func() { b.run(dc.group.stop) })
+		dc.launch(b.run)
 	}
 	// Receivers learn the new batcher.
 	for _, r := range dc.receivers {
@@ -51,7 +50,7 @@ func (dc *Datacenter) AddSender(rate float64) *Sender {
 	started := dc.started && !dc.stopped
 	dc.startMu.Unlock()
 	if started {
-		dc.group.go1(func() { s.run(dc.group.stop) })
+		dc.launch(s.run)
 	}
 	return s
 }
@@ -72,7 +71,6 @@ func (dc *Datacenter) AddQueue(after int, rate float64) (*Queue, error) {
 	name := machineName("Queue", len(dc.queues), len(dc.queues)+2)
 	q := NewQueue(name, ratelimit.New(rate, 64), len(dc.queues), dc.state, in,
 		anchor.placement, anchor.maintainers, dc.cfg.CarryDeferred)
-	q.stopC = dc.group.stop
 	dc.queues = append(dc.queues, q)
 	started := dc.started && !dc.stopped
 	dc.startMu.Unlock()
@@ -83,7 +81,7 @@ func (dc *Datacenter) AddQueue(after int, rate float64) (*Queue, error) {
 	anchor.SetNext(q.TokenIn())
 
 	if started {
-		dc.group.go1(func() { q.run(dc.group.stop) })
+		dc.launch(q.run)
 	}
 	for _, f := range dc.filters {
 		f.addQueue(in)
@@ -111,7 +109,7 @@ func (dc *Datacenter) AddFilter(rate float64) (*Filter, error) {
 	started := dc.started && !dc.stopped
 	dc.startMu.Unlock()
 	if started {
-		dc.group.go1(func() { f.run(dc.group.stop) })
+		dc.launch(f.run)
 	}
 	// Batchers learn the new filter's inbox (routing indexes into it).
 	for _, b := range dc.batchers {

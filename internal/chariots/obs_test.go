@@ -105,6 +105,16 @@ func TestPipelineMetricsMidRun(t *testing.T) {
 	if s := snap.Find("chariots_stage_batch_records", map[string]string{"dc": "0", "stage": "queue"}); s == nil || s.Count == 0 {
 		t.Errorf("queue batch-size histogram = %+v, want observations", s)
 	}
+	// What replaced the timers is observable: every flush and shipment
+	// recorded how long its oldest record waited, and the token moved.
+	for _, stage := range []string{"batcher", "sender"} {
+		if s := snap.Find("chariots_stage_handoff_wait_seconds", map[string]string{"dc": "0", "stage": stage}); s == nil || s.Count == 0 {
+			t.Errorf("%s hand-off wait histogram = %+v, want observations", stage, s)
+		}
+	}
+	if v := findValue(t, reg, "chariots_token_passes_total", map[string]string{"dc": "0"}); v == 0 {
+		t.Error("token passes = 0 after applying records")
+	}
 	if v := findValue(t, reg, "chariots_applied_records_total", map[string]string{"dc": "0"}); v < n {
 		t.Errorf("applied_records_total = %v, want >= %d", v, n)
 	}
@@ -114,7 +124,7 @@ func TestPipelineMetricsMidRun(t *testing.T) {
 	}
 
 	// Once DC 1 has acknowledged everything, both lag gauges must drain
-	// to zero (awareness heartbeats keep flowing while idle).
+	// to zero (DC 1 ships its table when it applies our records).
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if findValue(t, reg, "chariots_replication_lag_records", lagLbl) == 0 &&

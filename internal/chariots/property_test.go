@@ -102,7 +102,7 @@ func TestQueueApplyMatchesAbstractProperty(t *testing.T) {
 
 		// Distributed: a queue with a fresh token applying the same
 		// records directly.
-		state := newDCState(0, nDCs, 4)
+		state := newDCState(0, nDCs)
 		p := flstore.Placement{NumMaintainers: 1, BatchSize: 100}
 		m, _ := flstore.NewMaintainer(flstore.MaintainerConfig{Index: 0, Placement: p})
 		q := NewQueue("Queue", nil, 0, state, make(chan []*core.Record, 1), p,

@@ -57,8 +57,6 @@ type Queue struct {
 	// differs there is nothing to retry.
 	triedAt  uint64
 	maxDrain int
-	// stopC aborts feed pushes during shutdown.
-	stopC <-chan struct{}
 
 	// Applied counts records this queue appended to the log.
 	Applied metrics.Counter
@@ -116,12 +114,14 @@ func (q *Queue) nextChan() chan<- *Token {
 // *forwarders* push applied records into FLStore, charging the maintainer
 // and store machines without holding the token.
 func (q *Queue) run(stop <-chan struct{}) {
-	done := make(chan struct{})
+	// Every return below is on stop, which also ends the pump and the
+	// forwarders; the deferred Wait joins them.
 	var wg sync.WaitGroup
+	defer wg.Wait()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		q.pump(stop, done)
+		q.pump(stop)
 	}()
 	outs := make([]chan []*core.Record, len(q.maintainers))
 	for i := range outs {
@@ -132,10 +132,6 @@ func (q *Queue) run(stop <-chan struct{}) {
 			q.forward(stop, i, outs[i])
 		}(i)
 	}
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
 
 	for {
 		var tok *Token
@@ -191,12 +187,10 @@ func (q *Queue) run(stop <-chan struct{}) {
 // pump moves records from the filter-facing inbox into the token-drainable
 // buffer, charging the queue machine's capacity — concurrent with other
 // queues and with this queue's own token work.
-func (q *Queue) pump(stop, done <-chan struct{}) {
+func (q *Queue) pump(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
-			return
-		case <-done:
 			return
 		case recs := <-q.in:
 			q.work(len(recs))
@@ -206,10 +200,8 @@ func (q *Queue) pump(stop, done <-chan struct{}) {
 			q.state.pendingInput.Add(1)
 			select {
 			case q.buffered <- recs:
-				q.state.wakeHolder()
+				signal(q.state.inputWake)
 			case <-stop:
-				return
-			case <-done:
 				return
 			}
 		}
@@ -222,10 +214,7 @@ func (q *Queue) forward(stop <-chan struct{}, maintainer int, in <-chan []*core.
 		select {
 		case <-stop:
 			return
-		case batch, ok := <-in:
-			if !ok {
-				return
-			}
+		case batch := <-in:
 			if err := q.maintainers[maintainer].AppendAssigned(batch); err != nil {
 				// A maintainer refusing an assigned record is a
 				// deployment bug (wrong placement) or duplicate;
@@ -367,13 +356,12 @@ func (q *Queue) persist(recs []*core.Record, outs []chan []*core.Record, stop <-
 		}
 		select {
 		case q.state.localFeed <- local:
-		case <-q.stopC: // nil (blocks forever) for a queue built outside a datacenter
+		case <-stop:
 		}
-	}
-	if applied < len(recs) {
-		// Remote records moved the self row and no shipment of ours will
-		// say so: have a sender ship the table.
-		q.state.signalTableChanged()
+	} else if applied < len(recs) {
+		// Remote records moved the self row and no shipment of this
+		// cycle's records will say so: have a sender ship the table.
+		signal(q.state.tableChanged)
 	}
 	// Return pipeline credits for the local records now applied. Only local
 	// records acquire credits (Inject charges them; receivers do not), and

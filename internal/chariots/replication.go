@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/ratelimit"
-	"repro/internal/vclock"
 )
 
 // ReceiverAPI is the ingress surface one datacenter exposes to the senders
@@ -66,19 +65,18 @@ func (r *Receiver) Deliver(snap Snapshot) error {
 		dst := r.batchers[int(r.rr%uint64(len(r.batchers)))]
 		r.rr++
 		r.mu.Unlock()
-		if r.stopC == nil {
-			dst <- out
-		} else {
-			select {
-			case dst <- out:
-			case <-r.stopC:
-			}
+		select {
+		case dst <- out:
+		case <-r.stopC: // nil, and never ready, for a receiver built outside a datacenter
 		}
 	}
 	if snap.ATable != nil && r.state.atable.MergeSnapshot(snap.ATable) {
-		// What the table just learned is news to the other datacenters
-		// too; a merge that raised nothing ends the exchange.
-		r.state.signalTableChanged()
+		// The merge raised our own row (a peer knew more about what we
+		// hold than we did, e.g. after recovery), and only we announce
+		// that row. What it taught us about other rows their owners ship
+		// themselves, so ordinary merges prompt nothing and idle
+		// datacenters fall silent.
+		signal(r.state.tableChanged)
 	}
 	return nil
 }
@@ -106,11 +104,6 @@ type Sender struct {
 	mu    sync.Mutex
 	dests map[core.DCID][]ReceiverAPI
 	rr    map[core.DCID]uint64
-
-	// handoffWait, when set (by Datacenter.EnableMetrics, before the sender
-	// starts), observes per shipment how long its oldest record waited
-	// between being applied and being handed to the link.
-	handoffWait *metrics.BucketHistogram
 
 	// Shipped counts records propagated (once per remote datacenter).
 	Shipped metrics.Counter
@@ -149,25 +142,11 @@ func (s *Sender) run(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
-			// Ship what the feed still holds, then leave.
-			for {
-				select {
-				case recs := <-s.state.localFeed:
-					s.ship(recs)
-				default:
-					return
-				}
-			}
+			return
 		case pending := <-s.state.localFeed:
 			for len(pending) > 0 {
 				pending = s.gather(pending)
 				n := min(len(pending), s.threshold)
-				// The table rides with the records; a pending table-only
-				// signal has nothing to add.
-				select {
-				case <-s.state.tableChanged:
-				default:
-				}
 				// The shipped prefix is lent to the snapshot (a LatencyLink
 				// may hold it after ship returns) and capped, so topping up
 				// the remainder never writes into it.
@@ -213,27 +192,20 @@ func (s *Sender) ship(recs []*core.Record) {
 			}
 		}
 	}
-	var table []vclock.Vector = s.state.atable.Snapshot()
-
 	s.mu.Lock()
-	type dest struct {
-		dc core.DCID
-		rx ReceiverAPI
-	}
-	var targets []dest
+	var targets []ReceiverAPI
 	for dc, rxs := range s.dests {
 		if len(rxs) == 0 {
 			continue
 		}
-		i := int(s.rr[dc] % uint64(len(rxs)))
+		targets = append(targets, rxs[s.rr[dc]%uint64(len(rxs))])
 		s.rr[dc]++
-		targets = append(targets, dest{dc: dc, rx: rxs[i]})
 	}
 	s.mu.Unlock()
 
-	snap := Snapshot{From: s.state.self, Records: recs, ATable: table}
-	for _, t := range targets {
-		if err := t.rx.Deliver(snap); err != nil {
+	snap := Snapshot{From: s.state.self, Records: recs, ATable: s.state.atable.Snapshot()}
+	for _, rx := range targets {
+		if err := rx.Deliver(snap); err != nil {
 			s.Errors.Inc()
 			continue
 		}

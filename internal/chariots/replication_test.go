@@ -63,7 +63,7 @@ func localRecs(from, to int) []*core.Record {
 // once per table-changed signal and otherwise stays silent; and the slow
 // anti-entropy heartbeat is the only shipment nothing prompted.
 func TestSenderShipsBatchesAndHeartbeats(t *testing.T) {
-	state := newDCState(0, 2, 64)
+	state := newDCState(0, 2)
 	state.feedEnabled = true
 	s := NewSender("Sender", nil, state, 4)
 	s.antiEntropy = time.Hour // out of reach: every shipment below is prompted
@@ -81,7 +81,7 @@ func TestSenderShipsBatchesAndHeartbeats(t *testing.T) {
 	state.localFeed <- localRecs(1, 10)
 	rx.waitCount(t, 3)
 	// A table change with no records due ships the table alone, once.
-	state.signalTableChanged()
+	signal(state.tableChanged)
 	rx.waitCount(t, 4)
 	// A lone record does not wait for company.
 	state.localFeed <- localRecs(11, 11)
@@ -122,7 +122,7 @@ func TestSenderShipsBatchesAndHeartbeats(t *testing.T) {
 // With nothing to prompt it, a sender still ships the table at the
 // anti-entropy period, so a lost table-only delivery is repaired.
 func TestSenderAntiEntropyHeartbeat(t *testing.T) {
-	state := newDCState(0, 2, 64)
+	state := newDCState(0, 2)
 	s := NewSender("Sender", nil, state, 4)
 	s.antiEntropy = time.Millisecond
 	rx := &collectingReceiver{}
@@ -135,7 +135,7 @@ func TestSenderAntiEntropyHeartbeat(t *testing.T) {
 }
 
 func TestSenderShipsToAllConnectedDCs(t *testing.T) {
-	state := newDCState(0, 3, 64)
+	state := newDCState(0, 3)
 	state.feedEnabled = true
 	s := NewSender("Sender", nil, state, 1)
 	rx1, rx2 := &collectingReceiver{}, &collectingReceiver{}
@@ -157,7 +157,7 @@ func TestSenderShipsToAllConnectedDCs(t *testing.T) {
 }
 
 func TestSenderShipsCopiesNotAliases(t *testing.T) {
-	state := newDCState(0, 2, 64)
+	state := newDCState(0, 2)
 	state.feedEnabled = true
 	s := NewSender("Sender", nil, state, 1)
 	rx := &collectingReceiver{}
@@ -186,7 +186,7 @@ func TestSenderShipsCopiesNotAliases(t *testing.T) {
 	if snap.Owned {
 		t.Fatal("sender marked a borrowed snapshot as Owned")
 	}
-	state2 := newDCState(1, 2, 64)
+	state2 := newDCState(1, 2)
 	out := make(chan []*core.Record, 1)
 	r := NewReceiver("Receiver", nil, state2, []chan<- []*core.Record{out})
 	if err := r.Deliver(snap); err != nil {
@@ -200,7 +200,7 @@ func TestSenderShipsCopiesNotAliases(t *testing.T) {
 }
 
 func TestReceiverClearsLIdsAndMergesTable(t *testing.T) {
-	state := newDCState(1, 2, 64)
+	state := newDCState(1, 2)
 	out := make(chan []*core.Record, 4)
 	r := NewReceiver("Receiver", nil, state, []chan<- []*core.Record{out})
 
@@ -230,7 +230,7 @@ func TestReceiverClearsLIdsAndMergesTable(t *testing.T) {
 }
 
 func TestReceiverTableOnlySnapshot(t *testing.T) {
-	state := newDCState(1, 2, 64)
+	state := newDCState(1, 2)
 	out := make(chan []*core.Record, 1)
 	r := NewReceiver("Receiver", nil, state, []chan<- []*core.Record{out})
 	remote := vclock.NewATable(0, 2)

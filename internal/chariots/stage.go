@@ -22,6 +22,10 @@ type StageMachine struct {
 	// sees — undersized batches at a stage mean its upstream is flushing
 	// on the interval rather than the threshold.
 	batchSize *metrics.BucketHistogram
+	// handoffWait, set the same way for the stages that used to wait out a
+	// timer (batcher, sender), observes per flush/shipment how long its
+	// oldest record sat in the stage before it was handed on.
+	handoffWait *metrics.BucketHistogram
 }
 
 // work charges n records against the machine's capacity (blocking until

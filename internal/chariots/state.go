@@ -22,7 +22,6 @@ type AppendAck struct {
 // acknowledgements owed to application clients.
 type dcState struct {
 	self   core.DCID
-	n      int
 	atable *vclock.ATable
 
 	// localFeed carries applied local records (LIds assigned) from the
@@ -33,17 +32,15 @@ type dcState struct {
 	localFeed   chan []*core.Record
 	feedEnabled bool
 
-	// tableChanged tells the senders the Awareness Table learned
-	// something no record shipment will carry: remote records moved the
-	// self row (queue.persist), or a merged snapshot raised an entry
-	// (Receiver.Deliver). One pending signal is enough — the shipment it
-	// triggers snapshots the table afresh — so raising it never blocks.
+	// tableChanged tells the senders the self row moved with no record
+	// shipment to carry it: remote records were applied (queue.persist) or
+	// a merged snapshot raised it (Receiver.Deliver). One pending signal is
+	// enough — the shipment it prompts snapshots the table afresh.
 	tableChanged chan struct{}
 
-	// pendingInput counts the batches the datacenter's queue pumps have
-	// taken in and no token holder has drained yet; inputWake is the
-	// coalescing signal raised beside it. Together they let an idle token
-	// holder wait for work — anywhere on the ring — instead of polling.
+	// pendingInput counts the batches the queues' pumps have taken in and
+	// no token holder has drained yet; inputWake is raised beside it. They
+	// let an idle token holder wait for work anywhere on the ring.
 	pendingInput atomic.Int64
 	inputWake    chan struct{}
 
@@ -63,16 +60,13 @@ type dcState struct {
 	credits *creditGate
 }
 
-// newDCState builds the shared state; feedDepth is the feed's depth in
-// token cycles (default 4096: deep enough that a sender stalled on one WAN
-// round trip does not stall the token, and credits bound what a cycle holds).
-func newDCState(self core.DCID, n int, feedDepth int) *dcState {
-	if feedDepth < 1 {
-		feedDepth = 1 << 12
-	}
+// feedDepth is the feed's depth in token cycles: deep enough that a sender
+// held up for a WAN round trip does not stall the token.
+const feedDepth = 1 << 12
+
+func newDCState(self core.DCID, n int) *dcState {
 	return &dcState{
 		self:         self,
-		n:            n,
 		atable:       vclock.NewATable(self, n),
 		localFeed:    make(chan []*core.Record, feedDepth),
 		tableChanged: make(chan struct{}, 1),
@@ -80,18 +74,11 @@ func newDCState(self core.DCID, n int, feedDepth int) *dcState {
 	}
 }
 
-// wakeHolder wakes the token holder if it is waiting for input.
-func (s *dcState) wakeHolder() {
+// signal raises one of the state's coalescing capacity-1 signals: a
+// receiver that has not yet consumed the last one needs no second.
+func signal(ch chan<- struct{}) {
 	select {
-	case s.inputWake <- struct{}{}:
-	default:
-	}
-}
-
-// signalTableChanged raises the coalescing table-changed signal.
-func (s *dcState) signalTableChanged() {
-	select {
-	case s.tableChanged <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }

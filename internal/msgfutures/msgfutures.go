@@ -144,7 +144,7 @@ func (m *Manager) poll() {
 	m.mu.Unlock()
 	if head <= cursor {
 		// No new records, but decidability can still change: the
-		// awareness table advances on heartbeats alone.
+		// awareness table advances on table-only shipments too.
 		m.mu.Lock()
 		m.decideLocked()
 		m.mu.Unlock()

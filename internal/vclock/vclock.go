@@ -210,18 +210,18 @@ func (a *ATable) Snapshot() []Vector {
 // merged too — a peer may legitimately know more about what we were sent
 // than our last local update (e.g. after recovery) — but local application
 // remains the primary driver of the self row via RecordApplied. It reports
-// whether any entry rose: a table that learned nothing has nothing to pass
-// on, which is what lets idle datacenters stop exchanging tables.
-func (a *ATable) MergeSnapshot(snap []Vector) bool {
+// whether the self row rose: every datacenter announces its own row, so
+// that is the only thing a merge can teach us that our peers will not hear
+// from someone else.
+func (a *ATable) MergeSnapshot(snap []Vector) (selfRose bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	changed := false
 	for i := range a.t {
-		if i < len(snap) && a.t[i].Merge(snap[i]) {
-			changed = true
+		if i < len(snap) && a.t[i].Merge(snap[i]) && core.DCID(i) == a.self {
+			selfRose = true
 		}
 	}
-	return changed
+	return selfRose
 }
 
 // KnownBy reports A's certainty that datacenter dc knows record (host,

@@ -174,13 +174,17 @@ func TestATableMergeSnapshot(t *testing.T) {
 	b.Advance(0, 0, 9) // B's (possibly stale or fresher) view of A
 
 	if !a.MergeSnapshot(b.Snapshot()) {
-		t.Error("a merge that raised entries reported no change")
+		t.Error("a merge that raised the self row did not report it")
 	}
 	if a.MergeSnapshot(b.Snapshot()) {
-		t.Error("merging the same snapshot again reported a change")
+		t.Error("merging the same snapshot again reported the self row rising")
 	}
-	if got := a.Get(1, 1); got != 7 {
-		t.Errorf("merged [1][1] = %d, want 7", got)
+	b.Advance(1, 1, 8) // news about B's own row only
+	if a.MergeSnapshot(b.Snapshot()) {
+		t.Error("a merge that raised only a peer's row reported the self row rising")
+	}
+	if got := a.Get(1, 1); got != 8 {
+		t.Errorf("merged [1][1] = %d, want 8", got)
 	}
 	if got := a.Get(0, 0); got != 9 {
 		t.Errorf("merged self row = %d, want max(5,9)=9", got)

@@ -1,0 +1,138 @@
+package storage
+
+import (
+	"slices"
+	"sort"
+)
+
+// A page holds 512 slots: a page of the segment store's 12-byte slots is
+// exactly the allocator's 6 KiB size class, and a round of any shipped
+// placement (BatchSize 8 at R = N, or 1000) leaves pages full or absent.
+const (
+	pageBits = 9
+	pageSize = 1 << pageBits
+)
+
+// table is the LId index of both stores: slot lid%pageSize of page
+// lid>>pageBits holds what is stored at lid, and the zero S means nothing
+// is. The directory is sorted by page number, so an ordered scan is a page
+// walk and collecting a prefix touches only the pages below the bound. A
+// page of a pointer-free S is an object the collector never walks.
+type table[S comparable] struct {
+	pages []tablePage[S]
+	n     int    // occupied slots
+	max   uint64 // highest LId ever set
+}
+
+type tablePage[S comparable] struct {
+	no    uint64 // lid >> pageBits
+	n     int    // occupied slots
+	slots *[pageSize]S
+}
+
+// find returns where page no sits in the directory, or where it would be
+// inserted.
+func (t *table[S]) find(no uint64) (int, bool) {
+	// In a dense log's directory a page lies its distance from the first away.
+	if len(t.pages) > 0 {
+		if i := no - t.pages[0].no; i < uint64(len(t.pages)) && t.pages[i].no == no {
+			return int(i), true
+		}
+	}
+	i := sort.Search(len(t.pages), func(i int) bool { return t.pages[i].no >= no })
+	return i, i < len(t.pages) && t.pages[i].no == no
+}
+
+func (t *table[S]) get(lid uint64) (v S) {
+	if i, ok := t.find(lid >> pageBits); ok {
+		v = t.pages[i].slots[lid%pageSize]
+	}
+	return v
+}
+
+func (t *table[S]) set(lid uint64, v S) {
+	i, ok := t.find(lid >> pageBits)
+	if !ok {
+		t.pages = slices.Insert(t.pages, i, tablePage[S]{no: lid >> pageBits, slots: new([pageSize]S)})
+	}
+	p := &t.pages[i]
+	var zero S
+	if p.slots[lid%pageSize] == zero {
+		p.n++
+		t.n++
+	}
+	p.slots[lid%pageSize] = v
+	t.max = max(t.max, lid)
+}
+
+// window appends to dst, up to its capacity, the occupied slots of the
+// LIds from..to (to 0 = no bound) in ascending order. It returns the LId
+// the next window starts at, 0 once the range is exhausted.
+func (t *table[S]) window(dst []S, from, to uint64) ([]S, uint64) {
+	var zero S
+	for i, _ := t.find(from >> pageBits); i < len(t.pages); i++ {
+		p, base := &t.pages[i], t.pages[i].no<<pageBits
+		j := uint64(0)
+		if base < from {
+			j = from - base
+		}
+		for ; j < pageSize; j++ {
+			if to != 0 && base+j > to {
+				return dst, 0
+			}
+			if v := p.slots[j]; v != zero {
+				if len(dst) == cap(dst) {
+					return dst, base + j
+				}
+				dst = append(dst, v)
+			}
+		}
+	}
+	return dst, 0
+}
+
+// countFrom counts the occupied slots of LIds >= from.
+func (t *table[S]) countFrom(from uint64) int {
+	var zero S
+	i, ok := t.find(from >> pageBits)
+	n := 0
+	if ok {
+		for _, v := range t.pages[i].slots[from%pageSize:] {
+			if v != zero {
+				n++
+			}
+		}
+		i++
+	}
+	for ; i < len(t.pages); i++ {
+		n += t.pages[i].n
+	}
+	return n
+}
+
+// prune empties the slots of LIds <= upTo that drop accepts and frees the
+// pages that leaves empty, visiting none above upTo; it returns the count.
+func (t *table[S]) prune(upTo uint64, drop func(S) bool) int {
+	var zero S
+	removed := 0
+	keep := t.pages[:0]
+	i := 0
+	for ; i < len(t.pages) && t.pages[i].no <= upTo>>pageBits; i++ {
+		p := t.pages[i]
+		for j, v := range p.slots {
+			if v != zero && p.no<<pageBits+uint64(j) <= upTo && drop(v) {
+				p.slots[j] = zero
+				p.n--
+				removed++
+			}
+		}
+		if p.n > 0 {
+			keep = append(keep, p)
+		}
+	}
+	keep = append(keep, t.pages[i:]...)
+	clear(t.pages[len(keep):])
+	t.pages = keep
+	t.n -= removed
+	return removed
+}

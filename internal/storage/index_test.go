@@ -1,0 +1,146 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"unsafe"
+)
+
+// lidGen draws LIds the way the stores meet them: a dense run, rounds of
+// eight interleaved over three ranges (a maintainer's hosted share), sparse
+// positions across the whole uint64 space, and a small pool that repeats.
+func lidGen(rng *rand.Rand) func() uint64 {
+	dense, round := uint64(1), uint64(0)
+	return func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			dense++
+			return dense
+		case 1:
+			round++
+			return 1<<20 + (round/8)*24 + round%8
+		case 2:
+			return rng.Uint64()>>uint(rng.Intn(60)) | 1
+		default:
+			return uint64(1 + rng.Intn(3000))
+		}
+	}
+}
+
+func sortedKeys[V any](m map[uint64]V, from, to uint64) []uint64 {
+	var ks []uint64
+	for k := range m {
+		if k >= from && (to == 0 || k <= to) {
+			ks = append(ks, k)
+		}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	return ks
+}
+
+// TestTableMatchesMap drives the table and a plain map with the same seeded
+// operations and compares every answer.
+func TestTableMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		next := lidGen(rng)
+		var tb table[uint64]
+		model := map[uint64]uint64{}
+		var max uint64
+		for op := 0; op < 3000; op++ {
+			lid := next()
+			switch rng.Intn(10) {
+			default: // set; the slot value is the LId, so windows identify themselves
+				tb.set(lid, lid)
+				model[lid] = lid
+				if lid > max {
+					max = lid
+				}
+			case 0: // prune a prefix of the even LIds only
+				even := func(v uint64) bool { return v%2 == 0 }
+				want := 0
+				for k := range model {
+					if k <= lid && even(k) {
+						delete(model, k)
+						want++
+					}
+				}
+				if got := tb.prune(lid, even); got != want {
+					t.Fatalf("seed %d: prune(%d) = %d, want %d", seed, lid, got, want)
+				}
+			case 1: // a window with a small capacity, resumed until exhausted
+				to := uint64(0)
+				if rng.Intn(2) == 0 {
+					to = lid + uint64(rng.Intn(5000))
+				}
+				var got []uint64
+				buf := make([]uint64, 0, 1+rng.Intn(40))
+				for from := lid; from != 0; {
+					buf, from = tb.window(buf[:0], from, to)
+					got = append(got, buf...)
+				}
+				if want := sortedKeys(model, lid, to); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d: window(%d, %d) = %v, want %v", seed, lid, to, got, want)
+				}
+			case 2:
+				if got, want := tb.countFrom(lid), len(sortedKeys(model, lid, 0)); got != want {
+					t.Fatalf("seed %d: countFrom(%d) = %d, want %d", seed, lid, got, want)
+				}
+			}
+			if got := tb.get(lid); got != model[lid] {
+				t.Fatalf("seed %d: get(%d) = %d, want %d", seed, lid, got, model[lid])
+			}
+			if tb.n != len(model) || tb.max != max {
+				t.Fatalf("seed %d: n=%d max=%d, want %d %d", seed, tb.n, tb.max, len(model), max)
+			}
+		}
+		for i, p := range tb.pages {
+			if p.n == 0 || (i > 0 && p.no <= tb.pages[i-1].no) {
+				t.Fatalf("seed %d: directory entry %d (page %d, %d slots) empty or out of order", seed, i, p.no, p.n)
+			}
+		}
+	}
+}
+
+// hostedLIds lists the first n positions maintainer 0 stores under
+// round-robin placement: rounds of b positions over nm ranges, each range
+// on r consecutive maintainers.
+func hostedLIds(nm, r, b, n int) []uint64 {
+	var lids []uint64
+	for lid := uint64(1); len(lids) < n; lid++ {
+		if owner := int((lid-1)/uint64(b)) % nm; (nm-owner)%nm < r {
+			lids = append(lids, lid)
+		}
+	}
+	return lids
+}
+
+// TestIndexBytesPerRecord is the index's memory ledger. Where every range
+// is on every maintainer (R = N: the benchmark, the durability rig) the
+// store holds every position and its pages are full. cmd/flstore's default
+// (N=3, R=1, rounds of 1000) leaves the two pages at each round's edges part
+// empty, and short rounds at R < N — a corner nothing runs, and the index is
+// not built for — leave every page a tenth full: both are printed so they
+// are on record.
+func TestIndexBytesPerRecord(t *testing.T) {
+	perRecord := func(nm, r, b int) float64 {
+		var tb table[slot]
+		for _, lid := range hostedLIds(nm, r, b, 200_000) {
+			tb.set(lid, slot{length: 1})
+		}
+		page := unsafe.Sizeof(tablePage[slot]{}) + unsafe.Sizeof([pageSize]slot{})
+		return float64(len(tb.pages)) * float64(page) / float64(tb.n)
+	}
+	for _, g := range []struct {
+		nm, r, b int
+		bound    float64
+	}{{3, 3, 8, 16}, {3, 3, 1000, 16}, {3, 1, 1000, 0}, {10, 1, 8, 0}} {
+		got := perRecord(g.nm, g.r, g.b)
+		t.Logf("index: %.2f B/record at N=%d R=%d B=%d", got, g.nm, g.r, g.b)
+		if g.bound != 0 && got > g.bound {
+			t.Errorf("index costs %.2f B/record at N=%d R=%d B=%d, want <= %.0f", got, g.nm, g.r, g.b, g.bound)
+		}
+	}
+}

@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,7 +34,10 @@ import (
 const (
 	entryHeaderSize    = 8
 	defaultSegmentSize = 8 << 20 // rotate after 8 MiB
+	maxSegmentSize     = 1 << 31 // index slots hold 32-bit offsets
 	segmentSuffix      = ".seg"
+	// scanChunk slots are located per lock hold of a Scan.
+	scanChunk = 256
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -76,41 +81,31 @@ type SegmentStoreOptions struct {
 }
 
 type segment struct {
-	path    string
-	first   uint64 // arrival sequence of first entry
-	size    int64
-	maxLId  uint64 // highest LId stored in this segment
-	deleted bool
+	path   string
+	first  uint64 // arrival sequence of first entry
+	count  uint64 // entries indexed
+	size   int64
+	maxLId uint64 // highest LId stored in this segment
 }
 
-type indexEntry struct {
-	seg    *segment
-	offset int64
-	length int32
-}
-
-// recPlacement records where one batch member will land in the active
-// segment, so the index is updated only after the write succeeds.
-type recPlacement struct {
-	rec    *core.Record
-	off    int64
-	length int32
-}
+// slot is one index entry: where the whole entry (header and payload) of an
+// LId lies, seg being the segment's position in SegmentStore.segments. A
+// stored entry has a nonzero length, so the zero slot is "absent".
+type slot struct{ seg, off, length uint32 }
 
 // SegmentStore is a disk-backed Store: records are appended to rolling
 // segment files and located through an in-memory LId index rebuilt on open.
 type SegmentStore struct {
-	mu       sync.Mutex
-	dir      string
-	opts     SegmentStoreOptions
+	mu   sync.Mutex
+	dir  string
+	opts SegmentStoreOptions
+	// segments is indexed by slot.seg: it only grows while the store is
+	// open, and GC leaves nil where it removed a file.
 	segments []*segment
 	active   *os.File
 	actSeg   *segment
-	index    map[uint64]indexEntry
-	lids     []uint64
-	sorted   bool
+	index    table[slot]
 	writeSeq uint64
-	max      uint64
 	closed   bool
 
 	// written is the write position: framed bytes written since open,
@@ -141,11 +136,10 @@ type SegmentStore struct {
 	// the numerator of the fsyncs-per-op budget.
 	fsyncs atomic.Uint64
 
-	// encScratch/placeScratch are grow-only batch-encode buffers reused
-	// across AppendBatch calls (guarded by mu): the whole batch is framed
-	// into one contiguous buffer and written with a single Write.
-	encScratch   []byte
-	placeScratch []recPlacement
+	// encScratch is a grow-only batch-encode buffer reused across
+	// AppendBatch calls (guarded by mu): the whole batch is framed into one
+	// contiguous buffer and written with a single Write.
+	encScratch []byte
 
 	// fsyncLatency is set by EnableMetrics (nil until then); every
 	// physical fsync observes it. winBytesH/winWaitersH record, once per
@@ -171,8 +165,10 @@ func (s *SegmentStore) DiskStats() (segments int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, seg := range s.segments {
-		segments++
-		bytes += seg.size
+		if seg != nil {
+			segments++
+			bytes += seg.size
+		}
 	}
 	return segments, bytes
 }
@@ -206,14 +202,13 @@ func OpenSegmentStore(dir string, opts SegmentStoreOptions) (*SegmentStore, erro
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = defaultSegmentSize
 	}
+	opts.MaxSegmentBytes = min(opts.MaxSegmentBytes, maxSegmentSize)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating dir: %w", err)
 	}
 	s := &SegmentStore{
 		dir:      dir,
 		opts:     opts,
-		index:    make(map[uint64]indexEntry),
-		sorted:   true,
 		syncFile: (*os.File).Sync,
 	}
 	s.syncDone = sync.NewCond(&s.mu)
@@ -228,7 +223,6 @@ func (s *SegmentStore) recover() error {
 	if err != nil {
 		return fmt.Errorf("storage: reading dir: %w", err)
 	}
-	var segs []*segment
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
@@ -238,97 +232,84 @@ func (s *SegmentStore) recover() error {
 		if err != nil {
 			continue // foreign file; ignore
 		}
-		segs = append(segs, &segment{path: filepath.Join(s.dir, name), first: first})
+		s.segments = append(s.segments, &segment{path: filepath.Join(s.dir, name), first: first})
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-
-	for i, seg := range segs {
-		lastSegment := i == len(segs)-1
-		if err := s.scanSegment(seg, lastSegment); err != nil {
+	sort.Slice(s.segments, func(i, j int) bool { return s.segments[i].first < s.segments[j].first })
+	for ord, seg := range s.segments {
+		st, err := os.Stat(seg.path)
+		if err != nil || st.Size() > math.MaxUint32 {
+			return fmt.Errorf("storage: segment %s is unreadable or past 4 GiB: %v", seg.path, err)
+		}
+		seg.size = st.Size()
+		if err := s.scanSegment(seg, uint32(ord), ord == len(s.segments)-1); err != nil {
 			return err
 		}
-		s.segments = append(s.segments, seg)
 	}
 	return nil
 }
 
-// scanSegment reads a segment, populating the index. If truncateTorn is
-// set, a malformed tail is truncated rather than treated as corruption.
-func (s *SegmentStore) scanSegment(seg *segment, truncateTorn bool) error {
+// scanSegment reads a segment of seg.size bytes end to end and indexes it.
+// With truncateTorn a malformed tail is cut, not an error.
+func (s *SegmentStore) scanSegment(seg *segment, ord uint32, truncateTorn bool) error {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("storage: opening segment: %w", err)
 	}
 	defer f.Close()
-
+	r := bufio.NewReaderSize(f, 1<<18)
 	var offset int64
-	hdr := make([]byte, entryHeaderSize)
-	count := seg.first
-	// One grow-only payload scratch and one reused Record for the whole
-	// scan: indexing needs only the decoded LId, so a zero-copy view into
-	// the scratch is enough — nothing past the loop iteration retains it.
+	var hdr [entryHeaderSize]byte
+	// One grow-only payload scratch and one reused Record: indexing needs
+	// only the decoded LId, so a view into the scratch is enough.
 	var payload []byte
 	var rec core.Record
-	finish := func(truncate bool) error {
-		seg.size = offset
-		if count > s.writeSeq {
-			s.writeSeq = count
-		}
-		if truncate {
-			return os.Truncate(seg.path, offset)
-		}
-		return nil
-	}
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			if err == io.EOF {
-				break
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) && truncateTorn {
-				return finish(true)
-			}
-			return fmt.Errorf("storage: segment %s torn header at %d: %w", seg.path, offset, err)
+		_, err := io.ReadFull(r, hdr[:])
+		if err == io.EOF {
+			break
 		}
-		length := binary.LittleEndian.Uint32(hdr)
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-		if uint32(cap(payload)) < length {
-			payload = make([]byte, length)
+		length := binary.LittleEndian.Uint32(hdr[:])
+		// A length that runs past the file is a tear, known before
+		// anything of that size is allocated.
+		if err == nil && int64(length) > seg.size-offset-entryHeaderSize {
+			err = io.ErrUnexpectedEOF
 		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if truncateTorn {
-				return finish(true)
+		if err == nil {
+			if uint32(cap(payload)) < length {
+				payload = make([]byte, length)
 			}
-			return fmt.Errorf("storage: segment %s torn payload at %d: %w", seg.path, offset, err)
+			payload = payload[:length]
+			_, err = io.ReadFull(r, payload)
 		}
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			if truncateTorn {
-				return finish(true)
+		if err == nil && crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+			err = io.ErrUnexpectedEOF
+		}
+		if errors.Is(err, io.ErrUnexpectedEOF) && truncateTorn {
+			if err := os.Truncate(seg.path, offset); err != nil {
+				return fmt.Errorf("storage: truncating torn tail: %w", err)
 			}
-			return fmt.Errorf("storage: segment %s CRC mismatch at %d", seg.path, offset)
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("storage: segment %s torn or CRC mismatch at %d: %v", seg.path, offset, err)
 		}
 		if _, err := core.DecodeRecordView(&rec, payload); err != nil {
 			return fmt.Errorf("storage: segment %s undecodable record at %d: %w", seg.path, offset, err)
 		}
-		s.indexRecord(&rec, seg, offset+entryHeaderSize, int32(length))
+		s.place(seg, rec.LId, slot{ord, uint32(offset), entryHeaderSize + length})
 		offset += entryHeaderSize + int64(length)
-		count++
 	}
-	return finish(false)
+	seg.size = offset
+	return nil
 }
 
-func (s *SegmentStore) indexRecord(r *core.Record, seg *segment, off int64, length int32) {
-	s.index[r.LId] = indexEntry{seg: seg, offset: off, length: length}
-	s.lids = append(s.lids, r.LId)
-	if len(s.lids) > 1 && r.LId < s.lids[len(s.lids)-2] {
-		s.sorted = false
-	}
-	if r.LId > s.max {
-		s.max = r.LId
-	}
-	if r.LId > seg.maxLId {
-		seg.maxLId = r.LId
-	}
+// place is the one place the index learns of a record: from a scan or a
+// batch just written.
+func (s *SegmentStore) place(seg *segment, lid uint64, e slot) {
+	s.index.set(lid, e)
+	seg.maxLId = max(seg.maxLId, lid)
+	seg.count++
+	s.writeSeq = max(s.writeSeq, seg.first+seg.count)
 }
 
 // fsync performs the physical fsync on f with full accounting: the
@@ -420,10 +401,10 @@ func (s *SegmentStore) sealActiveLocked() error {
 	}
 	cerr := s.active.Close()
 	s.active = nil
-	if err != nil {
-		return err
+	if err == nil {
+		err = cerr
 	}
-	return cerr
+	return err
 }
 
 // rotateLocked seals the current active segment and opens a fresh one.
@@ -482,7 +463,7 @@ func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
 		if r.LId == 0 {
 			return errors.New("storage: record has no LId")
 		}
-		if _, ok := s.index[r.LId]; ok {
+		if s.index.get(r.LId) != (slot{}) {
 			return fmt.Errorf("%w: %d", ErrDuplicate, r.LId)
 		}
 		if !tc.Sampled() && r.Trace.Sampled() {
@@ -501,15 +482,13 @@ func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
 	for _, r := range rs {
 		total += entryHeaderSize + core.EncodedSize(r)
 	}
+	if s.actSeg.size+int64(total) > math.MaxUint32 {
+		return fmt.Errorf("storage: batch of %d bytes does not fit a segment", total)
+	}
 	if cap(s.encScratch) < total {
 		s.encScratch = make([]byte, 0, total)
 	}
-	if cap(s.placeScratch) < len(rs) {
-		s.placeScratch = make([]recPlacement, 0, len(rs))
-	}
 	buf := s.encScratch[:0]
-	placements := s.placeScratch[:0]
-	off := s.actSeg.size
 	for _, r := range rs {
 		start := len(buf)
 		buf = append(buf, make([]byte, entryHeaderSize)...)
@@ -517,10 +496,8 @@ func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
 		payload := buf[start+entryHeaderSize:]
 		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
-		placements = append(placements, recPlacement{rec: r, off: off + entryHeaderSize, length: int32(len(payload))})
-		off += entryHeaderSize + int64(len(payload))
 	}
-	s.encScratch, s.placeScratch = buf, placements
+	s.encScratch = buf
 	wr := trace.Begin(tc, "store.write")
 	if _, err := s.active.Write(buf); err != nil {
 		return fmt.Errorf("storage: writing batch: %w", err)
@@ -536,26 +513,36 @@ func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
 			return err
 		}
 	}
-	s.actSeg.size = off
-	for _, p := range placements {
-		s.indexRecord(p.rec, s.actSeg, p.off, p.length)
+	// Only now that the write has held is the batch indexed, entry by entry
+	// as framed.
+	for _, r := range rs {
+		n := entryHeaderSize + binary.LittleEndian.Uint32(buf)
+		s.place(s.actSeg, r.LId, slot{uint32(len(s.segments) - 1), uint32(s.actSeg.size), n})
+		s.actSeg.size += int64(n)
+		buf = buf[n:]
 	}
-	s.writeSeq += uint64(len(rs))
 	if s.opts.Sync == SyncGroupCommit {
 		return s.awaitSyncLocked(s.written)
 	}
 	return nil
 }
 
-// readAt fetches and decodes one indexed entry.
-func (s *SegmentStore) readAt(e indexEntry) (*core.Record, error) {
-	f, err := os.Open(e.seg.path)
+// readAt fetches and decodes one indexed entry. A segment GC removed after
+// the entry was located yields nil.
+func (s *SegmentStore) readAt(e slot) (*core.Record, error) {
+	s.mu.Lock()
+	seg := s.segments[e.seg]
+	s.mu.Unlock()
+	if seg == nil {
+		return nil, nil
+	}
+	f, err := os.Open(seg.path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening segment for read: %w", err)
 	}
 	defer f.Close()
-	payload := make([]byte, e.length)
-	if _, err := f.ReadAt(payload, e.offset); err != nil {
+	payload := make([]byte, e.length-entryHeaderSize)
+	if _, err := f.ReadAt(payload, int64(e.off)+entryHeaderSize); err != nil {
 		return nil, fmt.Errorf("storage: reading entry: %w", err)
 	}
 	rec, _, err := core.DecodeRecord(payload)
@@ -569,42 +556,38 @@ func (s *SegmentStore) Get(lid uint64) (*core.Record, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	e, ok := s.index[lid]
+	e := s.index.get(lid)
 	s.mu.Unlock()
-	if !ok {
+	if e == (slot{}) {
 		return nil, core.ErrNoSuchRecord
 	}
-	return s.readAt(e)
+	rec, err := s.readAt(e)
+	if rec == nil && err == nil {
+		err = core.ErrNoSuchRecord
+	}
+	return rec, err
 }
 
-// Scan implements Store.
+// Scan implements Store. It walks the index a chunk at a time, so a scan
+// that fn stops early has located at most scanChunk records it did not need.
 func (s *SegmentStore) Scan(minLId, maxLId uint64, fn func(*core.Record) bool) error {
-	s.mu.Lock()
-	if s.closed {
+	chunk := make([]slot, 0, scanChunk)
+	for next := max(minLId, 1); next != 0; {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return ErrClosed
+		}
+		chunk, next = s.index.window(chunk[:0], next, maxLId)
 		s.mu.Unlock()
-		return ErrClosed
-	}
-	if !s.sorted {
-		sort.Slice(s.lids, func(i, j int) bool { return s.lids[i] < s.lids[j] })
-		s.sorted = true
-	}
-	i := sort.Search(len(s.lids), func(i int) bool { return s.lids[i] >= minLId })
-	var window []indexEntry
-	for ; i < len(s.lids); i++ {
-		lid := s.lids[i]
-		if maxLId != 0 && lid > maxLId {
-			break
-		}
-		window = append(window, s.index[lid])
-	}
-	s.mu.Unlock()
-	for _, e := range window {
-		rec, err := s.readAt(e)
-		if err != nil {
-			return err
-		}
-		if !fn(rec) {
-			return nil
+		for _, e := range chunk {
+			rec, err := s.readAt(e)
+			if err != nil {
+				return err
+			}
+			if rec != nil && !fn(rec) {
+				return nil
+			}
 		}
 	}
 	return nil
@@ -614,14 +597,14 @@ func (s *SegmentStore) Scan(minLId, maxLId uint64, fn func(*core.Record) bool) e
 func (s *SegmentStore) MaxLId() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.max
+	return s.index.max
 }
 
 // Len implements Store.
 func (s *SegmentStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.index.n
 }
 
 // GC implements Store. Removal is whole-segment: a segment is deleted only
@@ -632,36 +615,18 @@ func (s *SegmentStore) GC(upTo uint64) (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	keep := s.segments[:0]
-	for _, seg := range s.segments {
-		if seg != s.actSeg && seg.maxLId != 0 && seg.maxLId <= upTo {
-			if err := os.Remove(seg.path); err != nil {
-				return 0, fmt.Errorf("storage: removing segment: %w", err)
-			}
-			seg.deleted = true
+	var err error
+	for ord, seg := range s.segments {
+		if seg == nil || seg == s.actSeg || seg.maxLId == 0 || seg.maxLId > upTo {
 			continue
 		}
-		keep = append(keep, seg)
-	}
-	s.segments = keep
-	return s.dropDeletedFromIndex(), nil
-}
-
-// dropDeletedFromIndex prunes index entries whose segment was deleted.
-// Caller holds mu.
-func (s *SegmentStore) dropDeletedFromIndex() int {
-	removed := 0
-	keep := s.lids[:0]
-	for _, lid := range s.lids {
-		if e := s.index[lid]; e.seg.deleted {
-			delete(s.index, lid)
-			removed++
-			continue
+		if err = os.Remove(seg.path); err != nil {
+			err = fmt.Errorf("storage: removing segment: %w", err)
+			break
 		}
-		keep = append(keep, lid)
+		s.segments[ord] = nil
 	}
-	s.lids = keep
-	return removed
+	return s.index.prune(upTo, func(e slot) bool { return s.segments[e.seg] == nil }), err
 }
 
 // Close implements Store. It refuses new appends, waits out an in-flight

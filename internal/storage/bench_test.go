@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,11 +117,36 @@ func BenchmarkSegmentStoreAppendBatch(b *testing.B) {
 	}
 }
 
+// benchStore fills a store in dir with n 512 B records in batches of 256
+// (13 segments for 200 000) and closes it, returning the segment bytes.
+func benchStore(b *testing.B, dir string, n int) int64 {
+	s, err := OpenSegmentStore(dir, SegmentStoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := benchRecords(n, 512)
+	for i := 0; i < n; i += 256 {
+		if err := s.AppendBatch(recs[i:min(i+256, n)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	segments, bytes := s.DiskStats()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if segments < 12 && n >= 200_000 {
+		b.Fatalf("only %d segments", segments)
+	}
+	return bytes
+}
+
+// BenchmarkSegmentStoreRecovery reopens a 13-segment store: ms/GB is the
+// recovery ledger line (ROADMAP item 2), one segment scan plus a table per
+// sealed segment.
 func BenchmarkSegmentStoreRecovery(b *testing.B) {
 	dir := b.TempDir()
-	s, _ := OpenSegmentStore(dir, SegmentStoreOptions{})
-	s.AppendBatch(benchRecords(20000, 512))
-	s.Close()
+	const n = 200_000
+	bytes := benchStore(b, dir, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -128,9 +154,37 @@ func BenchmarkSegmentStoreRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if s2.Len() != 20000 {
+		if s2.Len() != n {
 			b.Fatalf("recovered %d records", s2.Len())
 		}
 		s2.Close()
 	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N)/(float64(bytes)/(1<<30)), "ms/GB")
+}
+
+// BenchmarkSegmentStoreScanCold is read_mixed's scan at the storage layer:
+// windows of 256 consecutive LIds at seeded offsets of a 120 000-record
+// store, nothing cached above the file system. us/record is the cold-read
+// ledger line.
+func BenchmarkSegmentStoreScanCold(b *testing.B) {
+	dir := b.TempDir()
+	const n, window = 120_000, 256
+	benchStore(b, dir, n)
+	s, err := OpenSegmentStore(dir, SegmentStoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.SetBytes(window * 512)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := 1 + uint64(rng.Intn(n-window))
+		got := 0
+		if err := s.Scan(from, from+window-1, func(*core.Record) bool { got++; return true }); err != nil || got != window {
+			b.Fatalf("Scan(%d) = %d records, %v", from, got, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/window, "us/record")
 }

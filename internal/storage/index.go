@@ -1,8 +1,12 @@
 package storage
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // A page holds 512 slots: a page of the segment store's 12-byte slots is
@@ -135,4 +139,74 @@ func (t *table[S]) prune(upTo uint64, drop func(S) bool) int {
 	t.pages = keep
 	t.n -= removed
 	return removed
+}
+
+// Sealed-segment table: "<first>.idx" beside "<first>.seg" lists the
+// segment's entries in arrival order, so open indexes a sealed segment
+// without reading it:
+//
+//	u32 magic | u32 version | u64 segment size | u32 count |
+//	count × { u64 lid | u32 offset | u32 length } | u32 crc32c(all before)
+//
+// Offset and length are of the whole entry, header included. The table is a
+// cache of what a scan of the segment yields, never the truth: written
+// without fsync, no error when that fails, and used only when its CRC holds
+// and the size it records is the file's.
+const (
+	tableSuffix     = ".idx"
+	tableMagic      = 0x31584946 // "FIX1"
+	tableVersion    = 1
+	tableHeaderSize = 4 + 4 + 8 + 4
+	tableEntrySize  = 8 + 4 + 4
+)
+
+func tablePath(segPath string) string {
+	return strings.TrimSuffix(segPath, segmentSuffix) + tableSuffix
+}
+
+func appendTableEntry(b []byte, lid uint64, off, length uint32) []byte {
+	b = binary.LittleEndian.AppendUint64(b, lid)
+	b = binary.LittleEndian.AppendUint32(b, off)
+	return binary.LittleEndian.AppendUint32(b, length)
+}
+
+func tableEntry(b []byte) (lid uint64, off, length uint32) {
+	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint32(b[8:]), binary.LittleEndian.Uint32(b[12:])
+}
+
+// writeTable completes b — tableHeaderSize reserved bytes, then entries —
+// into the table of the sealed segment at segPath and writes it tmp + rename.
+func writeTable(segPath string, segSize int64, b []byte) {
+	binary.LittleEndian.PutUint32(b, tableMagic)
+	binary.LittleEndian.PutUint32(b[4:], tableVersion)
+	binary.LittleEndian.PutUint64(b[8:], uint64(segSize))
+	binary.LittleEndian.PutUint32(b[16:], uint32((len(b)-tableHeaderSize)/tableEntrySize))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	path := tablePath(segPath)
+	if os.WriteFile(path+".tmp", b, 0o644) != nil || os.Rename(path+".tmp", path) != nil {
+		os.Remove(path + ".tmp") // the next open scans the segment instead
+	}
+}
+
+// decodeSegmentTable returns the entry array of a table, and whether the
+// table passes every check against a segment of segSize bytes. It allocates
+// nothing, so a corrupt count costs nothing before the CRC has held.
+func decodeSegmentTable(data []byte, segSize int64) ([]byte, bool) {
+	if len(data) < tableHeaderSize+4 {
+		return nil, false
+	}
+	body, entries := data[:len(data)-4], data[tableHeaderSize:len(data)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) ||
+		binary.LittleEndian.Uint32(body) != tableMagic ||
+		binary.LittleEndian.Uint32(body[4:]) != tableVersion ||
+		binary.LittleEndian.Uint64(body[8:]) != uint64(segSize) ||
+		uint64(binary.LittleEndian.Uint32(body[16:]))*tableEntrySize != uint64(len(entries)) {
+		return nil, false
+	}
+	for b := entries; len(b) > 0; b = b[tableEntrySize:] {
+		if lid, off, length := tableEntry(b); lid == 0 || length <= entryHeaderSize || int64(off)+int64(length) > segSize {
+			return nil, false
+		}
+	}
+	return entries, true
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,6 +31,8 @@ import (
 // at open time and truncated away. Segment files are named
 // "<firstWriteSeq>.seg" where firstWriteSeq is the arrival sequence number
 // of the first entry, so lexicographic-by-number order is arrival order.
+// Only the newest segment is read at open: a sealed one is indexed from the
+// table beside it (index.go), and every read verifies its entry's CRC.
 
 const (
 	entryHeaderSize    = 8
@@ -41,6 +44,10 @@ const (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrCorrupt is returned by a read whose entry no longer matches the
+// length and CRC-32C its header records.
+var ErrCorrupt = errors.New("storage: corrupt segment entry")
 
 // SyncPolicy controls when the segment store flushes to stable storage.
 type SyncPolicy int
@@ -94,7 +101,8 @@ type segment struct {
 type slot struct{ seg, off, length uint32 }
 
 // SegmentStore is a disk-backed Store: records are appended to rolling
-// segment files and located through an in-memory LId index rebuilt on open.
+// segment files and located through an in-memory LId index, loaded at open
+// from the sealed segments' tables and a scan of the newest segment.
 type SegmentStore struct {
 	mu   sync.Mutex
 	dir  string
@@ -105,6 +113,9 @@ type SegmentStore struct {
 	active   *os.File
 	actSeg   *segment
 	index    table[slot]
+	// tbl is the table of the segment being written or scanned (header
+	// space, then entries in arrival order): sealing writes it out.
+	tbl      []byte
 	writeSeq uint64
 	closed   bool
 
@@ -160,7 +171,8 @@ func (s *SegmentStore) FsyncCount() uint64 { return s.fsyncs.Load() }
 func (s *SegmentStore) Durable() bool { return s.opts.Sync != SyncNever }
 
 // DiskStats reports the store's on-disk footprint: live (non-deleted)
-// segment files and the bytes they hold.
+// segment files and the bytes they hold. The sealed segments' tables, a
+// cache open can rebuild, are not counted.
 func (s *SegmentStore) DiskStats() (segments int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,8 +208,8 @@ func (s *SegmentStore) EnableMetrics(reg *metrics.Registry, extra ...metrics.Lab
 }
 
 // OpenSegmentStore opens (creating if needed) a segment store in dir and
-// recovers its index by scanning existing segments, truncating any torn
-// tail entry in the most recent segment.
+// recovers its index: sealed segments from their tables, the newest by a
+// scan that truncates any torn tail entry.
 func OpenSegmentStore(dir string, opts SegmentStoreOptions) (*SegmentStore, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = defaultSegmentSize
@@ -209,6 +221,7 @@ func OpenSegmentStore(dir string, opts SegmentStoreOptions) (*SegmentStore, erro
 	s := &SegmentStore{
 		dir:      dir,
 		opts:     opts,
+		tbl:      make([]byte, tableHeaderSize),
 		syncFile: (*os.File).Sync,
 	}
 	s.syncDone = sync.NewCond(&s.mu)
@@ -223,16 +236,21 @@ func (s *SegmentStore) recover() error {
 	if err != nil {
 		return fmt.Errorf("storage: reading dir: %w", err)
 	}
+	var tables []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
-			continue
+		path := filepath.Join(s.dir, e.Name())
+		suffix := filepath.Ext(path)
+		first, err := strconv.ParseUint(strings.TrimSuffix(e.Name(), suffix), 10, 64)
+		switch {
+		case e.IsDir():
+		case strings.HasSuffix(path, tableSuffix+".tmp"):
+			os.Remove(path) // a table write the crash interrupted
+		case err != nil: // foreign file; ignore
+		case suffix == segmentSuffix:
+			s.segments = append(s.segments, &segment{path: path, first: first})
+		case suffix == tableSuffix:
+			tables = append(tables, path)
 		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(name, segmentSuffix), 10, 64)
-		if err != nil {
-			continue // foreign file; ignore
-		}
-		s.segments = append(s.segments, &segment{path: filepath.Join(s.dir, name), first: first})
 	}
 	sort.Slice(s.segments, func(i, j int) bool { return s.segments[i].first < s.segments[j].first })
 	for ord, seg := range s.segments {
@@ -241,15 +259,36 @@ func (s *SegmentStore) recover() error {
 			return fmt.Errorf("storage: segment %s is unreadable or past 4 GiB: %v", seg.path, err)
 		}
 		seg.size = st.Size()
-		if err := s.scanSegment(seg, uint32(ord), ord == len(s.segments)-1); err != nil {
+		newest := ord == len(s.segments)-1
+		if !newest {
+			data, _ := os.ReadFile(tablePath(seg.path)) // a missing table decodes as a bad one
+			if entries, ok := decodeSegmentTable(data, seg.size); ok {
+				s.indexEntries(seg, uint32(ord), entries)
+				continue
+			}
+		}
+		if err := s.scanSegment(seg, uint32(ord), newest); err != nil {
 			return err
+		}
+	}
+	if n := len(s.segments) - 1; n >= 0 && s.segments[n].size == 0 {
+		// A crash just after rotation, or a tear in the first entry, leaves
+		// an empty newest segment, and the next rotation picks its name.
+		os.Remove(s.segments[n].path)
+		os.Remove(tablePath(s.segments[n].path))
+		s.segments = s.segments[:n]
+	}
+	for _, path := range tables {
+		segPath := strings.TrimSuffix(path, tableSuffix) + segmentSuffix
+		if _, err := os.Stat(segPath); errors.Is(err, fs.ErrNotExist) {
+			os.Remove(path) // GC removed the segment, then crashed
 		}
 	}
 	return nil
 }
 
-// scanSegment reads a segment of seg.size bytes end to end and indexes it.
-// With truncateTorn a malformed tail is cut, not an error.
+// scanSegment reads a segment of seg.size bytes end to end, indexes it and
+// writes its table. With truncateTorn a malformed tail is cut, not an error.
 func (s *SegmentStore) scanSegment(seg *segment, ord uint32, truncateTorn bool) error {
 	f, err := os.Open(seg.path)
 	if err != nil {
@@ -257,6 +296,7 @@ func (s *SegmentStore) scanSegment(seg *segment, ord uint32, truncateTorn bool) 
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<18)
+	s.tbl = s.tbl[:tableHeaderSize]
 	var offset int64
 	var hdr [entryHeaderSize]byte
 	// One grow-only payload scratch and one reused Record: indexing needs
@@ -291,24 +331,29 @@ func (s *SegmentStore) scanSegment(seg *segment, ord uint32, truncateTorn bool) 
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("storage: segment %s torn or CRC mismatch at %d: %v", seg.path, offset, err)
+			return fmt.Errorf("%w: segment %s torn or CRC mismatch at %d: %v", ErrCorrupt, seg.path, offset, err)
 		}
 		if _, err := core.DecodeRecordView(&rec, payload); err != nil {
 			return fmt.Errorf("storage: segment %s undecodable record at %d: %w", seg.path, offset, err)
 		}
-		s.place(seg, rec.LId, slot{ord, uint32(offset), entryHeaderSize + length})
+		s.tbl = appendTableEntry(s.tbl, rec.LId, uint32(offset), entryHeaderSize+length)
 		offset += entryHeaderSize + int64(length)
 	}
 	seg.size = offset
+	s.indexEntries(seg, ord, s.tbl[tableHeaderSize:])
+	writeTable(seg.path, seg.size, s.tbl)
 	return nil
 }
 
-// place is the one place the index learns of a record: from a scan or a
-// batch just written.
-func (s *SegmentStore) place(seg *segment, lid uint64, e slot) {
-	s.index.set(lid, e)
-	seg.maxLId = max(seg.maxLId, lid)
-	seg.count++
+// indexEntries is the one place the index learns of records: the table
+// entries of segment ord, from a loaded table, a scan, or a batch just written.
+func (s *SegmentStore) indexEntries(seg *segment, ord uint32, entries []byte) {
+	for ; len(entries) > 0; entries = entries[tableEntrySize:] {
+		lid, off, length := tableEntry(entries)
+		s.index.set(lid, slot{ord, off, length})
+		seg.maxLId = max(seg.maxLId, lid)
+		seg.count++
+	}
 	s.writeSeq = max(s.writeSeq, seg.first+seg.count)
 }
 
@@ -404,6 +449,9 @@ func (s *SegmentStore) sealActiveLocked() error {
 	if err == nil {
 		err = cerr
 	}
+	if err == nil {
+		writeTable(s.actSeg.path, s.actSeg.size, s.tbl)
+	}
 	return err
 }
 
@@ -424,6 +472,7 @@ func (s *SegmentStore) rotateLocked() error {
 	s.active = f
 	s.actSeg = seg
 	s.segments = append(s.segments, seg)
+	s.tbl = s.tbl[:tableHeaderSize]
 	return nil
 }
 
@@ -513,22 +562,25 @@ func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
 			return err
 		}
 	}
-	// Only now that the write has held is the batch indexed, entry by entry
-	// as framed.
+	// Only now that the write has held is the batch listed in the segment's
+	// table, entry by entry as framed, and indexed.
+	landed := len(s.tbl)
 	for _, r := range rs {
 		n := entryHeaderSize + binary.LittleEndian.Uint32(buf)
-		s.place(s.actSeg, r.LId, slot{uint32(len(s.segments) - 1), uint32(s.actSeg.size), n})
+		s.tbl = appendTableEntry(s.tbl, r.LId, uint32(s.actSeg.size), n)
 		s.actSeg.size += int64(n)
 		buf = buf[n:]
 	}
+	s.indexEntries(s.actSeg, uint32(len(s.segments)-1), s.tbl[landed:])
 	if s.opts.Sync == SyncGroupCommit {
 		return s.awaitSyncLocked(s.written)
 	}
 	return nil
 }
 
-// readAt fetches and decodes one indexed entry. A segment GC removed after
-// the entry was located yields nil.
+// readAt fetches one indexed entry, header and payload in one pread,
+// verifies it against the length and CRC its header records, and decodes
+// it. A segment GC removed after the entry was located yields nil.
 func (s *SegmentStore) readAt(e slot) (*core.Record, error) {
 	s.mu.Lock()
 	seg := s.segments[e.seg]
@@ -541,12 +593,21 @@ func (s *SegmentStore) readAt(e slot) (*core.Record, error) {
 		return nil, fmt.Errorf("storage: opening segment for read: %w", err)
 	}
 	defer f.Close()
-	payload := make([]byte, e.length-entryHeaderSize)
-	if _, err := f.ReadAt(payload, int64(e.off)+entryHeaderSize); err != nil {
+	entry := make([]byte, e.length)
+	if _, err := f.ReadAt(entry, int64(e.off)); err != nil {
+		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+			err = fmt.Errorf("%w: segment %s ends inside the entry at %d", ErrCorrupt, seg.path, e.off)
+		}
 		return nil, fmt.Errorf("storage: reading entry: %w", err)
 	}
-	rec, _, err := core.DecodeRecord(payload)
-	return rec, err
+	payload := entry[entryHeaderSize:]
+	if binary.LittleEndian.Uint32(entry) == uint32(len(payload)) &&
+		binary.LittleEndian.Uint32(entry[4:]) == crc32.Checksum(payload, castagnoli) {
+		if rec, used, err := core.DecodeRecord(payload); err == nil && used == len(payload) {
+			return rec, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: segment %s at %d", ErrCorrupt, seg.path, e.off)
 }
 
 // Get implements Store.
@@ -624,6 +685,7 @@ func (s *SegmentStore) GC(upTo uint64) (int, error) {
 			err = fmt.Errorf("storage: removing segment: %w", err)
 			break
 		}
+		os.Remove(tablePath(seg.path)) // a table left behind is an orphan the next open deletes
 		s.segments[ord] = nil
 	}
 	return s.index.prune(upTo, func(e slot) bool { return s.segments[e.seg] == nil }), err

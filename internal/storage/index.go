@@ -2,11 +2,13 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // A page holds 512 slots: a page of the segment store's 12-byte slots is
@@ -209,4 +211,60 @@ func decodeSegmentTable(data []byte, segSize int64) ([]byte, bool) {
 		}
 	}
 	return entries, true
+}
+
+// readHandles bounds the cached read handles, so a hot tier of many
+// segments cannot exhaust descriptors. The cache is direct-mapped by segment
+// ordinal: a scan touches one or two neighbouring segments per window, and
+// segments that collide reopen the file per read, as every read once did.
+const readHandles = 16
+
+// handle is a read-only descriptor of one segment, shared by concurrent
+// readers (pread) and closed by whoever drops the last reference: the
+// cache holds one, every reader in flight another.
+type handle struct {
+	seg  *segment
+	f    *os.File
+	refs atomic.Int32
+}
+
+func (h *handle) release() {
+	if h.refs.Add(-1) == 0 {
+		h.f.Close()
+	}
+}
+
+// handle returns a referenced read handle of segment ord, or nil when GC
+// has removed the segment.
+func (s *SegmentStore) handle(ord uint32) (*handle, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	seg := s.segments[ord]
+	if seg == nil {
+		return nil, nil
+	}
+	h := s.handles[ord%readHandles]
+	if h == nil || h.seg != seg {
+		f, err := os.Open(seg.path)
+		if err != nil {
+			return nil, fmt.Errorf("storage: opening segment for read: %w", err)
+		}
+		s.evictLocked(ord)
+		h = &handle{seg: seg, f: f}
+		h.refs.Store(1)
+		s.handles[ord%readHandles] = h
+	}
+	h.refs.Add(1)
+	return h, nil
+}
+
+// evictLocked empties the cache place segment ord maps to.
+func (s *SegmentStore) evictLocked(ord uint32) {
+	if h := s.handles[ord%readHandles]; h != nil {
+		s.handles[ord%readHandles] = nil
+		h.release()
+	}
 }

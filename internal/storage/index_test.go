@@ -1,11 +1,16 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"repro/internal/core"
 )
 
 // lidGen draws LIds the way the stores meet them: a dense run, rounds of
@@ -143,4 +148,62 @@ func TestIndexBytesPerRecord(t *testing.T) {
 			t.Errorf("index costs %.2f B/record at N=%d R=%d B=%d, want <= %.0f", got, g.nm, g.r, g.b, g.bound)
 		}
 	}
+}
+
+// TestSegmentStoreConcurrentReads runs readers over the handle cache while
+// an appender rotates segments and collects behind itself: every record a
+// reader is handed is intact, and one above the collected bound is never
+// missing. It is a -race test first.
+func TestSegmentStoreConcurrentReads(t *testing.T) {
+	s := openSeg(t, t.TempDir(), SegmentStoreOptions{MaxSegmentBytes: 1024})
+	defer s.Close()
+	const total, keep = 3000, 500
+	var collected atomic.Uint64 // the highest bound handed to GC
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	check := func(r *core.Record) {
+		if string(r.Body) != fmt.Sprintf("body-%d", r.LId) {
+			t.Errorf("record %d carries %q", r.LId, r.Body)
+		}
+	}
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				hi := s.MaxLId()
+				if hi == 0 {
+					continue
+				}
+				lid := 1 + uint64(rng.Int63n(int64(hi)))
+				if r, err := s.Get(lid); err == nil {
+					check(r)
+				} else if !errors.Is(err, core.ErrNoSuchRecord) || lid > collected.Load() {
+					t.Errorf("Get(%d) with head %d, collected to %d: %v", lid, hi, collected.Load(), err)
+				}
+				if err := s.Scan(lid, lid+300, func(r *core.Record) bool { check(r); return true }); err != nil {
+					t.Errorf("Scan(%d): %v", lid, err)
+				}
+			}
+		}(g)
+	}
+	for lid := uint64(1); lid <= total; lid += 4 {
+		if err := s.AppendBatch([]*core.Record{rec(lid), rec(lid + 1), rec(lid + 2), rec(lid + 3)}); err != nil {
+			t.Fatal(err)
+		}
+		if lid%200 == 1 && lid > keep {
+			collected.Store(lid - keep)
+			if _, err := s.GC(lid - keep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
 }

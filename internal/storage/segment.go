@@ -39,8 +39,10 @@ const (
 	defaultSegmentSize = 8 << 20 // rotate after 8 MiB
 	maxSegmentSize     = 1 << 31 // index slots hold 32-bit offsets
 	segmentSuffix      = ".seg"
-	// scanChunk slots are located per lock hold of a Scan.
-	scanChunk = 256
+	// scanChunk slots are located per lock hold of a Scan: how far it reads
+	// ahead of fn. maxRunBytes bounds one pread.
+	scanChunk   = 256
+	maxRunBytes = 1 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -116,6 +118,7 @@ type SegmentStore struct {
 	// tbl is the table of the segment being written or scanned (header
 	// space, then entries in arrival order): sealing writes it out.
 	tbl      []byte
+	handles  [readHandles]*handle
 	writeSeq uint64
 	closed   bool
 
@@ -578,61 +581,66 @@ func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
 	return nil
 }
 
-// readAt fetches one indexed entry, header and payload in one pread,
-// verifies it against the length and CRC its header records, and decodes
-// it. A segment GC removed after the entry was located yields nil.
-func (s *SegmentStore) readAt(e slot) (*core.Record, error) {
-	s.mu.Lock()
-	seg := s.segments[e.seg]
-	s.mu.Unlock()
-	if seg == nil {
-		return nil, nil
+// readRun fetches one run — entries adjacent in one segment — with a single
+// pread, verifies each entry against the length and CRC its header records,
+// and decodes it onto out; buf is the caller's grow-only scratch. Records
+// ahead of a corrupt entry are returned with the error. A run whose segment
+// GC removed after it was located yields nothing.
+func (s *SegmentStore) readRun(run []slot, buf []byte, out []*core.Record) ([]byte, []*core.Record, error) {
+	h, err := s.handle(run[0].seg)
+	if h == nil {
+		return buf, out, err
 	}
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: opening segment for read: %w", err)
+	defer h.release()
+	first, last := run[0], run[len(run)-1]
+	if size := int(last.off + last.length - first.off); cap(buf) < size {
+		buf = make([]byte, size)
+	} else {
+		buf = buf[:size]
 	}
-	defer f.Close()
-	entry := make([]byte, e.length)
-	if _, err := f.ReadAt(entry, int64(e.off)); err != nil {
+	if _, err := h.f.ReadAt(buf, int64(first.off)); err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			err = fmt.Errorf("%w: segment %s ends inside the entry at %d", ErrCorrupt, seg.path, e.off)
+			err = fmt.Errorf("%w: segment %s ends inside the entry at %d", ErrCorrupt, h.seg.path, first.off)
 		}
-		return nil, fmt.Errorf("storage: reading entry: %w", err)
+		return buf, out, fmt.Errorf("storage: reading entry: %w", err)
 	}
-	payload := entry[entryHeaderSize:]
-	if binary.LittleEndian.Uint32(entry) == uint32(len(payload)) &&
-		binary.LittleEndian.Uint32(entry[4:]) == crc32.Checksum(payload, castagnoli) {
-		if rec, used, err := core.DecodeRecord(payload); err == nil && used == len(payload) {
-			return rec, nil
+	for _, e := range run {
+		entry := buf[e.off-first.off:][:e.length]
+		payload := entry[entryHeaderSize:]
+		if binary.LittleEndian.Uint32(entry) == uint32(len(payload)) &&
+			binary.LittleEndian.Uint32(entry[4:]) == crc32.Checksum(payload, castagnoli) {
+			if rec, used, err := core.DecodeRecord(payload); err == nil && used == len(payload) {
+				out = append(out, rec)
+				continue
+			}
 		}
+		return buf, out, fmt.Errorf("%w: segment %s at %d", ErrCorrupt, h.seg.path, e.off)
 	}
-	return nil, fmt.Errorf("%w: segment %s at %d", ErrCorrupt, seg.path, e.off)
+	return buf, out, nil
 }
 
-// Get implements Store.
-func (s *SegmentStore) Get(lid uint64) (*core.Record, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+// Get implements Store: a Scan of the one position.
+func (s *SegmentStore) Get(lid uint64) (rec *core.Record, err error) {
+	if lid != 0 {
+		err = s.Scan(lid, lid, func(r *core.Record) bool { rec = r; return false })
 	}
-	e := s.index.get(lid)
-	s.mu.Unlock()
-	if e == (slot{}) {
-		return nil, core.ErrNoSuchRecord
-	}
-	rec, err := s.readAt(e)
-	if rec == nil && err == nil {
+	if err == nil && rec == nil {
 		err = core.ErrNoSuchRecord
 	}
 	return rec, err
 }
 
 // Scan implements Store. It walks the index a chunk at a time, so a scan
-// that fn stops early has located at most scanChunk records it did not need.
+// that fn stops early has located at most scanChunk records it did not
+// need, and reads each run of entries adjacent on disk with one pread.
 func (s *SegmentStore) Scan(minLId, maxLId uint64, fn func(*core.Record) bool) error {
-	chunk := make([]slot, 0, scanChunk)
+	n := uint64(scanChunk)
+	if span := maxLId - minLId; maxLId != 0 && span < n {
+		n = span + 1
+	}
+	chunk := make([]slot, 0, n)
+	var buf []byte
+	var recs []*core.Record
 	for next := max(minLId, 1); next != 0; {
 		s.mu.Lock()
 		if s.closed {
@@ -641,14 +649,23 @@ func (s *SegmentStore) Scan(minLId, maxLId uint64, fn func(*core.Record) bool) e
 		}
 		chunk, next = s.index.window(chunk[:0], next, maxLId)
 		s.mu.Unlock()
-		for _, e := range chunk {
-			rec, err := s.readAt(e)
+		for i := 0; i < len(chunk); {
+			j := i + 1
+			for j < len(chunk) && chunk[j].seg == chunk[i].seg && chunk[j].off == chunk[j-1].off+chunk[j-1].length &&
+				chunk[j].off+chunk[j].length-chunk[i].off <= maxRunBytes {
+				j++
+			}
+			var err error
+			buf, recs, err = s.readRun(chunk[i:j], buf, recs[:0])
+			for _, r := range recs {
+				if !fn(r) {
+					return nil
+				}
+			}
 			if err != nil {
 				return err
 			}
-			if rec != nil && !fn(rec) {
-				return nil
-			}
+			i = j
 		}
 	}
 	return nil
@@ -686,6 +703,7 @@ func (s *SegmentStore) GC(upTo uint64) (int, error) {
 			break
 		}
 		os.Remove(tablePath(seg.path)) // a table left behind is an orphan the next open deletes
+		s.evictLocked(uint32(ord))
 		s.segments[ord] = nil
 	}
 	return s.index.prune(upTo, func(e slot) bool { return s.segments[e.seg] == nil }), err
@@ -704,6 +722,9 @@ func (s *SegmentStore) Close() error {
 	s.closed = true
 	for s.syncing {
 		s.syncDone.Wait()
+	}
+	for i := range s.handles {
+		s.evictLocked(uint32(i))
 	}
 	return s.sealActiveLocked()
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // A page holds 512 slots: a page of the segment store's 12-byte slots is
@@ -69,6 +72,33 @@ func (t *table[S]) set(lid uint64, v S) {
 	}
 	p.slots[lid%pageSize] = v
 	t.max = max(t.max, lid)
+}
+
+// admit checks a batch before any of it is stored: every record carries an
+// LId, none is present already, and none appears twice in the batch.
+func (t *table[S]) admit(rs []*core.Record) error {
+	var zero S
+	ascending := true
+	for i, r := range rs {
+		if r.LId == 0 {
+			return errors.New("storage: record has no LId")
+		}
+		if t.get(r.LId) != zero {
+			return fmt.Errorf("%w: %d", ErrDuplicate, r.LId)
+		}
+		ascending = ascending && (i == 0 || r.LId > rs[i-1].LId)
+	}
+	if ascending {
+		return nil
+	}
+	seen := make(map[uint64]struct{}, len(rs))
+	for _, r := range rs {
+		if _, dup := seen[r.LId]; dup {
+			return fmt.Errorf("%w: %d twice in one batch", ErrDuplicate, r.LId)
+		}
+		seen[r.LId] = struct{}{}
+	}
+	return nil
 }
 
 // window appends to dst, up to its capacity, the occupied slots of the

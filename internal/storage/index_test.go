@@ -109,6 +109,98 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestStoresMatchModel drives MemStore and a rotating SegmentStore with the
+// same seeded operations as a plain map: batches of dense, interleaved,
+// sparse and repeated LIds (duplicates across and inside batches), GC at
+// arbitrary bounds, and Scan windows that stop early.
+func TestStoresMatchModel(t *testing.T) {
+	stores := []storeFactory{factories()[0], {"SegmentStore", func(t *testing.T) Store {
+		return openSeg(t, t.TempDir(), SegmentStoreOptions{MaxSegmentBytes: 2048})
+	}}}
+	for _, f := range stores {
+		t.Run(f.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				next := lidGen(rng)
+				s := f.make(t)
+				model := map[uint64]bool{}
+				for op := 0; op < 400; op++ {
+					switch rng.Intn(8) {
+					default:
+						batch := make([]*core.Record, 1+rng.Intn(12))
+						fresh := true
+						inBatch := map[uint64]bool{}
+						for i := range batch {
+							lid := next()
+							batch[i] = rec(lid)
+							fresh = fresh && !model[lid] && !inBatch[lid]
+							inBatch[lid] = true
+						}
+						err := s.AppendBatch(batch)
+						if !fresh {
+							if !errors.Is(err, ErrDuplicate) {
+								t.Fatalf("seed %d: batch with a duplicate: %v", seed, err)
+							}
+							continue // and nothing of it may have been stored: checked by the scans below
+						}
+						if err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+						for lid := range inBatch {
+							model[lid] = true
+						}
+					case 0:
+						upTo := next()
+						before := s.Len()
+						removed, err := s.GC(upTo)
+						if err != nil || removed != before-s.Len() {
+							t.Fatalf("seed %d: GC(%d) = %d, %v; Len %d -> %d", seed, upTo, removed, err, before, s.Len())
+						}
+						// A store may retain more than asked, never less, and
+						// never drops a record above the bound.
+						for lid := range model {
+							if _, err := s.Get(lid); err != nil {
+								if lid > upTo || !errors.Is(err, core.ErrNoSuchRecord) {
+									t.Fatalf("seed %d: after GC(%d) Get(%d): %v", seed, upTo, lid, err)
+								}
+								delete(model, lid)
+							} else if lid <= upTo && f.name == "MemStore" {
+								t.Fatalf("seed %d: MemStore kept %d after GC(%d)", seed, lid, upTo)
+							}
+						}
+					case 1:
+						from, to := next(), uint64(0)
+						if rng.Intn(2) == 0 {
+							to = from + uint64(rng.Intn(4000))
+						}
+						want := sortedKeys(model, from, to)
+						if stop := rng.Intn(300); stop < len(want) {
+							want = want[:stop+1]
+						}
+						var got []uint64
+						if err := s.Scan(from, to, func(r *core.Record) bool {
+							if string(r.Body) != fmt.Sprintf("body-%d", r.LId) {
+								t.Fatalf("seed %d: record %d carries %q", seed, r.LId, r.Body)
+							}
+							got = append(got, r.LId)
+							return len(got) < len(want)
+						}); err != nil {
+							t.Fatal(err)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("seed %d: Scan(%d, %d) = %v, want %v", seed, from, to, got, want)
+						}
+					}
+					if s.Len() != len(model) {
+						t.Fatalf("seed %d: Len = %d, model has %d", seed, s.Len(), len(model))
+					}
+				}
+				s.Close()
+			}
+		})
+	}
+}
+
 // hostedLIds lists the first n positions maintainer 0 stores under
 // round-robin placement: rounds of b positions over nm ranges, each range
 // on r consecutive maintainers.

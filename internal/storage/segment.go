@@ -508,18 +508,16 @@ func (s *SegmentStore) AppendBatch(rs []*core.Record) error {
 	if s.syncErr != nil {
 		return s.syncErr
 	}
+	if err := s.index.admit(rs); err != nil {
+		return err
+	}
 	// One trace context covers the whole batch: the first sampled record's
 	// (batches are stored together, so their durability cost is shared).
 	var tc trace.Ctx
 	for _, r := range rs {
-		if r.LId == 0 {
-			return errors.New("storage: record has no LId")
-		}
-		if s.index.get(r.LId) != (slot{}) {
-			return fmt.Errorf("%w: %d", ErrDuplicate, r.LId)
-		}
-		if !tc.Sampled() && r.Trace.Sampled() {
+		if r.Trace.Sampled() {
 			tc = r.Trace
+			break
 		}
 	}
 	if s.rotationDueLocked() {
@@ -683,6 +681,13 @@ func (s *SegmentStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.index.n
+}
+
+// lenAbove counts the stored records with LId > lid, from the index alone.
+func (s *SegmentStore) lenAbove(lid uint64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.index.countFrom(lid + 1)
 }
 
 // GC implements Store. Removal is whole-segment: a segment is deleted only

@@ -6,13 +6,11 @@
 // A maintainer owns sparse, deterministic ranges of the datacenter's log
 // (round-robin rounds of BatchSize positions, §5.2), so the store indexes
 // records by LId rather than assuming contiguity: entries are written in
-// arrival order and an in-memory index maps LId → (segment, offset).
+// arrival order and an in-memory paged index maps LId → (segment, offset).
 package storage
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -53,21 +51,16 @@ type Store interface {
 	Close() error
 }
 
-// MemStore is an in-memory Store used by simulations and as the index tier
-// of the segment store. The zero value is not ready; use NewMemStore.
+// MemStore is an in-memory Store used by simulations, on the same LId
+// index as the segment store with the records themselves as its slots.
 type MemStore struct {
 	mu     sync.RWMutex
-	byLId  map[uint64]*core.Record
-	lids   []uint64 // sorted
-	sorted bool
+	index  table[*core.Record]
 	closed bool
-	max    uint64
 }
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{byLId: make(map[uint64]*core.Record), sorted: true}
-}
+func NewMemStore() *MemStore { return &MemStore{} }
 
 // Append implements Store.
 func (s *MemStore) Append(r *core.Record) error {
@@ -81,23 +74,11 @@ func (s *MemStore) AppendBatch(rs []*core.Record) error {
 	if s.closed {
 		return ErrClosed
 	}
-	for _, r := range rs {
-		if r.LId == 0 {
-			return errors.New("storage: record has no LId")
-		}
-		if _, ok := s.byLId[r.LId]; ok {
-			return fmt.Errorf("%w: %d", ErrDuplicate, r.LId)
-		}
+	if err := s.index.admit(rs); err != nil {
+		return err
 	}
 	for _, r := range rs {
-		s.byLId[r.LId] = r
-		s.lids = append(s.lids, r.LId)
-		if len(s.lids) > 1 && r.LId < s.lids[len(s.lids)-2] {
-			s.sorted = false
-		}
-		if r.LId > s.max {
-			s.max = r.LId
-		}
+		s.index.set(r.LId, r)
 	}
 	return nil
 }
@@ -109,46 +90,28 @@ func (s *MemStore) Get(lid uint64) (*core.Record, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	r, ok := s.byLId[lid]
-	if !ok {
-		return nil, core.ErrNoSuchRecord
+	if r := s.index.get(lid); r != nil {
+		return r, nil
 	}
-	return r, nil
+	return nil, core.ErrNoSuchRecord
 }
 
-// ensureSortedLocked sorts the lid slice if appends arrived out of order.
-// Caller must hold the write lock or guarantee exclusion.
-func (s *MemStore) ensureSorted() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.sorted {
-		sort.Slice(s.lids, func(i, j int) bool { return s.lids[i] < s.lids[j] })
-		s.sorted = true
-	}
-}
-
-// Scan implements Store.
+// Scan implements Store. fn runs without the lock held, on a chunk of the
+// index copied out under it.
 func (s *MemStore) Scan(minLId, maxLId uint64, fn func(*core.Record) bool) error {
-	s.ensureSorted()
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	// Copy the window so fn runs without the lock held.
-	i := sort.Search(len(s.lids), func(i int) bool { return s.lids[i] >= minLId })
-	var window []*core.Record
-	for ; i < len(s.lids); i++ {
-		lid := s.lids[i]
-		if maxLId != 0 && lid > maxLId {
-			break
+	chunk := make([]*core.Record, 0, scanChunk)
+	for next := max(minLId, 1); next != 0; {
+		s.mu.RLock()
+		if s.closed {
+			s.mu.RUnlock()
+			return ErrClosed
 		}
-		window = append(window, s.byLId[lid])
-	}
-	s.mu.RUnlock()
-	for _, r := range window {
-		if !fn(r) {
-			return nil
+		chunk, next = s.index.window(chunk[:0], next, maxLId)
+		s.mu.RUnlock()
+		for _, r := range chunk {
+			if !fn(r) {
+				return nil
+			}
 		}
 	}
 	return nil
@@ -158,30 +121,24 @@ func (s *MemStore) Scan(minLId, maxLId uint64, fn func(*core.Record) bool) error
 func (s *MemStore) MaxLId() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.max
+	return s.index.max
 }
 
 // Len implements Store.
 func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byLId)
+	return s.index.n
 }
 
 // GC implements Store.
 func (s *MemStore) GC(upTo uint64) (int, error) {
-	s.ensureSorted()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, ErrClosed
 	}
-	n := sort.Search(len(s.lids), func(i int) bool { return s.lids[i] > upTo })
-	for _, lid := range s.lids[:n] {
-		delete(s.byLId, lid)
-	}
-	s.lids = append([]uint64(nil), s.lids[n:]...)
-	return n, nil
+	return s.index.prune(upTo, func(*core.Record) bool { return true }), nil
 }
 
 // Close implements Store.

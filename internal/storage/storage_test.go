@@ -70,6 +70,22 @@ func TestStoreConformance(t *testing.T) {
 					t.Errorf("duplicate err = %v", err)
 				}
 			})
+			t.Run("DuplicateInBatchRejected", func(t *testing.T) {
+				// The duplicate check must see the batch's own members, not
+				// only what is stored already, and reject before any lands.
+				s := f.make(t)
+				defer s.Close()
+				for _, batch := range [][]*core.Record{{rec(7), rec(7)}, {rec(9), rec(8), rec(9)}} {
+					if err := s.AppendBatch(batch); !errors.Is(err, ErrDuplicate) {
+						t.Errorf("batch naming an LId twice: err = %v", err)
+					}
+				}
+				n := 0
+				s.Scan(0, 0, func(*core.Record) bool { n++; return true })
+				if s.Len() != 0 || n != 0 {
+					t.Errorf("rejected batches left Len = %d, %d scanned", s.Len(), n)
+				}
+			})
 			t.Run("NoLIdRejected", func(t *testing.T) {
 				s := f.make(t)
 				defer s.Close()

@@ -51,18 +51,8 @@ func OpenTieredStore(dir string, opts SegmentStoreOptions) (*TieredStore, error)
 	t := &TieredStore{hot: hot, cold: cold}
 	t.compacted = cold.MaxArchived()
 	t.coldLen = cold.Count()
-	t.hotLive = t.countHotLive()
+	t.hotLive = hot.lenAbove(t.compacted)
 	return t, nil
-}
-
-// countHotLive counts hot records above the compaction watermark.
-func (t *TieredStore) countHotLive() int {
-	if t.compacted == 0 {
-		return t.hot.Len()
-	}
-	n := 0
-	t.hot.Scan(t.compacted+1, 0, func(*core.Record) bool { n++; return true })
-	return n
 }
 
 // Hot exposes the hot tier (metrics, fsync accounting).
@@ -238,7 +228,7 @@ func (t *TieredStore) Compact(upTo uint64) (int, error) {
 		t.compacted = upTo
 	}
 	t.coldLen += len(batch)
-	t.hotLive = t.countHotLive()
+	t.hotLive = t.hot.lenAbove(t.compacted)
 	t.mu.Unlock()
 	return len(batch), nil
 }

@@ -186,6 +186,49 @@ func TestTieredSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestTieredCountsHotTierFromIndex: the count of live hot records, taken at
+// open and after every Compact, comes from the index alone. With every
+// sealed hot segment's bytes replaced by garbage the store still opens with
+// Len exact, and neither the open nor a recount opens a segment file.
+func TestTieredCountsHotTierFromIndex(t *testing.T) {
+	dir := t.TempDir()
+	s := openTiered(t, dir, SegmentStoreOptions{MaxSegmentBytes: 512})
+	for lid := uint64(1); lid <= 60; lid++ {
+		if err := s.Append(fullRec(lid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Compact(30); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "hot", "*"+segmentSuffix))
+	if len(segs) < 3 {
+		t.Fatalf("only %d hot segments", len(segs))
+	}
+	for _, seg := range segs[:len(segs)-1] {
+		st, _ := os.Stat(seg)
+		if err := os.WriteFile(seg, bytes.Repeat([]byte{0xA5}, int(st.Size())), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := openTiered(t, dir, SegmentStoreOptions{MaxSegmentBytes: 512})
+	defer s2.Close()
+	if got := s2.Len(); got != 60 {
+		t.Fatalf("Len = %d, want 60", got)
+	}
+	if got := s2.hot.lenAbove(45); got != 15 {
+		t.Fatalf("lenAbove(45) = %d, want 15", got)
+	}
+	for _, h := range s2.hot.handles {
+		if h != nil {
+			t.Fatalf("counting the hot tier opened %s", h.seg.path)
+		}
+	}
+}
+
 // TestTieredCrashMidCompaction kills the process (simulated at the file
 // level) between the archive Put starting and completing: recovery must
 // discard the torn volume and read the exact same record set from the

@@ -8,7 +8,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic bench-e2e trace-smoke api-snapshot api-check loc timers
+.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic bench-e2e bench-storage trace-smoke api-snapshot api-check loc timers
 
 # The public surface of the client-facing packages, as sorted declaration
 # lines from `go doc -all`. api-check fails when the surface drifts from
@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz='^FuzzDecodeRangeResult$$' -fuzztime=$(FUZZTIME) ./internal/flstore
 	$(GO) test -fuzz='^FuzzArchiveVolumeDecode$$' -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -fuzz='^FuzzSegmentTableDecode$$' -fuzztime=$(FUZZTIME) ./internal/storage
 
 # bench-smoke runs the allocation-budget benchmarks once; the AllocsPerRun
 # assertions in the regular tests enforce the budgets, this shows the numbers.
@@ -129,6 +130,14 @@ loc:
 		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); \
 	done; \
 	awk -v t=$$total -v b=$(LOC_BASELINE) 'BEGIN { printf "%-18s %6d  (%+.1f%% of the %d baseline)\n", "sum", t, (t-b)*100/b, b }'
+
+# bench-storage is the ROADMAP item 2 ledger: what the LId index costs per
+# record (asserted where stores hold every position, printed for the
+# geometries they do not), what reopening a 13-segment store costs per GB,
+# and what a cold 256-record window read costs per record.
+bench-storage:
+	@$(GO) test -run 'TestIndexBytesPerRecord' -count=1 -v ./internal/storage | grep -o 'index: .*'
+	@$(GO) test -run '^$$' -bench 'SegmentStoreRecovery|SegmentStoreScanCold' -benchtime=20x ./internal/storage | grep '^Benchmark'
 
 # timers is the ledger for ROADMAP items 3(c) and 4 ("fewer timers than
 # today"): call sites in non-test internal/ that wait on or schedule by the

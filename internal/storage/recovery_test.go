@@ -36,6 +36,21 @@ func buildSegments(t *testing.T, dir string, n uint64) []string {
 	return segs
 }
 
+// scribble overwrites each file with garbage of the same size: a store that
+// still opens has not read it, and a read of it must fail as corrupt.
+func scribble(t *testing.T, paths []string) {
+	t.Helper()
+	for _, path := range paths {
+		st, err := os.Stat(path)
+		if err == nil {
+			err = os.WriteFile(path, bytes.Repeat([]byte{0xA5}, int(st.Size())), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // dump scans the whole store into LId → encoded record.
 func dump(t *testing.T, s Store) map[uint64]string {
 	t.Helper()
@@ -168,12 +183,7 @@ func TestSegmentTableRecovery(t *testing.T) {
 func TestOpenReadsOnlyNewestSegment(t *testing.T) {
 	dir := t.TempDir()
 	segs := buildSegments(t, dir, 400)
-	for _, seg := range segs[:len(segs)-1] {
-		st, _ := os.Stat(seg)
-		if err := os.WriteFile(seg, bytes.Repeat([]byte{0xA5}, int(st.Size())), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	scribble(t, segs[:len(segs)-1])
 	s := openSeg(t, dir, SegmentStoreOptions{})
 	defer s.Close()
 	if s.Len() != 400 || s.MaxLId() != 400 {

@@ -208,12 +208,7 @@ func TestTieredCountsHotTierFromIndex(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("only %d hot segments", len(segs))
 	}
-	for _, seg := range segs[:len(segs)-1] {
-		st, _ := os.Stat(seg)
-		if err := os.WriteFile(seg, bytes.Repeat([]byte{0xA5}, int(st.Size())), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	scribble(t, segs[:len(segs)-1])
 	s2 := openTiered(t, dir, SegmentStoreOptions{MaxSegmentBytes: 512})
 	defer s2.Close()
 	if got := s2.Len(); got != 60 {

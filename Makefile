@@ -12,7 +12,9 @@ FUZZTIME ?= 5s
 
 # The public surface of the client-facing packages, as sorted declaration
 # lines from `go doc -all`. api-check fails when the surface drifts from
-# the committed snapshot; regenerate deliberately with api-snapshot.
+# the committed snapshot; regenerate deliberately with api-snapshot. The
+# third snapshot, api/protocol.txt, is the bytes of the wire protocol;
+# TestProtocolGolden (part of `make test`) is its check.
 API_PKGS = flstore chariots
 api_decl = $(GO) doc -all ./internal/$(1) | grep -E '^(func|type|var|const)' | LC_ALL=C sort
 
@@ -22,6 +24,8 @@ api-snapshot:
 		$(call api_decl,$$p) > api/$$p.txt || exit 1; \
 		echo "api/$$p.txt written"; \
 	done
+	@UPDATE_PROTOCOL=1 $(GO) test -count=1 -run '^TestProtocolGolden$$' ./internal/cluster >/dev/null
+	@echo "api/protocol.txt written"
 
 api-check:
 	@for p in $(API_PKGS); do \

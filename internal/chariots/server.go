@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rpc"
+	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -40,54 +41,61 @@ func appendSnapshot(dst []byte, snap Snapshot) []byte {
 }
 
 func decodeSnapshot(buf []byte) (Snapshot, error) {
-	var snap Snapshot
-	if len(buf) < 2 {
-		return snap, errors.New("chariots: short snapshot")
-	}
-	snap.From = core.DCID(binary.LittleEndian.Uint16(buf))
-	recs, used, err := core.DecodeRecordsShared(buf[2:])
+	d := wire.NewDec(buf)
+	// Arena-decoded records belong to this snapshot alone: the receiver
+	// may adopt them without another clone.
+	snap := Snapshot{From: core.DCID(d.U16()), Owned: true}
+	recs, used, err := core.DecodeRecordsShared(d.Rest())
 	if err != nil {
 		return snap, err
 	}
 	snap.Records = recs
-	// Arena-decoded records belong to this snapshot alone: the receiver
-	// may adopt them without another clone.
-	snap.Owned = true
-	off := 2 + used
-	if len(buf) < off+1 {
-		return snap, errors.New("chariots: short snapshot table flag")
-	}
-	if buf[off] == 1 {
-		off++
-		if len(buf) < off+2 {
-			return snap, errors.New("chariots: short snapshot table")
-		}
-		n := int(binary.LittleEndian.Uint16(buf[off:]))
-		off += 2
-		snap.ATable = make([]vclock.Vector, n)
-		for i := 0; i < n; i++ {
-			v, used, err := vclock.DecodeVector(buf[off:])
+	d.Skip(used)
+	if d.Bool() {
+		snap.ATable = make([]vclock.Vector, d.Count16(2))
+		for i := range snap.ATable {
+			v, used, err := vclock.DecodeVector(d.Rest())
 			if err != nil {
 				return snap, err
 			}
 			snap.ATable[i] = v
-			off += used
+			d.Skip(used)
 		}
 	}
-	return snap, nil
+	return snap, d.Err()
 }
+
+// The protocol table (DESIGN.md §3.8): each message is one row, its stub
+// the row's Call and its handler the row's Serve.
+var (
+	rowReplicate = rpc.Message[Snapshot, rpc.None]{Type: msgReplicate, Name: "Replicate", Reply: rpc.Empty,
+		Req: rpc.Codec[Snapshot]{
+			Put: func(dst []byte, snap Snapshot) ([]byte, error) { return appendSnapshot(dst, snap), nil },
+			Get: func(p []byte, _ *trace.Ctx) (Snapshot, error) { return decodeSnapshot(p) },
+		}}
+	rowIngest = rpc.Message[[]*core.Record, rpc.None]{Type: msgIngest, Name: "Ingest", Reply: rpc.Empty,
+		Req: rpc.Codec[[]*core.Record]{
+			Put: func(dst []byte, recs []*core.Record) ([]byte, error) { return core.AppendRecords(dst, recs), nil },
+			Get: func(p []byte, _ *trace.Ctx) ([]*core.Record, error) {
+				recs, _, err := core.DecodeRecordsShared(p)
+				return recs, err
+			},
+		}}
+	rowApplied = rpc.Message[rpc.None, vclock.Vector]{Type: msgApplied, Name: "Applied", Req: rpc.Empty,
+		Reply: rpc.Codec[vclock.Vector]{
+			Put: func(dst []byte, v vclock.Vector) ([]byte, error) { return v.AppendBinary(dst), nil },
+			Get: func(p []byte, _ *trace.Ctx) (vclock.Vector, error) {
+				v, _, err := vclock.DecodeVector(p)
+				return v, err
+			},
+		}}
+)
 
 // ServeReceiver registers the cross-datacenter replication handler on srv,
 // delivering decoded snapshots to rx. One RPC server typically fronts one
 // receiver machine.
 func ServeReceiver(srv *rpc.Server, rx ReceiverAPI) {
-	srv.Handle(msgReplicate, func(p []byte) ([]byte, error) {
-		snap, err := decodeSnapshot(p)
-		if err != nil {
-			return nil, err
-		}
-		return nil, rx.Deliver(snap)
-	})
+	rowReplicate.Serve(srv, rpc.NoReply(rx.Deliver))
 }
 
 // receiverClient implements ReceiverAPI over an rpc.Client — the transport
@@ -98,10 +106,7 @@ type receiverClient struct{ c rpc.Client }
 func NewReceiverClient(c rpc.Client) ReceiverAPI { return &receiverClient{c: c} }
 
 func (rc *receiverClient) Deliver(snap Snapshot) error {
-	req := wire.GetBuf()
-	*req = appendSnapshot(*req, snap)
-	_, err := rc.c.Call(msgReplicate, *req)
-	wire.PutBuf(req)
+	_, err := rowReplicate.Call(rc.c, snap)
 	return err
 }
 
@@ -114,22 +119,16 @@ func (rc *receiverClient) Deliver(snap Snapshot) error {
 // saturated pipeline rejects the batch with a SaturationError (the rpc
 // layer ships the retry hint; IngestClient reconstructs the type).
 func ServeIngest(srv *rpc.Server, dc *Datacenter) {
-	srv.Handle(msgIngest, func(p []byte) ([]byte, error) {
-		recs, _, err := core.DecodeRecordsShared(p)
-		if err != nil {
-			return nil, err
-		}
+	rowIngest.Serve(srv, rpc.NoReply(func(recs []*core.Record) error {
 		for _, r := range recs {
 			if r.TOId != 0 || r.LId != 0 {
-				return nil, fmt.Errorf("chariots: ingest record carries ids (TOId=%d LId=%d)", r.TOId, r.LId)
+				return fmt.Errorf("chariots: ingest record carries ids (TOId=%d LId=%d)", r.TOId, r.LId)
 			}
 			r.Host = dc.Self()
 		}
-		return nil, dc.inject(recs, dc.cfg.ShedOnSaturation)
-	})
-	srv.Handle(msgApplied, func(p []byte) ([]byte, error) {
-		return dc.Applied().AppendBinary(nil), nil
-	})
+		return dc.inject(recs, dc.cfg.ShedOnSaturation)
+	}))
+	rowApplied.Serve(srv, rpc.NoArg(func() (vclock.Vector, error) { return dc.Applied(), nil }))
 }
 
 // IngestClient is the remote application-client handle: it appends records
@@ -143,10 +142,7 @@ func NewIngestClient(c rpc.Client) *IngestClient { return &IngestClient{c: c} }
 // under the shed policy returns a *SaturationError (retryable, with the
 // server's retry hint reconstructed from the wire).
 func (ic *IngestClient) Append(recs []*core.Record) error {
-	req := wire.GetBuf()
-	*req = core.AppendRecords(*req, recs)
-	_, err := ic.c.Call(msgIngest, *req)
-	wire.PutBuf(req)
+	_, err := rowIngest.Call(ic.c, recs)
 	return mapIngestError(err)
 }
 
@@ -175,12 +171,7 @@ func mapIngestError(err error) error {
 // Applied returns the remote datacenter's applied-TOId vector (polling
 // surface for clients that need to confirm their appends landed).
 func (ic *IngestClient) Applied() (vclock.Vector, error) {
-	resp, err := ic.c.Call(msgApplied, nil)
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := vclock.DecodeVector(resp)
-	return v, err
+	return rowApplied.Call(ic.c, rpc.None{})
 }
 
 // Resync re-ships this datacenter's local records that, per the awareness

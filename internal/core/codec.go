@@ -124,6 +124,11 @@ func decodeRecordInto(r *Record, buf []byte, copyBody bool) (int, error) {
 	off += 2
 	r.Tags = r.Tags[:0]
 	if nTags > 0 {
+		// A tag is at least its two length fields; as with deps above, a
+		// count the buffer cannot hold fails before it sizes an allocation.
+		if len(buf) < off+nTags*(2+4) {
+			return 0, errShortBuffer
+		}
 		if cap(r.Tags) < nTags {
 			r.Tags = make([]Tag, 0, nTags)
 		}

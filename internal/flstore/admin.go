@@ -12,7 +12,6 @@ package flstore
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -114,24 +113,21 @@ func NewAdmin(c rpc.Client, opts ...AdminOption) *Admin {
 	return a
 }
 
-// call runs one admin RPC under the retry policy. Errors come back
-// through mapRemoteError so the package's taxonomy (typed sentinels,
-// IsRetryable) applies uniformly to local and remote servers.
-func (a *Admin) call(ctx context.Context, msg uint8, req []byte) ([]byte, error) {
+// adminCall runs one admin RPC under the retry policy. Errors come back
+// with the package's taxonomy (typed sentinels, IsRetryable) applied, as
+// from any other stub.
+func adminCall[Q, R any](ctx context.Context, a *Admin, row *rpc.Message[Q, R], q Q) (R, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			var zero R
+			return zero, err
 		}
-		resp, err := a.c.Call(msg, req)
-		if err == nil {
-			return resp, nil
-		}
-		err = mapRemoteError(err)
-		if attempt >= a.retries || !IsRetryable(err) {
-			return nil, err
+		r, err := call(a.c, row, q)
+		if err == nil || attempt >= a.retries || !IsRetryable(err) {
+			return r, err
 		}
 		if serr := sleepCtx(ctx, a.backoff); serr != nil {
-			return nil, serr
+			return r, serr
 		}
 	}
 }
@@ -139,94 +135,35 @@ func (a *Admin) call(ctx context.Context, msg uint8, req []byte) ([]byte, error)
 // Config returns the deployment configuration (placement, topology,
 // epoch journal, replication policy).
 func (a *Admin) Config(ctx context.Context) (*Config, error) {
-	resp, err := a.call(ctx, msgGetConfig, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeConfig(resp)
+	return adminCall(ctx, a, &rowGetConfig, none{})
 }
 
 // Stats returns a snapshot of the server's metrics registry.
 func (a *Admin) Stats(ctx context.Context) (metrics.Snapshot, error) {
-	var snap metrics.Snapshot
-	resp, err := a.call(ctx, msgStats, nil)
-	if err != nil {
-		return snap, err
-	}
-	if err := json.Unmarshal(resp, &snap); err != nil {
-		return snap, fmt.Errorf("flstore: decoding stats: %w", err)
-	}
-	return snap, nil
+	return adminCall(ctx, a, &rowStats, none{})
 }
 
 // Replicas returns the replica-group status view.
 func (a *Admin) Replicas(ctx context.Context) (*replica.ClusterStatus, error) {
-	resp, err := a.call(ctx, msgReplicas, nil)
-	if err != nil {
-		return nil, err
-	}
-	st := &replica.ClusterStatus{}
-	if err := json.Unmarshal(resp, st); err != nil {
-		return nil, fmt.Errorf("flstore: decoding replica status: %w", err)
-	}
-	return st, nil
+	return adminCall(ctx, a, &rowReplicas, none{})
 }
 
 // Epochs returns the epoch journal with per-epoch switchover progress.
 func (a *Admin) Epochs(ctx context.Context) ([]EpochStatus, error) {
-	resp, err := a.call(ctx, msgAdminEpochs, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []EpochStatus
-	if err := json.Unmarshal(resp, &out); err != nil {
-		return nil, fmt.Errorf("flstore: decoding epochs: %w", err)
-	}
-	return out, nil
+	return adminCall(ctx, a, &rowAdminEpochs, none{})
 }
 
 // ProposeEpoch submits an epoch proposal and returns the new epoch's
 // status. On an elastic server this drives the full switchover (seal,
 // drain, pad, migration kick-off) before returning.
 func (a *Admin) ProposeEpoch(ctx context.Context, prop EpochProposal) (EpochStatus, error) {
-	req, err := json.Marshal(prop)
-	if err != nil {
-		return EpochStatus{}, err
-	}
-	resp, err := a.call(ctx, msgAdminPropose, req)
-	if err != nil {
-		return EpochStatus{}, err
-	}
-	var st EpochStatus
-	if err := json.Unmarshal(resp, &st); err != nil {
-		return st, fmt.Errorf("flstore: decoding epoch status: %w", err)
-	}
-	return st, nil
+	return adminCall(ctx, a, &rowAdminPropose, prop)
 }
 
 // ServeAdmin registers the epoch-journal and proposal handlers on srv.
-// Admin payloads are JSON like the stats/replicas views: admin traffic is
-// rare control-plane traffic, and the self-describing encoding keeps the
-// surface evolvable without wire-format bumps.
 func ServeAdmin(srv *rpc.Server, a AdminServer) {
-	srv.Handle(msgAdminEpochs, func(p []byte) ([]byte, error) {
-		eps, err := a.Epochs()
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(eps)
-	})
-	srv.Handle(msgAdminPropose, func(p []byte) ([]byte, error) {
-		var prop EpochProposal
-		if err := json.Unmarshal(p, &prop); err != nil {
-			return nil, fmt.Errorf("flstore: decoding epoch proposal: %w", err)
-		}
-		st, err := a.ProposeEpoch(prop)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(st)
-	})
+	rowAdminEpochs.Serve(srv, rpc.NoArg(a.Epochs))
+	rowAdminPropose.Serve(srv, a.ProposeEpoch)
 }
 
 // ControllerAdmin serves the admin surface straight from a Controller for

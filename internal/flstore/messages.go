@@ -3,7 +3,6 @@ package flstore
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -16,6 +15,13 @@ import (
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
+
+// The FLStore wire protocol is the table of rows at the end of this
+// section (DESIGN.md §3.8): a message is one rpc.Message built from a type
+// byte, a name, and two of the payload shapes below. Every stub is the
+// row's Call and every handler its Serve, so a message is spelled in one
+// place; a new message is a row and, only if its payload is laid out like
+// no other, a shape.
 
 // Message types of the FLStore wire protocol.
 const (
@@ -45,27 +51,278 @@ const (
 	msgAdminPropose
 )
 
-// Smallest encodings of the variable-size elements the control-plane
-// decoders count-prefix: wire.AppendString is a u16 length plus bytes, a
-// posting two strings and a u64 LId. Decoders size their result by what
-// the remaining bytes can hold at these sizes, never by the claimed count
-// alone.
-const (
-	minStringSize  = 2
-	minPostingSize = 2*minStringSize + 8
+// --- payload shapes ---
+//
+// A shape is a Put/Get pair over one Go type. Get reads through a
+// wire.Dec, which checks every bound; none of them does offset arithmetic.
+// The hot shapes are plain functions, not closures, so a row's Call costs
+// two indirect calls over hand-written code and no allocation.
+
+type none = rpc.None
+
+// The values of the payloads that are more than one Go value.
+type (
+	// afterReq is AppendAfter's request: the bound, then the batch.
+	afterReq struct {
+		Min  uint64
+		Recs []*core.Record
+	}
+	// forReq is AppendFor's request: the range, then the batch.
+	forReq struct {
+		Range int
+		Recs  []*core.Record
+	}
+	pullReq struct {
+		Range int
+		From  uint64
+		Limit int
+	}
+	tailReq struct {
+		Range   int
+		Cursor  uint64
+		MaxWait time.Duration
+	}
+	// boundReq is Invalidate's request.
+	boundReq struct {
+		Range int
+		UpTo  uint64
+	}
+	// vecs is both halves of the gossip exchange.
+	vecs struct{ Next, Dur []uint64 }
+	// marks is ValidityWatermark's reply.
+	marks struct{ Watermark, Announced uint64 }
 )
 
-// --- encoding helpers ---
+var (
+	u64Shape = rpc.Codec[uint64]{Put: putU64, Get: getU64}
+	// rangeShape is a range index as RangeFrontier sends it, a u32.
+	rangeShape = rpc.Codec[int]{
+		Put: func(dst []byte, v int) ([]byte, error) { return binary.LittleEndian.AppendUint32(dst, uint32(v)), nil },
+		Get: func(p []byte, _ *trace.Ctx) (int, error) {
+			d := wire.NewDec(p)
+			return int(d.U32()), d.Err()
+		},
+	}
+	lidsShape    = rpc.Codec[[]uint64]{Put: putLIds, Get: getLIds}
+	recordsShape = rpc.Codec[[]*core.Record]{Put: putRecords, Get: getRecords}
+	// recordShape is one record with no count before it: Read's reply.
+	recordShape = rpc.Codec[*core.Record]{
+		Put: func(dst []byte, r *core.Record) ([]byte, error) {
+			if dst == nil {
+				dst = make([]byte, 0, core.EncodedSize(r))
+			}
+			return core.AppendRecord(dst, r), nil
+		},
+		Get: func(p []byte, _ *trace.Ctx) (*core.Record, error) {
+			rec, _, err := core.DecodeRecord(p)
+			return rec, err
+		},
+	}
+	afterShape = rpc.Codec[afterReq]{
+		Put: func(dst []byte, q afterReq) ([]byte, error) {
+			return putRecords(binary.LittleEndian.AppendUint64(dst, q.Min), q.Recs)
+		},
+		Get: func(p []byte, tc *trace.Ctx) (afterReq, error) {
+			d := wire.NewDec(p)
+			q := afterReq{Min: d.U64()}
+			var err error
+			q.Recs, err = restRecords(&d, tc)
+			return q, err
+		},
+	}
+	forShape = rpc.Codec[forReq]{
+		Put: func(dst []byte, q forReq) ([]byte, error) {
+			return putRecords(binary.LittleEndian.AppendUint32(dst, uint32(q.Range)), q.Recs)
+		},
+		Get: func(p []byte, tc *trace.Ctx) (forReq, error) {
+			d := wire.NewDec(p)
+			q := forReq{Range: int(d.U32())}
+			var err error
+			q.Recs, err = restRecords(&d, tc)
+			return q, err
+		},
+	}
+	pullShape = rpc.Codec[pullReq]{
+		Put: func(dst []byte, q pullReq) ([]byte, error) {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(q.Range))
+			dst = binary.LittleEndian.AppendUint64(dst, q.From)
+			return binary.LittleEndian.AppendUint32(dst, uint32(q.Limit)), nil
+		},
+		Get: func(p []byte, _ *trace.Ctx) (pullReq, error) {
+			d := wire.NewDec(p)
+			return pullReq{Range: int(d.U32()), From: d.U64(), Limit: int(d.U32())}, d.Err()
+		},
+	}
+	tailShape     = rpc.Codec[tailReq]{Put: putTailReq, Get: getTailReq}
+	boundShape    = rpc.Codec[boundReq]{Put: putBoundReq, Get: getBoundReq}
+	queryShape    = rpc.Codec[RangeQuery]{Put: putRangeQuery, Get: getRangeQuery}
+	resultShape   = rpc.Codec[RangeResult]{Put: putRangeResult, Get: getRangeResult}
+	ruleShape     = rpc.Codec[core.Rule]{Put: putRule, Get: getRule}
+	lookupShape   = rpc.Codec[LookupQuery]{Put: putLookup, Get: getLookup}
+	postingsShape = rpc.Codec[[]Posting]{Put: putPostings, Get: getPostings}
+	vecsShape     = rpc.Codec[vecs]{
+		Put: func(dst []byte, v vecs) ([]byte, error) {
+			dst, _ = putLIds(dst, v.Next)
+			return putLIds(dst, v.Dur)
+		},
+		Get: func(p []byte, _ *trace.Ctx) (vecs, error) {
+			d := wire.NewDec(p)
+			return vecs{Next: readLIds(&d), Dur: readLIds(&d)}, d.Err()
+		},
+	}
+	marksShape = rpc.Codec[marks]{
+		Put: func(dst []byte, v marks) ([]byte, error) {
+			if dst == nil {
+				dst = make([]byte, 0, 16)
+			}
+			return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(dst, v.Watermark), v.Announced), nil
+		},
+		Get: func(p []byte, _ *trace.Ctx) (marks, error) {
+			d := wire.NewDec(p)
+			return marks{Watermark: d.U64(), Announced: d.U64()}, d.Err()
+		},
+	}
+)
 
-func appendRule(dst []byte, ru core.Rule) []byte {
+// jsonShape is the layout of the control plane — configuration, stats,
+// replica status, the epoch journal and proposals: rare traffic, where a
+// self-describing encoding lets the surface grow a field without a
+// hand-edited codec.
+func jsonShape[T any]() rpc.Codec[T] {
+	return rpc.Codec[T]{
+		Put: func(dst []byte, v T) ([]byte, error) {
+			b, err := json.Marshal(v)
+			return append(dst, b...), err
+		},
+		Get: func(p []byte, _ *trace.Ctx) (T, error) {
+			var v T
+			err := json.Unmarshal(p, &v)
+			return v, err
+		},
+	}
+}
+
+func putU64(dst []byte, v uint64) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(dst, v), nil
+}
+
+func getU64(p []byte, _ *trace.Ctx) (uint64, error) {
+	d := wire.NewDec(p)
+	return d.U64(), d.Err()
+}
+
+func putLIds(dst []byte, lids []uint64) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lids)))
+	for _, l := range lids {
+		dst = binary.LittleEndian.AppendUint64(dst, l)
+	}
+	return dst, nil
+}
+
+// readLIds reads a count-prefixed LId list off d.
+func readLIds(d *wire.Dec) []uint64 {
+	lids := make([]uint64, d.Count(8))
+	for i := range lids {
+		lids[i] = d.U64()
+	}
+	return lids
+}
+
+func getLIds(p []byte, _ *trace.Ctx) ([]uint64, error) {
+	d := wire.NewDec(p)
+	return readLIds(&d), d.Err()
+}
+
+// putRecords encodes a batch in the standard count-prefixed frame. The
+// batch's trace context, if it has one, rides the traced envelope.
+func putRecords(dst []byte, recs []*core.Record) ([]byte, error) {
+	if dst == nil {
+		dst = make([]byte, 0, core.EncodedSizeRecords(recs))
+	}
+	return core.AppendRecords(dst, recs), nil
+}
+
+func getRecords(p []byte, tc *trace.Ctx) ([]*core.Record, error) {
+	d := wire.NewDec(p)
+	return restRecords(&d, tc)
+}
+
+// restRecords decodes the record batch every batch-carrying payload ends
+// with. The payload is borrowed; DecodeRecordsShared materializes
+// retainable records in O(1) allocations per batch. The envelope's trace
+// context is restamped onto them (the codec doesn't carry it), so the
+// maintainer's hops join the caller's trace.
+func restRecords(d *wire.Dec, tc *trace.Ctx) ([]*core.Record, error) {
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	recs, _, err := core.DecodeRecordsShared(d.Rest())
+	if err != nil {
+		return nil, err
+	}
+	stampRecords(recs, tc)
+	return recs, nil
+}
+
+func putTailReq(dst []byte, q tailReq) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(q.Range)))
+	dst = binary.LittleEndian.AppendUint64(dst, q.Cursor)
+	return binary.LittleEndian.AppendUint64(dst, uint64(int64(q.MaxWait))), nil
+}
+
+func getTailReq(p []byte, _ *trace.Ctx) (tailReq, error) {
+	d := wire.NewDec(p)
+	return tailReq{Range: int(int32(d.U32())), Cursor: d.U64(), MaxWait: time.Duration(int64(d.U64()))}, d.Err()
+}
+
+func putBoundReq(dst []byte, q boundReq) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(dst, uint64(q.Range)), q.UpTo), nil
+}
+
+func getBoundReq(p []byte, _ *trace.Ctx) (boundReq, error) {
+	d := wire.NewDec(p)
+	return boundReq{Range: int(d.U64()), UpTo: d.U64()}, d.Err()
+}
+
+func putRangeQuery(dst []byte, q RangeQuery) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, q.Lo)
+	dst = binary.LittleEndian.AppendUint64(dst, q.Hi)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(q.Range)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(q.MaxRecords))
+	return binary.LittleEndian.AppendUint32(dst, uint32(q.MaxBytes)), nil
+}
+
+func getRangeQuery(p []byte, tc *trace.Ctx) (RangeQuery, error) {
+	d := wire.NewDec(p)
+	q := RangeQuery{Lo: d.U64(), Hi: d.U64(), Range: int(int32(d.U32())), MaxRecords: int(d.U32()), MaxBytes: int(d.U32())}
+	if tc != nil {
+		q.Trace = *tc
+	}
+	return q, d.Err()
+}
+
+// putRangeResult encodes a range-read response: the covered-through
+// position, then the record batch.
+func putRangeResult(dst []byte, res RangeResult) ([]byte, error) {
+	if dst == nil {
+		dst = make([]byte, 0, 8+core.EncodedSizeRecords(res.Records))
+	}
+	return putRecords(binary.LittleEndian.AppendUint64(dst, res.CoveredHi), res.Records)
+}
+
+func getRangeResult(p []byte, _ *trace.Ctx) (RangeResult, error) {
+	d := wire.NewDec(p)
+	res := RangeResult{CoveredHi: d.U64()}
+	var err error
+	res.Records, err = restRecords(&d, nil)
+	return res, err
+}
+
+func putRule(dst []byte, ru core.Rule) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, ru.MinLId)
 	dst = binary.LittleEndian.AppendUint64(dst, ru.MaxLId)
 	dst = binary.LittleEndian.AppendUint64(dst, ru.MaxLIdExclusive)
-	var hasHost byte
-	if ru.HasHost {
-		hasHost = 1
-	}
-	dst = append(dst, hasHost)
+	dst = wire.AppendBool(dst, ru.HasHost)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(ru.Host))
 	dst = binary.LittleEndian.AppendUint64(dst, ru.MinTOId)
 	dst = binary.LittleEndian.AppendUint64(dst, ru.MaxTOId)
@@ -73,529 +330,156 @@ func appendRule(dst []byte, ru core.Rule) []byte {
 	dst = append(dst, byte(ru.TagCmp))
 	dst = wire.AppendString(dst, ru.TagValue)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ru.Limit))
-	var mr byte
-	if ru.MostRecent {
-		mr = 1
-	}
-	dst = append(dst, mr)
-	return dst
+	return wire.AppendBool(dst, ru.MostRecent), nil
 }
 
-func decodeRule(buf []byte) (core.Rule, int, error) {
-	var ru core.Rule
-	if len(buf) < 8*3+1+2+8*2 {
-		return ru, 0, errors.New("flstore: short rule")
-	}
-	ru.MinLId = binary.LittleEndian.Uint64(buf)
-	ru.MaxLId = binary.LittleEndian.Uint64(buf[8:])
-	ru.MaxLIdExclusive = binary.LittleEndian.Uint64(buf[16:])
-	ru.HasHost = buf[24] == 1
-	ru.Host = core.DCID(binary.LittleEndian.Uint16(buf[25:]))
-	ru.MinTOId = binary.LittleEndian.Uint64(buf[27:])
-	ru.MaxTOId = binary.LittleEndian.Uint64(buf[35:])
-	off := 43
-	key, n, err := wire.DecodeString(buf[off:])
-	if err != nil {
-		return ru, 0, err
-	}
-	ru.TagKey = key
-	off += n
-	if len(buf) < off+1 {
-		return ru, 0, errors.New("flstore: short rule cmp")
-	}
-	ru.TagCmp = core.CmpOp(buf[off])
-	off++
-	val, n, err := wire.DecodeString(buf[off:])
-	if err != nil {
-		return ru, 0, err
-	}
-	ru.TagValue = val
-	off += n
-	if len(buf) < off+5 {
-		return ru, 0, errors.New("flstore: short rule tail")
-	}
-	ru.Limit = int(binary.LittleEndian.Uint32(buf[off:]))
-	ru.MostRecent = buf[off+4] == 1
-	off += 5
-	return ru, off, nil
+func getRule(p []byte, _ *trace.Ctx) (core.Rule, error) {
+	d := wire.NewDec(p)
+	// The fields of a struct literal are evaluated in the order written,
+	// which is the order on the wire.
+	return core.Rule{
+		MinLId: d.U64(), MaxLId: d.U64(), MaxLIdExclusive: d.U64(),
+		HasHost: d.Bool(), Host: core.DCID(d.U16()),
+		MinTOId: d.U64(), MaxTOId: d.U64(),
+		TagKey: d.Str(), TagCmp: core.CmpOp(d.U8()), TagValue: d.Str(),
+		Limit: int(d.U32()), MostRecent: d.Bool(),
+	}, d.Err()
 }
 
-func appendLIds(dst []byte, lids []uint64) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lids)))
-	for _, l := range lids {
-		dst = binary.LittleEndian.AppendUint64(dst, l)
-	}
-	return dst
+func putLookup(dst []byte, q LookupQuery) ([]byte, error) {
+	dst = wire.AppendString(dst, q.Key)
+	dst = append(dst, byte(q.Cmp))
+	dst = wire.AppendString(dst, q.Value)
+	dst = binary.LittleEndian.AppendUint64(dst, q.MaxLIdExclusive)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(q.Limit))
+	return wire.AppendBool(dst, q.MostRecent), nil
 }
 
-func decodeLIds(buf []byte) ([]uint64, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, errors.New("flstore: short lid list")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if len(buf) < 4+8*n {
-		return nil, 0, errors.New("flstore: short lid list body")
-	}
-	lids := make([]uint64, n)
-	for i := range lids {
-		lids[i] = binary.LittleEndian.Uint64(buf[4+8*i:])
-	}
-	return lids, 4 + 8*n, nil
+func getLookup(p []byte, _ *trace.Ctx) (LookupQuery, error) {
+	d := wire.NewDec(p)
+	return LookupQuery{
+		Key: d.Str(), Cmp: core.CmpOp(d.U8()), Value: d.Str(),
+		MaxLIdExclusive: d.U64(), Limit: int(d.U32()), MostRecent: d.Bool(),
+	}, d.Err()
 }
 
-// appendRangeResult encodes a range-read response: the covered-through
-// position, then the record batch in the standard count-prefixed frame.
-func appendRangeResult(dst []byte, res RangeResult) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, res.CoveredHi)
-	return core.AppendRecords(dst, res.Records)
-}
-
-// decodeRangeResult decodes a range-read response envelope. The batch is
-// arena-decoded (DecodeRecordsShared), so a response of N records costs
-// O(1) allocations regardless of N.
-func decodeRangeResult(buf []byte) (RangeResult, error) {
-	var res RangeResult
-	if len(buf) < 8 {
-		return res, errors.New("flstore: short range-read response")
-	}
-	res.CoveredHi = binary.LittleEndian.Uint64(buf)
-	recs, _, err := core.DecodeRecordsShared(buf[8:])
-	if err != nil {
-		return res, err
-	}
-	res.Records = recs
-	return res, nil
-}
-
-func appendPostings(dst []byte, ps []Posting) []byte {
+func putPostings(dst []byte, ps []Posting) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))
 	for _, p := range ps {
 		dst = wire.AppendString(dst, p.Key)
 		dst = wire.AppendString(dst, p.Value)
 		dst = binary.LittleEndian.AppendUint64(dst, p.LId)
 	}
-	return dst
+	return dst, nil
 }
 
-func decodePostings(buf []byte) ([]Posting, error) {
-	if len(buf) < 4 {
-		return nil, errors.New("flstore: short postings")
+func getPostings(p []byte, _ *trace.Ctx) ([]Posting, error) {
+	d := wire.NewDec(p)
+	// A posting is at least two empty strings and an LId.
+	ps := make([]Posting, d.Count(2+2+8))
+	for i := range ps {
+		ps[i] = Posting{Key: d.Str(), Value: d.Str(), LId: d.U64()}
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	off := 4
-	// A posting is at least two empty strings and an LId; a count the
-	// remaining bytes cannot hold fails in the loop, not in the allocator.
-	ps := make([]Posting, 0, min(n, (len(buf)-off)/minPostingSize))
-	for i := 0; i < n; i++ {
-		key, used, err := wire.DecodeString(buf[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += used
-		val, used, err := wire.DecodeString(buf[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += used
-		if len(buf) < off+8 {
-			return nil, errors.New("flstore: short posting lid")
-		}
-		ps = append(ps, Posting{Key: key, Value: val, LId: binary.LittleEndian.Uint64(buf[off:])})
-		off += 8
-	}
-	return ps, nil
+	return ps, d.Err()
 }
 
-func appendConfig(dst []byte, cfg *Config) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(cfg.Placement.NumMaintainers))
-	dst = binary.LittleEndian.AppendUint64(dst, cfg.Placement.BatchSize)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cfg.MaintainerAddrs)))
-	for _, a := range cfg.MaintainerAddrs {
-		dst = wire.AppendString(dst, a)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cfg.IndexerAddrs)))
-	for _, a := range cfg.IndexerAddrs {
-		dst = wire.AppendString(dst, a)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cfg.Epochs)))
-	for _, e := range cfg.Epochs {
-		dst = binary.LittleEndian.AppendUint64(dst, e.FirstLId)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Placement.NumMaintainers))
-		dst = binary.LittleEndian.AppendUint64(dst, e.Placement.BatchSize)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.MaintainerAddrs)))
-		for _, a := range e.MaintainerAddrs {
-			dst = wire.AppendString(dst, a)
-		}
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(cfg.Replication))
-	dst = wire.AppendString(dst, cfg.AckPolicy)
-	return dst
-}
+// --- the protocol table ---
 
-func decodeConfig(buf []byte) (*Config, error) {
-	if len(buf) < 12 {
-		return nil, errors.New("flstore: short config")
-	}
-	cfg := &Config{}
-	cfg.Placement.NumMaintainers = int(binary.LittleEndian.Uint32(buf))
-	cfg.Placement.BatchSize = binary.LittleEndian.Uint64(buf[4:])
-	off := 12
-	readAddrs := func() ([]string, error) {
-		if len(buf) < off+4 {
-			return nil, errors.New("flstore: short config addrs")
-		}
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		addrs := make([]string, 0, min(n, (len(buf)-off)/minStringSize))
-		for i := 0; i < n; i++ {
-			s, used, err := wire.DecodeString(buf[off:])
-			if err != nil {
-				return nil, err
-			}
-			addrs = append(addrs, s)
-			off += used
-		}
-		return addrs, nil
-	}
-	var err error
-	if cfg.MaintainerAddrs, err = readAddrs(); err != nil {
-		return nil, err
-	}
-	if cfg.IndexerAddrs, err = readAddrs(); err != nil {
-		return nil, err
-	}
-	if len(buf) < off+4 {
-		return nil, errors.New("flstore: short config epochs")
-	}
-	n := int(binary.LittleEndian.Uint32(buf[off:]))
-	off += 4
-	for i := 0; i < n; i++ {
-		if len(buf) < off+20 {
-			return nil, errors.New("flstore: short config epoch")
-		}
-		e := Epoch{
-			FirstLId: binary.LittleEndian.Uint64(buf[off:]),
-			Placement: Placement{
-				NumMaintainers: int(binary.LittleEndian.Uint32(buf[off+8:])),
-				BatchSize:      binary.LittleEndian.Uint64(buf[off+12:]),
-			},
-		}
-		off += 20
-		if len(buf) < off+4 {
-			return nil, errors.New("flstore: short config epoch addrs")
-		}
-		na := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		for j := 0; j < na; j++ {
-			s, used, err := wire.DecodeString(buf[off:])
-			if err != nil {
-				return nil, err
-			}
-			e.MaintainerAddrs = append(e.MaintainerAddrs, s)
-			off += used
-		}
-		cfg.Epochs = append(cfg.Epochs, e)
-	}
-	if len(buf) < off+4 {
-		return nil, errors.New("flstore: short config replication")
-	}
-	cfg.Replication = int(binary.LittleEndian.Uint32(buf[off:]))
-	off += 4
-	ack, _, err := wire.DecodeString(buf[off:])
-	if err != nil {
-		return nil, err
-	}
-	cfg.AckPolicy = ack
-	return cfg, nil
-}
+var (
+	rowAppend         = rpc.Message[[]*core.Record, []uint64]{Type: msgAppend, Name: "Append", Req: recordsShape, Reply: lidsShape, TraceOf: batchTrace}
+	rowAppendAssigned = rpc.Message[[]*core.Record, none]{Type: msgAppendAssigned, Name: "AppendAssigned", Req: recordsShape, Reply: rpc.Empty, TraceOf: batchTrace}
+	rowAppendAfter    = rpc.Message[afterReq, []uint64]{Type: msgAppendAfter, Name: "AppendAfter", Req: afterShape, Reply: lidsShape,
+		TraceOf: func(q afterReq) trace.Ctx { return batchTrace(q.Recs) }}
+	rowRead         = rpc.Message[uint64, *core.Record]{Type: msgRead, Name: "Read", Req: u64Shape, Reply: recordShape}
+	rowScan         = rpc.Message[core.Rule, []*core.Record]{Type: msgScan, Name: "Scan", Req: ruleShape, Reply: recordsShape}
+	rowHead         = rpc.Message[none, uint64]{Type: msgHead, Name: "Head", Req: rpc.Empty, Reply: u64Shape}
+	rowNextUnfilled = rpc.Message[none, uint64]{Type: msgNextUnfilled, Name: "NextUnfilled", Req: rpc.Empty, Reply: u64Shape}
+	rowPost         = rpc.Message[[]Posting, none]{Type: msgPost, Name: "Post", Req: postingsShape, Reply: rpc.Empty}
+	rowLookup       = rpc.Message[LookupQuery, []uint64]{Type: msgLookup, Name: "Lookup", Req: lookupShape, Reply: lidsShape}
+	rowGetConfig    = rpc.Message[none, *Config]{Type: msgGetConfig, Name: "GetConfig", Req: rpc.Empty, Reply: jsonShape[*Config]()}
+	rowStats        = rpc.Message[none, metrics.Snapshot]{Type: msgStats, Name: "Stats", Req: rpc.Empty, Reply: jsonShape[metrics.Snapshot]()}
+	rowAppendFor    = rpc.Message[forReq, []uint64]{Type: msgAppendFor, Name: "AppendFor", Req: forShape, Reply: lidsShape,
+		TraceOf: func(q forReq) trace.Ctx { return batchTrace(q.Recs) }}
+	rowReplicaAppend = rpc.Message[[]*core.Record, none]{Type: msgReplicaAppend, Name: "ReplicaAppend", Req: recordsShape, Reply: rpc.Empty, TraceOf: batchTrace}
+	rowRangeFrontier = rpc.Message[int, uint64]{Type: msgRangeFrontier, Name: "RangeFrontier", Req: rangeShape, Reply: u64Shape}
+	rowPullRange     = rpc.Message[pullReq, []*core.Record]{Type: msgPullRange, Name: "PullRange", Req: pullShape, Reply: recordsShape}
+	rowReplicas      = rpc.Message[none, *replica.ClusterStatus]{Type: msgReplicas, Name: "Replicas", Req: rpc.Empty, Reply: jsonShape[*replica.ClusterStatus]()}
+	rowReadRange     = rpc.Message[RangeQuery, RangeResult]{Type: msgReadRange, Name: "ReadRange", Req: queryShape, Reply: resultShape,
+		TraceOf: func(q RangeQuery) trace.Ctx { return q.Trace }}
+	rowMultiRead = rpc.Message[[]uint64, []*core.Record]{Type: msgMultiRead, Name: "MultiRead", Req: lidsShape, Reply: recordsShape}
+	// TailWait is detached: a parked long-poll must not head-of-line-block
+	// the pipelined requests behind it on a shared connection.
+	rowTailWait = rpc.Message[tailReq, uint64]{Type: msgTailWait, Name: "TailWait", Detached: true, Req: tailShape, Reply: u64Shape}
+	// Invalidate rides ahead of every fan-out payload: two fixed words, no
+	// reply body.
+	rowInvalidate   = rpc.Message[boundReq, none]{Type: msgInvalidate, Name: "Invalidate", Req: boundShape, Reply: rpc.Empty}
+	rowWatermark    = rpc.Message[uint64, marks]{Type: msgWatermark, Name: "Watermark", Req: u64Shape, Reply: marksShape}
+	rowGossipVecs   = rpc.Message[vecs, vecs]{Type: msgGossipVecs, Name: "GossipVecs", Req: vecsShape, Reply: vecsShape}
+	rowAdminEpochs  = rpc.Message[none, []EpochStatus]{Type: msgAdminEpochs, Name: "AdminEpochs", Req: rpc.Empty, Reply: jsonShape[[]EpochStatus]()}
+	rowAdminPropose = rpc.Message[EpochProposal, EpochStatus]{Type: msgAdminPropose, Name: "AdminPropose", Req: jsonShape[EpochProposal](), Reply: jsonShape[EpochStatus]()}
+)
 
 // --- server adapters ---
 
-// batchPrefix is the width of the fixed header that precedes the record
-// batch in a batch-carrying request: AppendAfter's u64 bound, AppendFor's
-// u32 range index, nothing for the rest. Stub and handler both frame by it.
-func batchPrefix(msg uint8) int {
-	switch msg {
-	case msgAppendAfter:
-		return 8
-	case msgAppendFor:
-		return 4
-	}
-	return 0
-}
-
-// serveBatch is the handler behind the five batch-carrying calls. The
-// request payload is borrowed (it aliases the connection's read scratch);
-// DecodeRecordsShared materializes retainable records in O(1) allocations
-// per batch. The RPC envelope's trace context is restamped onto the decoded
-// records (the codec doesn't carry it), so the maintainer's hops join the
-// caller's trace; untraced requests arrive with the zero context. The calls
-// that assign positions reply with the LIds, the two that ingest placed
-// records with an empty body.
-func serveBatch(m MaintainerAPI, msg uint8, tc *trace.Ctx, p []byte) ([]byte, error) {
-	n := batchPrefix(msg)
-	if len(p) < n {
-		return nil, errors.New("flstore: short append request")
-	}
-	recs, _, err := core.DecodeRecordsShared(p[n:])
-	if err != nil {
-		return nil, err
-	}
-	stampRecords(recs, tc)
-	var lids []uint64
-	switch msg {
-	case msgAppend:
-		lids, err = m.Append(recs)
-	case msgAppendAfter:
-		lids, err = m.AppendAfter(binary.LittleEndian.Uint64(p), recs)
-	case msgAppendFor:
-		lids, err = m.AppendFor(int(binary.LittleEndian.Uint32(p)), recs)
-	case msgAppendAssigned:
-		return nil, m.AppendAssigned(recs)
-	case msgReplicaAppend:
-		return nil, m.ReplicaAppend(recs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return appendLIds(nil, lids), nil
-}
-
-// u64Reply encodes the reply of the calls that answer with one position.
-func u64Reply(v uint64, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return binary.LittleEndian.AppendUint64(nil, v), nil
-}
-
 // ServeMaintainer registers RPC handlers exposing m on srv.
 func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
-	for _, msg := range []uint8{msgAppend, msgAppendAssigned, msgAppendAfter, msgAppendFor, msgReplicaAppend} {
-		srv.HandleTraced(msg, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-			return serveBatch(m, msg, tc, p)
-		})
-	}
-	srv.Handle(msgRead, func(p []byte) ([]byte, error) {
-		if len(p) < 8 {
-			return nil, errors.New("flstore: short Read request")
-		}
-		rec, err := m.Read(binary.LittleEndian.Uint64(p))
-		if err != nil {
-			return nil, err
-		}
-		return core.MarshalRecord(rec), nil
-	})
-	srv.Handle(msgScan, func(p []byte) ([]byte, error) {
-		ru, _, err := decodeRule(p)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := m.Scan(ru)
-		if err != nil {
-			return nil, err
-		}
-		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
-	})
-	srv.Handle(msgHead, func(p []byte) ([]byte, error) { return u64Reply(m.Head()) })
-	srv.Handle(msgNextUnfilled, func(p []byte) ([]byte, error) { return u64Reply(m.NextUnfilled()) })
-	srv.Handle(msgGossipVecs, func(p []byte) ([]byte, error) {
-		next, n, err := decodeLIds(p)
-		if err != nil {
-			return nil, err
-		}
-		dur, _, err := decodeLIds(p[n:])
-		if err != nil {
-			return nil, err
-		}
-		myNext, myDur, err := m.GossipVecs(next, dur)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(appendLIds(nil, myNext), myDur), nil
+	rowAppend.Serve(srv, m.Append)
+	rowAppendAssigned.Serve(srv, rpc.NoReply(m.AppendAssigned))
+	rowAppendAfter.Serve(srv, func(q afterReq) ([]uint64, error) { return m.AppendAfter(q.Min, q.Recs) })
+	rowRead.Serve(srv, m.Read)
+	rowScan.Serve(srv, m.Scan)
+	rowHead.Serve(srv, rpc.NoArg(m.Head))
+	rowNextUnfilled.Serve(srv, rpc.NoArg(m.NextUnfilled))
+	rowGossipVecs.Serve(srv, func(q vecs) (vecs, error) {
+		next, dur, err := m.GossipVecs(q.Next, q.Dur)
+		return vecs{next, dur}, err
 	})
 
-	// Replication: the catch-up feed and per-range frontiers (the two
-	// batch-carrying replica calls are registered above).
-	srv.Handle(msgRangeFrontier, func(p []byte) ([]byte, error) {
-		if len(p) < 4 {
-			return nil, errors.New("flstore: short RangeFrontier request")
-		}
-		return u64Reply(m.RangeFrontier(int(binary.LittleEndian.Uint32(p))))
-	})
-	srv.Handle(msgPullRange, func(p []byte) ([]byte, error) {
-		if len(p) < 16 {
-			return nil, errors.New("flstore: short PullRange request")
-		}
-		rangeIdx := int(binary.LittleEndian.Uint32(p))
-		from := binary.LittleEndian.Uint64(p[4:])
-		limit := int(binary.LittleEndian.Uint32(p[12:]))
-		recs, err := m.PullRange(rangeIdx, from, limit)
-		if err != nil {
-			return nil, err
-		}
-		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
+	// Replication: acting-primary appends, follower copies, the catch-up
+	// feed and per-range frontiers.
+	rowAppendFor.Serve(srv, func(q forReq) ([]uint64, error) { return m.AppendFor(q.Range, q.Recs) })
+	rowReplicaAppend.Serve(srv, rpc.NoReply(m.ReplicaAppend))
+	rowRangeFrontier.Serve(srv, m.RangeFrontier)
+	rowPullRange.Serve(srv, func(q pullReq) ([]*core.Record, error) { return m.PullRange(q.Range, q.From, q.Limit) })
+
+	// Hermes-style invalidation.
+	rowInvalidate.Serve(srv, func(q boundReq) (none, error) { return none{}, m.Invalidate(q.Range, q.UpTo) })
+	rowWatermark.Serve(srv, func(r uint64) (marks, error) {
+		wm, ann, err := m.ValidityWatermark(int(r))
+		return marks{wm, ann}, err
 	})
 
-	// Hermes-style invalidation. msgInvalidate is the fast-path control
-	// frame riding ahead of every fan-out payload: two fixed words, no
-	// response body, decoded in place.
-	srv.Handle(msgInvalidate, func(p []byte) ([]byte, error) {
-		if len(p) < 16 {
-			return nil, errors.New("flstore: short Invalidate request")
-		}
-		return nil, m.Invalidate(int(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]))
-	})
-	srv.Handle(msgWatermark, func(p []byte) ([]byte, error) {
-		if len(p) < 8 {
-			return nil, errors.New("flstore: short Watermark request")
-		}
-		wm, ann, err := m.ValidityWatermark(int(binary.LittleEndian.Uint64(p)))
-		if err != nil {
-			return nil, err
-		}
-		resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), wm)
-		return binary.LittleEndian.AppendUint64(resp, ann), nil
-	})
-
-	// Batched reads. msgTailWait is registered detached: a parked long-poll
-	// must not head-of-line-block the pipelined requests behind it on a
-	// shared connection.
-	srv.HandleTraced(msgReadRange, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		if len(p) < 28 {
-			return nil, errors.New("flstore: short ReadRange request")
-		}
-		q := RangeQuery{
-			Lo:         binary.LittleEndian.Uint64(p),
-			Hi:         binary.LittleEndian.Uint64(p[8:]),
-			Range:      int(int32(binary.LittleEndian.Uint32(p[16:]))),
-			MaxRecords: int(binary.LittleEndian.Uint32(p[20:])),
-			MaxBytes:   int(binary.LittleEndian.Uint32(p[24:])),
-			Trace:      *tc,
-		}
-		res, err := m.ReadRange(q)
-		if err != nil {
-			return nil, err
-		}
-		return appendRangeResult(make([]byte, 0, 12+core.EncodedSizeRecords(res.Records)), res), nil
-	})
-	srv.Handle(msgMultiRead, func(p []byte) ([]byte, error) {
-		lids, _, err := decodeLIds(p)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := m.MultiRead(lids)
-		if err != nil {
-			return nil, err
-		}
-		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
-	})
-	srv.HandleDetached(msgTailWait, func(p []byte) ([]byte, error) {
-		if len(p) < 20 {
-			return nil, errors.New("flstore: short TailWait request")
-		}
-		rangeIdx := int(int32(binary.LittleEndian.Uint32(p)))
-		cursor := binary.LittleEndian.Uint64(p[4:])
-		maxWait := time.Duration(int64(binary.LittleEndian.Uint64(p[12:])))
-		return u64Reply(m.TailWait(rangeIdx, cursor, maxWait))
-	})
+	// Batched reads.
+	rowReadRange.Serve(srv, m.ReadRange)
+	rowMultiRead.Serve(srv, m.MultiRead)
+	rowTailWait.Serve(srv, func(q tailReq) (uint64, error) { return m.TailWait(q.Range, q.Cursor, q.MaxWait) })
 }
 
 // ServeIndexer registers RPC handlers exposing ix on srv.
 func ServeIndexer(srv *rpc.Server, ix IndexerAPI) {
-	srv.Handle(msgPost, func(p []byte) ([]byte, error) {
-		ps, err := decodePostings(p)
-		if err != nil {
-			return nil, err
-		}
-		return nil, ix.Post(ps)
-	})
-	srv.Handle(msgLookup, func(p []byte) ([]byte, error) {
-		q, err := decodeLookup(p)
-		if err != nil {
-			return nil, err
-		}
-		lids, err := ix.Lookup(q)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, lids), nil
-	})
+	rowPost.Serve(srv, rpc.NoReply(ix.Post))
+	rowLookup.Serve(srv, ix.Lookup)
 }
 
 // ServeController registers RPC handlers exposing c on srv.
 func ServeController(srv *rpc.Server, c ControllerAPI) {
-	srv.Handle(msgGetConfig, func(p []byte) ([]byte, error) {
-		cfg, err := c.GetConfig()
-		if err != nil {
-			return nil, err
-		}
-		return appendConfig(nil, cfg), nil
-	})
+	rowGetConfig.Serve(srv, rpc.NoArg(c.GetConfig))
 }
 
-// ServeStats registers the msgStats handler on srv: a JSON-encoded snapshot
-// of every series in reg. The controller exposes it so ops tooling (logctl
-// stats) can read a node set's metrics over the same RPC substrate the data
-// path uses, without requiring the HTTP exposition endpoint.
+// ServeStats registers the Stats handler on srv: a snapshot of every
+// series in reg. The controller exposes it so ops tooling (logctl stats)
+// can read a node set's metrics over the same RPC substrate the data path
+// uses, without requiring the HTTP exposition endpoint.
 func ServeStats(srv *rpc.Server, reg *metrics.Registry) {
-	srv.Handle(msgStats, func(p []byte) ([]byte, error) {
-		return json.Marshal(reg)
-	})
+	rowStats.Serve(srv, func(none) (metrics.Snapshot, error) { return reg.Snapshot(), nil })
 }
 
-// ServeReplicas registers the msgReplicas handler on srv: a JSON-encoded
+// ServeReplicas registers the Replicas handler on srv: a
 // replica.ClusterStatus assembled by fn at request time. The controller
 // exposes it so `logctl replicas` can render per-group membership, health,
 // and catch-up lag.
 func ServeReplicas(srv *rpc.Server, fn func() (*replica.ClusterStatus, error)) {
-	srv.Handle(msgReplicas, func(p []byte) ([]byte, error) {
-		st, err := fn()
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(st)
-	})
-}
-
-func appendLookup(dst []byte, q LookupQuery) []byte {
-	dst = wire.AppendString(dst, q.Key)
-	dst = append(dst, byte(q.Cmp))
-	dst = wire.AppendString(dst, q.Value)
-	dst = binary.LittleEndian.AppendUint64(dst, q.MaxLIdExclusive)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(q.Limit))
-	var mr byte
-	if q.MostRecent {
-		mr = 1
-	}
-	return append(dst, mr)
-}
-
-func decodeLookup(buf []byte) (LookupQuery, error) {
-	var q LookupQuery
-	key, off, err := wire.DecodeString(buf)
-	if err != nil {
-		return q, err
-	}
-	q.Key = key
-	if len(buf) < off+1 {
-		return q, errors.New("flstore: short lookup cmp")
-	}
-	q.Cmp = core.CmpOp(buf[off])
-	off++
-	val, used, err := wire.DecodeString(buf[off:])
-	if err != nil {
-		return q, err
-	}
-	q.Value = val
-	off += used
-	if len(buf) < off+13 {
-		return q, errors.New("flstore: short lookup tail")
-	}
-	q.MaxLIdExclusive = binary.LittleEndian.Uint64(buf[off:])
-	q.Limit = int(binary.LittleEndian.Uint32(buf[off+8:]))
-	q.MostRecent = buf[off+12] == 1
-	return q, nil
+	rowReplicas.Serve(srv, rpc.NoArg(fn))
 }
 
 // --- client adapters ---
@@ -644,196 +528,102 @@ func mapRemoteError(err error) error {
 	return err
 }
 
+// call is a row's Call with the identity of well-known errors restored.
+func call[Q, R any](c rpc.Client, row *rpc.Message[Q, R], q Q) (R, error) {
+	r, err := row.Call(c, q)
+	return r, mapRemoteError(err)
+}
+
 // maintainerClient implements MaintainerAPI over an rpc.Client.
 type maintainerClient struct{ c rpc.Client }
 
 // NewMaintainerClient wraps an RPC client as a MaintainerAPI.
 func NewMaintainerClient(c rpc.Client) MaintainerAPI { return &maintainerClient{c: c} }
 
-// callBatch is the stub behind the five batch-carrying calls. The request
-// — the message's fixed header (batchPrefix) then the batch — is encoded
-// into a pooled buffer: Call only borrows the payload for the call's
-// duration, so it goes back to the pool after. The batch's trace context
-// (if any) rides the traced envelope; CallTraced degrades to a plain Call
-// for untraced batches. When the call assigns positions (wantLIds) the
-// reply's LIds are stamped onto the caller's records, mirroring the
-// in-process behaviour; a batch buffered for later release assigns none.
-func (mc *maintainerClient) callBatch(msg uint8, prefix uint64, recs []*core.Record, wantLIds bool) ([]uint64, error) {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	switch batchPrefix(msg) {
-	case 8:
-		*req = binary.LittleEndian.AppendUint64(*req, prefix)
-	case 4:
-		*req = binary.LittleEndian.AppendUint32(*req, uint32(prefix))
-	}
-	*req = core.AppendRecords(*req, recs)
-	resp, err := rpc.CallTraced(mc.c, &tc, msg, *req)
-	wire.PutBuf(req)
-	if err != nil || !wantLIds {
-		return nil, mapRemoteError(err)
-	}
-	lids, _, err := decodeLIds(resp)
-	if err != nil || len(lids) == 0 {
-		return nil, err
-	}
+// stampLIds writes the positions a remote append assigned onto the
+// caller's records, mirroring the in-process behaviour; a batch buffered
+// for later release was assigned none.
+func stampLIds(recs []*core.Record, lids []uint64) []uint64 {
 	for i, r := range recs {
 		if i < len(lids) {
 			r.LId = lids[i]
 		}
 	}
-	return lids, nil
-}
-
-// callU64 is the stub behind the calls that answer with one position.
-func (mc *maintainerClient) callU64(msg uint8, name string, req []byte) (uint64, error) {
-	resp, err := mc.c.Call(msg, req)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, fmt.Errorf("flstore: short %s response", name)
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return lids
 }
 
 func (mc *maintainerClient) Append(recs []*core.Record) ([]uint64, error) {
-	return mc.callBatch(msgAppend, 0, recs, true)
+	lids, err := call(mc.c, &rowAppend, recs)
+	return stampLIds(recs, lids), err
 }
 
 func (mc *maintainerClient) AppendAssigned(recs []*core.Record) error {
-	_, err := mc.callBatch(msgAppendAssigned, 0, recs, false)
+	_, err := call(mc.c, &rowAppendAssigned, recs)
 	return err
 }
 
 func (mc *maintainerClient) AppendAfter(minLId uint64, recs []*core.Record) ([]uint64, error) {
-	return mc.callBatch(msgAppendAfter, minLId, recs, true)
+	lids, err := call(mc.c, &rowAppendAfter, afterReq{minLId, recs})
+	return stampLIds(recs, lids), err
 }
 
 func (mc *maintainerClient) Read(lid uint64) (*core.Record, error) {
-	resp, err := mc.c.Call(msgRead, binary.LittleEndian.AppendUint64(nil, lid))
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	rec, _, err := core.DecodeRecord(resp)
-	return rec, err
+	return call(mc.c, &rowRead, lid)
 }
 
 func (mc *maintainerClient) Scan(rule core.Rule) ([]*core.Record, error) {
-	resp, err := mc.c.Call(msgScan, appendRule(nil, rule))
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	recs, _, err := core.DecodeRecordsShared(resp)
-	return recs, err
+	return call(mc.c, &rowScan, rule)
 }
 
-func (mc *maintainerClient) Head() (uint64, error) {
-	return mc.callU64(msgHead, "Head", nil)
-}
+func (mc *maintainerClient) Head() (uint64, error) { return call(mc.c, &rowHead, none{}) }
 
 func (mc *maintainerClient) NextUnfilled() (uint64, error) {
-	return mc.callU64(msgNextUnfilled, "NextUnfilled", nil)
+	return call(mc.c, &rowNextUnfilled, none{})
 }
 
 func (mc *maintainerClient) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error) {
-	return mc.callBatch(msgAppendFor, uint64(rangeIdx), recs, true)
+	lids, err := call(mc.c, &rowAppendFor, forReq{rangeIdx, recs})
+	return stampLIds(recs, lids), err
 }
 
 func (mc *maintainerClient) ReplicaAppend(recs []*core.Record) error {
-	_, err := mc.callBatch(msgReplicaAppend, 0, recs, false)
+	_, err := call(mc.c, &rowReplicaAppend, recs)
 	return err
 }
 
 func (mc *maintainerClient) RangeFrontier(rangeIdx int) (uint64, error) {
-	req := wire.GetBuf()
-	*req = binary.LittleEndian.AppendUint32(*req, uint32(rangeIdx))
-	f, err := mc.callU64(msgRangeFrontier, "RangeFrontier", *req)
-	wire.PutBuf(req)
-	return f, err
+	return call(mc.c, &rowRangeFrontier, rangeIdx)
 }
 
 func (mc *maintainerClient) PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error) {
-	req := binary.LittleEndian.AppendUint32(nil, uint32(rangeIdx))
-	req = binary.LittleEndian.AppendUint64(req, fromLId)
-	req = binary.LittleEndian.AppendUint32(req, uint32(limit))
-	resp, err := mc.c.Call(msgPullRange, req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	recs, _, err := core.DecodeRecordsShared(resp)
-	return recs, err
+	return call(mc.c, &rowPullRange, pullReq{rangeIdx, fromLId, limit})
 }
 
 func (mc *maintainerClient) ReadRange(q RangeQuery) (RangeResult, error) {
-	req := wire.GetBuf()
-	*req = binary.LittleEndian.AppendUint64(*req, q.Lo)
-	*req = binary.LittleEndian.AppendUint64(*req, q.Hi)
-	*req = binary.LittleEndian.AppendUint32(*req, uint32(int32(q.Range)))
-	*req = binary.LittleEndian.AppendUint32(*req, uint32(q.MaxRecords))
-	*req = binary.LittleEndian.AppendUint32(*req, uint32(q.MaxBytes))
-	tc := q.Trace
-	resp, err := rpc.CallTraced(mc.c, &tc, msgReadRange, *req)
-	wire.PutBuf(req)
-	if err != nil {
-		return RangeResult{}, mapRemoteError(err)
-	}
-	return decodeRangeResult(resp)
+	return call(mc.c, &rowReadRange, q)
 }
 
 func (mc *maintainerClient) MultiRead(lids []uint64) ([]*core.Record, error) {
-	req := wire.GetBuf()
-	*req = appendLIds(*req, lids)
-	resp, err := mc.c.Call(msgMultiRead, *req)
-	wire.PutBuf(req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	recs, _, err := core.DecodeRecordsShared(resp)
-	return recs, err
+	return call(mc.c, &rowMultiRead, lids)
 }
 
 func (mc *maintainerClient) TailWait(rangeIdx int, cursor uint64, maxWait time.Duration) (uint64, error) {
-	req := make([]byte, 0, 20)
-	req = binary.LittleEndian.AppendUint32(req, uint32(int32(rangeIdx)))
-	req = binary.LittleEndian.AppendUint64(req, cursor)
-	req = binary.LittleEndian.AppendUint64(req, uint64(int64(maxWait)))
-	return mc.callU64(msgTailWait, "TailWait", req)
+	return call(mc.c, &rowTailWait, tailReq{rangeIdx, cursor, maxWait})
 }
 
 func (mc *maintainerClient) Invalidate(rangeIdx int, upTo uint64) error {
-	// The invalidation frame rides ahead of every fan-out payload, so it
-	// shares the append hot path's allocation discipline: two fixed words
-	// through the pooled-buffer fast path, no response body.
-	_, err := rpc.CallU64s(mc.c, msgInvalidate, uint64(rangeIdx), upTo)
-	return mapRemoteError(err)
+	_, err := call(mc.c, &rowInvalidate, boundReq{rangeIdx, upTo})
+	return err
 }
 
 func (mc *maintainerClient) ValidityWatermark(rangeIdx int) (uint64, uint64, error) {
-	resp, err := rpc.CallU64s(mc.c, msgWatermark, uint64(rangeIdx))
-	if err != nil {
-		return 0, 0, mapRemoteError(err)
-	}
-	if len(resp) < 16 {
-		return 0, 0, errors.New("flstore: short Watermark response")
-	}
-	return binary.LittleEndian.Uint64(resp), binary.LittleEndian.Uint64(resp[8:]), nil
+	m, err := call(mc.c, &rowWatermark, uint64(rangeIdx))
+	return m.Watermark, m.Announced, err
 }
 
 func (mc *maintainerClient) GossipVecs(next, dur []uint64) ([]uint64, []uint64, error) {
-	resp, err := mc.c.Call(msgGossipVecs, appendLIds(appendLIds(nil, next), dur))
-	if err != nil {
-		return nil, nil, mapRemoteError(err)
-	}
-	myNext, n, err := decodeLIds(resp)
-	if err != nil {
-		return nil, nil, err
-	}
-	myDur, _, err := decodeLIds(resp[n:])
-	if err != nil {
-		return nil, nil, err
-	}
-	return myNext, myDur, nil
+	v, err := call(mc.c, &rowGossipVecs, vecs{next, dur})
+	return v.Next, v.Dur, err
 }
 
 // indexerClient implements IndexerAPI over an rpc.Client.
@@ -843,17 +633,12 @@ type indexerClient struct{ c rpc.Client }
 func NewIndexerClient(c rpc.Client) IndexerAPI { return &indexerClient{c: c} }
 
 func (ic *indexerClient) Post(entries []Posting) error {
-	_, err := ic.c.Call(msgPost, appendPostings(nil, entries))
-	return mapRemoteError(err)
+	_, err := call(ic.c, &rowPost, entries)
+	return err
 }
 
 func (ic *indexerClient) Lookup(q LookupQuery) ([]uint64, error) {
-	resp, err := ic.c.Call(msgLookup, appendLookup(nil, q))
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	lids, _, err := decodeLIds(resp)
-	return lids, err
+	return call(ic.c, &rowLookup, q)
 }
 
 // controllerClient implements ControllerAPI over an rpc.Client.
@@ -863,9 +648,5 @@ type controllerClient struct{ c rpc.Client }
 func NewControllerClient(c rpc.Client) ControllerAPI { return &controllerClient{c: c} }
 
 func (cc *controllerClient) GetConfig() (*Config, error) {
-	resp, err := cc.c.Call(msgGetConfig, nil)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	return decodeConfig(resp)
+	return call(cc.c, &rowGetConfig, none{})
 }

@@ -2,21 +2,66 @@ package flstore
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/replica"
+	"repro/internal/rpc"
 )
 
-// TestDecodersRejectShortAndInflatedPayloads feeds every hand-rolled
-// control-plane decoder each strict prefix of a valid encoding and payloads
-// whose count (or string length) field claims far more elements than the
-// bytes behind it hold. Every one must come back as an error — no panic,
-// and no allocation sized by the claimed count: a four-byte ff ff ff ff
-// request must not ask the allocator for gigabytes.
-func TestDecodersRejectShortAndInflatedPayloads(t *testing.T) {
-	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+// shapeCase is one side of a row with its type erased: a valid encoding,
+// and decode-then-encode over arbitrary bytes.
+type shapeCase struct {
+	side   string
+	valid  []byte
+	recode func([]byte) ([]byte, error)
+}
+
+// rowCase is one row of the protocol table with a sample request and reply.
+type rowCase struct {
+	typ      uint8
+	name     string
+	detached bool
+	sides    [2]shapeCase
+}
+
+func shapeOf[T any](side string, c rpc.Codec[T], v T) shapeCase {
+	valid, err := c.Put(nil, v)
+	if err != nil {
+		panic(err)
+	}
+	return shapeCase{side, valid, func(p []byte) ([]byte, error) {
+		v, err := c.Get(p, nil)
+		if err != nil {
+			return nil, err
+		}
+		return c.Put(nil, v)
+	}}
+}
+
+func caseOf[Q, R any](row *rpc.Message[Q, R], q Q, r R) rowCase {
+	return rowCase{row.Type, row.Name, row.Detached,
+		[2]shapeCase{shapeOf("request", row.Req, q), shapeOf("reply", row.Reply, r)}}
+}
+
+// protocolCases lists every row of the table; TestProtocolTableIsCovered
+// fails when a row is added without one.
+func protocolCases() []rowCase {
+	recs := []*core.Record{
+		{LId: 1, TOId: 1, Host: 0, Body: []byte("a")},
+		{LId: 2, TOId: 2, Host: 1,
+			Tags: []core.Tag{{Key: "stream", Value: "orders"}},
+			Deps: []core.Dep{{DC: 0, TOId: 1}},
+			Body: []byte("a body that is long enough to matter")},
+	}
+	lids := []uint64{1, 2, 3}
+	rule := core.Rule{MinLId: 3, MaxLId: 9, HasHost: true, Host: 2, TagKey: "k", TagCmp: core.CmpEQ, TagValue: "v", Limit: 5, MostRecent: true}
 	cfg := &Config{
 		Placement:       Placement{NumMaintainers: 2, BatchSize: 4},
 		MaintainerAddrs: []string{"m0:1", "m1:1"},
@@ -28,74 +73,142 @@ func TestDecodersRejectShortAndInflatedPayloads(t *testing.T) {
 		Replication: 3,
 		AckPolicy:   "majority",
 	}
-	cfgHead := make([]byte, 12) // placement
-	none := make([]byte, 4)     // a zero count
-	oneEpoch := cat([]byte{1, 0, 0, 0}, make([]byte, 20))
-	rule := core.Rule{MinLId: 3, MaxLId: 9, HasHost: true, Host: 2, TagKey: "k", TagCmp: core.CmpEQ, TagValue: "v", Limit: 5, MostRecent: true}
-	cases := []struct {
-		name     string
-		decode   func([]byte) error
-		valid    []byte
-		inflated [][]byte
-	}{
-		{
-			name:     "decodePostings",
-			decode:   func(b []byte) error { _, err := decodePostings(b); return err },
-			valid:    appendPostings(nil, []Posting{{Key: "k", Value: "v", LId: 7}, {Key: "", Value: "", LId: 8}}),
-			inflated: [][]byte{huge, cat(huge, make([]byte, 64))},
-		},
-		{
-			name:   "decodeConfig",
-			decode: func(b []byte) error { _, err := decodeConfig(b); return err },
-			valid:  appendConfig(nil, cfg),
-			inflated: [][]byte{
-				cat(cfgHead, huge),                       // maintainer addrs
-				cat(cfgHead, none, huge),                 // indexer addrs
-				cat(cfgHead, none, none, huge),           // epochs
-				cat(cfgHead, none, none, oneEpoch, huge), // an epoch's addrs
-			},
-		},
-		{
-			name:     "decodeLIds",
-			decode:   func(b []byte) error { _, _, err := decodeLIds(b); return err },
-			valid:    appendLIds(nil, []uint64{1, 2, 3}),
-			inflated: [][]byte{huge, cat(huge, make([]byte, 64))},
-		},
-		{
-			name:     "decodeLookup",
-			decode:   func(b []byte) error { _, err := decodeLookup(b); return err },
-			valid:    appendLookup(nil, LookupQuery{Key: "k", Cmp: core.CmpEQ, Value: "v", MaxLIdExclusive: 9, Limit: 2, MostRecent: true}),
-			inflated: [][]byte{{0xff, 0xff, 'k'}},
-		},
-		{
-			name:     "decodeRule",
-			decode:   func(b []byte) error { _, _, err := decodeRule(b); return err },
-			valid:    appendRule(nil, rule),
-			inflated: [][]byte{cat(appendRule(nil, core.Rule{})[:43], []byte{0xff, 0xff, 'k'})},
-		},
+	reg := metrics.NewRegistry()
+	reg.Counter("c_total", metrics.L("k", "v")).Add(3)
+	reg.Histogram("h_seconds", metrics.LatencyBuckets).Observe(0.01)
+	epoch := EpochStatus{Epoch: 1, FirstLId: 9, NumMaintainers: 2, BatchSize: 4, MaintainerAddrs: []string{"m0:1"}, RangesTotal: 2}
+	return []rowCase{
+		caseOf(&rowAppend, recs, lids),
+		caseOf(&rowAppendAssigned, recs, none{}),
+		caseOf(&rowAppendAfter, afterReq{7, recs}, lids),
+		caseOf(&rowRead, 7, recs[1]),
+		caseOf(&rowScan, rule, recs),
+		caseOf(&rowHead, none{}, 9),
+		caseOf(&rowNextUnfilled, none{}, 10),
+		caseOf(&rowPost, []Posting{{Key: "k", Value: "v", LId: 7}, {Key: "", Value: "", LId: 8}}, none{}),
+		caseOf(&rowLookup, LookupQuery{Key: "k", Cmp: core.CmpEQ, Value: "v", MaxLIdExclusive: 9, Limit: 2, MostRecent: true}, lids),
+		caseOf(&rowGetConfig, none{}, cfg),
+		caseOf(&rowStats, none{}, reg.Snapshot()),
+		caseOf(&rowAppendFor, forReq{2, recs}, lids),
+		caseOf(&rowReplicaAppend, recs, none{}),
+		caseOf(&rowRangeFrontier, 2, 17),
+		caseOf(&rowPullRange, pullReq{2, 17, 64}, recs),
+		caseOf(&rowReplicas, none{}, &replica.ClusterStatus{Replication: 3, Ack: "majority", Groups: []replica.GroupStatus{{Range: 0}}}),
+		caseOf(&rowReadRange, RangeQuery{Lo: 2, Hi: 10, Range: -1, MaxRecords: 64, MaxBytes: 4096}, RangeResult{Records: recs, CoveredHi: 2}),
+		caseOf(&rowMultiRead, lids, recs),
+		caseOf(&rowTailWait, tailReq{-1, 18, 50 * time.Millisecond}, 19),
+		caseOf(&rowInvalidate, boundReq{2, 27}, none{}),
+		caseOf(&rowWatermark, 2, marks{19, 27}),
+		caseOf(&rowGossipVecs, vecs{lids, []uint64{1, 0, 0}}, vecs{lids, lids}),
+		caseOf(&rowAdminEpochs, none{}, []EpochStatus{epoch}),
+		caseOf(&rowAdminPropose, EpochProposal{NumMaintainers: 2, MaintainerAddrs: []string{"m0:1", "m1:1"}}, epoch),
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.decode(tc.valid); err != nil {
-				t.Fatalf("valid payload rejected: %v", err)
-			}
-			for n := 0; n < len(tc.valid); n++ {
-				if err := tc.decode(tc.valid[:n]); err == nil {
-					t.Errorf("payload truncated to %d of %d bytes accepted", n, len(tc.valid))
-				}
-			}
-			for i, p := range tc.inflated {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				err := tc.decode(p)
-				runtime.ReadMemStats(&after)
-				if err == nil {
-					t.Errorf("inflated payload %d accepted", i)
-				}
-				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-					t.Errorf("inflated payload %d (%d bytes) allocated %d bytes", i, len(p), grew)
-				}
-			}
-		})
+}
+
+// TestProtocolTableIsCovered holds the table and its two mirrors together:
+// protocolCases has exactly one case per message type, and each row's type
+// byte, name and serving class are what api/protocol.txt — captured from
+// outside the package by TestProtocolGolden — says they are.
+func TestProtocolTableIsCovered(t *testing.T) {
+	snapshot, err := os.ReadFile("../../api/protocol.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
+	cases := protocolCases()
+	if len(cases) != int(msgAdminPropose) {
+		t.Fatalf("%d cases for %d message types", len(cases), msgAdminPropose)
+	}
+	for i, c := range cases {
+		if c.typ != uint8(i+1) {
+			t.Errorf("case %d is row %s of type %d, want type %d", i, c.name, c.typ, i+1)
+		}
+		class := "in-order"
+		if c.detached {
+			class = "detached"
+		}
+		if want := fmt.Sprintf("\nflstore %02x %s %s ", c.typ, c.name, class); !strings.Contains(string(snapshot), want) {
+			t.Errorf("api/protocol.txt has no line starting %q", want[1:])
+		}
+	}
+}
+
+// allocated runs fn and returns the bytes it allocated.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersRejectShortAndInflatedPayloads feeds both shapes of every row
+// each strict prefix of a valid encoding — every one must come back as an
+// error — and the valid encoding with ff ff ff ff written over each
+// position in turn, which puts an absurd value in every count and length
+// field the shape has. None of it may panic or allocate by the claimed
+// count: a four-byte ff ff ff ff request must not ask the allocator for
+// gigabytes.
+func TestDecodersRejectShortAndInflatedPayloads(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff}
+	for _, c := range protocolCases() {
+		for _, s := range c.sides {
+			t.Run(c.name+"/"+s.side, func(t *testing.T) {
+				again, err := s.recode(s.valid)
+				if err != nil {
+					t.Fatalf("valid payload rejected: %v", err)
+				}
+				if !bytes.Equal(again, s.valid) {
+					t.Fatalf("decode then encode changed the payload:\n %x\n %x", s.valid, again)
+				}
+				for n := 0; n < len(s.valid); n++ {
+					if _, err := s.recode(s.valid[:n]); err == nil {
+						t.Errorf("payload truncated to %d of %d bytes accepted", n, len(s.valid))
+					}
+				}
+				inflated := [][]byte{huge, append(append([]byte(nil), huge...), make([]byte, 64)...)}
+				for i := 0; i+len(huge) <= len(s.valid); i++ {
+					p := append([]byte(nil), s.valid...)
+					copy(p[i:], huge)
+					inflated = append(inflated, p)
+				}
+				for i, p := range inflated {
+					if grew := allocated(func() { s.recode(p) }); grew > 1<<20 {
+						t.Errorf("inflated payload %d (%d bytes) allocated %d bytes", i, len(p), grew)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzProtocolRows throws arbitrary bytes at both shapes of every row: no
+// decoder may panic, and whatever one accepts must survive encode → decode
+// → encode unchanged.
+func FuzzProtocolRows(f *testing.F) {
+	cases := protocolCases()
+	for i, c := range cases {
+		for side, s := range c.sides {
+			f.Add(uint8(i), side == 1, s.valid)
+			if len(s.valid) > 3 {
+				f.Add(uint8(i), side == 1, s.valid[:len(s.valid)-3])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, row uint8, reply bool, data []byte) {
+		s := cases[int(row)%len(cases)].sides[0]
+		if reply {
+			s = cases[int(row)%len(cases)].sides[1]
+		}
+		first, err := s.recode(data)
+		if err != nil {
+			return
+		}
+		second, err := s.recode(first)
+		if err != nil {
+			t.Fatalf("%s %s: re-encoded payload rejected: %v", cases[int(row)%len(cases)].name, s.side, err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s %s: encoding is not a fixed point:\n %x\n %x", cases[int(row)%len(cases)].name, s.side, first, second)
+		}
+	})
 }

@@ -602,22 +602,23 @@ func FuzzDecodeRangeResult(f *testing.F) {
 			Deps: []core.Dep{{DC: 0, TOId: 1}},
 			Body: []byte("a body that is long enough to matter")},
 	}
-	f.Add(appendRangeResult(nil, RangeResult{CoveredHi: 2, Records: seed}))
-	f.Add(appendRangeResult(nil, RangeResult{CoveredHi: 0}))
-	full := appendRangeResult(nil, RangeResult{CoveredHi: 2, Records: seed})
+	full, _ := putRangeResult(nil, RangeResult{CoveredHi: 2, Records: seed})
+	empty, _ := putRangeResult(nil, RangeResult{CoveredHi: 0})
+	f.Add(full)
+	f.Add(empty)
 	f.Add(full[:7])           // short envelope
 	f.Add(full[:len(full)-3]) // truncated final record
 	f.Add(full[:12])          // count without records
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := decodeRangeResult(data)
+		res, err := getRangeResult(data, nil)
 		if err != nil {
 			return
 		}
 		// Accepted input round-trips canonically: re-encoding reproduces
 		// the consumed prefix.
-		re := appendRangeResult(nil, res)
+		re, _ := putRangeResult(nil, res)
 		if !bytes.Equal(re, data[:len(re)]) {
 			t.Fatalf("re-encoded response differs from consumed input")
 		}
@@ -629,7 +630,8 @@ func TestRangeResultRoundTrip(t *testing.T) {
 		{LId: 41, TOId: 41, Host: 2, Body: []byte("x")},
 		{LId: 42, TOId: 42, Host: 0, Tags: []core.Tag{{Key: "k", Value: "v"}}},
 	}}
-	dec, err := decodeRangeResult(appendRangeResult(nil, res))
+	enc, _ := putRangeResult(nil, res)
+	dec, err := getRangeResult(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,9 @@ func batchTrace(recs []*core.Record) trace.Ctx {
 // stampRecords restamps decoded records with the envelope's trace
 // context so in-process stages downstream of a wire hop see the caller's
 // trace (the codec does not serialize Record.Trace). No-op for untraced
-// requests.
+// requests, and for replies, which are decoded with no context.
 func stampRecords(recs []*core.Record, tc *trace.Ctx) {
-	if !tc.Sampled() {
+	if tc == nil || !tc.Sampled() {
 		return
 	}
 	for _, r := range recs {

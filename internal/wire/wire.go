@@ -152,7 +152,7 @@ func (rd *Reader) Next() (Frame, error) {
 	return f, err
 }
 
-// --- small payload-building helpers shared by subsystem message schemas ---
+// --- payload building and reading, shared by the message schemas ---
 
 // AppendString appends a u16-length-prefixed string.
 func AppendString(dst []byte, s string) []byte {
@@ -160,18 +160,110 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// DecodeString decodes a string written by AppendString, returning the
-// string and bytes consumed.
-func DecodeString(buf []byte) (string, int, error) {
-	if len(buf) < 2 {
-		return "", 0, errors.New("wire: short buffer for string")
+// AppendBool appends b as one byte, 1 or 0.
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
 	}
-	n := int(binary.LittleEndian.Uint16(buf))
-	if len(buf) < 2+n {
-		return "", 0, errors.New("wire: short buffer for string body")
-	}
-	return string(buf[2 : 2+n]), 2 + n, nil
+	return append(dst, 0)
 }
+
+// ErrShort is the error of a Dec that was asked for more bytes than its
+// payload holds.
+var ErrShort = errors.New("wire: payload shorter than its fields")
+
+// Dec is a read cursor over one payload, the one place payload bounds are
+// checked. Its error is sticky: the first read past the end fails the
+// cursor, every read after that returns a zero value, and the decoder
+// looks at Err once, when it has read every field — so a message layout is
+// written as the list of its fields and nothing else. Keep a Dec a local of
+// the function that reads through it: handed through a func value it
+// escapes to the heap (DESIGN.md §3.8).
+type Dec struct {
+	p   []byte
+	err error
+}
+
+// NewDec returns a cursor at the start of p. What it returns aliases p
+// only through Rest; strings are copies.
+func NewDec(p []byte) Dec { return Dec{p: p} }
+
+// take consumes the next n bytes; nil once the cursor has failed.
+func (d *Dec) take(n int) []byte {
+	if d.err != nil || n < 0 || len(d.p) < n {
+		d.err, d.p = ErrShort, nil
+		return nil
+	}
+	b := d.p[:n]
+	d.p = d.p[n:]
+	return b
+}
+
+// U8 reads one byte.
+func (d *Dec) U8() uint8 {
+	if b := d.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// U16 reads a little-endian u16.
+func (d *Dec) U16() uint16 {
+	if b := d.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+// U32 reads a little-endian u32.
+func (d *Dec) U32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// U64 reads a little-endian u64.
+func (d *Dec) U64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// Bool reads a byte written by AppendBool.
+func (d *Dec) Bool() bool { return d.U8() == 1 }
+
+// Str reads a string written by AppendString.
+func (d *Dec) Str() string { return string(d.take(int(d.U16()))) }
+
+// Count reads a u32 element count and fails the cursor unless the bytes
+// that remain can hold that many elements of at least minElem bytes each,
+// so what a decoder allocates is bounded by the payload it was sent, never
+// by the count the payload claims.
+func (d *Dec) Count(minElem int) int { return d.fits(int(d.U32()), minElem) }
+
+// Count16 is Count for a u16 count.
+func (d *Dec) Count16(minElem int) int { return d.fits(int(d.U16()), minElem) }
+
+func (d *Dec) fits(n, minElem int) int {
+	if d.err != nil || n > len(d.p)/minElem {
+		d.err, d.p = ErrShort, nil
+		return 0
+	}
+	return n
+}
+
+// Rest returns the unread bytes without consuming them (nil once the
+// cursor has failed): the way into a decoder that does its own framing,
+// such as the record batch codec. Skip then steps over what it consumed.
+func (d *Dec) Rest() []byte { return d.p }
+
+// Skip consumes n bytes.
+func (d *Dec) Skip(n int) { d.take(n) }
+
+// Err returns ErrShort if any read ran past the end of the payload.
+func (d *Dec) Err() error { return d.err }
 
 // AppendBytes appends a u32-length-prefixed byte slice.
 func AppendBytes(dst, b []byte) []byte {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strings"
 	"testing"
@@ -88,20 +89,67 @@ func TestFrameTruncatedBody(t *testing.T) {
 
 func TestStringHelpers(t *testing.T) {
 	buf := AppendString(nil, "chariots")
-	s, used, err := DecodeString(buf)
-	if err != nil || s != "chariots" || used != len(buf) {
-		t.Errorf("DecodeString = %q, %d, %v", s, used, err)
+	d := NewDec(buf)
+	if s := d.Str(); d.Err() != nil || s != "chariots" || len(d.Rest()) != 0 {
+		t.Errorf("Str = %q, %v, %d bytes left", s, d.Err(), len(d.Rest()))
 	}
-	if _, _, err := DecodeString(buf[:1]); err == nil {
-		t.Error("accepted truncated string header")
-	}
-	if _, _, err := DecodeString(buf[:4]); err == nil {
-		t.Error("accepted truncated string body")
+	for _, n := range []int{1, 4} { // truncated header, truncated body
+		d := NewDec(buf[:n])
+		if s := d.Str(); d.Err() == nil || s != "" {
+			t.Errorf("Str of %d of %d bytes = %q, %v", n, len(buf), s, d.Err())
+		}
 	}
 	long := strings.Repeat("x", 1000)
-	s2, _, err := DecodeString(AppendString(nil, long))
-	if err != nil || s2 != long {
+	d = NewDec(AppendString(nil, long))
+	if s := d.Str(); d.Err() != nil || s != long {
 		t.Error("long string round trip failed")
+	}
+}
+
+// TestDec reads one of everything back in order, then checks that the
+// error is sticky: after the first read past the end every read is zero,
+// Rest is empty and Err stays set.
+func TestDec(t *testing.T) {
+	buf := []byte{7}
+	buf = binary.LittleEndian.AppendUint16(buf, 0x1234)
+	buf = binary.LittleEndian.AppendUint32(buf, 0x89abcdef)
+	buf = binary.LittleEndian.AppendUint64(buf, 1<<63|5)
+	buf = AppendBool(AppendBool(buf, true), false)
+	buf = AppendString(buf, "k")
+	buf = binary.LittleEndian.AppendUint32(buf, 2) // a count of two 3-byte elements
+	buf = append(buf, "abcdef"...)
+	d := NewDec(buf)
+	if d.U8() != 7 || d.U16() != 0x1234 || d.U32() != 0x89abcdef || d.U64() != 1<<63|5 ||
+		!d.Bool() || d.Bool() || d.Str() != "k" || d.Count(3) != 2 {
+		t.Fatal("fields read back wrong")
+	}
+	if string(d.Rest()) != "abcdef" {
+		t.Fatalf("Rest = %q", d.Rest())
+	}
+	d.Skip(4)
+	if string(d.Rest()) != "ef" || d.Err() != nil {
+		t.Fatalf("after Skip: Rest %q, Err %v", d.Rest(), d.Err())
+	}
+	if d.U32() != 0 || d.Err() != ErrShort {
+		t.Fatalf("read past the end: Err %v", d.Err())
+	}
+	if d.U8() != 0 || d.Str() != "" || d.Count(1) != 0 || d.Rest() != nil || d.Err() != ErrShort {
+		t.Fatal("a failed cursor kept reading")
+	}
+
+	// A count the remaining bytes cannot hold fails before anyone sizes an
+	// allocation by it, for both count widths.
+	d = NewDec(append([]byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 64)...))
+	if n := d.Count(8); n != 0 || d.Err() != ErrShort {
+		t.Fatalf("inflated u32 count: %d, %v", n, d.Err())
+	}
+	d = NewDec([]byte{3, 0, 1, 2})
+	if n := d.Count16(1); n != 0 || d.Err() != ErrShort {
+		t.Fatalf("inflated u16 count: %d, %v", n, d.Err())
+	}
+	d = NewDec([]byte{2, 0, 1, 2})
+	if n := d.Count16(1); n != 2 || d.Err() != nil {
+		t.Fatalf("exact u16 count: %d, %v", n, d.Err())
 	}
 }
 

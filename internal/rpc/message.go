@@ -92,7 +92,7 @@ func (m *Message[Q, R]) Call(c Client, q Q) (R, error) {
 
 // Serve registers fn as the message's handler on srv.
 func (m *Message[Q, R]) Serve(srv *Server, fn func(Q) (R, error)) {
-	h := func(tc *trace.Ctx, p []byte) ([]byte, error) {
+	srv.Register(m.Type, Route{Name: m.Name, Detached: m.Detached, Serve: func(tc *trace.Ctx, p []byte) ([]byte, error) {
 		q, err := m.Req.Get(p, tc)
 		if err != nil {
 			return nil, fmt.Errorf("rpc: %s request: %w", m.Name, err)
@@ -102,10 +102,5 @@ func (m *Message[Q, R]) Serve(srv *Server, fn func(Q) (R, error)) {
 			return nil, err
 		}
 		return m.Reply.Put(nil, r)
-	}
-	if m.Detached {
-		srv.HandleTracedDetached(m.Type, h)
-	} else {
-		srv.HandleTraced(m.Type, h)
-	}
+	}})
 }

@@ -1,8 +1,6 @@
 package rpc
 
 import (
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -19,15 +17,14 @@ type serverMetrics struct {
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
 	errors   *metrics.Counter
-
-	mu      sync.Mutex
-	latency map[uint8]*metrics.BucketHistogram // per message type
 }
 
 // EnableMetrics registers this server's dispatch instrumentation with reg:
 // per-message-type call latency histograms, an in-flight requests gauge,
-// payload bytes in/out, and a handler-error counter. Call before Listen;
-// the instruments are shared by all connections.
+// payload bytes in/out, and a handler-error counter. The instruments are
+// shared by all connections. Each route's histogram is resolved here, or
+// by Register for a route that comes later, so observing a call looks
+// nothing up.
 func (s *Server) EnableMetrics(reg *metrics.Registry, component string) {
 	lbl := metrics.L("component", component)
 	m := &serverMetrics{
@@ -37,33 +34,34 @@ func (s *Server) EnableMetrics(reg *metrics.Registry, component string) {
 		bytesIn:   reg.Counter("rpc_server_bytes_in_total", lbl),
 		bytesOut:  reg.Counter("rpc_server_bytes_out_total", lbl),
 		errors:    reg.Counter("rpc_server_errors_total", lbl),
-		latency:   make(map[uint8]*metrics.BucketHistogram),
 	}
 	s.mu.Lock()
-	s.metrics = m
-	s.mu.Unlock()
-}
-
-// histFor returns (lazily creating) the latency histogram for one message
-// type. Message types are a small fixed space, so per-type series are
-// bounded cardinality.
-func (m *serverMetrics) histFor(msgType uint8) *metrics.BucketHistogram {
-	m.mu.Lock()
-	h, ok := m.latency[msgType]
-	if !ok {
-		h = m.reg.Histogram("rpc_server_call_seconds", metrics.LatencyBuckets,
-			metrics.L("component", m.component),
-			metrics.L("msg_type", strconv.Itoa(int(msgType))))
-		m.latency[msgType] = h
+	defer s.mu.Unlock()
+	t := *s.table.Load()
+	t.metrics = m
+	for i := range t.routes {
+		if r := &t.routes[i]; r.Serve != nil {
+			r.latency = m.histFor(r.Name)
+		}
 	}
-	m.mu.Unlock()
-	return h
+	s.table.Store(&t)
 }
 
-// observe wraps one dispatch: in-flight accounting, latency, byte and error
-// counts. respLen/isErr describe the response frame.
-func (m *serverMetrics) observe(msgType uint8, reqLen, respLen int, start time.Time, isErr bool) {
-	m.histFor(msgType).ObserveSince(start)
+// histFor returns the latency histogram of the message type named name
+// (nil while metrics are off). Message types are a small fixed space, so
+// per-type series are bounded cardinality.
+func (m *serverMetrics) histFor(name string) *metrics.BucketHistogram {
+	if m == nil {
+		return nil
+	}
+	return m.reg.Histogram("rpc_server_call_seconds", metrics.LatencyBuckets,
+		metrics.L("component", m.component), metrics.L("msg_type", name))
+}
+
+// observe records one served call: latency, byte and error counts.
+// respLen/isErr describe the response frame.
+func (m *serverMetrics) observe(latency *metrics.BucketHistogram, reqLen, respLen int, start time.Time, isErr bool) {
+	latency.ObserveSince(start)
 	m.bytesIn.Add(uint64(reqLen))
 	m.bytesOut.Add(uint64(respLen))
 	if isErr {

@@ -3,10 +3,14 @@
 // in-process transport with identical semantics for simulations that
 // measure algorithmic (not kernel-networking) behaviour.
 //
-// Servers register a handler per message type. Requests on one connection
-// are served in order (FIFO), which upper layers rely on for the
-// "send appends to the same maintainer in the desired order" form of
-// explicit ordering (§5.4); concurrency comes from multiple connections.
+// A protocol over it is a table of Message rows (message.go): a row's Call
+// is the stub and its Serve registers the handler, as one Route per message
+// type. Requests on one connection are served in order (FIFO), which upper
+// layers rely on for the "send appends to the same maintainer in the
+// desired order" form of explicit ordering (§5.4); concurrency comes from
+// multiple connections and from routes marked Detached. Serving a request
+// takes no server-wide lock: the routes live in one table behind an atomic
+// pointer that registration replaces and requests load.
 package rpc
 
 import (
@@ -16,8 +20,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -37,7 +43,13 @@ var ErrClosed = errors.New("rpc: closed")
 // — already do). The returned response is owned by the RPC layer only
 // until the frame is written, so handlers may return freshly built or
 // long-lived slices alike.
-type Handler func(payload []byte) ([]byte, error)
+//
+// tc is the caller's trace context: the envelope's, restamped at arrival,
+// when the request came traced, the zero Ctx (unsampled) otherwise. It is
+// never nil and is private to the request, so handlers may advance it (Hop)
+// freely; they record spans only through it, which keeps the unsampled path
+// branch-and-return.
+type Handler func(tc *trace.Ctx, payload []byte) ([]byte, error)
 
 // Client is the calling side of the RPC substrate. Implementations are
 // safe for concurrent use.
@@ -50,107 +62,118 @@ type Client interface {
 	Close() error
 }
 
+// Route is how a server serves one message type.
+type Route struct {
+	// Name is the msg_type label of the type's latency histogram — a
+	// protocol row's name; the type's number when empty.
+	Name string
+	// Detached serves frames of this type in their own goroutine instead
+	// of the connection's in-order serving loop. This is for handlers that
+	// may park (long-polls): a detached request does not head-of-line-block
+	// the pipelined requests behind it on the same connection — clients
+	// match responses by ReqID, so out-of-order completion is already part
+	// of the protocol. Detached handlers receive a private copy of the
+	// payload (the connection's read scratch moves on underneath them) and
+	// therefore lose the FIFO ordering guarantee relative to other requests
+	// on the connection.
+	Detached bool
+	Serve    Handler
+}
+
+// route is a registered Route with its instrument resolved.
+type route struct {
+	Route
+	latency *metrics.BucketHistogram // nil while metrics are off
+}
+
+// routeTable is everything serving a request needs from the server, reached
+// with one atomic load and indexed by message type. It is never edited in
+// place: Register and EnableMetrics store an edited copy.
+type routeTable struct {
+	routes  [256]route
+	metrics *serverMetrics // nil until EnableMetrics
+}
+
 // Server dispatches framed requests to registered handlers.
 type Server struct {
-	mu       sync.Mutex
-	handlers map[uint8]Handler
-	traced   map[uint8]TracedHandler
-	detached map[uint8]bool
+	table atomic.Pointer[routeTable]
+
+	mu       sync.Mutex // serializes table replacement; guards the fields below
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 	closed   bool
-	metrics  *serverMetrics // nil until EnableMetrics
 }
 
 // NewServer returns a server with no handlers registered.
 func NewServer() *Server {
-	return &Server{
-		handlers: make(map[uint8]Handler),
-		traced:   make(map[uint8]TracedHandler),
-		detached: make(map[uint8]bool),
-		conns:    make(map[net.Conn]struct{}),
-	}
+	s := &Server{conns: make(map[net.Conn]struct{})}
+	s.table.Store(&routeTable{})
+	return s
 }
 
-// Handle registers h for msgType. Registration must complete before the
-// server starts serving; re-registering a type replaces the handler.
-func (s *Server) Handle(msgType uint8, h Handler) {
+// Register installs r for msgType, replacing any earlier route. It may be
+// called at any time, also while the server is serving (an in-process
+// LocalClient dispatches without Listen, so there is no moment to freeze
+// the table at): a request sees the table as it stood when it arrived.
+func (s *Server) Register(msgType uint8, r Route) {
 	if msgType == msgError || msgType == msgTraced {
 		panic("rpc: message types 0xFE and 0xFF are reserved")
 	}
-	s.mu.Lock()
-	s.handlers[msgType] = h
-	s.mu.Unlock()
-}
-
-// HandleDetached registers h like Handle, but frames of this type are
-// served in their own goroutine instead of the connection's in-order
-// serving loop. This is for handlers that may park (long-polls): a
-// detached request does not head-of-line-block the pipelined requests
-// behind it on the same connection — clients match responses by ReqID, so
-// out-of-order completion is already part of the protocol. Detached
-// handlers receive a private copy of the payload (the connection's read
-// scratch moves on underneath them) and therefore lose the FIFO ordering
-// guarantee relative to other requests on the connection.
-func (s *Server) HandleDetached(msgType uint8, h Handler) {
-	s.Handle(msgType, h)
-	s.mu.Lock()
-	s.detached[msgType] = true
-	s.mu.Unlock()
-}
-
-// dispatch runs the handler for one frame and returns the response frame's
-// type and payload. Traced envelope frames are unwrapped here: metrics and
-// handler lookup use the inner type, and the decoded context reaches
-// handlers registered with HandleTraced.
-func (s *Server) dispatch(f wire.Frame) (uint8, []byte) {
-	var tc trace.Ctx
-	innerType, payload := f.Type, f.Payload
-	if f.Type == msgTraced {
-		var err error
-		tc, innerType, payload, err = decodeTraced(f.Payload)
-		if err != nil {
-			return msgError, []byte("rpc: " + err.Error())
-		}
+	if r.Name == "" {
+		r.Name = strconv.Itoa(int(msgType))
 	}
 	s.mu.Lock()
-	h, ok := s.handlers[innerType]
-	th := s.traced[innerType]
-	m := s.metrics
-	s.mu.Unlock()
-	if !ok {
-		return msgError, []byte(fmt.Sprintf("rpc: no handler for message type %d", innerType))
+	defer s.mu.Unlock()
+	t := *s.table.Load()
+	t.routes[msgType] = route{Route: r, latency: t.metrics.histFor(r.Name)}
+	s.table.Store(&t)
+}
+
+// Handle registers h as an in-order route that takes no trace context.
+// Protocols register through Message.Serve; this is Register for a bare
+// function (bench/ and this package's tests serve echo handlers with it).
+func (s *Server) Handle(msgType uint8, h func(payload []byte) ([]byte, error)) {
+	s.Register(msgType, Route{Serve: func(_ *trace.Ctx, p []byte) ([]byte, error) { return h(p) }})
+}
+
+// open unwraps a traced envelope, once and before the route is looked up:
+// the route, its serving class and its histogram are the inner type's.
+func open(msgType uint8, payload []byte) (trace.Ctx, uint8, []byte, error) {
+	if msgType != msgTraced {
+		return trace.Ctx{}, msgType, payload, nil
 	}
-	invoke := func() ([]byte, error) {
-		if th != nil {
-			return th(&tc, payload)
-		}
-		return h(payload)
+	return decodeTraced(payload)
+}
+
+// dispatch runs the handler for one opened request and returns the response
+// frame's type and payload.
+func (t *routeTable) dispatch(tc trace.Ctx, msgType uint8, payload []byte) (uint8, []byte) {
+	r := &t.routes[msgType]
+	if r.Serve == nil {
+		return msgError, []byte(fmt.Sprintf("rpc: no handler for message type %d", msgType))
+	}
+	m := t.metrics
+	var start time.Time
+	if m != nil {
+		m.inflight.Inc()
+		start = time.Now()
 	}
 	// The server-side rpc.serve span covers queueing plus handler time for
 	// sampled requests; handler-recorded hops nest inside it on the
 	// timeline, so budget attribution charges rpc.serve only for time the
 	// handler didn't itself account for.
 	sp := trace.Begin(tc, "rpc.serve")
-	if m == nil {
-		resp, err := invoke()
-		sp.End(trace.Default(), trace.Outcome(err, "error"), 0, 0)
-		if err != nil {
-			return msgError, errorPayload(err)
-		}
-		return innerType, resp
-	}
-	m.inflight.Inc()
-	start := time.Now()
-	resp, err := invoke()
+	resp, err := r.Serve(&tc, payload)
 	sp.End(trace.Default(), trace.Outcome(err, "error"), 0, 0)
-	respType := innerType
+	respType := msgType
 	if err != nil {
 		respType, resp = msgError, errorPayload(err)
 	}
-	m.observe(innerType, len(payload), len(resp), start, err != nil)
-	m.inflight.Dec()
+	if m != nil {
+		m.observe(r.latency, len(payload), len(resp), start, err != nil)
+		m.inflight.Dec()
+	}
 	return respType, resp
 }
 
@@ -214,31 +237,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// Detachment is a property of the inner message type, so a traced
-		// envelope around a long-poll must be peeked before dispatch.
-		dtype, _ := TracedInnerType(f.Type, f.Payload)
-		s.mu.Lock()
-		detached := s.detached[dtype]
-		s.mu.Unlock()
-		if detached {
+		t := s.table.Load()
+		tc, msgType, payload, err := open(f.Type, f.Payload)
+		var respType uint8
+		var resp []byte
+		switch {
+		case err != nil:
+			respType, resp = msgError, []byte("rpc: "+err.Error())
+		case t.routes[msgType].Detached:
 			// The read scratch is reused by the next Next(), so the
-			// detached goroutine gets its own copy of the payload and its
-			// own write buffer; only the connection write lock is shared.
-			g := f
-			g.Payload = append([]byte(nil), f.Payload...)
-			go func() {
-				respType, resp := s.dispatch(g)
-				dbuf := wire.GetBuf()
-				writeMu.Lock()
-				// A write error here also poisons the serving loop's next
-				// write, which tears the connection down.
-				_ = wire.WriteBuf(conn, dbuf, g.ReqID, respType, resp)
-				writeMu.Unlock()
-				wire.PutBuf(dbuf)
-			}()
+			// detached goroutine gets its own copy of the payload.
+			go t.serveDetached(conn, writeMu, f.ReqID, tc, msgType, append([]byte(nil), payload...))
 			continue
+		default:
+			respType, resp = t.dispatch(tc, msgType, payload)
 		}
-		respType, resp := s.dispatch(f)
 		writeMu.Lock()
 		err = wire.WriteBuf(conn, wbuf, f.ReqID, respType, resp)
 		writeMu.Unlock()
@@ -246,6 +259,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// serveDetached serves one request off the connection's serving loop, with
+// a write buffer of its own; only the connection write lock is shared.
+func (t *routeTable) serveDetached(conn net.Conn, writeMu *sync.Mutex, reqID uint64, tc trace.Ctx, msgType uint8, payload []byte) {
+	respType, resp := t.dispatch(tc, msgType, payload)
+	dbuf := wire.GetBuf()
+	writeMu.Lock()
+	// A write error here also poisons the serving loop's next write, which
+	// tears the connection down.
+	_ = wire.WriteBuf(conn, dbuf, reqID, respType, resp)
+	writeMu.Unlock()
+	wire.PutBuf(dbuf)
 }
 
 // Close stops the listener, closes live connections, and waits for all
@@ -435,8 +461,7 @@ func (e *RemoteError) RetryAfterHint() time.Duration {
 // the experiment measures the algorithms rather than kernel networking.
 type LocalClient struct {
 	srv    *Server
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 // NewLocalClient returns an in-process client for s.
@@ -444,13 +469,14 @@ func NewLocalClient(s *Server) *LocalClient { return &LocalClient{srv: s} }
 
 // Call implements Client.
 func (c *LocalClient) Call(msgType uint8, payload []byte) ([]byte, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	respType, resp := c.srv.dispatch(wire.Frame{Type: msgType, Payload: payload})
+	tc, msgType, payload, err := open(msgType, payload)
+	if err != nil {
+		return nil, &RemoteError{Message: "rpc: " + err.Error()}
+	}
+	respType, resp := c.srv.table.Load().dispatch(tc, msgType, payload)
 	if respType == msgError {
 		return nil, &RemoteError{Message: string(resp)}
 	}
@@ -459,8 +485,6 @@ func (c *LocalClient) Call(msgType uint8, payload []byte) ([]byte, error) {
 
 // Close implements Client.
 func (c *LocalClient) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	c.closed.Store(true)
 	return nil
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 const (
@@ -237,20 +240,20 @@ func BenchmarkTCPCall(b *testing.B) {
 }
 
 // TestDetachedHandlerDoesNotBlockPipeline pins the property the flstore
-// tail subscription depends on: a long-poll handler registered with
-// HandleDetached parks on its own goroutine, so a pipelined request on the
-// same connection is served while the long-poll is still outstanding.
+// tail subscription depends on: a long-poll handler on a Detached route
+// parks on its own goroutine, so a pipelined request on the same connection
+// is served while the long-poll is still outstanding.
 func TestDetachedHandlerDoesNotBlockPipeline(t *testing.T) {
 	const msgPark uint8 = 4
 	s := NewServer()
 	s.Handle(msgEcho, func(p []byte) ([]byte, error) { return p, nil })
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.HandleDetached(msgPark, func(p []byte) ([]byte, error) {
+	s.Register(msgPark, Route{Detached: true, Serve: func(_ *trace.Ctx, p []byte) ([]byte, error) {
 		close(entered)
 		<-release
 		return append([]byte("woke:"), p...), nil
-	})
+	}})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -290,5 +293,70 @@ func TestDetachedHandlerDoesNotBlockPipeline(t *testing.T) {
 	}
 	if string(parkedResp) != "woke:tail" {
 		t.Errorf("long-poll response = %q", parkedResp)
+	}
+}
+
+// TestLateRegistrationIsRaceFree registers routes and switches metrics on
+// while a LocalClient and a TCP client are calling: a request sees the
+// table as it stood when it arrived — the route answers or it is unknown,
+// never anything between — and under -race nothing is reported.
+func TestLateRegistrationIsRaceFree(t *testing.T) {
+	s := NewServer()
+	s.Handle(msgEcho, func(p []byte) ([]byte, error) { return p, nil })
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tcp, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+
+	const late = 100 // types msgEcho+1 .. msgEcho+late arrive while calls run
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, c := range []Client{NewLocalClient(s), tcp} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if resp, err := c.Call(msgEcho, []byte("x")); err != nil || string(resp) != "x" {
+					t.Errorf("echo during registration = %q, %v", resp, err)
+					return
+				}
+				typ := msgEcho + 1 + uint8(i%late)
+				resp, err := c.Call(typ, nil)
+				if err == nil && (len(resp) != 1 || resp[0] != typ) {
+					t.Errorf("type %d answered %v", typ, resp)
+					return
+				}
+				if err != nil && !IsRemote(err) {
+					t.Errorf("type %d: %v", typ, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < late; i++ {
+		typ := msgEcho + 1 + uint8(i)
+		s.Register(typ, Route{Name: fmt.Sprint("late", i), Serve: func(*trace.Ctx, []byte) ([]byte, error) { return []byte{typ}, nil }})
+		if i == late/2 {
+			s.EnableMetrics(metrics.NewRegistry(), "test")
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i := 0; i < late; i++ {
+		typ := msgEcho + 1 + uint8(i)
+		if resp, err := tcp.Call(typ, nil); err != nil || resp[0] != typ {
+			t.Fatalf("type %d after registration = %v, %v", typ, resp, err)
+		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 // reserved envelope frame (msgTraced) whose payload prefixes the inner
 // message with the 17-byte trace header, so the framed protocol itself
 // is unchanged and unsampled traffic never pays for the header. The
-// server unwraps the envelope, reconstructs the trace context, and hands
-// it to the handler when one was registered with HandleTraced (plain
-// handlers still work — they just can't record spans).
+// server unwraps the envelope once, before it looks the route up,
+// reconstructs the trace context, and hands it to the handler.
 //
 // Envelope payload layout (little-endian):
 //
@@ -58,35 +57,6 @@ func decodeTraced(p []byte) (trace.Ctx, uint8, []byte, error) {
 	return tc, p[17], p[tracedHeaderLen:], nil
 }
 
-// TracedHandler is a Handler that also receives the caller's trace
-// context. The context is the zero Ctx (unsampled) when the request
-// arrived without an envelope; handlers record spans only through it, so
-// the unsampled path stays branch-and-return. Handlers may advance the
-// context (Hop) freely — it is private to the request.
-type TracedHandler func(tc *trace.Ctx, payload []byte) ([]byte, error)
-
-// HandleTraced registers h for msgType for both plain and traced
-// requests: envelope frames reach it with the decoded context, plain
-// frames with the zero context.
-func (s *Server) HandleTraced(msgType uint8, h TracedHandler) {
-	s.Handle(msgType, func(p []byte) ([]byte, error) {
-		tc := trace.Ctx{}
-		return h(&tc, p)
-	})
-	s.mu.Lock()
-	s.traced[msgType] = h
-	s.mu.Unlock()
-}
-
-// HandleTracedDetached is HandleTraced plus the detached (own-goroutine)
-// serving of HandleDetached.
-func (s *Server) HandleTracedDetached(msgType uint8, h TracedHandler) {
-	s.HandleTraced(msgType, h)
-	s.mu.Lock()
-	s.detached[msgType] = true
-	s.mu.Unlock()
-}
-
 // CallTraced issues a call carrying tc's trace context to the server.
 // Unsampled contexts (or nil) degrade to a plain c.Call — one branch, no
 // envelope, no allocation. Sampled calls record an "rpc.call" span
@@ -108,16 +78,6 @@ func CallTraced(c Client, tc *trace.Ctx, msgType uint8, payload []byte) ([]byte,
 	st.End(trace.Default(), trace.Outcome(err, "error"), 0, 0)
 	tc.At = time.Now().UnixNano()
 	return resp, err
-}
-
-// TracedInnerType peeks the inner message type of a traced envelope
-// payload (fault injectors use it to apply per-type fault rules to the
-// wrapped request). Returns (msgType, false) unchanged for plain frames.
-func TracedInnerType(msgType uint8, payload []byte) (uint8, bool) {
-	if msgType != msgTraced || len(payload) < tracedHeaderLen {
-		return msgType, false
-	}
-	return payload[tracedHeaderLen-1], true
 }
 
 // TracedContext peeks the trace context of a traced envelope payload

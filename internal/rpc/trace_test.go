@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -37,11 +38,11 @@ func TestCallTracedOverTCP(t *testing.T) {
 	trace.Default().Reset()
 	srv := NewServer()
 	var gotCtx trace.Ctx
-	srv.HandleTraced(7, func(tc *trace.Ctx, p []byte) ([]byte, error) {
+	srv.Register(7, Route{Serve: func(tc *trace.Ctx, p []byte) ([]byte, error) {
 		gotCtx = *tc
 		tc.Hop(trace.Default(), "handler.work", 0, "", 0, 1)
 		return append([]byte("ok:"), p...), nil
-	})
+	}})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,12 +84,12 @@ func TestCallTracedOverTCP(t *testing.T) {
 
 func TestCallTracedUnsampledUsesPlainFrame(t *testing.T) {
 	srv := NewServer()
-	srv.HandleTraced(7, func(tc *trace.Ctx, p []byte) ([]byte, error) {
+	srv.Register(7, Route{Serve: func(tc *trace.Ctx, p []byte) ([]byte, error) {
 		if tc.Sampled() {
 			return nil, errors.New("unexpectedly sampled")
 		}
 		return []byte("plain"), nil
-	})
+	}})
 	c := NewLocalClient(srv)
 	defer c.Close()
 
@@ -117,9 +118,9 @@ func TestTracedEnvelopeToPlainHandler(t *testing.T) {
 
 func TestTracedErrorPropagation(t *testing.T) {
 	srv := NewServer()
-	srv.HandleTraced(9, func(tc *trace.Ctx, p []byte) ([]byte, error) {
+	srv.Register(9, Route{Serve: func(tc *trace.Ctx, p []byte) ([]byte, error) {
 		return nil, errors.New("boom")
-	})
+	}})
 	c := NewLocalClient(srv)
 	defer c.Close()
 	tc := trace.Forced()
@@ -132,10 +133,10 @@ func TestTracedErrorPropagation(t *testing.T) {
 func TestTracedDetachedPeek(t *testing.T) {
 	srv := NewServer()
 	release := make(chan struct{})
-	srv.HandleTracedDetached(11, func(tc *trace.Ctx, p []byte) ([]byte, error) {
+	srv.Register(11, Route{Detached: true, Serve: func(tc *trace.Ctx, p []byte) ([]byte, error) {
 		<-release
 		return []byte("late"), nil
-	})
+	}})
 	srv.Handle(12, func(p []byte) ([]byte, error) { return []byte("fast"), nil })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -170,15 +171,22 @@ func TestTracedDetachedPeek(t *testing.T) {
 	}
 }
 
+// TestTracedInnerTypePeek: the route, its serving class and its histogram
+// belong to the type inside the envelope, which the server unwraps before
+// it looks anything up; fault injectors peek only the context.
 func TestTracedInnerTypePeek(t *testing.T) {
+	srv := NewServer()
+	srv.Register(33, Route{Name: "Inner", Serve: func(*trace.Ctx, []byte) ([]byte, error) { return nil, nil }})
+	reg := metrics.NewRegistry()
+	srv.EnableMetrics(reg, "test")
 	tc := trace.Forced()
+	if _, err := CallTraced(NewLocalClient(srv), &tc, 33, nil); err != nil {
+		t.Fatal(err)
+	}
+	if lat := reg.Snapshot().Find("rpc_server_call_seconds", map[string]string{"msg_type": "Inner"}); lat == nil || lat.Count != 1 {
+		t.Fatalf("traced call observed as %+v, want one call under the inner type's name", lat)
+	}
 	p := appendTracedHeader(nil, tc, 33)
-	if it, ok := TracedInnerType(msgTraced, p); !ok || it != 33 {
-		t.Fatalf("peek: %d %v", it, ok)
-	}
-	if it, ok := TracedInnerType(5, p); ok || it != 5 {
-		t.Fatalf("plain peek: %d %v", it, ok)
-	}
 	if got, ok := TracedContext(msgTraced, p); !ok || got.T != tc.T {
 		t.Fatalf("ctx peek: %+v %v", got, ok)
 	}

@@ -188,12 +188,19 @@ func TestAppendDepsShedRetryable(t *testing.T) {
 	}
 }
 
+// TestMapIngestError: the ingest endpoint's errors reach the remote caller
+// as themselves — the shed rejection typed and with its hint, shutdown as
+// its sentinel — and an error the table does not list is left alone.
 func TestMapIngestError(t *testing.T) {
-	if err := mapIngestError(nil); err != nil {
+	var fail error // the LocalClient serves on the calling goroutine
+	srv := rpc.NewServer()
+	rowIngest.Serve(srv, rpc.NoReply(func([]*core.Record) error { return fail }))
+	ic := NewIngestClient(rpc.NewLocalClient(srv))
+	if err := ic.Append(nil); err != nil {
 		t.Fatalf("nil → %v", err)
 	}
-	remote := &rpc.RemoteError{Message: ErrPipelineSaturated.Error() + " (retry after 2ms) [retry-after-ns=2000000]"}
-	err := mapIngestError(remote)
+	fail = &SaturationError{RetryAfter: 2 * time.Millisecond}
+	err := ic.Append(nil)
 	var sat *SaturationError
 	if !errors.As(err, &sat) {
 		t.Fatalf("mapped = %v, want *SaturationError", err)
@@ -201,11 +208,15 @@ func TestMapIngestError(t *testing.T) {
 	if sat.RetryAfter != 2*time.Millisecond {
 		t.Fatalf("hint = %v, want 2ms", sat.RetryAfter)
 	}
-	if got := mapIngestError(&rpc.RemoteError{Message: ErrStopped.Error()}); !errors.Is(got, ErrStopped) {
+	if !flstore.IsRetryable(err) || flstore.RetryAfter(err) != 2*time.Millisecond {
+		t.Fatalf("remote shed: retryable %v after %v, want true after 2ms", flstore.IsRetryable(err), flstore.RetryAfter(err))
+	}
+	fail = ErrStopped
+	if got := ic.Append(nil); !errors.Is(got, ErrStopped) {
 		t.Fatalf("stopped mapping = %v, want ErrStopped", got)
 	}
-	plain := errors.New("unrelated")
-	if got := mapIngestError(plain); got != plain {
+	fail = errors.New("unrelated")
+	if got := ic.Append(nil); !rpc.IsRemote(got) || got.Error() != "unrelated" || errors.Unwrap(got) != nil {
 		t.Fatalf("unrelated error rewritten: %v", got)
 	}
 }

@@ -9,7 +9,21 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/rpc"
 )
+
+// The protocol's error table (rpc/errors.go): what keeps its identity
+// across the ingest and replication endpoints. Codes are part of the wire
+// format; Chariots' start at 32, clear of FLStore's.
+func init() {
+	rpc.RegisterErrors(
+		rpc.ErrorRow{Code: 32, Sentinel: ErrPipelineSaturated, Rebuild: func(retry time.Duration, _ uint64) error {
+			return &SaturationError{RetryAfter: retry}
+		}},
+		rpc.ErrorRow{Code: 33, Sentinel: ErrStopped},
+	)
+}
 
 // ErrStopped is returned by appends racing datacenter shutdown.
 var ErrStopped = errors.New("chariots: datacenter stopped")

@@ -2,10 +2,7 @@ package chariots
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -116,8 +113,8 @@ func (rc *receiverClient) Deliver(snap Snapshot) error {
 // appends are fire-and-forget into the pipeline (§6.2's Application
 // clients "send it to any Batcher machine"); clients needing ids use the
 // in-process API or poll msgApplied. Under Config.ShedOnSaturation a
-// saturated pipeline rejects the batch with a SaturationError (the rpc
-// layer ships the retry hint; IngestClient reconstructs the type).
+// saturated pipeline rejects the batch with a SaturationError, which the
+// error table (errors.go) carries to the remote caller as itself.
 func ServeIngest(srv *rpc.Server, dc *Datacenter) {
 	rowIngest.Serve(srv, rpc.NoReply(func(recs []*core.Record) error {
 		for _, r := range recs {
@@ -140,31 +137,9 @@ func NewIngestClient(c rpc.Client) *IngestClient { return &IngestClient{c: c} }
 
 // Append ships fresh records into the remote pipeline. A saturated remote
 // under the shed policy returns a *SaturationError (retryable, with the
-// server's retry hint reconstructed from the wire).
+// server's retry hint).
 func (ic *IngestClient) Append(recs []*core.Record) error {
 	_, err := rowIngest.Call(ic.c, recs)
-	return mapIngestError(err)
-}
-
-// mapIngestError reconstructs this package's typed errors from the flat
-// strings the rpc layer transports (same convention as flstore's
-// mapRemoteError).
-func mapIngestError(err error) error {
-	if err == nil || !rpc.IsRemote(err) {
-		return err
-	}
-	msg := err.Error()
-	if strings.Contains(msg, ErrPipelineSaturated.Error()) {
-		var h interface{ RetryAfterHint() time.Duration }
-		hint := time.Duration(0)
-		if errors.As(err, &h) {
-			hint = h.RetryAfterHint()
-		}
-		return &SaturationError{RetryAfter: hint}
-	}
-	if strings.Contains(msg, ErrStopped.Error()) {
-		return ErrStopped
-	}
 	return err
 }
 

@@ -80,17 +80,23 @@ func (c *tapClient) Call(msgType uint8, payload []byte) ([]byte, error) {
 func (c *tapClient) Close() error { return nil }
 
 // render prints a payload: "-" when empty, quoted when it is printable
-// text (error messages, the JSON control plane), hex otherwise.
+// text (the JSON control plane), hex otherwise — with a printable tail of
+// eight bytes or more, an error frame's message, split off and quoted.
 func render(p []byte) string {
 	if len(p) == 0 {
 		return "-"
 	}
-	for _, b := range p {
-		if b < 0x20 || b > 0x7e {
-			return hex.EncodeToString(p)
-		}
+	text := len(p)
+	for text > 0 && p[text-1] >= 0x20 && p[text-1] <= 0x7e {
+		text--
 	}
-	return fmt.Sprintf("%q", p)
+	switch {
+	case text == 0:
+		return fmt.Sprintf("%q", p)
+	case len(p)-text >= 8:
+		return fmt.Sprintf("%x+%q", p[:text], p[text:])
+	}
+	return hex.EncodeToString(p)
 }
 
 func goldenRecords() []*core.Record {
@@ -229,8 +235,9 @@ func protocolLines(t *testing.T) []string {
 		"# The wire protocol: `<protocol> <type> <name> <serving class> <request> -> <reply>` for one",
 		"# sample call per message type, then `error <name> <frame type> <payload>` for one error",
 		"# frame per error whose identity crosses the wire. Payloads are hex, quoted when they are",
-		"# printable text, - when empty. TestProtocolGolden (internal/cluster) fails on any drift;",
-		"# regenerate deliberately with `make api-snapshot`.",
+		"# printable text (hex+\"text\" when they end in eight or more bytes of it), - when empty.",
+		"# TestProtocolGolden (internal/cluster) fails on any drift; regenerate deliberately with",
+		"# `make api-snapshot`.",
 	}
 
 	// --- FLStore ---

@@ -113,16 +113,14 @@ func NewAdmin(c rpc.Client, opts ...AdminOption) *Admin {
 	return a
 }
 
-// adminCall runs one admin RPC under the retry policy. Errors come back
-// with the package's taxonomy (typed sentinels, IsRetryable) applied, as
-// from any other stub.
+// adminCall runs one admin RPC under the retry policy.
 func adminCall[Q, R any](ctx context.Context, a *Admin, row *rpc.Message[Q, R], q Q) (R, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			var zero R
 			return zero, err
 		}
-		r, err := call(a.c, row, q)
+		r, err := row.Call(a.c, q)
 		if err == nil || attempt >= a.retries || !IsRetryable(err) {
 			return r, err
 		}

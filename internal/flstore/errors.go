@@ -12,7 +12,38 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/replica"
+	"repro/internal/rpc"
+	"repro/internal/storage"
 )
+
+// The protocol's error table (rpc/errors.go): the errors whose identity
+// crosses the wire, so that call sites use errors.Is, errors.As,
+// IsRetryable and RetryAfter uniformly whether the API is local or remote.
+// Codes are part of the wire format; flstore's start at 1.
+func init() {
+	rpc.RegisterErrors(
+		rpc.ErrorRow{Code: 1, Sentinel: core.ErrNoSuchRecord},
+		rpc.ErrorRow{Code: 2, Sentinel: core.ErrPastHead},
+		rpc.ErrorRow{Code: 3, Sentinel: ErrOverloaded, Rebuild: func(retry time.Duration, _ uint64) error {
+			return &OverloadError{RetryAfter: retry}
+		}},
+		rpc.ErrorRow{Code: 4, Sentinel: ErrOrderBacklog},
+		rpc.ErrorRow{Code: 5, Sentinel: ErrWrongMaintainer},
+		rpc.ErrorRow{Code: 6, Sentinel: ErrNotReplica},
+		rpc.ErrorRow{Code: 7, Sentinel: ErrEpochSealed, Rebuild: func(_ time.Duration, first uint64) error {
+			return &EpochSealedError{FirstLId: first}
+		}},
+		rpc.ErrorRow{Code: 8, Sentinel: ErrReadBlocked, Rebuild: func(retry time.Duration, lid uint64) error {
+			if retry <= 0 {
+				retry = readBlockHint
+			}
+			return &ReadBlockedError{LId: lid, RetryAfter: retry}
+		}},
+		rpc.ErrorRow{Code: 9, Sentinel: storage.ErrDuplicate},
+		rpc.ErrorRow{Code: 10, Sentinel: storage.ErrCorrupt},
+		rpc.ErrorRow{Code: 11, Sentinel: replica.ErrInsufficientAcks},
+	)
+}
 
 // ErrOverloaded is returned when a maintainer's admission control rejects an
 // append — either the capacity limiter is out of tokens or the ingestion
@@ -58,8 +89,8 @@ var ErrReadBlocked = errors.New("flstore: read blocked on invalidated range")
 
 // ReadBlockedError is the typed form of ErrReadBlocked: it names the
 // position, unwraps to the sentinel for errors.Is, self-classifies as
-// retryable, and carries the pacing hint the rpc layer encodes across
-// the wire.
+// retryable, and carries the pacing hint and the position the rpc layer
+// encodes across the wire.
 type ReadBlockedError struct {
 	LId uint64
 	// RetryAfter estimates when the local copy should have resolved.
@@ -79,11 +110,14 @@ func (e *ReadBlockedError) Retryable() bool { return true }
 // RetryAfterHint exposes the pacing hint for RetryAfter / the rpc layer.
 func (e *ReadBlockedError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
+// ErrorArg is the number an error frame carries for this error: the LId.
+func (e *ReadBlockedError) ErrorArg() uint64 { return e.LId }
+
 // EpochSealedError is the typed form of ErrEpochSealed. It unwraps to the
 // sentinel for errors.Is and names the first LId of the epoch that
 // supersedes this maintainer's assignment authority; the LId rides the
-// error string across the wire (see mapRemoteError) so remote clients
-// recover the boundary without a second round trip. It deliberately does
+// error frame across the wire (ErrorArg) so remote clients recover the
+// boundary without a second round trip. It deliberately does
 // NOT implement Retryable: retrying the same member cannot succeed — the
 // fix is a configuration refresh, not a backoff.
 type EpochSealedError struct {
@@ -97,6 +131,10 @@ func (e *EpochSealedError) Error() string {
 }
 
 func (e *EpochSealedError) Unwrap() error { return ErrEpochSealed }
+
+// ErrorArg is the number an error frame carries for this error: the
+// boundary.
+func (e *EpochSealedError) ErrorArg() uint64 { return e.FirstLId }
 
 // OverloadError is the typed form of ErrOverloaded: a rejection that also
 // tells the client when retrying is likely to succeed. It unwraps to
@@ -120,11 +158,11 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
 // RetryAfterHint exposes the pacing hint; the rpc layer detects this
-// interface and carries the hint across the wire as an error-string suffix.
+// interface and carries the hint across the wire in the error frame.
 func (e *OverloadError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // retryAfterHinter matches any error carrying a pacing hint — a local
-// *OverloadError, a *rpc.RemoteError whose message encodes one, or a
+// *OverloadError, a *rpc.RemoteError whose frame carried one, or a
 // foreign package's typed rejection (e.g. chariots ingress shedding).
 type retryAfterHinter interface {
 	RetryAfterHint() time.Duration

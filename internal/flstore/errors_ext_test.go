@@ -7,6 +7,7 @@ package flstore_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/ratelimit"
 	"repro/internal/replica"
 	"repro/internal/rpc"
+	"repro/internal/storage"
 )
 
 func TestIsRetryableClassification(t *testing.T) {
@@ -96,6 +98,102 @@ func TestOverloadHintRoundTripRPC(t *testing.T) {
 	}
 	if d := flstore.RetryAfter(rejection); d <= 0 {
 		t.Fatalf("RetryAfter = %v, want > 0 (hint lost across the wire)", d)
+	}
+}
+
+// errorAtLId serves Read by failing with errs[lid]: a maintainer whose only
+// behaviour is the error under test.
+type errorAtLId struct {
+	flstore.MaintainerAPI
+	errs []error
+}
+
+func (m errorAtLId) Read(lid uint64) (*core.Record, error) { return nil, m.errs[lid] }
+
+// TestErrorRowsKeepIdentity sends every row of the two error tables, typed
+// and wrapped forms alike, through a handler and asks the questions callers
+// ask — errors.Is against every sentinel, errors.As for every typed form and
+// what it carries, IsRetryable, RetryAfter — of the error itself, of what a
+// LocalClient returns and of what comes back over TCP. The three must agree.
+// One case carries another sentinel's text inside its own: matching on text
+// filed it under the wrong sentinel.
+func TestErrorRowsKeepIdentity(t *testing.T) {
+	sentinels := []error{
+		core.ErrNoSuchRecord, core.ErrPastHead, flstore.ErrOverloaded, flstore.ErrOrderBacklog,
+		flstore.ErrWrongMaintainer, flstore.ErrNotReplica, flstore.ErrEpochSealed, flstore.ErrReadBlocked,
+		storage.ErrDuplicate, storage.ErrCorrupt, replica.ErrInsufficientAcks,
+		chariots.ErrPipelineSaturated, chariots.ErrStopped,
+	}
+	errs := []error{
+		core.ErrNoSuchRecord,
+		fmt.Errorf("%w: LId 40 > head 12", core.ErrPastHead),
+		&flstore.OverloadError{}, // what a bare ErrOverloaded comes back as: typed, no hint
+		&flstore.OverloadError{RetryAfter: 3 * time.Millisecond},
+		fmt.Errorf("append: %w", &flstore.OverloadError{RetryAfter: time.Millisecond}),
+		flstore.ErrOrderBacklog,
+		fmt.Errorf("%w: LId 7", flstore.ErrWrongMaintainer),
+		fmt.Errorf("%w: range 4", flstore.ErrNotReplica),
+		fmt.Errorf("%w: peer said %q", flstore.ErrNotReplica, core.ErrNoSuchRecord.Error()),
+		&flstore.EpochSealedError{FirstLId: 4097},
+		&flstore.ReadBlockedError{LId: 12, RetryAfter: 2 * time.Millisecond},
+		fmt.Errorf("%w: LId 3", storage.ErrDuplicate),
+		fmt.Errorf("%w: entry at 108", storage.ErrCorrupt),
+		replica.ErrInsufficientAcks,
+		&chariots.SaturationError{RetryAfter: time.Millisecond},
+		&chariots.SaturationError{},
+		chariots.ErrStopped,
+		errors.New("disk on fire"),
+	}
+	srv := rpc.NewServer()
+	flstore.ServeMaintainer(srv, errorAtLId{errs: errs})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := rpc.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// describe is everything a caller can learn from an error but its text.
+	describe := func(err error) string {
+		var b strings.Builder
+		for _, s := range sentinels {
+			fmt.Fprintf(&b, "%v ", errors.Is(err, s))
+		}
+		var ov *flstore.OverloadError
+		var sealed *flstore.EpochSealedError
+		var blocked *flstore.ReadBlockedError
+		var sat *chariots.SaturationError
+		if errors.As(err, &ov) {
+			fmt.Fprintf(&b, "overload %v ", ov.RetryAfter)
+		}
+		if errors.As(err, &sealed) {
+			fmt.Fprintf(&b, "sealed %d ", sealed.FirstLId)
+		}
+		if errors.As(err, &blocked) {
+			fmt.Fprintf(&b, "blocked %d %v ", blocked.LId, blocked.RetryAfter)
+		}
+		if errors.As(err, &sat) {
+			fmt.Fprintf(&b, "saturated %v ", sat.RetryAfter)
+		}
+		fmt.Fprintf(&b, "retryable %v after %v", flstore.IsRetryable(err), flstore.RetryAfter(err))
+		return b.String()
+	}
+	for i, local := range errs {
+		want := describe(local)
+		for name, c := range map[string]rpc.Client{"LocalClient": rpc.NewLocalClient(srv), "TCP": conn} {
+			_, got := flstore.NewMaintainerClient(c).Read(uint64(i))
+			if got == nil || !rpc.IsRemote(got) || got.Error() != local.Error() {
+				t.Errorf("%v over %s came back as %v", local, name, got)
+				continue
+			}
+			if d := describe(got); d != want {
+				t.Errorf("%v over %s:\n got %s\nwant %s", local, name, d, want)
+			}
+		}
 	}
 }
 

@@ -3,15 +3,12 @@ package flstore
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/rpc"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -484,56 +481,6 @@ func ServeReplicas(srv *rpc.Server, fn func() (*replica.ClusterStatus, error)) {
 
 // --- client adapters ---
 
-// mapRemoteError restores the identity of well-known sentinel errors that
-// crossed the wire as strings, so call sites can use errors.Is uniformly
-// whether the API is local or remote. Overload rejections are rebuilt as
-// typed OverloadErrors carrying the retry-after hint the rpc layer decoded
-// from the message suffix.
-func mapRemoteError(err error) error {
-	if err == nil || !rpc.IsRemote(err) {
-		return err
-	}
-	msg := err.Error()
-	switch {
-	case strings.Contains(msg, core.ErrNoSuchRecord.Error()):
-		return fmt.Errorf("%w (remote)", core.ErrNoSuchRecord)
-	case strings.Contains(msg, core.ErrPastHead.Error()):
-		return fmt.Errorf("%w: %s", core.ErrPastHead, msg)
-	case strings.Contains(msg, ErrOverloaded.Error()):
-		return &OverloadError{RetryAfter: RetryAfter(err)}
-	case strings.Contains(msg, storage.ErrDuplicate.Error()):
-		return fmt.Errorf("%w: %s", storage.ErrDuplicate, msg)
-	case strings.Contains(msg, ErrWrongMaintainer.Error()):
-		return fmt.Errorf("%w: %s", ErrWrongMaintainer, msg)
-	case strings.Contains(msg, ErrNotReplica.Error()):
-		return fmt.Errorf("%w: %s", ErrNotReplica, msg)
-	case strings.Contains(msg, ErrOrderBacklog.Error()):
-		return fmt.Errorf("%w (remote)", ErrOrderBacklog)
-	case strings.Contains(msg, ErrEpochSealed.Error()):
-		// The boundary rides the error string ("new epoch starts at LId
-		// %d") so the remote client recovers it without a round trip; an
-		// unparsable message still maps to the sentinel.
-		var first uint64
-		if i := strings.Index(msg, "new epoch starts at LId "); i >= 0 {
-			fmt.Sscanf(msg[i:], "new epoch starts at LId %d", &first)
-		}
-		return &EpochSealedError{FirstLId: first}
-	case strings.Contains(msg, ErrReadBlocked.Error()):
-		hint := RetryAfter(err)
-		if hint <= 0 {
-			hint = readBlockHint
-		}
-		return &ReadBlockedError{RetryAfter: hint}
-	}
-	return err
-}
-
-// call is a row's Call with the identity of well-known errors restored.
-func call[Q, R any](c rpc.Client, row *rpc.Message[Q, R], q Q) (R, error) {
-	r, err := row.Call(c, q)
-	return r, mapRemoteError(err)
-}
-
 // maintainerClient implements MaintainerAPI over an rpc.Client.
 type maintainerClient struct{ c rpc.Client }
 
@@ -553,76 +500,76 @@ func stampLIds(recs []*core.Record, lids []uint64) []uint64 {
 }
 
 func (mc *maintainerClient) Append(recs []*core.Record) ([]uint64, error) {
-	lids, err := call(mc.c, &rowAppend, recs)
+	lids, err := rowAppend.Call(mc.c, recs)
 	return stampLIds(recs, lids), err
 }
 
 func (mc *maintainerClient) AppendAssigned(recs []*core.Record) error {
-	_, err := call(mc.c, &rowAppendAssigned, recs)
+	_, err := rowAppendAssigned.Call(mc.c, recs)
 	return err
 }
 
 func (mc *maintainerClient) AppendAfter(minLId uint64, recs []*core.Record) ([]uint64, error) {
-	lids, err := call(mc.c, &rowAppendAfter, afterReq{minLId, recs})
+	lids, err := rowAppendAfter.Call(mc.c, afterReq{minLId, recs})
 	return stampLIds(recs, lids), err
 }
 
 func (mc *maintainerClient) Read(lid uint64) (*core.Record, error) {
-	return call(mc.c, &rowRead, lid)
+	return rowRead.Call(mc.c, lid)
 }
 
 func (mc *maintainerClient) Scan(rule core.Rule) ([]*core.Record, error) {
-	return call(mc.c, &rowScan, rule)
+	return rowScan.Call(mc.c, rule)
 }
 
-func (mc *maintainerClient) Head() (uint64, error) { return call(mc.c, &rowHead, none{}) }
+func (mc *maintainerClient) Head() (uint64, error) { return rowHead.Call(mc.c, none{}) }
 
 func (mc *maintainerClient) NextUnfilled() (uint64, error) {
-	return call(mc.c, &rowNextUnfilled, none{})
+	return rowNextUnfilled.Call(mc.c, none{})
 }
 
 func (mc *maintainerClient) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error) {
-	lids, err := call(mc.c, &rowAppendFor, forReq{rangeIdx, recs})
+	lids, err := rowAppendFor.Call(mc.c, forReq{rangeIdx, recs})
 	return stampLIds(recs, lids), err
 }
 
 func (mc *maintainerClient) ReplicaAppend(recs []*core.Record) error {
-	_, err := call(mc.c, &rowReplicaAppend, recs)
+	_, err := rowReplicaAppend.Call(mc.c, recs)
 	return err
 }
 
 func (mc *maintainerClient) RangeFrontier(rangeIdx int) (uint64, error) {
-	return call(mc.c, &rowRangeFrontier, rangeIdx)
+	return rowRangeFrontier.Call(mc.c, rangeIdx)
 }
 
 func (mc *maintainerClient) PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error) {
-	return call(mc.c, &rowPullRange, pullReq{rangeIdx, fromLId, limit})
+	return rowPullRange.Call(mc.c, pullReq{rangeIdx, fromLId, limit})
 }
 
 func (mc *maintainerClient) ReadRange(q RangeQuery) (RangeResult, error) {
-	return call(mc.c, &rowReadRange, q)
+	return rowReadRange.Call(mc.c, q)
 }
 
 func (mc *maintainerClient) MultiRead(lids []uint64) ([]*core.Record, error) {
-	return call(mc.c, &rowMultiRead, lids)
+	return rowMultiRead.Call(mc.c, lids)
 }
 
 func (mc *maintainerClient) TailWait(rangeIdx int, cursor uint64, maxWait time.Duration) (uint64, error) {
-	return call(mc.c, &rowTailWait, tailReq{rangeIdx, cursor, maxWait})
+	return rowTailWait.Call(mc.c, tailReq{rangeIdx, cursor, maxWait})
 }
 
 func (mc *maintainerClient) Invalidate(rangeIdx int, upTo uint64) error {
-	_, err := call(mc.c, &rowInvalidate, boundReq{rangeIdx, upTo})
+	_, err := rowInvalidate.Call(mc.c, boundReq{rangeIdx, upTo})
 	return err
 }
 
 func (mc *maintainerClient) ValidityWatermark(rangeIdx int) (uint64, uint64, error) {
-	m, err := call(mc.c, &rowWatermark, uint64(rangeIdx))
+	m, err := rowWatermark.Call(mc.c, uint64(rangeIdx))
 	return m.Watermark, m.Announced, err
 }
 
 func (mc *maintainerClient) GossipVecs(next, dur []uint64) ([]uint64, []uint64, error) {
-	v, err := call(mc.c, &rowGossipVecs, vecs{next, dur})
+	v, err := rowGossipVecs.Call(mc.c, vecs{next, dur})
 	return v.Next, v.Dur, err
 }
 
@@ -633,12 +580,12 @@ type indexerClient struct{ c rpc.Client }
 func NewIndexerClient(c rpc.Client) IndexerAPI { return &indexerClient{c: c} }
 
 func (ic *indexerClient) Post(entries []Posting) error {
-	_, err := call(ic.c, &rowPost, entries)
+	_, err := rowPost.Call(ic.c, entries)
 	return err
 }
 
 func (ic *indexerClient) Lookup(q LookupQuery) ([]uint64, error) {
-	return call(ic.c, &rowLookup, q)
+	return rowLookup.Call(ic.c, q)
 }
 
 // controllerClient implements ControllerAPI over an rpc.Client.
@@ -648,5 +595,5 @@ type controllerClient struct{ c rpc.Client }
 func NewControllerClient(c rpc.Client) ControllerAPI { return &controllerClient{c: c} }
 
 func (cc *controllerClient) GetConfig() (*Config, error) {
-	return call(cc.c, &rowGetConfig, none{})
+	return rowGetConfig.Call(cc.c, none{})
 }

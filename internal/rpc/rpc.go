@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +27,8 @@ import (
 	"repro/internal/wire"
 )
 
-// msgError is the reserved response type carrying a handler error string.
+// msgError is the reserved response type carrying a handler error
+// (errors.go).
 const msgError uint8 = 0xFF
 
 // ErrClosed is returned by calls on a closed client or server.
@@ -151,7 +151,7 @@ func open(msgType uint8, payload []byte) (trace.Ctx, uint8, []byte, error) {
 func (t *routeTable) dispatch(tc trace.Ctx, msgType uint8, payload []byte) (uint8, []byte) {
 	r := &t.routes[msgType]
 	if r.Serve == nil {
-		return msgError, []byte(fmt.Sprintf("rpc: no handler for message type %d", msgType))
+		return msgError, errorPayload(fmt.Errorf("rpc: no handler for message type %d", msgType))
 	}
 	m := t.metrics
 	var start time.Time
@@ -243,7 +243,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		var resp []byte
 		switch {
 		case err != nil:
-			respType, resp = msgError, []byte("rpc: "+err.Error())
+			respType, resp = msgError, errorPayload(err)
 		case t.routes[msgType].Detached:
 			// The read scratch is reused by the next Next(), so the
 			// detached goroutine gets its own copy of the payload.
@@ -385,7 +385,7 @@ func (c *TCPClient) Call(msgType uint8, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("rpc: connection lost: %w", err)
 	}
 	if f.Type == msgError {
-		return nil, &RemoteError{Message: string(f.Payload)}
+		return nil, remoteError(f.Payload)
 	}
 	return f.Payload, nil
 }
@@ -400,60 +400,6 @@ func (c *TCPClient) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	return c.conn.Close()
-}
-
-// RemoteError is an error returned by the remote handler (as opposed to a
-// transport failure).
-type RemoteError struct {
-	Message string
-}
-
-func (e *RemoteError) Error() string { return e.Message }
-
-// IsRemote reports whether err is an error produced by the remote handler.
-func IsRemote(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re)
-}
-
-// retryHinter is implemented by handler errors that carry an admission
-// retry-after hint (e.g. flstore's overload rejection). Errors stay string
-// frames on the wire, so the hint rides as a machine-readable suffix on the
-// error message and is recovered on the client side by RetryAfterHint.
-type retryHinter interface {
-	RetryAfterHint() time.Duration
-}
-
-// retryHintMark frames the hint suffix appended to msgError payloads:
-// "<message> [retry-after-ns=<int64>]".
-const retryHintMark = " [retry-after-ns="
-
-// errorPayload renders a handler error for the msgError frame, appending
-// the retry-after suffix when the error carries a hint.
-func errorPayload(err error) []byte {
-	msg := err.Error()
-	var h retryHinter
-	if errors.As(err, &h) {
-		if d := h.RetryAfterHint(); d > 0 {
-			return []byte(msg + retryHintMark + strconv.FormatInt(int64(d), 10) + "]")
-		}
-	}
-	return []byte(msg)
-}
-
-// RetryAfterHint implements the hint interface on the receiving side: it
-// parses the suffix errorPayload appended, so a RemoteError exposes the
-// same hint the handler's error carried. Returns 0 when none was encoded.
-func (e *RemoteError) RetryAfterHint() time.Duration {
-	i := strings.LastIndex(e.Message, retryHintMark)
-	if i < 0 || !strings.HasSuffix(e.Message, "]") {
-		return 0
-	}
-	ns, err := strconv.ParseInt(e.Message[i+len(retryHintMark):len(e.Message)-1], 10, 64)
-	if err != nil || ns <= 0 {
-		return 0
-	}
-	return time.Duration(ns)
 }
 
 // LocalClient is a Client that invokes a Server's handlers directly in
@@ -474,11 +420,11 @@ func (c *LocalClient) Call(msgType uint8, payload []byte) ([]byte, error) {
 	}
 	tc, msgType, payload, err := open(msgType, payload)
 	if err != nil {
-		return nil, &RemoteError{Message: "rpc: " + err.Error()}
+		return nil, &RemoteError{Message: err.Error()}
 	}
 	respType, resp := c.srv.table.Load().dispatch(tc, msgType, payload)
 	if respType == msgError {
-		return nil, &RemoteError{Message: string(resp)}
+		return nil, remoteError(resp)
 	}
 	return resp, nil
 }

@@ -439,6 +439,11 @@ func (dc *Datacenter) TryInject(recs []*core.Record) error {
 }
 
 func (dc *Datacenter) inject(recs []*core.Record, shed bool) error {
+	// Every ingress comes through here; a record the log could not read
+	// back is refused before it costs a credit, a TOId or a position.
+	if err := core.CheckEncodable(recs); err != nil {
+		return err
+	}
 	g := dc.state.credits
 	if g != nil {
 		if shed {

@@ -1,8 +1,10 @@
 package chariots
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -72,7 +74,13 @@ var (
 		}}
 	rowIngest = rpc.Message[[]*core.Record, rpc.None]{Type: msgIngest, Name: "Ingest", Reply: rpc.Empty,
 		Req: rpc.Codec[[]*core.Record]{
-			Put: func(dst []byte, recs []*core.Record) ([]byte, error) { return core.AppendRecords(dst, recs), nil },
+			Put: func(dst []byte, recs []*core.Record) ([]byte, error) {
+				// Refused on the sending side: the encoder would truncate it.
+				if err := core.CheckEncodable(recs); err != nil {
+					return dst, err
+				}
+				return core.AppendRecords(dst, recs), nil
+			},
 			Get: func(p []byte, _ *trace.Ctx) ([]*core.Record, error) {
 				recs, _, err := core.DecodeRecordsShared(p)
 				return recs, err
@@ -155,10 +163,25 @@ func (ic *IngestClient) Applied() (vclock.Vector, error) {
 // scans the log maintainers (senders normally consume the live feed; the
 // scan is the slow path) and sends one snapshot through the given sender.
 func (dc *Datacenter) Resync(remote core.DCID, s *Sender) (int, error) {
-	known := dc.state.atable.Get(remote, dc.cfg.Self)
+	return dc.resyncFrom(dc.state.atable.Get(remote, dc.cfg.Self)+1, remote, s)
+}
+
+// ResyncAll ships every local record to the remote datacenter regardless
+// of the awareness table — the bootstrap path for a *replacement*
+// datacenter that lost its entire state: the peers' tables still remember
+// what the dead instance knew, so the incremental Resync would skip
+// records the new instance never had. The remote's filters discard
+// whatever it does turn out to have (exactly-once), so over-shipping is
+// safe, just expensive.
+func (dc *Datacenter) ResyncAll(remote core.DCID, s *Sender) (int, error) {
+	return dc.resyncFrom(0, remote, s)
+}
+
+// resyncFrom ships the local records whose TOId is at least minTOId.
+func (dc *Datacenter) resyncFrom(minTOId uint64, remote core.DCID, s *Sender) (int, error) {
 	var stale []*core.Record
 	for _, m := range dc.maintainers {
-		recs, err := m.Scan(core.Rule{HasHost: true, Host: dc.cfg.Self, MinTOId: known + 1})
+		recs, err := m.Scan(core.Rule{HasHost: true, Host: dc.cfg.Self, MinTOId: minTOId})
 		if err != nil {
 			return 0, err
 		}
@@ -167,9 +190,10 @@ func (dc *Datacenter) Resync(remote core.DCID, s *Sender) (int, error) {
 	if len(stale) == 0 {
 		return 0, nil
 	}
-	// Ship in TOId order so the remote filter sees its expected
-	// sequence.
-	sortRecordsByTOId(stale)
+	// Ship in TOId order so the remote filter sees its expected sequence.
+	// Each maintainer's scan is sorted, but the concatenation is one run
+	// per maintainer, interleaved — and for ResyncAll it is the whole log.
+	slices.SortFunc(stale, func(a, b *core.Record) int { return cmp.Compare(a.TOId, b.TOId) })
 	copies := make([]*core.Record, len(stale))
 	for i, r := range stale {
 		copies[i] = r.Clone()
@@ -185,51 +209,4 @@ func (dc *Datacenter) Resync(remote core.DCID, s *Sender) (int, error) {
 		return 0, err
 	}
 	return len(copies), nil
-}
-
-// ResyncAll ships every local record to the remote datacenter regardless
-// of the awareness table — the bootstrap path for a *replacement*
-// datacenter that lost its entire state: the peers' tables still remember
-// what the dead instance knew, so the incremental Resync would skip
-// records the new instance never had. The remote's filters discard
-// whatever it does turn out to have (exactly-once), so over-shipping is
-// safe, just expensive.
-func (dc *Datacenter) ResyncAll(remote core.DCID, s *Sender) (int, error) {
-	var all []*core.Record
-	for _, m := range dc.maintainers {
-		recs, err := m.Scan(core.Rule{HasHost: true, Host: dc.cfg.Self})
-		if err != nil {
-			return 0, err
-		}
-		all = append(all, recs...)
-	}
-	if len(all) == 0 {
-		return 0, nil
-	}
-	sortRecordsByTOId(all)
-	copies := make([]*core.Record, len(all))
-	for i, r := range all {
-		copies[i] = r.Clone()
-	}
-	snap := Snapshot{From: dc.cfg.Self, Records: copies, ATable: dc.state.atable.Snapshot(), Owned: true}
-	s.mu.Lock()
-	rxs := s.dests[remote]
-	s.mu.Unlock()
-	if len(rxs) == 0 {
-		return 0, fmt.Errorf("chariots: no receivers connected for %s", remote)
-	}
-	if err := rxs[0].Deliver(snap); err != nil {
-		return 0, err
-	}
-	return len(copies), nil
-}
-
-func sortRecordsByTOId(recs []*core.Record) {
-	// Insertion sort is fine: resync batches are small and mostly sorted
-	// (scan returns LId order, which for a single host tracks TOId).
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j-1].TOId > recs[j].TOId; j-- {
-			recs[j-1], recs[j] = recs[j], recs[j-1]
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package chariots
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -188,3 +189,27 @@ func TestResyncAfterDroppedLink(t *testing.T) {
 type blackhole struct{}
 
 func (*blackhole) Deliver(Snapshot) error { return nil }
+
+// TestIngressRefusesUnencodableRecord: a record the log could not read back
+// (core.CheckEncodable) is refused at every way in — the in-process append,
+// injection, and the ingest endpoint, where the error keeps its identity —
+// before it costs a TOId or a log position: the next append gets the first.
+func TestIngressRefusesUnencodableRecord(t *testing.T) {
+	dc := startDC(t, fastCfg(0, 1))
+	huge := []core.Tag{{Key: string(make([]byte, 70000))}}
+	if _, err := dc.Append([]byte("x"), huge); !errors.Is(err, core.ErrUnencodable) {
+		t.Errorf("Append = %v, want ErrUnencodable", err)
+	}
+	if err := dc.TryInject([]*core.Record{{Body: []byte("fine")}, {Tags: huge}}); !errors.Is(err, core.ErrUnencodable) {
+		t.Errorf("TryInject = %v, want ErrUnencodable", err)
+	}
+	srv := rpc.NewServer()
+	ServeIngest(srv, dc)
+	if err := NewIngestClient(rpc.NewLocalClient(srv)).Append([]*core.Record{{Tags: huge}}); !errors.Is(err, core.ErrUnencodable) {
+		t.Errorf("remote ingest = %v, want ErrUnencodable", err)
+	}
+	ack, err := dc.Append([]byte("ok"), nil)
+	if err != nil || ack.TOId != 1 || ack.LId != 1 {
+		t.Fatalf("append after the refusals = %+v, %v; want TOId 1 at LId 1", ack, err)
+	}
+}

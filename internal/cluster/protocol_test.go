@@ -132,6 +132,7 @@ var goldenErrors = []struct {
 	{"Duplicate", fmt.Errorf("%w: LId 3", storage.ErrDuplicate), false},
 	{"Corrupt", fmt.Errorf("%w: entry at 108", storage.ErrCorrupt), false},
 	{"InsufficientAcks", replica.ErrInsufficientAcks, false},
+	{"Unencodable", fmt.Errorf("%w: 70000-byte key", core.ErrUnencodable), false},
 	{"PipelineSaturated", &chariots.SaturationError{RetryAfter: time.Millisecond}, true},
 	{"Stopped", chariots.ErrStopped, true},
 	{"unlisted", errors.New("disk on fire"), false},

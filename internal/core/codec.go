@@ -27,6 +27,37 @@ const minEncodedRecordSize = recordHeaderSize + 2 + 4
 
 var errShortBuffer = errors.New("core: short buffer decoding record")
 
+// ErrUnencodable is returned for a record with a part longer than the
+// length field that has to describe it.
+var ErrUnencodable = errors.New("core: record does not fit its encoding")
+
+// maxU16Len is the largest length or count a u16 field describes.
+const maxU16Len = 1<<16 - 1
+
+// CheckEncodable reports whether every record can be written and read back:
+// at most 65,535 deps and 65,535 tags, tag keys and values of at most
+// 65,535 bytes (the record codec gives a value a u32, but a posting carries
+// it to the indexers behind a u16), and a body a u32 can size. The encoders
+// do not check — they would write the length truncated and then every byte
+// — so this runs where records enter, before a log position is spent on
+// one: once stored, such a record is read back as corruption.
+func CheckEncodable(recs []*Record) error {
+	for _, r := range recs {
+		if len(r.Deps) > maxU16Len || len(r.Tags) > maxU16Len {
+			return fmt.Errorf("%w: %d deps, %d tags (limit %d each)", ErrUnencodable, len(r.Deps), len(r.Tags), maxU16Len)
+		}
+		for _, t := range r.Tags {
+			if len(t.Key) > maxU16Len || len(t.Value) > maxU16Len {
+				return fmt.Errorf("%w: tag with a %d-byte key and a %d-byte value (limit %d each)", ErrUnencodable, len(t.Key), len(t.Value), maxU16Len)
+			}
+		}
+		if uint64(len(r.Body)) > 1<<32-1 {
+			return fmt.Errorf("%w: %d-byte body", ErrUnencodable, len(r.Body))
+		}
+	}
+	return nil
+}
+
 // EncodedSize returns the exact number of bytes MarshalRecord will produce.
 func EncodedSize(r *Record) int {
 	n := recordHeaderSize + len(r.Deps)*10 + 2

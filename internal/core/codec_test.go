@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -163,4 +164,55 @@ func BenchmarkDecodeRecord(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestCheckEncodable walks each limit from its last good value to its first
+// bad one. What the check accepts must survive the codec; what it refuses
+// is what AppendRecord would write with the length truncated — the record
+// the encoders alone turn into one no decoder reads back.
+func TestCheckEncodable(t *testing.T) {
+	long := func(n int) string { return string(make([]byte, n)) }
+	cases := []struct {
+		name     string
+		rec      *Record
+		ok       bool
+		survives bool // the record codec reads back what it wrote
+	}{
+		{"plain", sampleRecord(), true, true},
+		{"key at the limit", &Record{Tags: []Tag{{Key: long(65535), Value: "v"}}}, true, true},
+		{"key over", &Record{Tags: []Tag{{Key: long(65536)}}}, false, false},
+		{"value at the limit", &Record{Tags: []Tag{{Key: "k", Value: long(65535)}}}, true, true},
+		// The record codec sizes a value with a u32; it is the posting that
+		// carries it to an indexer behind a u16.
+		{"value over", &Record{Tags: []Tag{{Key: "k", Value: long(70000)}}}, false, true},
+		{"tags at the limit", &Record{Tags: make([]Tag, 65535)}, true, true},
+		{"tags over", &Record{Tags: make([]Tag, 65536)}, false, false},
+		{"deps at the limit", &Record{Deps: make([]Dep, 65535)}, true, true},
+		{"deps over", &Record{Deps: make([]Dep, 65536)}, false, false},
+	}
+	for _, c := range cases {
+		err := CheckEncodable([]*Record{sampleRecord(), c.rec})
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrUnencodable)) {
+			t.Errorf("%s: CheckEncodable = %v, want ok=%v", c.name, err, c.ok)
+		}
+		dec, _, derr := DecodeRecord(MarshalRecord(c.rec))
+		if survives := derr == nil && reflect.DeepEqual(normalize(dec), normalize(c.rec)); survives != c.survives {
+			t.Errorf("%s: survives the codec = %v (%v), want %v", c.name, survives, derr, c.survives)
+		}
+	}
+}
+
+// normalize maps empty slices to nil so DeepEqual compares contents.
+func normalize(r *Record) *Record {
+	c := *r
+	if len(c.Deps) == 0 {
+		c.Deps = nil
+	}
+	if len(c.Tags) == 0 {
+		c.Tags = nil
+	}
+	if len(c.Body) == 0 {
+		c.Body = nil
+	}
+	return &c
 }

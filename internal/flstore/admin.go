@@ -3,8 +3,7 @@ package flstore
 // The typed admin/reconfiguration surface. Admin is the context-first
 // client for everything an operator (or the autoscaler's tooling) does to
 // a running deployment — configuration, stats, replica status, the epoch
-// journal, and epoch proposals — replacing the hand-rolled msgStats /
-// msgReplicas dial-and-decode loops that used to live in cmd/logctl.
+// journal, and epoch proposals: five row calls under one retry loop.
 // AdminServer is the server half: the static ControllerAdmin adapter
 // serves the journal straight from a Controller, while the Orchestrator
 // (elastic.go) serves it with live drain/migration progress and accepts
@@ -46,9 +45,6 @@ type EpochStatus struct {
 	MigrationDone   bool   `json:"migration_done"`
 }
 
-// RangesRemaining is RangesTotal − RangesStreamed.
-func (s EpochStatus) RangesRemaining() int { return s.RangesTotal - s.RangesStreamed }
-
 // EpochProposal asks the admin server to announce a new epoch.
 type EpochProposal struct {
 	// FirstLId pins the boundary; 0 lets the server pick the first
@@ -81,37 +77,19 @@ type AdminServer interface {
 // Admin is the typed, context-first admin client. All methods take a
 // context honored before the call and between retries (the underlying
 // rpc.Client.Call carries no context, like AppendCtx's transport);
-// retryable failures back off per the configured policy.
-type Admin struct {
-	c       rpc.Client
-	retries int
-	backoff time.Duration
-}
+// retryable failures are retried after a short pause.
+type Admin struct{ c rpc.Client }
 
-// AdminOption configures an Admin.
-type AdminOption func(*Admin)
-
-// WithAdminRetries sets how many times a retryable admin call is retried
-// (default 2).
-func WithAdminRetries(n int) AdminOption {
-	return func(a *Admin) { a.retries = n }
-}
-
-// WithAdminBackoff sets the pause between admin retries (default 25ms).
-func WithAdminBackoff(d time.Duration) AdminOption {
-	return func(a *Admin) { a.backoff = d }
-}
+// A retryable admin call is retried adminRetries times, adminBackoff apart.
+const (
+	adminRetries = 2
+	adminBackoff = 25 * time.Millisecond
+)
 
 // NewAdmin wraps an rpc.Client connected to a controller endpoint (one
 // running ServeController/ServeStats/ServeReplicas/ServeAdmin) as the
 // typed admin surface.
-func NewAdmin(c rpc.Client, opts ...AdminOption) *Admin {
-	a := &Admin{c: c, retries: 2, backoff: 25 * time.Millisecond}
-	for _, opt := range opts {
-		opt(a)
-	}
-	return a
-}
+func NewAdmin(c rpc.Client) *Admin { return &Admin{c: c} }
 
 // adminCall runs one admin RPC under the retry policy.
 func adminCall[Q, R any](ctx context.Context, a *Admin, row *rpc.Message[Q, R], q Q) (R, error) {
@@ -121,10 +99,10 @@ func adminCall[Q, R any](ctx context.Context, a *Admin, row *rpc.Message[Q, R], 
 			return zero, err
 		}
 		r, err := row.Call(a.c, q)
-		if err == nil || attempt >= a.retries || !IsRetryable(err) {
+		if err == nil || attempt >= adminRetries || !IsRetryable(err) {
 			return r, err
 		}
-		if serr := sleepCtx(ctx, a.backoff); serr != nil {
+		if serr := sleepCtx(ctx, adminBackoff); serr != nil {
 			return r, serr
 		}
 	}

@@ -53,10 +53,6 @@ type Client struct {
 	// configured via WithAppendRetries / WithAppendBackoff.
 	appendRetries int
 	appendBackoff time.Duration
-	// pace is the AIMD governor honoring server retry-after hints; nil
-	// (the default) sends at the caller's rate. Enabled by
-	// WithAdaptivePacing.
-	pace *pacer
 }
 
 // readJitter is the shared jitter stream for read-retry backoff.
@@ -189,8 +185,8 @@ func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexer
 	return c.configure(opts), nil
 }
 
-// configure finishes construction. Options apply last: WithQuorumFanout
-// and WithReadPolicy act on the replica session, which must exist by then.
+// configure finishes construction. Options apply last: WithReadPolicy acts
+// on the replica session, which must exist by then.
 func (c *Client) configure(opts []ClientOption) *Client {
 	for _, opt := range opts {
 		opt(c)
@@ -239,8 +235,8 @@ func (c *Client) Append(body []byte, tags []core.Tag) (uint64, error) {
 	return c.AppendCtx(context.Background(), body, tags)
 }
 
-// AppendCtx is Append with cancellation: ctx aborts pacing delays and the
-// overload-retry backoff between attempts (a request already in flight is
+// AppendCtx is Append with cancellation: ctx aborts the overload-retry
+// backoff between attempts (a request already in flight is
 // not interrupted — the RPC substrate has no cancel frame).
 func (c *Client) AppendCtx(ctx context.Context, body []byte, tags []core.Tag) (uint64, error) {
 	rec := &core.Record{Tags: tags, Body: body}
@@ -261,10 +257,9 @@ func (c *Client) AppendBatch(recs []*core.Record) ([]uint64, error) {
 // AppendBatchCtx is AppendBatch with cancellation and admission handling:
 // when the maintainer rejects the batch with a retryable overload, the
 // client waits out the server's RetryAfter hint (or its own capped-jittered
-// backoff, whichever is longer) and retries up to WithAppendRetries times,
-// while the AIMD pacer (WithAdaptivePacing) spaces subsequent sends. With
-// the default options (no retries, no pacing) behavior is unchanged: one
-// attempt, errors surface to the caller.
+// backoff, whichever is longer) and retries up to WithAppendRetries times.
+// With the default options (no retries) there is one attempt and errors
+// surface to the caller.
 func (c *Client) AppendBatchCtx(ctx context.Context, recs []*core.Record) ([]uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -281,21 +276,8 @@ func (c *Client) AppendBatchCtx(ctx context.Context, recs []*core.Record) ([]uin
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		if d := c.pace.delay(n); d > 0 {
-			if err := sleepCtx(ctx, d); err != nil {
-				root.Finish(trace.Default(), "cancel", 0, n)
-				return nil, err
-			}
-			if root.Sampled() {
-				rtc.Hop(trace.Default(), "client.pace", int64(d), "", 0, n)
-				for _, r := range recs {
-					r.Trace = rtc
-				}
-			}
-		}
 		lids, err := c.session.Append(recs)
 		if err == nil {
-			c.pace.onSuccess(n)
 			var lid0 uint64
 			if len(lids) > 0 {
 				lid0 = lids[0]
@@ -318,7 +300,6 @@ func (c *Client) AppendBatchCtx(ctx context.Context, recs []*core.Record) ([]uin
 			return nil, err
 		}
 		hint := RetryAfter(err)
-		c.pace.onOverload(n, hint)
 		base := c.appendBackoff
 		if base <= 0 {
 			base = 2 * time.Millisecond
@@ -646,5 +627,20 @@ func (c *Client) Tail(ctx context.Context, fromLId uint64, fn func(*core.Record)
 			}
 			cursor = hi + 1
 		}
+	}
+}
+
+// sleepCtx sleeps for d or until ctx is cancelled, whichever comes first.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }

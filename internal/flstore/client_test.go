@@ -54,9 +54,6 @@ func TestClientOptionDefaults(t *testing.T) {
 	if c.readRetries != 50 || c.retryBackoff != 2*time.Millisecond {
 		t.Errorf("defaults: retries=%d backoff=%v, want 50 and 2ms", c.readRetries, c.retryBackoff)
 	}
-	if c.PaceRate() != 0 {
-		t.Errorf("default PaceRate = %v, want 0 (pacing off)", c.PaceRate())
-	}
 	if c.Session() == nil {
 		t.Fatal("unreplicated client has no session")
 	}

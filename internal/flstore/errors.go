@@ -42,6 +42,7 @@ func init() {
 		rpc.ErrorRow{Code: 9, Sentinel: storage.ErrDuplicate},
 		rpc.ErrorRow{Code: 10, Sentinel: storage.ErrCorrupt},
 		rpc.ErrorRow{Code: 11, Sentinel: replica.ErrInsufficientAcks},
+		rpc.ErrorRow{Code: 12, Sentinel: core.ErrUnencodable},
 	)
 }
 
@@ -81,7 +82,7 @@ var ErrEpochSealed = errors.New("flstore: epoch sealed")
 // ErrReadBlocked is returned when a read names a position this member
 // knows is assigned (an invalidation or gossip announced it) but whose
 // payload has not yet resolved locally — the position is invalid here,
-// not absent. The maintainer waits ReadBlockWait for the in-flight copy
+// not absent. The maintainer waits a short while for the in-flight copy
 // before surfacing this; the record is durably readable at a fresher
 // group member, so the session fails the read over (with no health
 // penalty) and clients retry with the attached pacing hint.

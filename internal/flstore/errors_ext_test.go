@@ -121,7 +121,7 @@ func TestErrorRowsKeepIdentity(t *testing.T) {
 	sentinels := []error{
 		core.ErrNoSuchRecord, core.ErrPastHead, flstore.ErrOverloaded, flstore.ErrOrderBacklog,
 		flstore.ErrWrongMaintainer, flstore.ErrNotReplica, flstore.ErrEpochSealed, flstore.ErrReadBlocked,
-		storage.ErrDuplicate, storage.ErrCorrupt, replica.ErrInsufficientAcks,
+		storage.ErrDuplicate, storage.ErrCorrupt, replica.ErrInsufficientAcks, core.ErrUnencodable,
 		chariots.ErrPipelineSaturated, chariots.ErrStopped,
 	}
 	errs := []error{
@@ -139,6 +139,7 @@ func TestErrorRowsKeepIdentity(t *testing.T) {
 		fmt.Errorf("%w: LId 3", storage.ErrDuplicate),
 		fmt.Errorf("%w: entry at 108", storage.ErrCorrupt),
 		replica.ErrInsufficientAcks,
+		fmt.Errorf("%w: tag with a 70000-byte key", core.ErrUnencodable),
 		&chariots.SaturationError{RetryAfter: time.Millisecond},
 		&chariots.SaturationError{},
 		chariots.ErrStopped,

@@ -1,11 +1,17 @@
 package flstore
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/rpc"
 	"repro/internal/storage"
@@ -170,4 +176,74 @@ func runKillRestartScenario(t *testing.T, seed uint64) string {
 		}
 	}
 	return ctl.Fingerprint()
+}
+
+// TestMultiReadFailsOverFromCorruptCopy scribbles over a sealed segment of
+// one member of a fully replicated group. That member's MultiRead used to
+// skip every store error as "absent here", so a corrupt copy looked like a
+// position not yet stored, the answer silently shrank and the member was
+// never failed over from. It now fails with the store's error, the session
+// reads the batch from the next replica, and ReadLIds returns every record.
+func TestMultiReadFailsOverFromCorruptCopy(t *testing.T) {
+	p := Placement{NumMaintainers: 3, BatchSize: 4}
+	var ms []*Maintainer
+	var apis []MaintainerAPI
+	var dirs []string
+	for i := 0; i < p.NumMaintainers; i++ {
+		dirs = append(dirs, t.TempDir())
+		st, err := storage.OpenSegmentStore(dirs[i], storage.SegmentStoreOptions{MaxSegmentBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		// A four-record tail ring: reads below the frontier go to the store.
+		m, err := NewMaintainer(MaintainerConfig{Index: i, Placement: p, Replication: 3, Store: st, tailCacheSize: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, apis = append(ms, m), append(apis, m)
+	}
+	c, err := NewReplicatedDirectClient(p, apis, nil, 3, replica.AckAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	c.Session().EnableMetrics(reg)
+	var lids []uint64
+	for i := 0; i < 48; i++ {
+		lid, err := c.Append([]byte(fmt.Sprintf("a record body of some length, number %02d", i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lids = append(lids, lid)
+	}
+	// Member 0's oldest segment is sealed and holds the first records of
+	// range 0, whose reads try member 0 first.
+	segs, _ := filepath.Glob(filepath.Join(dirs[0], "*.seg"))
+	if len(segs) < 2 {
+		t.Fatalf("member 0 has %d segments, want a sealed one", len(segs))
+	}
+	sort.Strings(segs)
+	st, err := os.Stat(segs[0])
+	if err == nil {
+		err = os.WriteFile(segs[0], bytes.Repeat([]byte{0xA5}, int(st.Size())), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := ms[0].MultiRead([]uint64{1, 2}); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("MultiRead over a scribbled entry = %d records, %v; want ErrCorrupt", len(recs), err)
+	}
+	recs, err := c.ReadLIds(lids)
+	if err != nil || len(recs) != len(lids) {
+		t.Fatalf("ReadLIds = %d records, %v; want all %d", len(recs), err, len(lids))
+	}
+	for i, r := range recs {
+		if want := fmt.Sprintf("a record body of some length, number %02d", i); r.LId != lids[i] || string(r.Body) != want {
+			t.Fatalf("record %d = LId %d %q, want LId %d %q", i, r.LId, r.Body, lids[i], want)
+		}
+	}
+	if s := reg.Snapshot().Find("replica_read_failovers_total", nil); s == nil || s.Value == 0 {
+		t.Errorf("read failovers = %+v, want the group to have been read from a second member", s)
+	}
 }

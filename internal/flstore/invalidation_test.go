@@ -19,7 +19,7 @@ func follower(t *testing.T, readBlockWait time.Duration) *Maintainer {
 		Index:         1,
 		Placement:     Placement{NumMaintainers: 3, BatchSize: 2},
 		Replication:   3,
-		ReadBlockWait: readBlockWait,
+		readBlockWait: readBlockWait,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,15 +102,15 @@ func TestSlotsBelow(t *testing.T) {
 		want     uint64
 	}{
 		{0, 0, 0}, {0, 1, 0}, // empty bounds
-		{0, 2, 1},            // mid-chunk
-		{0, 3, 2},            // exact chunk end
-		{0, 5, 2},            // bound inside another range's chunk
-		{0, 7, 2},            // up to the next round's first own position
-		{0, 8, 3},            // into the next round
-		{0, 9, 4},            // exact end of round-1 chunk
-		{1, 3, 0},            // before this range's first chunk
-		{1, 5, 2},            // exact own chunk end
-		{2, 13, 4},           // two full rounds for the last range
+		{0, 2, 1},  // mid-chunk
+		{0, 3, 2},  // exact chunk end
+		{0, 5, 2},  // bound inside another range's chunk
+		{0, 7, 2},  // up to the next round's first own position
+		{0, 8, 3},  // into the next round
+		{0, 9, 4},  // exact end of round-1 chunk
+		{1, 3, 0},  // before this range's first chunk
+		{1, 5, 2},  // exact own chunk end
+		{2, 13, 4}, // two full rounds for the last range
 	}
 	for _, c := range cases {
 		if got := slotsBelowP(m.cfg.Placement, c.rangeIdx, c.bound); got != c.want {

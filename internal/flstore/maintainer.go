@@ -63,10 +63,6 @@ type MaintainerConfig struct {
 	// record at position i is only readable once no gap exists below i.
 	EnforceHead bool
 
-	// MaxOrderBuffer bounds the records parked by AppendAfter; 0 uses a
-	// default of 4096.
-	MaxOrderBuffer int
-
 	// MaxIngressBacklog bounds the total ingestion backlog — explicit-order
 	// records plus out-of-order buffered slots across hosted ranges — above
 	// which client-facing appends (Append/AppendFor) are rejected with a
@@ -76,21 +72,18 @@ type MaintainerConfig struct {
 	// 65536 records; negative disables the bound.
 	MaxIngressBacklog int
 
-	// TailCacheSize is the capacity (records) of the tail ring serving
-	// range reads near the append frontier from memory. 0 uses a default
-	// of 4096; negative disables the cache.
-	TailCacheSize int
-
-	// ReadBlockWait bounds how long Read parks on a locally-invalid
-	// position — one an invalidation announced but whose payload has not
-	// resolved here — before returning a retryable ReadBlockedError so
-	// the session fails over to a fresher replica. The fan-out payload
-	// normally lands within a round trip, so the default (2ms) resolves
-	// the common race in place without stalling the serving goroutine.
-	// 0 uses the default; negative disables blocking (immediate
-	// ReadBlockedError).
-	ReadBlockWait time.Duration
+	// Constants to every deployment (0: the default* value); fields so that
+	// this package's tests can reach a bound with a handful of records. The
+	// records AppendAfter may park; the capacity of the tail ring that
+	// serves reads near the frontier from memory (negative: no ring); how
+	// long Read parks on a locally-invalid position before it returns a
+	// ReadBlockedError (negative: not at all).
+	maxOrderBuffer int
+	tailCacheSize  int
+	readBlockWait  time.Duration
 }
+
+const defaultMaxOrderBuffer = 4096
 
 // rangeState is the per-hosted-range ingestion state: the range's geometry,
 // its two slot frontiers, and the out-of-order buffer feeding them. The
@@ -326,17 +319,17 @@ func NewMaintainer(cfg MaintainerConfig) (*Maintainer, error) {
 	if cfg.Store == nil {
 		cfg.Store = storage.NewMemStore()
 	}
-	if cfg.MaxOrderBuffer == 0 {
-		cfg.MaxOrderBuffer = 4096
+	if cfg.maxOrderBuffer == 0 {
+		cfg.maxOrderBuffer = defaultMaxOrderBuffer
 	}
 	if cfg.MaxIngressBacklog == 0 {
 		cfg.MaxIngressBacklog = 65536
 	}
-	if cfg.TailCacheSize == 0 {
-		cfg.TailCacheSize = defaultTailCacheSize
+	if cfg.tailCacheSize == 0 {
+		cfg.tailCacheSize = defaultTailCacheSize
 	}
-	if cfg.ReadBlockWait == 0 {
-		cfg.ReadBlockWait = defaultReadBlockWait
+	if cfg.readBlockWait == 0 {
+		cfg.readBlockWait = defaultReadBlockWait
 	}
 	m := &Maintainer{
 		cfg:     cfg,
@@ -348,8 +341,8 @@ func NewMaintainer(cfg MaintainerConfig) (*Maintainer, error) {
 	if d, ok := cfg.Store.(interface{ Durable() bool }); ok {
 		m.storeDurable = d.Durable()
 	}
-	if cfg.TailCacheSize > 0 {
-		m.tail = newTailRing(cfg.TailCacheSize)
+	if cfg.tailCacheSize > 0 {
+		m.tail = newTailRing(cfg.tailCacheSize)
 	}
 	// Hosted ranges start their frontiers at the epoch's base slot: slot 0
 	// for an epoch beginning the log, the boundary's slot count for a grown
@@ -639,7 +632,12 @@ func (m *Maintainer) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, err
 			return nil, fmt.Errorf("flstore: Append record %d already has LId %d", i, r.LId)
 		}
 	}
-	if err = m.claimLock(); err != nil {
+	// Checked before a position is taken: a commit tail that can never be
+	// stored would be re-run ahead of every later claim (claimLock).
+	if err = core.CheckEncodable(recs); err == nil {
+		err = m.claimLock()
+	}
+	if err != nil {
 		return nil, err
 	}
 	// A batch that would cross a sealed epoch's cap is rejected whole
@@ -693,12 +691,15 @@ func (m *Maintainer) AppendAfter(minLId uint64, recs []*core.Record) ([]uint64, 
 	if len(recs) == 0 {
 		return nil, nil
 	}
+	if err := core.CheckEncodable(recs); err != nil {
+		return nil, err // now, not when the buffered batch is released
+	}
 	m.mu.Lock()
 	if m.nextAssignedLocked() > minLId {
 		m.mu.Unlock()
 		return m.Append(recs)
 	}
-	if m.orderBuf.size+len(recs) > m.cfg.MaxOrderBuffer {
+	if m.orderBuf.size+len(recs) > m.cfg.maxOrderBuffer {
 		m.mu.Unlock()
 		return nil, ErrOrderBacklog
 	}
@@ -767,7 +768,11 @@ func (m *Maintainer) ingestPlaced(recs []*core.Record, mode ingestMode) error {
 	// a range named by two runs drains on the first and empties the second.
 	var buf [1]drainSpan
 	spans := buf[:0]
-	if err := m.claimLock(); err != nil {
+	err := core.CheckEncodable(recs) // before a slot is claimed, as in AppendFor
+	if err == nil {
+		err = m.claimLock()
+	}
+	if err != nil {
 		return err
 	}
 	for _, r := range recs {
@@ -892,7 +897,10 @@ func IndexerFor(key string, numIndexers int) int {
 	return int(h.Sum32() % uint32(numIndexers))
 }
 
-// defaultReadBlockWait bounds Read's park on a locally-invalid position;
+// defaultReadBlockWait bounds Read's park on a locally-invalid position —
+// one an invalidation announced but whose payload has not resolved here:
+// the payload normally lands within a round trip, so 2 ms resolves the
+// common race in place without stalling the serving goroutine.
 // readBlockHint is the pacing hint attached when the wait expires (the
 // payload is one fan-out round trip behind the announcement, so a
 // millisecond is normally enough for a retry to land after it).
@@ -989,7 +997,7 @@ func (m *Maintainer) invalBacklogLocked(rangeIdx int) uint64 {
 // trip; positions of ranges not stored here keep the wrong-maintainer
 // semantics — the epoch journal routes them elsewhere); between the
 // watermark and the announced assignment bound the position is invalid
-// here — Read parks up to ReadBlockWait for the in-flight payload, then
+// here — Read parks up to readBlockWait for the in-flight payload, then
 // returns a retryable ReadBlockedError so the caller fails over to a
 // fresher replica; above the announced bound the position does not exist
 // yet and the legacy core.ErrNoSuchRecord semantics apply.
@@ -1024,11 +1032,11 @@ func (m *Maintainer) Read(lid uint64) (*core.Record, error) {
 // position below the announced bound, or one this member assigned whose
 // commit tail is still running, is assigned — locally invalid, not absent
 // — so the read parks on the progress channel for the in-flight payload
-// (bounded by ReadBlockWait) rather than serving a stale no-such-record.
+// (bounded by readBlockWait) rather than serving a stale no-such-record.
 // Positions past both keep the legacy absent semantics.
 func (m *Maintainer) blockedRead(st *rangeState, lid uint64) (*core.Record, error) {
-	// A negative ReadBlockWait puts the deadline in the past: no parking.
-	deadline := time.Now().Add(m.cfg.ReadBlockWait)
+	// A negative readBlockWait puts the deadline in the past: no parking.
+	deadline := time.Now().Add(m.cfg.readBlockWait)
 	for blocked := false; ; blocked = true {
 		// Grab the channel before checking state: progress between the
 		// check and the park closes this channel, so no wakeup is lost.

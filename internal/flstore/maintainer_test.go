@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ratelimit"
+	"repro/internal/rpc"
 	"repro/internal/storage"
 )
 
@@ -223,7 +224,7 @@ func TestMaintainerAppendAfterBuffersUntilBoundPasses(t *testing.T) {
 func TestMaintainerAppendAfterBacklogBound(t *testing.T) {
 	m, _ := NewMaintainer(MaintainerConfig{
 		Index: 0, Placement: Placement{NumMaintainers: 1, BatchSize: 10},
-		MaxOrderBuffer: 2,
+		maxOrderBuffer: 2,
 	})
 	if _, err := m.AppendAfter(100, []*core.Record{bodyRec("a"), bodyRec("b")}); err != nil {
 		t.Fatal(err)
@@ -315,5 +316,62 @@ func TestMaintainerGossipUnknownPeer(t *testing.T) {
 	}
 	if h, _ := m.Head(); h != 0 {
 		t.Errorf("rejected gossip moved the head to %d", h)
+	}
+}
+
+// TestUnencodableRecordTakesNoPosition: a tag key or value longer than its
+// 16-bit length field used to be stored (and posted to the indexers, over
+// the wire, as garbage that decoded without error) and acknowledged; read
+// back it was corruption, and a store holding one never reopened. Every
+// entry point now refuses the batch before a position is taken: the
+// frontier, the store, the indexer and the next append are untouched.
+func TestUnencodableRecordTakesNoPosition(t *testing.T) {
+	ix := NewIndexer(nil)
+	srv := rpc.NewServer()
+	ServeIndexer(srv, ix)
+	m, err := NewMaintainer(MaintainerConfig{
+		Index: 0, Placement: Placement{NumMaintainers: 1, BatchSize: 100},
+		Indexers: []IndexerAPI{NewIndexerClient(rpc.NewLocalClient(srv))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Append([]*core.Record{{Tags: []core.Tag{{Key: "k", Value: "v"}}, Body: []byte("first")}}); err != nil {
+		t.Fatal(err)
+	}
+	msrv := rpc.NewServer()
+	ServeMaintainer(msrv, m)
+	remote := NewMaintainerClient(rpc.NewLocalClient(msrv))
+	huge := string(make([]byte, 70000))
+	bad := func() []*core.Record {
+		return []*core.Record{bodyRec("rides along"), {Tags: []core.Tag{{Key: "k", Value: huge}}, Body: []byte("x")}}
+	}
+	placed := bad()
+	placed[0].LId, placed[1].LId = 2, 3
+	for name, appendBad := range map[string]func() error{
+		"Append":         func() error { _, err := m.Append(bad()); return err },
+		"AppendFor":      func() error { _, err := m.AppendFor(0, bad()); return err },
+		"AppendAfter":    func() error { _, err := m.AppendAfter(50, bad()); return err }, // would be buffered
+		"AppendAssigned": func() error { return m.AppendAssigned(placed) },
+		"ReplicaAppend":  func() error { return m.ReplicaAppend(placed) },
+		"remote Append":  func() error { _, err := remote.Append(bad()); return err }, // refused by the stub, before the encoder
+		"long key": func() error {
+			_, err := m.Append([]*core.Record{{Tags: []core.Tag{{Key: huge}}}})
+			return err
+		},
+	} {
+		if err := appendBad(); !errors.Is(err, core.ErrUnencodable) {
+			t.Errorf("%s of an unencodable record = %v, want ErrUnencodable", name, err)
+		}
+		if next, _ := m.NextUnfilled(); next != 2 || m.Store().Len() != 1 || ix.Keys() != 1 {
+			t.Fatalf("after %s: next unfilled %d, %d stored, %d index keys; want 2, 1, 1", name, next, m.Store().Len(), ix.Keys())
+		}
+	}
+	lids, err := m.Append([]*core.Record{bodyRec("next")})
+	if err != nil || lids[0] != 2 {
+		t.Fatalf("append after the refusals = %v, %v; want LId 2", lids, err)
+	}
+	if lids, err := ix.Lookup(LookupQuery{Key: "k"}); err != nil || len(lids) != 1 || lids[0] != 1 {
+		t.Errorf("index holds %v, %v; want the one good posting", lids, err)
 	}
 }

@@ -13,12 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
-// The FLStore wire protocol is the table of rows at the end of this
-// section (DESIGN.md §3.8): a message is one rpc.Message built from a type
-// byte, a name, and two of the payload shapes below. Every stub is the
-// row's Call and every handler its Serve, so a message is spelled in one
-// place; a new message is a row and, only if its payload is laid out like
-// no other, a shape.
+// The FLStore wire protocol is the table of rows below the payload shapes
+// (DESIGN.md §3.8): a message is one rpc.Message built from a type byte, a
+// name and two shapes. Every stub is the row's Call and every handler its
+// Serve, so a message is spelled in one place; a new message is a row and,
+// only if its payload is laid out like no other, a shape.
 
 // Message types of the FLStore wire protocol.
 const (
@@ -121,10 +120,9 @@ var (
 		},
 		Get: func(p []byte, tc *trace.Ctx) (afterReq, error) {
 			d := wire.NewDec(p)
-			q := afterReq{Min: d.U64()}
-			var err error
-			q.Recs, err = restRecords(&d, tc)
-			return q, err
+			min := d.U64()
+			recs, err := restRecords(&d, tc)
+			return afterReq{min, recs}, err
 		},
 	}
 	forShape = rpc.Codec[forReq]{
@@ -133,10 +131,9 @@ var (
 		},
 		Get: func(p []byte, tc *trace.Ctx) (forReq, error) {
 			d := wire.NewDec(p)
-			q := forReq{Range: int(d.U32())}
-			var err error
-			q.Recs, err = restRecords(&d, tc)
-			return q, err
+			rangeIdx := int(d.U32())
+			recs, err := restRecords(&d, tc)
+			return forReq{rangeIdx, recs}, err
 		},
 	}
 	pullShape = rpc.Codec[pullReq]{
@@ -231,8 +228,13 @@ func getLIds(p []byte, _ *trace.Ctx) ([]uint64, error) {
 }
 
 // putRecords encodes a batch in the standard count-prefixed frame. The
-// batch's trace context, if it has one, rides the traced envelope.
+// batch's trace context, if it has one, rides the traced envelope. A record
+// the codec would truncate is refused here, on the sending side: past the
+// encoder it is bytes that decode into some other record, or none.
 func putRecords(dst []byte, recs []*core.Record) ([]byte, error) {
+	if err := core.CheckEncodable(recs); err != nil {
+		return dst, err
+	}
 	if dst == nil {
 		dst = make([]byte, 0, core.EncodedSizeRecords(recs))
 	}
@@ -309,10 +311,9 @@ func putRangeResult(dst []byte, res RangeResult) ([]byte, error) {
 
 func getRangeResult(p []byte, _ *trace.Ctx) (RangeResult, error) {
 	d := wire.NewDec(p)
-	res := RangeResult{CoveredHi: d.U64()}
-	var err error
-	res.Records, err = restRecords(&d, nil)
-	return res, err
+	covered := d.U64()
+	recs, err := restRecords(&d, nil)
+	return RangeResult{Records: recs, CoveredHi: covered}, err
 }
 
 func putRule(dst []byte, ru core.Rule) ([]byte, error) {

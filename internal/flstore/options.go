@@ -1,10 +1,9 @@
 package flstore
 
 // Functional options for Client construction, taken by every constructor
-// (NewClient, NewDirectClient, NewReplicatedDirectClient) and the only way
-// to configure a Client: options are applied once, after the replica session
-// is built and before the client serves calls, so there is no window where
-// a concurrent reader sees a half-configured client.
+// and the only way to configure a Client: options are applied once, after
+// the replica session is built and before the client serves calls, so no
+// concurrent reader sees a half-configured client.
 
 import (
 	"time"
@@ -41,23 +40,6 @@ func WithAppendRetries(n int) ClientOption {
 // of this schedule and the server's RetryAfter hint.
 func WithAppendBackoff(d time.Duration) ClientOption {
 	return func(c *Client) { c.appendBackoff = d }
-}
-
-// WithAdaptivePacing enables the AIMD send-rate governor: after the first
-// overload rejection the client spaces appends at the server's implied
-// admission rate, halving the allowance on each further rejection and
-// creeping it back up on success. Off by default.
-func WithAdaptivePacing() ClientOption {
-	return func(c *Client) { c.pace = &pacer{} }
-}
-
-// WithQuorumFanout lets replicated appends return as soon as the ack
-// policy's quorum of copies is stored (fsynced on durable members),
-// detaching the remaining fan-out — a degraded follower's disk stops
-// sitting on the append p99. With R = 1 there is no fan-out to detach; see
-// replica.SessionConfig.QuorumFanout for the trade-off.
-func WithQuorumFanout() ClientOption {
-	return func(c *Client) { c.session.SetQuorumFanout(true) }
 }
 
 // WithReadPolicy sets the replica read-placement policy

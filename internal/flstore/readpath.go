@@ -1,6 +1,7 @@
 package flstore
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -346,8 +347,13 @@ func (m *Maintainer) MultiRead(lids []uint64) ([]*core.Record, error) {
 				m.TailCacheMisses.Inc()
 			}
 			var err error
-			if rec, err = m.store.Get(lid); err != nil {
+			if rec, err = m.store.Get(lid); errors.Is(err, core.ErrNoSuchRecord) {
 				continue // absent here; the client's fallback handles it
+			} else if err != nil {
+				// Anything else — a corrupt copy, a closed store — is this
+				// member's fault, not the position's: fail, so the session
+				// reads from the next replica.
+				return nil, err
 			}
 		}
 		out = append(out, rec)

@@ -203,7 +203,7 @@ func TestMaintainerReadRangeColdServesFromStore(t *testing.T) {
 	// A tail cache smaller than the log forces ring misses on old
 	// positions; the store scan must fill them, bounded per block.
 	p := Placement{NumMaintainers: 1, BatchSize: 100}
-	m, err := NewMaintainer(MaintainerConfig{Index: 0, Placement: p, TailCacheSize: 4})
+	m, err := NewMaintainer(MaintainerConfig{Index: 0, Placement: p, tailCacheSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func newVisRig(t *testing.T) *visRig {
 		Placement:     p,
 		Store:         gatedStore{storage.NewMemStore(), v.storeGate},
 		Indexers:      []IndexerAPI{ix},
-		ReadBlockWait: -1, // a blocked read reports so at once
+		readBlockWait: -1, // a blocked read reports so at once
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -131,9 +131,6 @@ func (h *BucketHistogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a latency observation in seconds.
-func (h *BucketHistogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // ObserveSince records the seconds elapsed since start.
 func (h *BucketHistogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
 

@@ -93,7 +93,6 @@ type Session struct {
 
 	rr        atomic.Uint64 // round-robin range cursor for appends
 	readToken atomic.Uint64 // per-read draw for load-spreading policies
-	quorum    atomic.Bool   // QuorumFanout, toggleable after construction
 
 	// Counters are always maintained; EnableMetrics additionally exports
 	// them (plus the ack-latency histogram) to a registry.
@@ -130,18 +129,12 @@ func NewSession(members []Member, cfg SessionConfig) (*Session, error) {
 		members: ms,
 		policy:  pol,
 	}
-	s.quorum.Store(cfg.QuorumFanout)
 	return s, nil
 }
 
-// SetQuorumFanout toggles quorum-return fan-out (see
-// SessionConfig.QuorumFanout) after construction — the hook clients use to
-// enable it without plumbing a new constructor. Safe to call concurrently
-// with appends; in-flight fan-outs pick the mode up on their next wait.
-func (s *Session) SetQuorumFanout(v bool) { s.quorum.Store(v) }
-
-// QuorumFanout reports whether quorum-return fan-out is enabled.
-func (s *Session) QuorumFanout() bool { return s.quorum.Load() }
+// QuorumFanout reports whether quorum-return fan-out is enabled
+// (SessionConfig.QuorumFanout).
+func (s *Session) QuorumFanout() bool { return s.cfg.QuorumFanout }
 
 // SetReadPolicy swaps the policy ordering group members for reads.
 // Intended for configuration before the session sees traffic; concurrent
@@ -420,7 +413,7 @@ func (s *Session) fanOut(rangeIdx, actingPrimary int, upTo uint64, recs []*core.
 	// The acting primary's own store counts as the first ack.
 	need := s.cfg.Ack.Required(s.cfg.Layout.R) - 1
 	acked := 0
-	quorum := s.quorum.Load()
+	quorum := s.cfg.QuorumFanout
 	for done := 0; done < launched; done++ {
 		if quorum && acked >= need {
 			break // quorum reached; stragglers detach

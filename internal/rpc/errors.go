@@ -14,27 +14,25 @@ import (
 //
 //	code u8 | retry-after i64 (ns) | arg u64 | message
 //
-// where code names a row of a protocol's error table (0: none), retry-after
-// is the error's pacing hint, arg is the one number a typed error carries
-// (an epoch boundary, a blocked LId) and message is its text. The calling
-// side rebuilds the error from the code alone — no matching on text — so
-// errors.Is, errors.As, the retry classification and the hint give the same
-// answers on a remote error as on the local one it came from. This file is
-// the only place that knows the format.
+// code names a row of a protocol's error table (0: none), arg is the one
+// number a typed error carries (an epoch boundary, a blocked LId). The
+// calling side rebuilds the error from the code alone, never from its text,
+// so errors.Is, errors.As, the retry classification and the hint answer the
+// same on a remote error as on the local one it came from. Only this file
+// knows the format.
 
 // ErrorRow is one row of a protocol's error table.
 type ErrorRow struct {
-	// Code identifies the row on the wire. Non-zero, and disjoint across
+	// Code identifies the row on the wire: non-zero, and disjoint across
 	// protocols the way message types are (flstore from 1, chariots from
-	// 32), so a client rebuilds an error without knowing which protocol
-	// its server speaks.
+	// 32), so a client need not know which protocol its server speaks.
 	Code uint8
 	// Sentinel is what the serving side matches a handler error against
 	// (errors.Is; the first registered row that matches wins) and what the
 	// rebuilt error unwraps to.
 	Sentinel error
-	// Rebuild reconstructs the typed form of the error from the hint and
-	// the argument that crossed the wire; nil for a bare sentinel.
+	// Rebuild makes the typed form of the error from the hint and the
+	// argument that crossed the wire; nil for a bare sentinel.
 	Rebuild func(retryAfter time.Duration, arg uint64) error
 }
 
@@ -66,9 +64,6 @@ type (
 	errorArger  interface{ ErrorArg() uint64 }
 )
 
-// errorFrameHeader is code, retry-after and arg.
-const errorFrameHeader = 1 + 8 + 8
-
 // errorPayload renders a handler error as a msgError payload.
 func errorPayload(err error) []byte {
 	var code uint8
@@ -89,7 +84,7 @@ func errorPayload(err error) []byte {
 		arg = a.ErrorArg()
 	}
 	msg := err.Error()
-	p := append(make([]byte, 0, errorFrameHeader+len(msg)), code)
+	p := append(make([]byte, 0, 1+8+8+len(msg)), code)
 	p = binary.LittleEndian.AppendUint64(p, uint64(retry))
 	p = binary.LittleEndian.AppendUint64(p, arg)
 	return append(p, msg...)

@@ -8,13 +8,12 @@ import (
 )
 
 // A protocol over this substrate is a table of Message rows, one per
-// message type. A row says everything there is to know about its message —
-// the type byte, the name metrics and errors use, how it is served, and
-// how its request and reply are laid out — and its two methods are the
-// only stub and the only handler adapter the protocol has: Call is the
-// client side, Serve the server side. The layouts are Codec values shared
-// between rows, so a shape (a record batch, an LId list, one u64) is
-// written once however many messages carry it.
+// message type (DESIGN.md §3.8). A row holds everything there is to know
+// about its message — the type byte, the name metrics and errors use, how
+// it is served, how its request and reply are laid out — and its two
+// methods are the only stub and the only handler adapter the protocol has.
+// The layouts are Codec values shared between rows, so a shape (a record
+// batch, an LId list, one u64) is written once however many carry it.
 
 // Codec is one payload layout.
 type Codec[T any] struct {

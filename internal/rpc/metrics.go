@@ -1,10 +1,6 @@
 package rpc
 
-import (
-	"time"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // serverMetrics instruments one Server's dispatch path. All series carry a
 // component label (e.g. "maintainer", "controller", "ingest") so one
@@ -56,15 +52,4 @@ func (m *serverMetrics) histFor(name string) *metrics.BucketHistogram {
 	}
 	return m.reg.Histogram("rpc_server_call_seconds", metrics.LatencyBuckets,
 		metrics.L("component", m.component), metrics.L("msg_type", name))
-}
-
-// observe records one served call: latency, byte and error counts.
-// respLen/isErr describe the response frame.
-func (m *serverMetrics) observe(latency *metrics.BucketHistogram, reqLen, respLen int, start time.Time, isErr bool) {
-	latency.ObserveSince(start)
-	m.bytesIn.Add(uint64(reqLen))
-	m.bytesOut.Add(uint64(respLen))
-	if isErr {
-		m.errors.Inc()
-	}
 }

@@ -130,9 +130,8 @@ func (s *Server) Register(msgType uint8, r Route) {
 	s.table.Store(&t)
 }
 
-// Handle registers h as an in-order route that takes no trace context.
-// Protocols register through Message.Serve; this is Register for a bare
-// function (bench/ and this package's tests serve echo handlers with it).
+// Handle is Register for a bare function served in order: what bench/ and
+// this package's tests register echo handlers with.
 func (s *Server) Handle(msgType uint8, h func(payload []byte) ([]byte, error)) {
 	s.Register(msgType, Route{Serve: func(_ *trace.Ctx, p []byte) ([]byte, error) { return h(p) }})
 }
@@ -171,7 +170,12 @@ func (t *routeTable) dispatch(tc trace.Ctx, msgType uint8, payload []byte) (uint
 		respType, resp = msgError, errorPayload(err)
 	}
 	if m != nil {
-		m.observe(r.latency, len(payload), len(resp), start, err != nil)
+		r.latency.ObserveSince(start)
+		m.bytesIn.Add(uint64(len(payload)))
+		m.bytesOut.Add(uint64(len(resp)))
+		if err != nil {
+			m.errors.Inc()
+		}
 		m.inflight.Dec()
 	}
 	return respType, resp

@@ -27,10 +27,6 @@ import (
 // msgTraced is the reserved envelope type for trace-carrying requests.
 const msgTraced uint8 = 0xFE
 
-// tracedHeaderLen is the envelope prefix: trace id, span id, flags,
-// inner message type.
-const tracedHeaderLen = 8 + 8 + 1 + 1
-
 var errShortTraced = errors.New("rpc: traced frame shorter than header")
 
 // appendTracedHeader prefixes dst with the envelope header for tc/inner.
@@ -45,16 +41,13 @@ func appendTracedHeader(dst []byte, tc trace.Ctx, inner uint8) []byte {
 // (restamped at now), the inner message type, and the inner payload
 // (aliasing p).
 func decodeTraced(p []byte) (trace.Ctx, uint8, []byte, error) {
-	if len(p) < tracedHeaderLen {
+	d := wire.NewDec(p)
+	tc := trace.Ctx{T: trace.TraceID(d.U64()), S: trace.SpanID(d.U64()), F: d.U8(), At: time.Now().UnixNano()}
+	inner := d.U8()
+	if d.Err() != nil {
 		return trace.Ctx{}, 0, nil, errShortTraced
 	}
-	tc := trace.Ctx{
-		T:  trace.TraceID(binary.LittleEndian.Uint64(p)),
-		S:  trace.SpanID(binary.LittleEndian.Uint64(p[8:])),
-		F:  p[16],
-		At: time.Now().UnixNano(),
-	}
-	return tc, p[17], p[tracedHeaderLen:], nil
+	return tc, inner, d.Rest(), nil
 }
 
 // CallTraced issues a call carrying tc's trace context to the server.
@@ -83,7 +76,7 @@ func CallTraced(c Client, tc *trace.Ctx, msgType uint8, payload []byte) ([]byte,
 // TracedContext peeks the trace context of a traced envelope payload
 // without consuming it; ok is false for plain frames.
 func TracedContext(msgType uint8, payload []byte) (trace.Ctx, bool) {
-	if msgType != msgTraced || len(payload) < tracedHeaderLen {
+	if msgType != msgTraced {
 		return trace.Ctx{}, false
 	}
 	tc, _, _, err := decodeTraced(payload)

@@ -163,6 +163,3 @@ func (l *Log) Read(lid uint64) (*core.Record, error) {
 
 // Sequencer exposes the deployment's sequencer (instrumentation).
 func (l *Log) Sequencer() *Sequencer { return l.seq }
-
-// Units exposes the deployment's storage units (instrumentation).
-func (l *Log) Units() []*StorageUnit { return l.units }

@@ -74,9 +74,14 @@ func (t *table[S]) set(lid uint64, v S) {
 	t.max = max(t.max, lid)
 }
 
-// admit checks a batch before any of it is stored: every record carries an
-// LId, none is present already, and none appears twice in the batch.
+// admit checks a batch before any of it is stored: every record can be
+// read back once written (the last line of defence: the layers above check
+// where records enter), every record carries an LId, none is present
+// already, and none appears twice in the batch.
 func (t *table[S]) admit(rs []*core.Record) error {
+	if err := core.CheckEncodable(rs); err != nil {
+		return err
+	}
 	var zero S
 	ascending := true
 	for i, r := range rs {

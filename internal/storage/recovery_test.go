@@ -309,3 +309,40 @@ func TestReopenAfterCrashBehindRotation(t *testing.T) {
 		}
 	}
 }
+
+// TestUnencodableRecordLeavesStoreOpenable: a record with a 70,000-byte tag
+// key used to be written with its key length truncated to 16 bits — Append
+// returned nil, Get of it failed ErrCorrupt, and once closed the store never
+// opened again ("undecodable record"). Both stores now refuse it, whole
+// batch and all, and a store that refused one reopens to exactly what it
+// held.
+func TestUnencodableRecordLeavesStoreOpenable(t *testing.T) {
+	bad := rec(3)
+	bad.Tags = []core.Tag{{Key: string(make([]byte, 70000)), Value: "v"}}
+	dir := t.TempDir()
+	seg := openSeg(t, dir, SegmentStoreOptions{})
+	for _, s := range []Store{seg, NewMemStore()} {
+		if err := s.AppendBatch([]*core.Record{rec(1), rec(2)}); err != nil {
+			t.Fatal(err)
+		}
+		before := dump(t, s)
+		if err := s.AppendBatch([]*core.Record{bad, rec(4)}); !errors.Is(err, core.ErrUnencodable) {
+			t.Fatalf("%T: AppendBatch of an unencodable record = %v, want ErrUnencodable", s, err)
+		}
+		if _, err := s.Get(4); !errors.Is(err, core.ErrNoSuchRecord) {
+			t.Errorf("%T: the rest of the refused batch was stored (Get(4) = %v)", s, err)
+		}
+		if err := s.Append(rec(3)); err != nil {
+			t.Errorf("%T: the refused position is not free: %v", s, err)
+		}
+		before[3] = string(core.MarshalRecord(rec(3)))
+		sameRecords(t, dump(t, s), before)
+	}
+	want := dump(t, seg)
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg = openSeg(t, dir, SegmentStoreOptions{})
+	defer seg.Close()
+	sameRecords(t, dump(t, seg), want)
+}

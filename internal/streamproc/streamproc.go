@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/chariots"
 	"repro/internal/core"
-	"repro/internal/flstore"
 	"repro/internal/metrics"
 )
 
@@ -47,23 +46,6 @@ func NewPublisher(dc *chariots.Datacenter) *Publisher { return &Publisher{dc: dc
 func (p *Publisher) Publish(topic string, payload []byte) {
 	p.dc.AppendAsync(payload, []core.Tag{{Key: topicTagKey, Value: topic}})
 	p.Published.Inc()
-}
-
-// publishRetries bounds how many shed rejections (the datacenter's
-// admission control under Config.ShedOnSaturation) PublishWait absorbs
-// before surfacing the error; waits honor the server's retry hint.
-const publishRetries = 8
-
-// PublishWait appends one event and returns its log ids, retrying paced
-// when the datacenter's admission control sheds the append.
-func (p *Publisher) PublishWait(topic string, payload []byte) (chariots.AppendAck, error) {
-	ack, err := flstore.Retry(publishRetries, func() (chariots.AppendAck, error) {
-		return p.dc.Append(payload, []core.Tag{{Key: topicTagKey, Value: topic}})
-	})
-	if err == nil {
-		p.Published.Inc()
-	}
-	return ack, err
 }
 
 // Handler processes one event. Returning an error stops the reader with
@@ -184,13 +166,6 @@ func (g *ReaderGroup) Err() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
-}
-
-// Cursor returns the highest processed LId of a partition.
-func (g *ReaderGroup) Cursor(part int) uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cursors[part]
 }
 
 // readPartition subscribes one partition to the log: it parks on the

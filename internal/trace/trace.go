@@ -71,12 +71,6 @@ type Ctx struct {
 // Sampled reports whether hops on this context should record spans.
 func (c Ctx) Sampled() bool { return c.F&FlagSampled != 0 }
 
-// Child returns the context a hop hands downstream: same trace, the
-// hop's span as the parent, stamped at now.
-func (c Ctx) Child(s SpanID, now int64) Ctx {
-	return Ctx{T: c.T, S: s, F: c.F, At: now}
-}
-
 // --- id generation and sampling ---
 
 // idState seeds the splitmix64 stream behind NewID; package init makes
@@ -251,35 +245,6 @@ func (s Started) End(r *Recorder, outcome string, lid uint64, count int) SpanID 
 		Stage:   s.stage,
 		Start:   s.start,
 		Dur:     time.Now().UnixNano() - s.start,
-		Outcome: outcome,
-		LId:     lid,
-		Count:   int32(count),
-		Forced:  s.c.F&FlagForced != 0,
-	})
-	return id
-}
-
-// EndQueued is End with part of the interval attributed to queue wait.
-func (s Started) EndQueued(r *Recorder, queueNs int64, outcome string, lid uint64, count int) SpanID {
-	if s.stage == "" {
-		return 0
-	}
-	now := time.Now().UnixNano()
-	if queueNs < 0 {
-		queueNs = 0
-	}
-	if queueNs > now-s.start {
-		queueNs = now - s.start
-	}
-	id := SpanID(nextID())
-	r.Record(Span{
-		Trace:   s.c.T,
-		ID:      id,
-		Parent:  s.c.S,
-		Stage:   s.stage,
-		Start:   s.start,
-		Dur:     now - s.start,
-		Queue:   queueNs,
 		Outcome: outcome,
 		LId:     lid,
 		Count:   int32(count),

@@ -188,9 +188,10 @@ type Dec struct {
 // only through Rest; strings are copies.
 func NewDec(p []byte) Dec { return Dec{p: p} }
 
-// take consumes the next n bytes; nil once the cursor has failed.
+// take consumes the next n bytes; nil when they are not all there (and,
+// the payload gone with the first failure, on every call after that).
 func (d *Dec) take(n int) []byte {
-	if d.err != nil || n < 0 || len(d.p) < n {
+	if n < 0 || len(d.p) < n {
 		d.err, d.p = ErrShort, nil
 		return nil
 	}
@@ -199,37 +200,22 @@ func (d *Dec) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (d *Dec) U8() uint8 {
-	if b := d.take(1); b != nil {
-		return b[0]
+// zeros is what a failed cursor's fixed-width reads decode.
+var zeros [8]byte
+
+// fixed is take for the fixed-width readers: n ≥ 1 bytes, zeros on failure.
+func (d *Dec) fixed(n int) []byte {
+	if b := d.take(n); b != nil {
+		return b
 	}
-	return 0
+	return zeros[:n]
 }
 
-// U16 reads a little-endian u16.
-func (d *Dec) U16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-// U32 reads a little-endian u32.
-func (d *Dec) U32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-// U64 reads a little-endian u64.
-func (d *Dec) U64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
+// U8, U16, U32 and U64 read a little-endian unsigned integer.
+func (d *Dec) U8() uint8   { return d.fixed(1)[0] }
+func (d *Dec) U16() uint16 { return binary.LittleEndian.Uint16(d.fixed(2)) }
+func (d *Dec) U32() uint32 { return binary.LittleEndian.Uint32(d.fixed(4)) }
+func (d *Dec) U64() uint64 { return binary.LittleEndian.Uint64(d.fixed(8)) }
 
 // Bool reads a byte written by AppendBool.
 func (d *Dec) Bool() bool { return d.U8() == 1 }
@@ -247,7 +233,7 @@ func (d *Dec) Count(minElem int) int { return d.fits(int(d.U32()), minElem) }
 func (d *Dec) Count16(minElem int) int { return d.fits(int(d.U16()), minElem) }
 
 func (d *Dec) fits(n, minElem int) int {
-	if d.err != nil || n > len(d.p)/minElem {
+	if n > len(d.p)/minElem {
 		d.err, d.p = ErrShort, nil
 		return 0
 	}
@@ -264,23 +250,3 @@ func (d *Dec) Skip(n int) { d.take(n) }
 
 // Err returns ErrShort if any read ran past the end of the payload.
 func (d *Dec) Err() error { return d.err }
-
-// AppendBytes appends a u32-length-prefixed byte slice.
-func AppendBytes(dst, b []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-// DecodeBytes decodes a slice written by AppendBytes. The result is a copy.
-func DecodeBytes(buf []byte) ([]byte, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, errors.New("wire: short buffer for bytes")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if len(buf) < 4+n {
-		return nil, 0, errors.New("wire: short buffer for bytes body")
-	}
-	out := make([]byte, n)
-	copy(out, buf[4:4+n])
-	return out, 4 + n, nil
-}

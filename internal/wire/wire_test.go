@@ -153,25 +153,6 @@ func TestDec(t *testing.T) {
 	}
 }
 
-func TestBytesHelpers(t *testing.T) {
-	src := []byte{1, 2, 3}
-	buf := AppendBytes(nil, src)
-	got, used, err := DecodeBytes(buf)
-	if err != nil || used != len(buf) || !bytes.Equal(got, src) {
-		t.Errorf("DecodeBytes = %v, %d, %v", got, used, err)
-	}
-	buf[4] = 0xEE
-	if got[0] != 1 {
-		t.Error("DecodeBytes aliases input")
-	}
-	if _, _, err := DecodeBytes([]byte{1}); err == nil {
-		t.Error("accepted truncated bytes header")
-	}
-	if _, _, err := DecodeBytes([]byte{5, 0, 0, 0, 1}); err == nil {
-		t.Error("accepted truncated bytes body")
-	}
-}
-
 func TestReaderSequenceReusesScratch(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{

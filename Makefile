@@ -8,7 +8,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic bench-e2e bench-storage trace-smoke api-snapshot api-check loc timers
+.PHONY: build test race vet fmt-check check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic bench-e2e bench-storage trace-smoke api-snapshot api-check loc timers
 
 # The public surface of the client-facing packages, as sorted declaration
 # lines from `go doc -all`. api-check fails when the surface drifts from
@@ -52,7 +52,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic bench-e2e race
+# fmt-check fails when gofmt would change any file of either module.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would change:"; echo "$$out"; exit 1; fi
+
+check: build vet fmt-check test api-check trace-smoke bench-scale bench-durability bench-elastic bench-e2e race
 	$(GO) test -count=50 -run 'TestCausalPropagationAcrossDCs|TestFigure2Scenario' ./internal/hyksos
 	$(GO) test -count=50 -run 'TestTokenRestsOnBlockedRecord|TestRingAppliesInputAtNonHolder|TestTableShipmentsConvergeThenQuiesce|TestSenderShipsBatchesAndHeartbeats|TestMsgFuturesCommitsOnChangeDrivenTables' ./internal/chariots
 
@@ -104,7 +108,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -fuzz='^FuzzDecodeRecords$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz='^FuzzDecodeRangeResult$$' -fuzztime=$(FUZZTIME) ./internal/flstore
+	$(GO) test -fuzz='^FuzzProtocolRows$$' -fuzztime=$(FUZZTIME) ./internal/flstore
 	$(GO) test -fuzz='^FuzzArchiveVolumeDecode$$' -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz='^FuzzSegmentTableDecode$$' -fuzztime=$(FUZZTIME) ./internal/storage
 

@@ -1,9 +1,12 @@
 package chariots
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,5 +214,50 @@ func TestIngressRefusesUnencodableRecord(t *testing.T) {
 	ack, err := dc.Append([]byte("ok"), nil)
 	if err != nil || ack.TOId != 1 || ack.LId != 1 {
 		t.Fatalf("append after the refusals = %+v, %v; want TOId 1 at LId 1", ack, err)
+	}
+}
+
+// TestProtocolRows is flstore's row tests for the three rows of this
+// protocol: each row's type byte, name and serving class are what
+// api/protocol.txt says they are, and both shapes of every row survive
+// encode → decode → encode and reject every strict prefix of a valid
+// encoding.
+func TestProtocolRows(t *testing.T) {
+	snapshot, err := os.ReadFile("../../api/protocol.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []*core.Record{{Host: 2, TOId: 1, Body: []byte("r1")}, {Host: 2, TOId: 2, Tags: []core.Tag{{Key: "k", Value: "v"}}}}
+	checkRow(t, snapshot, &rowReplicate, Snapshot{From: 2, Records: recs, ATable: []vclock.Vector{{1, 2}, {3, 4}}}, rpc.None{})
+	checkRow(t, snapshot, &rowIngest, recs, rpc.None{})
+	checkRow(t, snapshot, &rowApplied, rpc.None{}, vclock.Vector{3, 0, 7})
+}
+
+func checkRow[Q, R any](t *testing.T, snapshot []byte, row *rpc.Message[Q, R], q Q, r R) {
+	t.Helper()
+	if row.Detached || !strings.Contains(string(snapshot), fmt.Sprintf("\nchariots %02x %s in-order ", row.Type, row.Name)) {
+		t.Errorf("api/protocol.txt has no in-order row %02x %s", row.Type, row.Name)
+	}
+	checkShape(t, row.Name+" request", row.Req, q)
+	checkShape(t, row.Name+" reply", row.Reply, r)
+}
+
+func checkShape[T any](t *testing.T, name string, c rpc.Codec[T], v T) {
+	t.Helper()
+	valid, err := c.Put(nil, v)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got, err := c.Get(valid, nil)
+	if err != nil {
+		t.Fatalf("%s: valid payload rejected: %v", name, err)
+	}
+	if again, _ := c.Put(nil, got); !bytes.Equal(again, valid) {
+		t.Errorf("%s: decode then encode changed the payload:\n %x\n %x", name, valid, again)
+	}
+	for n := 0; n < len(valid); n++ {
+		if _, err := c.Get(valid[:n], nil); err == nil {
+			t.Errorf("%s: payload truncated to %d of %d bytes accepted", name, n, len(valid))
+		}
 	}
 }

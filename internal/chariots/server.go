@@ -14,7 +14,7 @@ import (
 )
 
 // Message types of the Chariots wire protocol (cross-datacenter shipping
-// and client ingestion). FLStore's types occupy 1..11; these start higher
+// and client ingestion). FLStore's types occupy 1..24; these start higher
 // so one server can host both if a deployment co-locates them.
 const (
 	msgReplicate uint8 = iota + 32
@@ -25,11 +25,7 @@ const (
 func appendSnapshot(dst []byte, snap Snapshot) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(snap.From))
 	dst = core.AppendRecords(dst, snap.Records)
-	var hasTable byte
-	if snap.ATable != nil {
-		hasTable = 1
-	}
-	dst = append(dst, hasTable)
+	dst = wire.AppendBool(dst, snap.ATable != nil)
 	if snap.ATable != nil {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(snap.ATable)))
 		for _, row := range snap.ATable {

@@ -232,11 +232,11 @@ func getLIds(p []byte, _ *trace.Ctx) ([]uint64, error) {
 // the codec would truncate is refused here, on the sending side: past the
 // encoder it is bytes that decode into some other record, or none.
 func putRecords(dst []byte, recs []*core.Record) ([]byte, error) {
+	if dst == nil { // a reply: records out of the store, checked on their way in
+		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
+	}
 	if err := core.CheckEncodable(recs); err != nil {
 		return dst, err
-	}
-	if dst == nil {
-		dst = make([]byte, 0, core.EncodedSizeRecords(recs))
 	}
 	return core.AppendRecords(dst, recs), nil
 }
@@ -306,7 +306,7 @@ func putRangeResult(dst []byte, res RangeResult) ([]byte, error) {
 	if dst == nil {
 		dst = make([]byte, 0, 8+core.EncodedSizeRecords(res.Records))
 	}
-	return putRecords(binary.LittleEndian.AppendUint64(dst, res.CoveredHi), res.Records)
+	return core.AppendRecords(binary.LittleEndian.AppendUint64(dst, res.CoveredHi), res.Records), nil
 }
 
 func getRangeResult(p []byte, _ *trace.Ctx) (RangeResult, error) {

@@ -36,24 +36,29 @@ type ErrorRow struct {
 	Rebuild func(retryAfter time.Duration, arg uint64) error
 }
 
-// The registered table: in registration order for the serving side, by code
-// for the calling side (Code 0 marks an empty slot). It is filled during
-// package initialization only (RegisterErrors) and read-only afterwards.
-var (
-	errorRows   []ErrorRow
-	errorByCode [256]ErrorRow
-)
+// errorRows is the registered table, in registration order. It is filled
+// during package initialization only (RegisterErrors), read-only afterwards,
+// and a dozen rows long: both sides scan it.
+var errorRows []ErrorRow
 
 // RegisterErrors adds a protocol's error rows. Call it from a package-level
 // initializer: the table is not locked.
 func RegisterErrors(rows ...ErrorRow) {
 	for _, row := range rows {
-		if row.Code == 0 || errorByCode[row.Code].Code != 0 {
+		if row.Code == 0 || rowOfCode(row.Code) != nil {
 			panic(fmt.Sprintf("rpc: error code %d is reserved or registered twice", row.Code))
 		}
 		errorRows = append(errorRows, row)
-		errorByCode[row.Code] = row
 	}
+}
+
+func rowOfCode(code uint8) *ErrorRow {
+	for i := range errorRows {
+		if errorRows[i].Code == code {
+			return &errorRows[i]
+		}
+	}
+	return nil
 }
 
 // retryHinter is implemented by errors that carry an admission retry-after
@@ -98,7 +103,7 @@ func remoteError(p []byte) error {
 		return &RemoteError{Message: "rpc: malformed error frame"}
 	}
 	e := &RemoteError{Message: string(d.Rest()), retryAfter: retry}
-	if row := errorByCode[code]; row.Code != 0 {
+	if row := rowOfCode(code); row != nil {
 		e.cause = row.Sentinel
 		if row.Rebuild != nil {
 			e.cause = row.Rebuild(retry, arg)

@@ -136,15 +136,6 @@ func (s *Server) Handle(msgType uint8, h func(payload []byte) ([]byte, error)) {
 	s.Register(msgType, Route{Serve: func(_ *trace.Ctx, p []byte) ([]byte, error) { return h(p) }})
 }
 
-// open unwraps a traced envelope, once and before the route is looked up:
-// the route, its serving class and its histogram are the inner type's.
-func open(msgType uint8, payload []byte) (trace.Ctx, uint8, []byte, error) {
-	if msgType != msgTraced {
-		return trace.Ctx{}, msgType, payload, nil
-	}
-	return decodeTraced(payload)
-}
-
 // dispatch runs the handler for one opened request and returns the response
 // frame's type and payload.
 func (t *routeTable) dispatch(tc trace.Ctx, msgType uint8, payload []byte) (uint8, []byte) {

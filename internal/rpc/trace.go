@@ -37,10 +37,15 @@ func appendTracedHeader(dst []byte, tc trace.Ctx, inner uint8) []byte {
 	return dst
 }
 
-// decodeTraced unwraps an envelope payload into the trace context
-// (restamped at now), the inner message type, and the inner payload
-// (aliasing p).
-func decodeTraced(p []byte) (trace.Ctx, uint8, []byte, error) {
+// open unwraps a request that came in a traced envelope into the trace
+// context (restamped at now), the inner message type and the inner payload
+// (aliasing p); any other request is itself, untraced. The server does this
+// once, before it looks the route up: the route, its serving class and its
+// histogram are the inner type's.
+func open(msgType uint8, p []byte) (trace.Ctx, uint8, []byte, error) {
+	if msgType != msgTraced {
+		return trace.Ctx{}, msgType, p, nil
+	}
 	d := wire.NewDec(p)
 	tc := trace.Ctx{T: trace.TraceID(d.U64()), S: trace.SpanID(d.U64()), F: d.U8(), At: time.Now().UnixNano()}
 	inner := d.U8()
@@ -76,9 +81,6 @@ func CallTraced(c Client, tc *trace.Ctx, msgType uint8, payload []byte) ([]byte,
 // TracedContext peeks the trace context of a traced envelope payload
 // without consuming it; ok is false for plain frames.
 func TracedContext(msgType uint8, payload []byte) (trace.Ctx, bool) {
-	if msgType != msgTraced {
-		return trace.Ctx{}, false
-	}
-	tc, _, _, err := decodeTraced(payload)
-	return tc, err == nil
+	tc, _, _, err := open(msgType, payload)
+	return tc, err == nil && msgType == msgTraced
 }

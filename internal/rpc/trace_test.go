@@ -15,7 +15,7 @@ func TestTracedHeaderRoundtrip(t *testing.T) {
 	p := appendTracedHeader(nil, tc, 42)
 	p = append(p, "hello"...)
 
-	got, inner, body, err := decodeTraced(p)
+	got, inner, body, err := open(msgTraced, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTracedHeaderRoundtrip(t *testing.T) {
 		t.Fatalf("inner=%d body=%q", inner, body)
 	}
 
-	if _, _, _, err := decodeTraced(p[:10]); err == nil {
+	if _, _, _, err := open(msgTraced, p[:10]); err == nil {
 		t.Fatal("short header decoded")
 	}
 }

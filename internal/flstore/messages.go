@@ -206,6 +206,9 @@ func getU64(p []byte, _ *trace.Ctx) (uint64, error) {
 }
 
 func putLIds(dst []byte, lids []uint64) ([]byte, error) {
+	if dst == nil {
+		dst = make([]byte, 0, 4+8*len(lids))
+	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lids)))
 	for _, l := range lids {
 		dst = binary.LittleEndian.AppendUint64(dst, l)

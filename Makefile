@@ -60,12 +60,14 @@ check: build vet fmt-check test api-check trace-smoke bench-scale bench-durabili
 	$(GO) test -count=50 -run 'TestCausalPropagationAcrossDCs|TestFigure2Scenario' ./internal/hyksos
 	$(GO) test -count=50 -run 'TestTokenRestsOnBlockedRecord|TestRingAppliesInputAtNonHolder|TestTableShipmentsConvergeThenQuiesce|TestSenderShipsBatchesAndHeartbeats|TestMsgFuturesCommitsOnChangeDrivenTables' ./internal/chariots
 
-# trace-smoke proves the tracing layer end to end: the span trees of a
-# reduced tracelat run must cover client → pipeline → maintainer →
-# replica ack and attribute >= 90% of the measured append latency, and
-# the untraced append path must stay inside its allocation budgets.
+# trace-smoke proves the tracing layer end to end: the tracelat row, run
+# at the test size, must record append traces whose stage rows sum to the
+# covered time, its span trees must cover client → pipeline → maintainer →
+# replica ack and attribute >= 90% of the measured append latency (its
+# bars), and the untraced append path must stay inside its allocation
+# budgets.
 trace-smoke:
-	$(GO) test -run 'TraceSmoke' -count=1 ./internal/cluster
+	$(GO) test -run 'TestMeasuredRows/tracelat' -count=1 ./internal/cluster
 	$(GO) test -run 'AllocBudget' -count=1 ./internal/flstore ./internal/chariots
 
 # bench-scale is the scale-harness smoke: a reduced steady run over the
@@ -75,25 +77,25 @@ trace-smoke:
 bench-scale:
 	$(GO) test -run 'TestScaleSteadySmoke|TestScalePartitionHealReplay' -count=1 ./internal/scale
 
-# bench-durability is the durability-tier smoke: a reduced run of both
-# phases — per-batch vs group-commit fsync arms (the group arm offered
+# bench-durability is the durability-tier smoke: the durability row at the
+# test size — per-batch vs group-commit fsync arms (the group arm offered
 # more than one batch per injected fsync time must collapse fsyncs/op
 # below 1; below that rate there is nothing to coalesce) and the three
-# quorum-ack cluster arms — asserting the artifact's ledger and shape
-# invariants.
-# The full acceptance ratios (group p99 <= 0.5x per-batch at 64
-# appenders, slow-disk quorum p99 <= 2x healthy) run via
-# `repro -exp durability`.
+# quorum-ack cluster arms — failing on any broken ledger or shape
+# invariant. The acceptance ratios (group p99 <= 0.5x per-batch at 64
+# appenders, slow-disk quorum p99 <= 2x healthy) are bars, enforced by
+# `repro -exp durability` at its full window.
 bench-durability:
-	$(GO) test -run 'TestDurabilitySmoke' -count=1 ./internal/cluster
+	$(GO) test -run 'TestMeasuredRows/durability' -count=1 ./internal/cluster
 
-# bench-elastic is the live-elasticity smoke: a shortened three-phase run
-# where the offered load doubles past the old member set's capacity, the
-# autoscaler fires an online epoch switchover, and the run must end with
-# an intact log (no lost or duplicated LIds, migration complete) and
-# bounded post-flip append p99. The full-size run is `repro -exp elastic`.
+# bench-elastic is the live-elasticity smoke: the elastic row at the test
+# size — its three phases shrink with -dur, its rates do not — where the
+# offered load doubles past the old member set's capacity, the autoscaler
+# fires an online epoch switchover, and the run must end with an intact
+# log (no lost or duplicated LIds, migration complete) and bounded
+# post-flip append p99. The full-size run is `repro -exp elastic`.
 bench-elastic:
-	$(GO) test -run 'TestElasticSmoke' -count=1 ./internal/cluster
+	$(GO) test -run 'TestMeasuredRows/elastic' -count=1 ./internal/cluster
 
 # bench-e2e is the repository benchmark's own smoke (bench/ is a module of
 # its own, so `go test ./...` at the root does not see it): all four
@@ -120,12 +122,13 @@ bench-smoke:
 # bench-read runs the read-path benchmarks: batched range read vs single
 # reads, cached tail reads, and the tail subscription. The corresponding
 # budgets are enforced by TestReadRangeAllocBudget / TestTailCachedReadAllocBudget.
-# The read-scaling smoke drives a miniature replica-count sweep (R=1 and
-# R=3 over real TCP) end to end; the ≥2× throughput bar itself is enforced
-# by `repro -exp readpath` with full budgets.
+# The readpath row at the test size drives the push/poll tail, the range
+# reads and the replica-count sweep (R=1..3 over real TCP) end to end; its
+# bars (>= 5x tail speedup, >= 2x read scaling) are enforced by
+# `repro -exp readpath` at its full window.
 bench-read:
 	$(GO) test -run='^$$' -bench='ReadRange|SingleReads|TailCached|Tail$$' -benchmem -benchtime=100x ./internal/flstore
-	$(GO) test -run 'TestReadScalingSweepSmoke' -count=1 ./internal/cluster
+	$(GO) test -run 'TestMeasuredRows/readpath' -count=1 ./internal/cluster
 
 # loc is the ROADMAP item 2 ledger: non-test Go lines of the three trees
 # the "one of each" bar is stated over, against the 11,427-line re-anchor

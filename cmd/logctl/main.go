@@ -306,24 +306,31 @@ func cmdTail(c *flstore.Client, args []string) {
 	}
 }
 
-// cmdStats fetches the controller's metrics snapshot twice, interval apart,
-// and renders one row per maintainer: head of log, append throughput over
-// the window (counter delta), p99 append latency (bucketed histogram), and
-// cumulative overload rejections.
-func cmdStats(admin *flstore.Admin, args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	interval := fs.Duration("interval", time.Second, "sampling window for throughput rates")
+// statsWindow is what stats and reads both render: two controller metrics
+// snapshots an -interval apart, and the maintainers the second one reports
+// appends for, ascending.
+type statsWindow struct {
+	before, after metrics.Snapshot
+	interval      time.Duration
+	maintainers   []string
+}
+
+// sampleStats parses cmd's -interval flag (described by usage), takes the
+// two snapshots and lists the maintainers, exiting with cmd's name on error.
+func sampleStats(admin *flstore.Admin, cmd, usage string, args []string) statsWindow {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	interval := fs.Duration("interval", time.Second, usage)
 	fs.Parse(args)
 	ctx := context.Background()
 
 	before, err := admin.Stats(ctx)
 	if err != nil {
-		log.Fatalf("stats: %v", err)
+		log.Fatalf("%s: %v", cmd, err)
 	}
 	time.Sleep(*interval)
 	after, err := admin.Stats(ctx)
 	if err != nil {
-		log.Fatalf("stats: %v", err)
+		log.Fatalf("%s: %v", cmd, err)
 	}
 
 	// Enumerate maintainers from the appends counter family.
@@ -337,29 +344,50 @@ func cmdStats(admin *flstore.Admin, args []string) {
 		}
 	}
 	if len(ids) == 0 {
-		log.Fatal("stats: no maintainer series in snapshot (is the node set running with metrics enabled?)")
+		log.Fatalf("%s: no maintainer series in snapshot (is the node set running with metrics enabled?)", cmd)
 	}
 	sort.Ints(ids)
-
-	val := func(snap metrics.Snapshot, name, maintainer string) float64 {
-		if s := snap.Find(name, map[string]string{"maintainer": maintainer}); s != nil {
-			return s.Value
-		}
-		return 0
-	}
-	tbl := metrics.Table{Header: []string{"maintainer", "head LId", "appends/s", "p99 append", "rejected"}}
+	w := statsWindow{before: before, after: after, interval: *interval}
 	for _, id := range ids {
-		m := strconv.Itoa(id)
-		rate := (val(after, "flstore_appends_total", m) - val(before, "flstore_appends_total", m)) / interval.Seconds()
+		w.maintainers = append(w.maintainers, strconv.Itoa(id))
+	}
+	return w
+}
+
+// val is maintainer m's value of series name in snap (0 when absent).
+func val(snap metrics.Snapshot, name, m string) float64 {
+	if s := snap.Find(name, map[string]string{"maintainer": m}); s != nil {
+		return s.Value
+	}
+	return 0
+}
+
+// delta is how much maintainer m's series name grew over the window.
+func (w statsWindow) delta(name, m string) float64 {
+	return val(w.after, name, m) - val(w.before, name, m)
+}
+
+// rate is delta per second of the window, as logctl prints rates.
+func (w statsWindow) rate(name, m string) string {
+	return fmt.Sprintf("%.1f", w.delta(name, m)/w.interval.Seconds())
+}
+
+// cmdStats renders one row per maintainer: head of log, append throughput
+// over the window (counter delta), p99 append latency (bucketed
+// histogram), and cumulative overload rejections.
+func cmdStats(admin *flstore.Admin, args []string) {
+	w := sampleStats(admin, "stats", "sampling window for throughput rates", args)
+	tbl := metrics.Table{Header: []string{"maintainer", "head LId", "appends/s", "p99 append", "rejected"}}
+	for _, m := range w.maintainers {
 		p99 := "-"
-		if h := after.Find("flstore_append_seconds", map[string]string{"maintainer": m}); h != nil && h.Count > 0 {
+		if h := w.after.Find("flstore_append_seconds", map[string]string{"maintainer": m}); h != nil && h.Count > 0 {
 			p99 = time.Duration(h.Quantile(0.99) * float64(time.Second)).Round(time.Microsecond).String()
 		}
 		tbl.AddRow(m,
-			strconv.FormatUint(uint64(val(after, "flstore_head_lid", m)), 10),
-			fmt.Sprintf("%.1f", rate),
+			strconv.FormatUint(uint64(val(w.after, "flstore_head_lid", m)), 10),
+			w.rate("flstore_appends_total", m),
 			p99,
-			strconv.FormatUint(uint64(val(after, "flstore_rejected_total", m)), 10))
+			strconv.FormatUint(uint64(val(w.after, "flstore_rejected_total", m)), 10))
 	}
 	fmt.Print(tbl.String())
 }
@@ -369,69 +397,31 @@ func cmdStats(admin *flstore.Admin, args []string) {
 // the cumulative tail-cache hit ratio with the store-scan counters that
 // show whether tailing readers are touching the store at all.
 func cmdReads(admin *flstore.Admin, args []string) {
-	fs := flag.NewFlagSet("reads", flag.ExitOnError)
-	interval := fs.Duration("interval", time.Second, "sampling window for rates")
-	fs.Parse(args)
-	ctx := context.Background()
-
-	before, err := admin.Stats(ctx)
-	if err != nil {
-		log.Fatalf("reads: %v", err)
-	}
-	time.Sleep(*interval)
-	after, err := admin.Stats(ctx)
-	if err != nil {
-		log.Fatalf("reads: %v", err)
-	}
-
-	var ids []int
-	for _, s := range after.Series {
-		if s.Name != "flstore_appends_total" {
-			continue
-		}
-		if id, err := strconv.Atoi(s.Labels["maintainer"]); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		log.Fatal("reads: no maintainer series in snapshot (is the node set running with metrics enabled?)")
-	}
-	sort.Ints(ids)
-
-	val := func(snap metrics.Snapshot, name, maintainer string) float64 {
-		if s := snap.Find(name, map[string]string{"maintainer": maintainer}); s != nil {
-			return s.Value
-		}
-		return 0
-	}
-	rate := func(name, m string) string {
-		return fmt.Sprintf("%.1f", (val(after, name, m)-val(before, name, m))/interval.Seconds())
-	}
+	w := sampleStats(admin, "reads", "sampling window for rates", args)
 	tbl := metrics.Table{Header: []string{
 		"maintainer", "range reads/s", "recs/batch", "multi reads/s",
 		"tail waits/s", "cache hit%", "store scans", "full scans"}}
-	for _, id := range ids {
-		m := strconv.Itoa(id)
-		reads := val(after, "flstore_range_reads_total", m) - val(before, "flstore_range_reads_total", m)
-		recs := val(after, "flstore_range_records_total", m) - val(before, "flstore_range_records_total", m)
+	for _, m := range w.maintainers {
+		reads := w.delta("flstore_range_reads_total", m)
+		recs := w.delta("flstore_range_records_total", m)
 		perBatch := "-"
 		if reads > 0 {
 			perBatch = fmt.Sprintf("%.1f", recs/reads)
 		}
-		hits := val(after, "flstore_tail_cache_hits_total", m)
-		misses := val(after, "flstore_tail_cache_misses_total", m)
+		hits := val(w.after, "flstore_tail_cache_hits_total", m)
+		misses := val(w.after, "flstore_tail_cache_misses_total", m)
 		hitRatio := "-"
 		if hits+misses > 0 {
 			hitRatio = fmt.Sprintf("%.1f", 100*hits/(hits+misses))
 		}
 		tbl.AddRow(m,
-			rate("flstore_range_reads_total", m),
+			w.rate("flstore_range_reads_total", m),
 			perBatch,
-			rate("flstore_multi_reads_total", m),
-			rate("flstore_tail_waits_total", m),
+			w.rate("flstore_multi_reads_total", m),
+			w.rate("flstore_tail_waits_total", m),
 			hitRatio,
-			strconv.FormatUint(uint64(val(after, "flstore_store_scans_total", m)), 10),
-			strconv.FormatUint(uint64(val(after, "flstore_scan_calls_total", m)), 10))
+			strconv.FormatUint(uint64(val(w.after, "flstore_store_scans_total", m)), 10),
+			strconv.FormatUint(uint64(val(w.after, "flstore_scan_calls_total", m)), 10))
 	}
 	fmt.Print(tbl.String())
 }

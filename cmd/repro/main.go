@@ -10,8 +10,11 @@
 //
 // The experiments are the entries of cluster.Experiments; this command
 // only looks one up, prints its report, writes its BENCH_*.json artifact
-// and checks its acceptance bars. Exit status 1 means an experiment or a
-// bar failed, 2 an unknown experiment name.
+// and checks its acceptance bars. -dur is each experiment's one size: the
+// steady-state window per measured point, and whatever else the experiment
+// derives from it. Every selected experiment runs; exit status 1 means one
+// or more of them, or a bar, failed — each is named at the end — and 2 an
+// unknown experiment name.
 //
 // The scale experiment runs entries of the internal/scale scenario matrix
 // at full acceptance size (>= 10000 open-loop sessions); select one with
@@ -24,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -31,7 +35,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: all, or one of those listed below")
-	dur := flag.Duration("dur", 2*time.Second, "steady-state measurement window per point")
+	dur := flag.Duration("dur", 2*time.Second, "experiment size: the steady-state measurement window per point")
 	scenario := flag.String("scenario", "", "scale scenario to run (steady, diurnal, hotkey, herd, partition; empty = steady + partition)")
 	flag.Usage = func() {
 		flag.PrintDefaults()
@@ -50,14 +54,19 @@ func main() {
 		}
 		todo = []cluster.Experiment{e}
 	}
+	var failed []string
 	for _, e := range todo {
 		if e.Name == "scale" && *scenario != "" {
 			e = cluster.ScaleExperiment(*scenario)
 		}
 		if err := run(e, *dur); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
-			os.Exit(1)
+			failed = append(failed, e.Name)
 		}
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "\n%d of %d experiments failed: %s\n", len(failed), len(todo), strings.Join(failed, ", "))
+		os.Exit(1)
 	}
 }
 

@@ -1,21 +1,23 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sequencer"
 	"repro/internal/workload"
 )
 
-// runSequencer measures the CORFU-baseline's append throughput (paper
+// sequencerRate measures the CORFU-baseline's append throughput (paper
 // units): the same storage substrate as FLStore — one striped storage unit
 // and one client per machine — but with positions pre-assigned by a
 // central sequencer that runs on the same class of machine as a
 // maintainer, so its reservation capacity equals one machine's
 // record-processing capacity.
-func runSequencer(profile Profile, machines int, targetPerClient float64, d time.Duration) (float64, error) {
-	machineCap := profile.down(profile.MaintainerCap)
+func sequencerRate(p profile, machines int, target float64, d time.Duration) (float64, error) {
+	machineCap := p.down(p.MaintainerCap)
 	units := make([]*sequencer.StorageUnit, machines)
 	for i := range units {
 		units[i] = sequencer.NewStorageUnit(nil, newSimLimiter(machineCap))
@@ -24,7 +26,7 @@ func runSequencer(profile Profile, machines int, targetPerClient float64, d time
 	if err != nil {
 		return 0, err
 	}
-	gens, elapsed := openLoop(machines, profile.down(targetPerClient), 0, d, func(int) workload.TimedSink {
+	gens, elapsed := openLoop(machines, p.down(target), 0, d, func(int) workload.TimedSink {
 		return func(_ time.Time, recs []*core.Record) int {
 			ok := 0
 			for _, r := range recs {
@@ -39,32 +41,29 @@ func runSequencer(profile Profile, machines int, targetPerClient float64, d time
 	for _, g := range gens {
 		accepted += g.Accepted.Value()
 	}
-	return float64(accepted) / elapsed.Seconds() * profile.ScaleFactor(), nil
+	return float64(accepted) / elapsed.Seconds() * p.scaleFactor(), nil
 }
 
-// AblationPoint pairs the baseline and FLStore at the same scale.
-type AblationPoint struct {
-	Machines  int
-	Sequencer float64 // baseline achieved appends/s
-	FLStore   float64 // post-assignment achieved appends/s
-}
-
-// RunSequencerVsFLStore sweeps storage-machine counts, driving both
-// designs with the same per-machine profile and offered load — the
-// motivating claim of §1/§5.2: pre-assignment plateaus at the sequencer's
-// capacity, post-assignment scales with machines.
-func RunSequencerVsFLStore(profile Profile, machineCounts []int, targetPerClient float64, duration time.Duration) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, n := range machineCounts {
-		seq, err := runSequencer(profile, n, targetPerClient, duration)
+// sequencerAblation sweeps storage-machine counts, driving both designs
+// with the same per-machine profile and offered load (200K appends/s per
+// client, d per point) — the motivating claim of §1/§5.2: pre-assignment
+// plateaus at the sequencer's capacity, post-assignment scales with
+// machines.
+func sequencerAblation(d time.Duration, rep *Report) error {
+	const target = 200_000
+	tb := &metrics.Table{Header: []string{"Machines", "Sequencer (appends/s)", "FLStore (appends/s)", "FLStore speedup"}}
+	for _, n := range []int{1, 2, 4, 6, 8, 10} {
+		seq, err := sequencerRate(privateCloud(), n, target, d)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		fl, err := RunFLStore(FLStoreOptions{Profile: profile, Maintainers: n, TargetPerClient: targetPerClient, Duration: duration})
+		fl, err := appendRate(privateCloud(), RigSpec{Maintainers: n}, target, d, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, AblationPoint{Machines: n, Sequencer: seq, FLStore: fl.AchievedTotal})
+		tb.AddRow(fmt.Sprint(n), kilo(seq), kilo(fl), fmt.Sprintf("%.1fx", fl/seq))
+		rep.Metric(fmt.Sprintf("flstore-speedup@%d", n), fl/seq)
 	}
-	return out, nil
+	rep.Printf("%s", tb)
+	return nil
 }

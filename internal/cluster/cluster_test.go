@@ -28,18 +28,13 @@ func checkShape(t *testing.T, name string, attempt func() error) {
 
 func TestFLStoreSinglePointBelowCapacity(t *testing.T) {
 	checkShape(t, "below-capacity point", func() error {
-		res, err := RunFLStore(FLStoreOptions{
-			Profile:         PrivateCloud(),
-			Maintainers:     1,
-			TargetPerClient: 50_000,
-			Duration:        testDur,
-		})
+		got, err := appendRate(privateCloud(), RigSpec{Maintainers: 1}, 50_000, testDur, nil)
 		if err != nil {
 			return err
 		}
 		// Below capacity, achieved ≈ offered.
-		if res.AchievedTotal < 35_000 || res.AchievedTotal > 65_000 {
-			return fmt.Errorf("achieved %.0f/s at 50K target, want ≈50K", res.AchievedTotal)
+		if got < 35_000 || got > 65_000 {
+			return fmt.Errorf("achieved %.0f/s at 50K target, want ≈50K", got)
 		}
 		return nil
 	})
@@ -47,35 +42,34 @@ func TestFLStoreSinglePointBelowCapacity(t *testing.T) {
 
 func TestFigure7Shape(t *testing.T) {
 	checkShape(t, "figure 7 load curve", func() error {
-		points, err := RunFigure7(PrivateCloud(), []float64{50_000, 150_000, 300_000}, testDur)
-		if err != nil {
-			return err
+		var points []float64
+		for _, target := range []float64{50_000, 150_000, 300_000} {
+			got, err := appendRate(privateCloud(), RigSpec{Maintainers: 1}, target, testDur, nil)
+			if err != nil {
+				return err
+			}
+			points = append(points, got)
 		}
 		low, atCap, over := points[0], points[1], points[2]
 		// Rising region: achieved tracks the target below capacity.
-		if low.AchievedTotal < 0.7*low.TargetPerClient {
-			return fmt.Errorf("under-capacity point achieved %.0f of %.0f target", low.AchievedTotal, low.TargetPerClient)
+		if low < 0.7*50_000 {
+			return fmt.Errorf("under-capacity point achieved %.0f of %.0f target", low, 50_000.0)
 		}
 		// The observed peak sits near the machine capacity (150K).
-		peak := low.AchievedTotal
-		for _, p := range points[1:] {
-			if p.AchievedTotal > peak {
-				peak = p.AchievedTotal
-			}
-		}
+		peak := max(low, atCap, over)
 		if peak < 115_000 || peak > 170_000 {
 			return fmt.Errorf("peak achieved %.0f, want ≈150K", peak)
 		}
-		if atCap.AchievedTotal < 100_000 {
-			return fmt.Errorf("at-capacity point collapsed to %.0f", atCap.AchievedTotal)
+		if atCap < 100_000 {
+			return fmt.Errorf("at-capacity point collapsed to %.0f", atCap)
 		}
 		// Deep overload declines below the peak (reject work) but stays
 		// well above zero — the paper's ≈120K plateau-with-droop.
-		if over.AchievedTotal >= peak {
-			return fmt.Errorf("no decline past saturation: peak %.0f, overload %.0f", peak, over.AchievedTotal)
+		if over >= peak {
+			return fmt.Errorf("no decline past saturation: peak %.0f, overload %.0f", peak, over)
 		}
-		if over.AchievedTotal < 90_000 {
-			return fmt.Errorf("overload throughput collapsed to %.0f", over.AchievedTotal)
+		if over < 90_000 {
+			return fmt.Errorf("overload throughput collapsed to %.0f", over)
 		}
 		return nil
 	})
@@ -83,23 +77,22 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestFigure8NearLinearScaling(t *testing.T) {
 	checkShape(t, "figure 8 scaling", func() error {
-		series, err := RunFigure8([]int{1, 4}, 700*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		if len(series) != 3 {
-			return fmt.Errorf("got %d series, want 3", len(series))
-		}
-		for _, s := range series {
-			eff := ScalingEfficiency(s)
-			if eff < 0.8 || eff > 1.2 {
+		for _, s := range fig8Series {
+			one, err := appendRate(s.p, RigSpec{Maintainers: 1}, s.target, 700*time.Millisecond, nil)
+			if err != nil {
+				return err
+			}
+			four, err := appendRate(s.p, RigSpec{Maintainers: 4}, s.target, 700*time.Millisecond, nil)
+			if err != nil {
+				return err
+			}
+			if eff := four / (4 * one); eff < 0.8 || eff > 1.2 {
 				return fmt.Errorf("%s: scaling efficiency %.2f, want ≈1.0 (n=1: %.0f, n=4: %.0f)",
-					s.Label, eff, s.Points[0].AchievedTotal, s.Points[1].AchievedTotal)
+					s.label, eff, one, four)
 			}
 			// Cumulative throughput must actually grow.
-			if s.Points[1].AchievedTotal < 2*s.Points[0].AchievedTotal {
-				return fmt.Errorf("%s: 4 maintainers only %.0f vs %.0f for 1",
-					s.Label, s.Points[1].AchievedTotal, s.Points[0].AchievedTotal)
+			if four < 2*one {
+				return fmt.Errorf("%s: 4 maintainers only %.0f vs %.0f for 1", s.label, four, one)
 			}
 		}
 		return nil
@@ -108,22 +101,15 @@ func TestFigure8NearLinearScaling(t *testing.T) {
 
 func TestPipelineTable2Shape(t *testing.T) {
 	checkShape(t, "table 2 balance", func() error {
-		res, err := RunPipeline(PipelineOptions{
-			Profile: PrivateCloud(),
-			Clients: 1, Batchers: 1, Filters: 1, Queues: 1,
-			Duration: 500 * time.Millisecond,
-		})
+		rates, err := pipelineRates(privateCloud(), stages{1, 1, 1, 1}, 500*time.Millisecond, 512)
 		if err != nil {
 			return err
 		}
 		// Every stage within the same ballpark (paper: 124–132K).
-		for stage, rate := range res.StageTotals() {
+		for stage, rate := range stageTotals(rates) {
 			if rate < 95_000 || rate > 160_000 {
 				return fmt.Errorf("stage %s at %.0f/s, want ≈110-130K", stage, rate)
 			}
-		}
-		if res.Applied == 0 {
-			return fmt.Errorf("nothing applied")
 		}
 		return nil
 	})
@@ -131,23 +117,19 @@ func TestPipelineTable2Shape(t *testing.T) {
 
 func TestPipelineTable3ClientsHalve(t *testing.T) {
 	checkShape(t, "table 3 client halving", func() error {
-		res, err := RunPipeline(PipelineOptions{
-			Profile: PrivateCloud(),
-			Clients: 2, Batchers: 1, Filters: 1, Queues: 1,
-			Duration: 500 * time.Millisecond,
-		})
+		rates, err := pipelineRates(privateCloud(), stages{2, 1, 1, 1}, 500*time.Millisecond, 512)
 		if err != nil {
 			return err
 		}
-		totals := res.StageTotals()
+		totals := stageTotals(rates)
 		// Two clients share the single-batcher bottleneck: each ≈64K,
 		// sum ≈ batcher capacity.
 		if totals["Client"] < 95_000 || totals["Client"] > 150_000 {
 			return fmt.Errorf("client total %.0f, want ≈126K (bottleneck-shared)", totals["Client"])
 		}
-		for _, row := range res.Rows {
-			if stageOf(row.Name) == "Client" && row.PerSec > 95_000 {
-				return fmt.Errorf("client at %.0f/s did not feel backpressure", row.PerSec)
+		for _, r := range rates {
+			if stageOf(r.name) == "Client" && r.perSec > 95_000 {
+				return fmt.Errorf("client at %.0f/s did not feel backpressure", r.perSec)
 			}
 		}
 		return nil
@@ -156,23 +138,15 @@ func TestPipelineTable3ClientsHalve(t *testing.T) {
 
 func TestPipelineTable5Doubles(t *testing.T) {
 	checkShape(t, "table 5 doubling", func() error {
-		single, err := RunPipeline(PipelineOptions{
-			Profile: PrivateCloud(),
-			Clients: 1, Batchers: 1, Filters: 1, Queues: 1,
-			Duration: 400 * time.Millisecond,
-		})
+		single, err := pipelineRates(privateCloud(), stages{1, 1, 1, 1}, 400*time.Millisecond, 512)
 		if err != nil {
 			return err
 		}
-		double, err := RunPipeline(PipelineOptions{
-			Profile: PrivateCloud(),
-			Clients: 2, Batchers: 2, Filters: 2, Queues: 2,
-			Duration: 400 * time.Millisecond,
-		})
+		double, err := pipelineRates(privateCloud(), stages{2, 2, 2, 2}, 400*time.Millisecond, 512)
 		if err != nil {
 			return err
 		}
-		ratio := double.StageTotals()["Client"] / single.StageTotals()["Client"]
+		ratio := stageTotals(double)["Client"] / stageTotals(single)["Client"]
 		if ratio < 1.6 || ratio > 2.4 {
 			return fmt.Errorf("doubling every stage scaled clients %.2fx, want ≈2x", ratio)
 		}
@@ -182,24 +156,18 @@ func TestPipelineTable5Doubles(t *testing.T) {
 
 func TestPipelineFigure9Timeseries(t *testing.T) {
 	checkShape(t, "figure 9 drain tail", func() error {
-		profile := PrivateCloud()
-		res, err := RunPipeline(PipelineOptions{
-			Profile: profile,
-			Clients: 2, Batchers: 2, Filters: 1, Queues: 1,
-			Records:      uint64(60_000 / profile.ScaleFactor()),
-			SampleWindow: 25 * time.Millisecond,
-		})
+		samples, applied, _, err := drainPipeline(60_000, 25*time.Millisecond)
 		if err != nil {
 			return err
 		}
-		want := uint64(60_000 / profile.ScaleFactor())
-		if res.Applied < want-512 {
-			return fmt.Errorf("drained only %d of ≈%d records", res.Applied, want)
+		want := uint64(60_000 / privateCloud().scaleFactor())
+		if applied < want-512 {
+			return fmt.Errorf("drained only %d of ≈%d records", applied, want)
 		}
 		// Clients finish before the queue does (the drain tail).
 		lastActive := func(name string) time.Duration {
 			var last time.Duration
-			for _, s := range res.Samples[name] {
+			for _, s := range samples[name] {
 				if s.Count > 0 {
 					last = s.Elapsed
 				}
@@ -220,48 +188,41 @@ func TestPipelineFigure9Timeseries(t *testing.T) {
 
 func TestSequencerBaselinePlateaus(t *testing.T) {
 	checkShape(t, "sequencer plateau", func() error {
-		points, err := RunSequencerVsFLStore(PrivateCloud(), []int{1, 4}, 200_000, testDur)
-		if err != nil {
-			return err
+		var seq, fl [2]float64
+		for i, n := range []int{1, 4} {
+			var err error
+			if seq[i], err = sequencerRate(privateCloud(), n, 200_000, testDur); err != nil {
+				return err
+			}
+			if fl[i], err = appendRate(privateCloud(), RigSpec{Maintainers: n}, 200_000, testDur, nil); err != nil {
+				return err
+			}
 		}
-		p1, p4 := points[0], points[1]
-		flRatio := p4.FLStore / p1.FLStore
-		seqRatio := p4.Sequencer / p1.Sequencer
+		flRatio := fl[1] / fl[0]
+		seqRatio := seq[1] / seq[0]
 		if flRatio < 3 {
 			return fmt.Errorf("FLStore scaled only %.2fx over 4 machines", flRatio)
 		}
 		if seqRatio > 1.5 {
 			return fmt.Errorf("sequencer baseline scaled %.2fx despite central bottleneck", seqRatio)
 		}
-		if p4.FLStore < 2*p4.Sequencer {
-			return fmt.Errorf("at 4 machines FLStore %.0f vs sequencer %.0f: expected a clear win", p4.FLStore, p4.Sequencer)
+		if fl[1] < 2*seq[1] {
+			return fmt.Errorf("at 4 machines FLStore %.0f vs sequencer %.0f: expected a clear win", fl[1], seq[1])
 		}
 		return nil
 	})
 }
 
-func TestRunPipelineValidation(t *testing.T) {
-	if _, err := RunPipeline(PipelineOptions{Clients: 0, Duration: time.Second}); err == nil {
-		t.Error("0 clients accepted")
-	}
-	if _, err := RunPipeline(PipelineOptions{Clients: 1}); err == nil {
-		t.Error("neither Duration nor Records rejected")
-	}
-	if _, err := RunPipeline(PipelineOptions{Clients: 1, Duration: time.Second, Records: 5}); err == nil {
-		t.Error("both Duration and Records accepted")
-	}
-}
-
 func TestProfiles(t *testing.T) {
-	for _, p := range []Profile{PrivateCloud(), PublicCloud()} {
+	for _, p := range []profile{privateCloud(), publicCloud()} {
 		if p.MaintainerCap <= 0 || p.ClientRate <= 0 || p.FilterNICRate <= 0 {
 			t.Errorf("%s profile has zero capacities", p.Name)
 		}
-		if p.ScaleFactor() < 1 {
-			t.Errorf("%s scale factor %v < 1", p.Name, p.ScaleFactor())
+		if p.scaleFactor() < 1 {
+			t.Errorf("%s scale factor %v < 1", p.Name, p.scaleFactor())
 		}
 	}
-	if got := (Profile{}).ScaleFactor(); got != 1 {
+	if got := (profile{}).scaleFactor(); got != 1 {
 		t.Errorf("unset scale = %v, want 1", got)
 	}
 }

@@ -9,33 +9,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/flstore"
+	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/scale"
 	"repro/internal/storage"
 )
 
-// DurabilityOptions configures the durability-tier experiment: the
-// group-commit fsync-collapse sweep (phase A) and the quorum-ack
-// degraded-disk comparison (phase B). Disk cost is injected through a
-// seeded faultinject controller — one named link per store's fsync path —
-// so the experiment measures the durability protocols, not the host
-// filesystem, and a run is reproducible by seed.
-type DurabilityOptions struct {
-	// Appenders are the concurrency points of the fsync sweep, ascending.
-	Appenders []int
-	// PerAppenderPerSec is each session's offered arrival rate.
-	PerAppenderPerSec float64
-	// Duration is the arrival-schedule horizon per arm.
-	Duration time.Duration
-	// SlowFactor multiplies fsyncDelay on the degraded member's disk in
-	// phase B.
-	SlowFactor int
-	// Seed drives the arrival schedules and the fault schedule.
-	Seed uint64
-}
-
-// fsyncDelay is the injected cost of one healthy fsync.
-const fsyncDelay = time.Millisecond
+// The durability-tier experiment: the group-commit fsync-collapse sweep
+// (phase A) and the quorum-ack degraded-disk comparison (phase B). Disk
+// cost is injected through a seeded faultinject controller — one named
+// link per store's fsync path — so the experiment measures the durability
+// protocols, not the host filesystem, and a run is reproducible by seed.
+const (
+	// fsyncDelay is the injected cost of one healthy fsync.
+	fsyncDelay = time.Millisecond
+	// durabilityRate is each appender's offered arrival rate (records/s).
+	durabilityRate = 25
+	// durabilitySlowFactor multiplies fsyncDelay on the degraded member's
+	// disk in phase B.
+	durabilitySlowFactor = 20
+	durabilitySeed       = 1
+)
 
 // FsyncArm is one point of the phase-A sweep: a fixed appender count
 // driven open-loop against one segment store under one fsync policy.
@@ -92,15 +86,18 @@ func diskHook(ctl *faultinject.Controller, link string) func() {
 }
 
 // runFsyncArm drives one phase-A point: appenders concurrent open-loop
-// sessions against a fresh segment store under the given policy.
-func runFsyncArm(opts DurabilityOptions, appenders int, policy storage.SyncPolicy, name string) (FsyncArm, error) {
+// sessions against a fresh segment store under the given policy for d. It
+// fails on an append error, on a run that never fsynced, on per-batch
+// fsync syncing less than once per append, and on group commit that was
+// offered more than one batch per fsync time and did not coalesce.
+func runFsyncArm(d time.Duration, appenders int, policy storage.SyncPolicy, name string) (FsyncArm, error) {
 	arm := FsyncArm{Appenders: appenders, Policy: name}
 	dir, err := os.MkdirTemp("", "durability-fsync-*")
 	if err != nil {
 		return arm, err
 	}
 	defer os.RemoveAll(dir)
-	ctl := faultinject.New(faultinject.Options{Seed: opts.Seed})
+	ctl := faultinject.New(faultinject.Options{Seed: durabilitySeed})
 	ctl.SetLink("disk", faultinject.LinkOptions{DelayP: 1, Delay: fsyncDelay})
 	st, err := storage.OpenSegmentStore(dir, storage.SegmentStoreOptions{
 		Sync:      policy,
@@ -112,9 +109,9 @@ func runFsyncArm(opts DurabilityOptions, appenders int, policy storage.SyncPolic
 	var nextLId atomic.Uint64
 	eng := scale.NewEngine(scale.Config{
 		Sessions:     appenders,
-		TargetPerSec: float64(appenders) * opts.PerAppenderPerSec,
-		Duration:     opts.Duration,
-		Seed:         opts.Seed,
+		TargetPerSec: float64(appenders) * durabilityRate,
+		Duration:     d,
+		Seed:         durabilitySeed,
 		Op: func(session int, intended time.Time) error {
 			lid := nextLId.Add(1)
 			return st.AppendBatch([]*core.Record{{LId: lid, TOId: lid, Body: []byte("d")}})
@@ -127,20 +124,36 @@ func runFsyncArm(opts DurabilityOptions, appenders int, policy storage.SyncPolic
 	if arm.LoadStats, err = loadStats(stats); err != nil {
 		return arm, err
 	}
-	arm.OfferedPerSec = float64(appenders) * opts.PerAppenderPerSec
+	arm.OfferedPerSec = float64(appenders) * durabilityRate
 	arm.MaxMs = ms(stats.Hist.Max())
 	arm.Fsyncs = st.FsyncCount()
 	if stats.Completed > 0 {
 		arm.FsyncsPerOp = float64(arm.Fsyncs) / float64(stats.Completed)
 	}
+	// Group commit is paced by the fsync itself, so it coalesces only when
+	// batches arrive faster than the disk syncs them: offered rate × fsync
+	// delay > 1. Below that there is nothing to coalesce, and making an
+	// append wait for company would only add latency.
+	saturated := arm.OfferedPerSec*fsyncDelay.Seconds() > 1
+	switch {
+	case arm.Errors > 0:
+		return arm, fmt.Errorf("cluster: fsync arm %d/%s saw %d append errors", appenders, name, arm.Errors)
+	case arm.Fsyncs == 0:
+		return arm, fmt.Errorf("cluster: fsync arm %d/%s recorded no fsyncs", appenders, name)
+	case policy == storage.SyncEachBatch && arm.FsyncsPerOp < 1:
+		return arm, fmt.Errorf("cluster: per-batch fsync at %d appenders synced %.2f times per append, want >= 1", appenders, arm.FsyncsPerOp)
+	case policy == storage.SyncGroupCommit && saturated && arm.FsyncsPerOp >= 1:
+		return arm, fmt.Errorf("cluster: group commit at %d appenders (%.0f/s offered, %v fsync) did not collapse fsyncs: %.2f/op",
+			appenders, arm.OfferedPerSec, fsyncDelay, arm.FsyncsPerOp)
+	}
 	return arm, nil
 }
 
-// runQuorumArm drives one phase-B cluster: a 3-maintainer R=3 group over
-// real segment stores, the append stream pinned to range 0 so the
+// runQuorumArm drives one phase-B cluster for d: a 3-maintainer R=3 group
+// over real segment stores, the append stream pinned to range 0 so the
 // optionally-degraded member 2 is always a fan-out follower, never the
-// acting primary.
-func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, quorumFanout bool, slowMember int) (QuorumArm, error) {
+// acting primary. It fails on an append error or a run that moved no load.
+func runQuorumArm(d time.Duration, name string, ack replica.AckPolicy, quorumFanout bool, slowMember int) (QuorumArm, error) {
 	arm := QuorumArm{Name: name, Ack: ack.String(), QuorumFanout: quorumFanout, SlowMember: slowMember}
 	const n = 3
 	dir, err := os.MkdirTemp("", "durability-quorum-*")
@@ -148,14 +161,14 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 		return arm, err
 	}
 	defer os.RemoveAll(dir)
-	ctl := faultinject.New(faultinject.Options{Seed: opts.Seed})
+	ctl := faultinject.New(faultinject.Options{Seed: durabilitySeed})
 	rig, err := NewRig(RigSpec{
 		Maintainers: n, Replication: n, Round: 8,
 		Member: func(i int, cfg *flstore.MaintainerConfig) (err error) {
 			link := fmt.Sprintf("m%d.disk", i)
 			delay := fsyncDelay
 			if i == slowMember {
-				delay *= time.Duration(opts.SlowFactor)
+				delay *= durabilitySlowFactor
 			}
 			ctl.SetLink(link, faultinject.LinkOptions{DelayP: 1, Delay: delay})
 			cfg.Store, err = storage.OpenSegmentStore(fmt.Sprintf("%s/m%d", dir, i), storage.SegmentStoreOptions{
@@ -192,9 +205,9 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 	sessions := 8
 	eng := scale.NewEngine(scale.Config{
 		Sessions:     sessions,
-		TargetPerSec: float64(sessions) * opts.PerAppenderPerSec,
-		Duration:     opts.Duration,
-		Seed:         opts.Seed,
+		TargetPerSec: float64(sessions) * durabilityRate,
+		Duration:     d,
+		Seed:         durabilitySeed,
 		Op: func(session int, intended time.Time) error {
 			_, err := sess.AppendRange(0, []*core.Record{{Body: []byte("q")}})
 			return err
@@ -203,6 +216,10 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 	stats := eng.Run()
 	if arm.LoadStats, err = loadStats(stats); err != nil {
 		return arm, err
+	}
+	if arm.Errors > 0 || arm.Completed == 0 {
+		return arm, fmt.Errorf("cluster: quorum arm %s: %d of %d offered appends completed, %d failed",
+			name, arm.Completed, arm.Offered, arm.Errors)
 	}
 	// Detached stragglers: give the slow member a moment to drain, then
 	// measure how far its durable watermark still trails the primary's.
@@ -225,47 +242,75 @@ func runQuorumArm(opts DurabilityOptions, name string, ack replica.AckPolicy, qu
 	return arm, rig.Close()
 }
 
-// RunDurability executes both phases and returns the artifact payload.
-func RunDurability(opts DurabilityOptions) (*DurabilityResult, error) {
+// durability runs both phases, d per arm — phase A at 1, 8 and 64
+// appenders — and writes the BENCH_durability.json payload.
+func durability(d time.Duration, rep *Report) error {
 	res := &DurabilityResult{
 		FsyncDelayMs: ms(fsyncDelay),
-		SlowFactor:   opts.SlowFactor,
+		SlowFactor:   durabilitySlowFactor,
 	}
 	// Phase A: fsync collapse. Per-batch fsync is the baseline; group
 	// commit must beat its tail once the offered rate outruns one fsync
 	// per batch, by covering every batch that landed during an fsync with
 	// the next one.
 	var each, group FsyncArm
-	for _, a := range opts.Appenders {
+	for _, a := range []int{1, 8, 64} {
 		var err error
-		if each, err = runFsyncArm(opts, a, storage.SyncEachBatch, "each"); err != nil {
-			return nil, err
+		if each, err = runFsyncArm(d, a, storage.SyncEachBatch, "each"); err != nil {
+			return err
 		}
-		if group, err = runFsyncArm(opts, a, storage.SyncGroupCommit, "group"); err != nil {
-			return nil, err
+		if group, err = runFsyncArm(d, a, storage.SyncGroupCommit, "group"); err != nil {
+			return err
 		}
 		res.FsyncArms = append(res.FsyncArms, each, group)
 	}
-	if each.P99Ms > 0 { // the last, largest appender count
-		res.GroupP99Ratio64 = group.P99Ms / each.P99Ms
-	}
+	res.GroupP99Ratio64 = group.P99Ms / each.P99Ms // the last, largest appender count
 	// Phase B: quorum acks vs a degraded follower disk.
-	healthy, err := runQuorumArm(opts, "healthy-quorum", replica.AckMajority, true, -1)
+	healthy, err := runQuorumArm(d, "healthy-quorum", replica.AckMajority, true, -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	slowAll, err := runQuorumArm(opts, "slow-all-ack", replica.AckAll, false, 2)
+	slowAll, err := runQuorumArm(d, "slow-all-ack", replica.AckAll, false, 2)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	slowQuorum, err := runQuorumArm(opts, "slow-quorum", replica.AckMajority, true, 2)
+	slowQuorum, err := runQuorumArm(d, "slow-quorum", replica.AckMajority, true, 2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.QuorumArms = []QuorumArm{healthy, slowAll, slowQuorum}
-	if healthy.P99Ms > 0 {
-		res.QuorumSlowP99Ratio = slowQuorum.P99Ms / healthy.P99Ms
-		res.AllAckSlowP99Ratio = slowAll.P99Ms / healthy.P99Ms
+	res.QuorumSlowP99Ratio = slowQuorum.P99Ms / healthy.P99Ms
+	res.AllAckSlowP99Ratio = slowAll.P99Ms / healthy.P99Ms
+	rep.Data = res
+
+	msf := func(v float64) string { return fmt.Sprintf("%.2fms", v) }
+	tb := &metrics.Table{Header: []string{"appenders", "policy", "offered/s", "achieved/s", "p50", "p99", "fsyncs", "fsyncs/op"}}
+	for _, a := range res.FsyncArms {
+		tb.AddRow(fmt.Sprint(a.Appenders), a.Policy,
+			fmt.Sprintf("%.0f", a.OfferedPerSec), fmt.Sprintf("%.0f", a.AchievedPerSec),
+			msf(a.P50Ms), msf(a.P99Ms), fmt.Sprint(a.Fsyncs), fmt.Sprintf("%.3f", a.FsyncsPerOp))
 	}
-	return res, nil
+	rep.Printf("%s", tb)
+	rep.Printf("group/each p99 at max appenders %.2fx (bar: <= 0.5x)\n", res.GroupP99Ratio64)
+	qb := &metrics.Table{Header: []string{"arm", "ack", "quorum fanout", "slow member", "achieved/s", "p50", "p99", "durable lag"}}
+	for _, a := range res.QuorumArms {
+		slow := "-"
+		if a.SlowMember >= 0 {
+			slow = fmt.Sprintf("m%d (%dx disk)", a.SlowMember, res.SlowFactor)
+		}
+		qb.AddRow(a.Name, a.Ack, fmt.Sprint(a.QuorumFanout), slow,
+			fmt.Sprintf("%.0f", a.AchievedPerSec), msf(a.P50Ms), msf(a.P99Ms), fmt.Sprint(a.SlowDurableLag))
+	}
+	rep.Printf("%s", qb)
+	rep.Printf("slow-disk p99 vs healthy: quorum %.2fx (bar: <= 2x) | wait-all %.2fx\n",
+		res.QuorumSlowP99Ratio, res.AllAckSlowP99Ratio)
+	rep.Metric("group/each-p99-ratio", res.GroupP99Ratio64)
+	rep.Metric("quorum-slow/healthy-p99-ratio", res.QuorumSlowP99Ratio)
+	rep.Bar("group-commit p99 / per-batch p99 at max appenders", res.GroupP99Ratio64, "<=", 0.5)
+	rep.Bar("quorum p99 with a slow disk / healthy", res.QuorumSlowP99Ratio, "<=", 2)
+	if !(res.GroupP99Ratio64 > 0 && res.QuorumSlowP99Ratio > 0 && res.AllAckSlowP99Ratio > 0) {
+		return fmt.Errorf("cluster: durability p99 ratios %v / %v / %v, want all > 0",
+			res.GroupP99Ratio64, res.QuorumSlowP99Ratio, res.AllAckSlowP99Ratio)
+	}
+	return nil
 }

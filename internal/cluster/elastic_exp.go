@@ -4,7 +4,8 @@ package cluster
 // deployment serves an open-loop append load; mid-run the offered rate
 // doubles past the old member set's admission capacity, the autoscaler
 // sees sustained rejects and drives an epoch switchover through the
-// Orchestrator (seal → drain → pad → flip → background migration), and
+// Orchestrator (seal → build → announce → drain → pad → background
+// migration), and
 // the load finishes against the doubled member set. The run verifies the
 // log survived the flip intact — every acknowledged LId unique and
 // readable, the old epoch dense to the boundary, migration complete —
@@ -24,36 +25,22 @@ import (
 	"repro/internal/scale"
 )
 
-// ElasticOptions configures the elasticity experiment. The placement
-// widens from elasticBefore to elasticAfter maintainers at the switchover.
-type ElasticOptions struct {
-	// PerMaintainerRate is each maintainer's admission capacity in
-	// records/sec (the limiter modeling machine capacity).
-	PerMaintainerRate float64
-	// BaseRate is phase A's aggregate offered rate; phases B and C offer
-	// 2×BaseRate. Pick BaseRate < elasticBefore×PerMaintainerRate <
-	// 2×BaseRate < elasticAfter×PerMaintainerRate so only the doubled load
-	// saturates the old set.
-	BaseRate float64
-	// PhaseA/PhaseB/PhaseC are the three phase durations: steady state,
-	// doubled load (the autoscaler fires in here), and post-flip steady
-	// state.
-	PhaseA, PhaseB, PhaseC time.Duration
-	// Sessions is the concurrent client-session count per phase.
-	Sessions int
-	// AutoscaleTick is the autoscaler's observation period; two breaching
-	// ticks in a row fire the switchover.
-	AutoscaleTick time.Duration
-}
-
+// Sizes: each maintainer admits elasticRate records/s (the limiter
+// modelling machine capacity); phase A offers elasticBaseRate, below the old
+// set's capacity, and phases B and C offer twice that, above the old set's
+// and below the new set's — so only the doubled load saturates the old set.
+// elasticSessions concurrent client sessions run every phase.
 const (
 	elasticBefore, elasticAfter = 2, 4
 	elasticRound                = 4
 	elasticRecordSize           = 128
 	elasticSeed                 = 42
+	elasticRate                 = 1200
+	elasticBaseRate             = 1600
+	elasticSessions             = 8
 )
 
-// ElasticResult is the measured outcome.
+// ElasticResult is the BENCH_elastic.json payload.
 type ElasticResult struct {
 	MaintainersBefore int    `json:"maintainers_before"`
 	MaintainersAfter  int    `json:"maintainers_after"`
@@ -101,7 +88,7 @@ func (st *elasticStack) close() {
 
 // startMembers stands up one epoch's maintainers, served over loopback TCP
 // and gossiping, with their metrics labelled by epoch.
-func (st *elasticStack) startMembers(p flstore.Placement, firstLId uint64, rate float64, epoch string) (flstore.MemberSet, error) {
+func (st *elasticStack) startMembers(p flstore.Placement, firstLId uint64, epoch string) (flstore.MemberSet, error) {
 	rig, err := NewRig(RigSpec{
 		Maintainers: p.NumMaintainers, Round: p.BatchSize, TCP: true, Gossip: time.Millisecond,
 		Member: func(_ int, cfg *flstore.MaintainerConfig) error {
@@ -109,7 +96,7 @@ func (st *elasticStack) startMembers(p flstore.Placement, firstLId uint64, rate 
 			// A small burst keeps the capacity model crisp: offering more
 			// than the aggregate rate must produce rejects within a fraction
 			// of a second, not after draining a deep token bucket.
-			cfg.Limiter = ratelimit.New(rate, 32)
+			cfg.Limiter = ratelimit.New(elasticRate, 32)
 			return nil
 		},
 		Serve: func(_ int, m *flstore.Maintainer) flstore.MaintainerAPI {
@@ -124,21 +111,12 @@ func (st *elasticStack) startMembers(p flstore.Placement, firstLId uint64, rate 
 	return flstore.MemberSet{Maintainers: rig.Maintainers, Addrs: rig.Addrs}, nil
 }
 
-// newElasticStack stands the deployment up: old members, controller with
-// admin surface, and an orchestrator whose grow factory starts the new
-// member set on demand.
-func newElasticStack(opts ElasticOptions) (*elasticStack, error) {
-	st := &elasticStack{reg: metrics.NewRegistry(), ctrlSrv: rpc.NewServer()}
-	if err := st.start(opts); err != nil {
-		st.close()
-		return nil, err
-	}
-	return st, nil
-}
-
-func (st *elasticStack) start(opts ElasticOptions) error {
+// start stands the deployment up: old members, controller with admin
+// surface, and an orchestrator whose grow factory starts the new member set
+// on demand. close releases whatever it got to.
+func (st *elasticStack) start() error {
 	pOld := flstore.Placement{NumMaintainers: elasticBefore, BatchSize: elasticRound}
-	old, err := st.startMembers(pOld, 1, opts.PerMaintainerRate, "1")
+	old, err := st.startMembers(pOld, 1, "1")
 	if err != nil {
 		return err
 	}
@@ -150,7 +128,7 @@ func (st *elasticStack) start(opts ElasticOptions) error {
 		Controller: ctrl,
 		Current:    old,
 		Grow: func(p flstore.Placement, firstLId uint64) (flstore.MemberSet, error) {
-			return st.startMembers(p, firstLId, opts.PerMaintainerRate, "2")
+			return st.startMembers(p, firstLId, "2")
 		},
 	})
 	if err != nil {
@@ -167,11 +145,11 @@ func (st *elasticStack) start(opts ElasticOptions) error {
 	return nil
 }
 
-// elasticSessions is a bank of per-session clients that re-poll the
+// sessionBank is a bank of per-session clients that re-poll the
 // controller when their epoch is sealed under them — the §5.1 "after
 // problems" session refresh. clients[i] belongs to session i's goroutine
 // while a phase runs; mu guards everything the sessions share.
-type elasticSessions struct {
+type sessionBank struct {
 	ctrlAddr string
 	clients  []*flstore.Client
 
@@ -182,8 +160,8 @@ type elasticSessions struct {
 	sealRetries uint64
 }
 
-func newElasticSessions(ctrlAddr string, n int) (*elasticSessions, error) {
-	es := &elasticSessions{
+func newSessionBank(ctrlAddr string, n int) (*sessionBank, error) {
+	es := &sessionBank{
 		ctrlAddr: ctrlAddr,
 		clients:  make([]*flstore.Client, n),
 		lids:     make(map[uint64]int),
@@ -197,7 +175,7 @@ func newElasticSessions(ctrlAddr string, n int) (*elasticSessions, error) {
 	return es, nil
 }
 
-func (es *elasticSessions) refresh(i int) error {
+func (es *sessionBank) refresh(i int) error {
 	conn, err := rpc.Dial(es.ctrlAddr)
 	if err != nil {
 		return err
@@ -209,7 +187,7 @@ func (es *elasticSessions) refresh(i int) error {
 	return err
 }
 
-func (es *elasticSessions) close() {
+func (es *sessionBank) close() {
 	for _, c := range es.conns {
 		c.Close()
 	}
@@ -217,7 +195,7 @@ func (es *elasticSessions) close() {
 
 // op issues one append for session i, refreshing the session on a sealed
 // epoch before surfacing the (retryable) error to the engine.
-func (es *elasticSessions) op(i int, body []byte) error {
+func (es *sessionBank) op(i int, body []byte) error {
 	lid, err := es.clients[i].Append(body, nil)
 	es.mu.Lock()
 	if err == nil {
@@ -237,7 +215,7 @@ func (es *elasticSessions) op(i int, body []byte) error {
 }
 
 // runPhase drives one open-loop phase and returns its stats.
-func runPhase(es *elasticSessions, sessions int, rate float64, d time.Duration, seed uint64) scale.Stats {
+func runPhase(es *sessionBank, sessions int, rate float64, d time.Duration, seed uint64) scale.Stats {
 	body := make([]byte, elasticRecordSize)
 	eng := scale.NewEngine(scale.Config{
 		Sessions:     sessions,
@@ -266,107 +244,113 @@ func runPhase(es *elasticSessions, sessions int, rate float64, d time.Duration, 
 	return eng.Run()
 }
 
-// FullElastic is the full-size run behind `repro -exp elastic`.
-var FullElastic = ElasticOptions{
-	PerMaintainerRate: 1200,
-	BaseRate:          1600,
-	PhaseA:            1500 * time.Millisecond,
-	PhaseB:            2500 * time.Millisecond,
-	PhaseC:            1500 * time.Millisecond,
-	Sessions:          8,
-	AutoscaleTick:     100 * time.Millisecond,
-}
+// elastic runs the experiment and writes the BENCH_elastic.json payload.
+// The phases last ¾d, 1¼d and ¾d, and the autoscaler observes every d/20,
+// firing the switchover after two breaching ticks in a row. The report is
+// printed however the run ends, once the autoscaler has ticked.
+func elastic(d time.Duration, rep *Report) (err error) {
+	res := &ElasticResult{MaintainersBefore: elasticBefore, MaintainersAfter: elasticAfter}
+	rep.Data = res
+	defer func() {
+		if res.AutoscaleTicks > 0 || err == nil {
+			rep.Printf("maintainers %d -> %d | boundary LId %d | epochs %d | autoscale ticks %d (grew=%v) | migrated %d records (done=%v) | seal retries %d\n",
+				res.MaintainersBefore, res.MaintainersAfter, res.BoundaryLId, res.Epochs,
+				res.AutoscaleTicks, res.GrowTriggered, res.RecordsMigrated, res.MigrationDone, res.SealRetries)
+			rep.Printf("appends before/during/after %d/%d/%d | p99 %.1f/%.1f/%.1f ms | unique %d dup %d lost %d | p99 bounded %v\n",
+				res.AppendsBefore, res.AppendsDuring, res.AppendsAfter,
+				res.P99BeforeMs, res.P99DuringMs, res.P99AfterMs,
+				res.UniqueLIds, res.DuplicateLIds, res.LostLIds, res.P99Bounded)
+		}
+		rep.Metric("p99-after-ms", res.P99AfterMs)
+		rep.Metric("records-migrated", float64(res.RecordsMigrated))
+	}()
 
-// RunElastic executes the elasticity experiment.
-func RunElastic(opts ElasticOptions) (ElasticResult, error) {
-	res := ElasticResult{MaintainersBefore: elasticBefore, MaintainersAfter: elasticAfter}
-
-	st, err := newElasticStack(opts)
-	if err != nil {
-		return res, err
-	}
+	st := &elasticStack{reg: metrics.NewRegistry(), ctrlSrv: rpc.NewServer()}
 	defer st.close()
+	if err := st.start(); err != nil {
+		return err
+	}
 
 	// The autoscaler watches the registry and fires the switchover once
 	// rejects persist. It runs for the whole experiment; phase A must not
 	// trigger it.
 	pNew := flstore.Placement{NumMaintainers: elasticAfter, BatchSize: elasticRound}
-	as := NewAutoscaler(AutoscaleConfig{
-		Snapshot: st.reg.Snapshot,
-		Ticks:    2,
-		GrowLog: func() error {
+	as := &autoscaler{
+		snapshot: st.reg.Snapshot,
+		ticks:    2,
+		grow: func() error {
 			_, gerr := st.orch.Grow(pNew)
 			return gerr
 		},
-	})
+	}
 	asCtx, asCancel := context.WithCancel(context.Background())
 	asDone := make(chan struct{})
 	go func() {
 		defer close(asDone)
 		// res's autoscale fields are this goroutine's until asDone closes.
-		as.Run(asCtx, opts.AutoscaleTick, func(d AutoscaleDecision) {
+		as.run(asCtx, d/20, func(dec autoscaleDecision) {
 			res.AutoscaleTicks++
-			res.GrowTriggered = res.GrowTriggered || d.GrewLog
+			res.GrowTriggered = res.GrowTriggered || dec.grew
 		})
 	}()
 
-	es, err := newElasticSessions(st.ctrlAddr, opts.Sessions)
+	es, err := newSessionBank(st.ctrlAddr, elasticSessions)
 	if err != nil {
 		asCancel()
 		<-asDone
-		return res, err
+		return err
 	}
 	defer es.close()
 
 	// A ledger violation in any phase voids the run, after the autoscaler
 	// has been stopped.
-	phase := func(i uint64, rate float64, d time.Duration) LoadStats {
-		ls, lerr := loadStats(runPhase(es, opts.Sessions, rate, d, elasticSeed+i))
+	phase := func(i uint64, rate float64, length time.Duration) LoadStats {
+		ls, lerr := loadStats(runPhase(es, elasticSessions, rate, length, elasticSeed+i))
 		if err == nil {
 			err = lerr
 		}
 		return ls
 	}
-	before := phase(0, opts.BaseRate, opts.PhaseA)
-	during := phase(1, 2*opts.BaseRate, opts.PhaseB)
-	after := phase(2, 2*opts.BaseRate, opts.PhaseC)
+	before := phase(0, elasticBaseRate, 3*d/4)
+	during := phase(1, 2*elasticBaseRate, 5*d/4)
+	after := phase(2, 2*elasticBaseRate, 3*d/4)
 	asCancel()
 	<-asDone
 	if err != nil {
-		return res, err
+		return err
 	}
 
 	if !res.GrowTriggered {
-		return res, errors.New("cluster: autoscaler never triggered the epoch flip")
+		return errors.New("cluster: autoscaler never triggered the epoch flip")
 	}
 	if err := st.orch.WaitMigration(); err != nil {
-		return res, err
+		return err
 	}
 
 	// Inspect the epoch journal through the typed admin surface — the
 	// same path logctl epochs takes.
 	conn, err := rpc.Dial(st.ctrlAddr)
 	if err != nil {
-		return res, err
+		return err
 	}
 	defer conn.Close()
 	admin := flstore.NewAdmin(conn)
 	eps, err := admin.Epochs(context.Background())
 	if err != nil {
-		return res, err
+		return err
 	}
 	res.Epochs = len(eps)
 	if len(eps) != 2 {
-		return res, fmt.Errorf("cluster: expected 2 epochs after flip, journal has %d", len(eps))
+		return fmt.Errorf("cluster: expected 2 epochs after flip, journal has %d", len(eps))
 	}
 	res.BoundaryLId = eps[1].FirstLId
 	res.MigrationDone = eps[0].MigrationDone
 	res.RecordsMigrated = eps[0].RecordsStreamed
 	if !res.MigrationDone {
-		return res, errors.New("cluster: migration not complete after WaitMigration")
+		return errors.New("cluster: migration not complete after WaitMigration")
 	}
 	if want := res.BoundaryLId - 1; res.RecordsMigrated != want {
-		return res, fmt.Errorf("cluster: migrated %d records, want the whole old epoch (%d)",
+		return fmt.Errorf("cluster: migrated %d records, want the whole old epoch (%d)",
 			res.RecordsMigrated, want)
 	}
 
@@ -382,7 +366,7 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 		}
 	}
 	if res.DuplicateLIds > 0 || res.LostLIds > 0 {
-		return res, fmt.Errorf("cluster: log integrity broken across flip: %d duplicate, %d lost",
+		return fmt.Errorf("cluster: log integrity broken across flip: %d duplicate, %d lost",
 			res.DuplicateLIds, res.LostLIds)
 	}
 
@@ -394,9 +378,13 @@ func RunElastic(opts ElasticOptions) (ElasticResult, error) {
 		bound = 50
 	}
 	res.P99Bounded = res.P99AfterMs <= bound
+	if res.UniqueLIds == 0 || res.AppendsAfter == 0 {
+		return fmt.Errorf("cluster: no traffic measured: %d unique LIds, %d appends after the flip",
+			res.UniqueLIds, res.AppendsAfter)
+	}
 	if !res.P99Bounded {
-		return res, fmt.Errorf("cluster: post-flip p99 %.1fms exceeds bound %.1fms (pre-flip %.1fms)",
+		return fmt.Errorf("cluster: post-flip p99 %.1fms exceeds bound %.1fms (pre-flip %.1fms)",
 			res.P99AfterMs, bound, res.P99BeforeMs)
 	}
-	return res, nil
+	return nil
 }

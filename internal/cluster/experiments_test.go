@@ -67,11 +67,11 @@ func TestBarErr(t *testing.T) {
 // under `make race`.
 func TestGossipAblationSmoke(t *testing.T) {
 	checkShape(t, "gossip ablation", func() error {
-		fastLag, fastThr, err := RunGossipAblation(PrivateCloud(), 4, 100_000, time.Millisecond, testDur)
+		fastLag, fastThr, err := headLag(time.Millisecond, testDur)
 		if err != nil {
 			return err
 		}
-		slowLag, slowThr, err := RunGossipAblation(PrivateCloud(), 4, 100_000, 40*time.Millisecond, testDur)
+		slowLag, slowThr, err := headLag(40*time.Millisecond, testDur)
 		if err != nil {
 			return err
 		}
@@ -83,4 +83,31 @@ func TestGossipAblationSmoke(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestMeasuredRows runs every measured row but scale (whose smoke is `make
+// bench-scale`) at testDur, exactly as repro runs it at -dur: each row
+// fails on the invariants its run must hold. Bars are stated for repro's
+// full window and are checked here only for tracelat, whose bars — span
+// coverage and the stage sets — hold at any size (`make trace-smoke`).
+func TestMeasuredRows(t *testing.T) {
+	for _, e := range Experiments {
+		if e.Kind != Measured || e.Name == "scale" {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			rep, err := e.Run(testDur)
+			if err != nil {
+				t.Fatalf("%v\n%s", err, rep.Text())
+			}
+			if e.Name != "tracelat" {
+				return
+			}
+			for _, b := range rep.Bars {
+				if err := b.Err(); err != nil {
+					t.Errorf("%v\n%s", err, rep.Text())
+				}
+			}
+		})
+	}
 }

@@ -1,62 +1,35 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flstore"
+	"repro/internal/metrics"
 	"repro/internal/ratelimit"
 	"repro/internal/workload"
 )
 
-// FLStoreOptions configures one FLStore scaling run (Figures 7–8): n
-// maintainers, n open-loop client machines offering TargetPerClient
-// 512-byte records/second each (client i appends to maintainer i, the
-// paper's "identical number of client machines").
-type FLStoreOptions struct {
-	Profile         Profile
-	Maintainers     int
-	TargetPerClient float64
-	Duration        time.Duration
-	// Round is the placement round size (default 1000; the §5.2 ablation
-	// sweeps it).
-	Round uint64
-}
-
-// FLStoreResult is one measured point.
-type FLStoreResult struct {
-	Maintainers     int
-	TargetPerClient float64
-	// AchievedTotal is the cumulative append throughput (records/s).
-	AchievedTotal float64
-}
-
-// RunFLStore executes one scaling point.
-func RunFLStore(opts FLStoreOptions) (FLStoreResult, error) { return runFLStore(opts, 0, nil) }
-
-// runFLStore is the FLStore load driver: it stands the maintainers up
-// behind their capacity limiters, optionally gossiping, offers the load,
-// and — when sample is set — calls it every millisecond of the run from
-// one goroutine that has exited by the time runFLStore returns.
-func runFLStore(opts FLStoreOptions, gossip time.Duration, sample func(*Rig)) (FLStoreResult, error) {
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
+// appendRate measures one FLStore scaling point (Figures 7–8 and the §5.2
+// ablations): spec's maintainers behind p's capacity limiters, and one
+// open-loop client machine per maintainer offering target 512-byte
+// records/second (paper units) for d, client i appending to maintainer i —
+// the paper's "identical number of client machines". It returns the
+// cumulative achieved append rate in paper units. spec's round defaults to
+// 1000; when sample is set it is called every millisecond of the run from
+// one goroutine that has exited by the time appendRate returns.
+func appendRate(p profile, spec RigSpec, target float64, d time.Duration, sample func(*Rig)) (float64, error) {
+	spec.Round = cmp.Or(spec.Round, 1000)
+	spec.Member = func(_ int, cfg *flstore.MaintainerConfig) error {
+		cfg.Limiter = newSimLimiter(p.down(p.MaintainerCap))
+		cfg.RejectPenalty = p.RejectPenalty
+		return nil
 	}
-	if opts.Round == 0 {
-		opts.Round = 1000
-	}
-	rig, err := NewRig(RigSpec{
-		Maintainers: opts.Maintainers,
-		Round:       opts.Round,
-		Gossip:      gossip,
-		Member: func(_ int, cfg *flstore.MaintainerConfig) error {
-			cfg.Limiter = newSimLimiter(opts.Profile.down(opts.Profile.MaintainerCap))
-			cfg.RejectPenalty = opts.Profile.RejectPenalty
-			return nil
-		},
-	})
+	rig, err := NewRig(spec)
 	if err != nil {
-		return FLStoreResult{}, err
+		return 0, err
 	}
 	defer rig.Close()
 
@@ -77,8 +50,8 @@ func runFLStore(opts FLStoreOptions, gossip time.Duration, sample func(*Rig)) (F
 			}
 		}
 	}()
-	scale := opts.Profile.ScaleFactor()
-	_, elapsed := openLoop(opts.Maintainers, opts.TargetPerClient/scale, 0, opts.Duration, func(i int) workload.TimedSink {
+	scale := p.scaleFactor()
+	_, elapsed := openLoop(spec.Maintainers, target/scale, 0, d, func(i int) workload.TimedSink {
 		m := rig.Maintainers[i]
 		return func(_ time.Time, recs []*core.Record) int {
 			if _, err := m.Append(recs); err != nil {
@@ -90,12 +63,12 @@ func runFLStore(opts FLStoreOptions, gossip time.Duration, sample func(*Rig)) (F
 	close(stop)
 	<-sampled
 
-	res := FLStoreResult{Maintainers: opts.Maintainers, TargetPerClient: opts.TargetPerClient}
 	// Measurements scale back to paper units.
+	var achieved float64
 	for _, m := range rig.Maintainers {
-		res.AchievedTotal += float64(m.Appended.Value()) / elapsed.Seconds() * scale
+		achieved += float64(m.Appended.Value()) / elapsed.Seconds() * scale
 	}
-	return res, nil
+	return achieved, nil
 }
 
 // newSimLimiter builds a machine-capacity limiter for the FLStore
@@ -114,65 +87,74 @@ func newSimLimiter(rate float64) *ratelimit.Limiter {
 	return l
 }
 
-// RunFigure7 sweeps the offered load on a single maintainer (Figure 7:
+// fig7 sweeps the offered load on a single maintainer (Figure 7:
 // throughput rises with the target, peaks at the machine's capacity, then
-// declines slightly as rejection work eats into it).
-func RunFigure7(profile Profile, targets []float64, duration time.Duration) ([]FLStoreResult, error) {
-	var points []FLStoreResult
-	for _, target := range targets {
-		res, err := RunFLStore(FLStoreOptions{Profile: profile, Maintainers: 1, TargetPerClient: target, Duration: duration})
+// declines slightly as rejection work eats into it), d per point.
+func fig7(d time.Duration, rep *Report) error {
+	tb := &metrics.Table{Header: []string{"Target (appends/s)", "Achieved (appends/s)"}}
+	for _, target := range []float64{25_000, 50_000, 75_000, 100_000, 125_000, 150_000, 200_000, 250_000, 300_000} {
+		got, err := appendRate(privateCloud(), RigSpec{Maintainers: 1}, target, d, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		points = append(points, res)
+		tb.AddRow(kilo(target), metrics.FormatRate(got))
+		rep.Metric("achieved@"+kilo(target)+"-appends/s", got)
 	}
-	return points, nil
+	rep.Printf("%s", tb)
+	return nil
 }
 
-// Figure8Series is one line of Figure 8: cumulative throughput as the
+// fig8Series are the three lines of Figure 8: cumulative throughput as the
 // maintainer count grows, for a fixed profile and per-client target.
-type Figure8Series struct {
-	Label  string
-	Points []FLStoreResult
+var fig8Series = []struct {
+	label  string
+	p      profile
+	target float64
+}{
+	{"public cloud target = 125K", publicCloud(), 125_000},
+	{"public cloud target = 250K", publicCloud(), 250_000},
+	{"private cloud", privateCloud(), 250_000},
 }
 
-// RunFigure8 produces the three series of Figure 8.
-func RunFigure8(maintainerCounts []int, duration time.Duration) ([]Figure8Series, error) {
-	configs := []struct {
-		label   string
-		profile Profile
-		target  float64
-	}{
-		{"public cloud target = 125K", PublicCloud(), 125_000},
-		{"public cloud target = 250K", PublicCloud(), 250_000},
-		{"private cloud", PrivateCloud(), 250_000},
-	}
-	var out []Figure8Series
-	for _, cfg := range configs {
-		series := Figure8Series{Label: cfg.label}
-		for _, n := range maintainerCounts {
-			res, err := RunFLStore(FLStoreOptions{Profile: cfg.profile, Maintainers: n, TargetPerClient: cfg.target, Duration: duration})
+// fig8 runs every series of Figure 8 from 1 to 10 maintainers, d per
+// point, and reports each series' scaling efficiency: achieved at 10 over
+// ten times the single-maintainer rate — the "99.3% of perfect scaling".
+func fig8(d time.Duration, rep *Report) error {
+	const most = 10
+	rates := make([][]float64, len(fig8Series)) // [series][maintainers-1]
+	for i, s := range fig8Series {
+		for n := 1; n <= most; n++ {
+			got, err := appendRate(s.p, RigSpec{Maintainers: n}, s.target, d, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			series.Points = append(series.Points, res)
+			rates[i] = append(rates[i], got)
 		}
-		out = append(out, series)
 	}
-	return out, nil
+	tb := &metrics.Table{Header: []string{"Maintainers", fig8Series[0].label, fig8Series[1].label, fig8Series[2].label}}
+	for n := 1; n <= most; n++ {
+		tb.AddRow(fmt.Sprint(n), kilo(rates[0][n-1]), kilo(rates[1][n-1]), kilo(rates[2][n-1]))
+	}
+	rep.Printf("%s", tb)
+	for i, s := range fig8Series {
+		efficiency := rates[i][most-1] / (most * rates[i][0])
+		rep.Printf("scaling efficiency (%s): %.1f%%\n", s.label, 100*efficiency)
+		rep.Metric("efficiency/"+s.label, efficiency)
+		rep.Metric("appends/s@10/"+s.label, rates[i][most-1])
+	}
+	return nil
 }
 
-// ScalingEfficiency returns achieved/(n × single-maintainer-achieved) for
-// the last point of a series — the "99.3% of perfect scaling" number.
-func ScalingEfficiency(s Figure8Series) float64 {
-	if len(s.Points) < 2 {
-		return 1
+// batchsizeAblation sweeps the placement round size (§5.2) at 4
+// maintainers offered 125K appends/s per client, d per point.
+func batchsizeAblation(d time.Duration, rep *Report) error {
+	for _, round := range []uint64{100, 1000, 10000} {
+		got, err := appendRate(privateCloud(), RigSpec{Maintainers: 4, Round: round}, 125_000, d, nil)
+		if err != nil {
+			return err
+		}
+		rep.Printf("batch %6d: %s appends/s\n", round, kilo(got))
+		rep.Metric(fmt.Sprintf("appends/s@round=%d", round), got)
 	}
-	first := s.Points[0]
-	last := s.Points[len(s.Points)-1]
-	perfect := first.AchievedTotal / float64(first.Maintainers) * float64(last.Maintainers)
-	if perfect == 0 {
-		return 0
-	}
-	return last.AchievedTotal / perfect
+	return nil
 }

@@ -9,36 +9,33 @@ import (
 	"repro/internal/metrics"
 )
 
-// GeoCluster is a set of Chariots datacenters wired all-to-all through
+// geoCluster is a set of Chariots datacenters wired all-to-all through
 // latency links — the multi-datacenter deployment of the visibility
 // experiment.
-type GeoCluster struct {
-	DCs   []*chariots.Datacenter
+type geoCluster struct {
+	dcs   []*chariots.Datacenter
 	links []*chariots.LatencyLink
 }
 
-// NewGeoCluster builds and starts n datacenters with the given one-way
+// newGeoCluster builds and starts n datacenters with the given one-way
 // inter-datacenter delay. cfg customizes the per-DC configuration (Self
 // and NumDCs are overwritten).
-func NewGeoCluster(n int, oneWay time.Duration, cfg chariots.Config) (*GeoCluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("cluster: need >= 1 datacenter")
-	}
-	g := &GeoCluster{}
+func newGeoCluster(n int, oneWay time.Duration, cfg chariots.Config) (*geoCluster, error) {
+	g := &geoCluster{}
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.Self = core.DCID(i)
 		c.NumDCs = n
 		dc, err := chariots.New(c)
 		if err != nil {
-			g.Stop()
+			g.stop()
 			return nil, err
 		}
 		dc.Start()
-		g.DCs = append(g.DCs, dc)
+		g.dcs = append(g.dcs, dc)
 	}
-	for i, from := range g.DCs {
-		for j, to := range g.DCs {
+	for i, from := range g.dcs {
+		for j, to := range g.dcs {
 			if i == j {
 				continue
 			}
@@ -59,48 +56,56 @@ func NewGeoCluster(n int, oneWay time.Duration, cfg chariots.Config) (*GeoCluste
 	return g, nil
 }
 
-// Stop halts every datacenter and link.
-func (g *GeoCluster) Stop() {
+// stop halts every datacenter and link.
+func (g *geoCluster) stop() {
 	for _, l := range g.links {
 		l.Close()
 	}
-	for _, dc := range g.DCs {
+	for _, dc := range g.dcs {
 		dc.Stop()
 	}
 }
 
-// VisibilityResult is one point of the geo-visibility experiment.
-type VisibilityResult struct {
-	// Mean/P99 time from a local append's acknowledgement to the record
-	// being applied at the remote datacenter.
-	Mean time.Duration
-	P99  time.Duration
-}
-
-// RunGeoVisibility measures causal replication lag: how long after a
-// record is ordered at its home datacenter it becomes visible at a peer,
-// as a function of the one-way WAN delay. (An extension experiment — the
-// paper motivates geo-replication but does not quantify visibility; the
-// expected shape is lag ≈ one-way delay + pipeline time.)
-func RunGeoVisibility(oneWay time.Duration, appends int) (VisibilityResult, error) {
-	g, err := NewGeoCluster(2, oneWay, chariots.Config{Maintainers: 2})
+// visibilityLag measures causal replication lag over two datacenters: how
+// long after each of appends records is ordered at its home datacenter it
+// becomes visible at the peer, as the mean and p99.
+func visibilityLag(oneWay time.Duration, appends int) (mean, p99 time.Duration, err error) {
+	g, err := newGeoCluster(2, oneWay, chariots.Config{Maintainers: 2})
 	if err != nil {
-		return VisibilityResult{}, err
+		return 0, 0, err
 	}
-	defer g.Stop()
+	defer g.stop()
 
 	hist := metrics.NewHistogram(0)
-	a, b := g.DCs[0], g.DCs[1]
+	a, b := g.dcs[0], g.dcs[1]
 	for i := 0; i < appends; i++ {
 		ack, err := a.Append([]byte(fmt.Sprintf("v%d", i)), nil)
 		if err != nil {
-			return VisibilityResult{}, err
+			return 0, 0, err
 		}
 		start := time.Now()
 		if !b.WaitForTOId(0, ack.TOId, 30*time.Second) {
-			return VisibilityResult{}, fmt.Errorf("cluster: record %d never became visible", i)
+			return 0, 0, fmt.Errorf("cluster: record %d never became visible", i)
 		}
 		hist.Observe(time.Since(start))
 	}
-	return VisibilityResult{Mean: hist.Mean(), P99: hist.Quantile(0.99)}, nil
+	return hist.Mean(), hist.Quantile(0.99), nil
+}
+
+// geoVisibility sweeps the one-way WAN delay, one append per 40 ms of d
+// (at least 10) per point. (An extension experiment — the paper motivates
+// geo-replication but does not quantify visibility; the expected shape is
+// lag ≈ one-way delay + pipeline time.)
+func geoVisibility(d time.Duration, rep *Report) error {
+	tb := &metrics.Table{Header: []string{"one-way delay", "mean visibility lag", "p99"}}
+	for _, oneWay := range []time.Duration{0, 5 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond} {
+		mean, p99, err := visibilityLag(oneWay, max(10, int(d/(40*time.Millisecond))))
+		if err != nil {
+			return err
+		}
+		tb.AddRow(oneWay.String(), mean.Round(100*time.Microsecond).String(), p99.Round(100*time.Microsecond).String())
+		rep.Metric(fmt.Sprintf("visibility-ms@%s", oneWay), ms(mean))
+	}
+	rep.Printf("%s", tb)
+	return nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestGeoClusterConvergence(t *testing.T) {
-	g, err := NewGeoCluster(3, 2*time.Millisecond, chariots.Config{
+	g, err := newGeoCluster(3, 2*time.Millisecond, chariots.Config{
 		Maintainers:    2,
 		FlushThreshold: 4,
 		SendThreshold:  4,
@@ -18,16 +18,16 @@ func TestGeoClusterConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop()
+	defer g.stop()
 
 	const n = 30
 	for i := 0; i < n; i++ {
-		for _, dc := range g.DCs {
+		for _, dc := range g.dcs {
 			dc.AppendAsync([]byte(fmt.Sprintf("%s-%d", dc.Self(), i)), nil)
 		}
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for _, dc := range g.DCs {
+	for _, dc := range g.dcs {
 		for d := 0; d < 3; d++ {
 			for dc.Applied().Get(core.DCID(d)) < n {
 				if time.Now().After(deadline) {
@@ -37,7 +37,7 @@ func TestGeoClusterConvergence(t *testing.T) {
 			}
 		}
 	}
-	for _, dc := range g.DCs {
+	for _, dc := range g.dcs {
 		dc.Quiesce(30*time.Millisecond, 5*time.Second)
 		recs, err := dc.LogRecords()
 		if err != nil {
@@ -52,19 +52,13 @@ func TestGeoClusterConvergence(t *testing.T) {
 	}
 }
 
-func TestGeoClusterValidation(t *testing.T) {
-	if _, err := NewGeoCluster(0, 0, chariots.Config{}); err == nil {
-		t.Error("0 datacenters accepted")
-	}
-}
-
 func TestGeoVisibilityScalesWithDelay(t *testing.T) {
 	checkShape(t, "geo visibility", func() error {
-		near, err := RunGeoVisibility(2*time.Millisecond, 15)
+		near, _, err := visibilityLag(2*time.Millisecond, 15)
 		if err != nil {
 			return err
 		}
-		far, err := RunGeoVisibility(25*time.Millisecond, 15)
+		far, _, err := visibilityLag(25*time.Millisecond, 15)
 		if err != nil {
 			return err
 		}
@@ -73,11 +67,11 @@ func TestGeoVisibilityScalesWithDelay(t *testing.T) {
 		// the physical delay... minus the measurement epsilon (the
 		// probe starts timing after the local ack, which the pipeline
 		// may already have shipped).
-		if far.Mean < 15*time.Millisecond {
-			return fmt.Errorf("far visibility %v beats the 25ms one-way delay", far.Mean)
+		if far < 15*time.Millisecond {
+			return fmt.Errorf("far visibility %v beats the 25ms one-way delay", far)
 		}
-		if far.Mean < 2*near.Mean {
-			return fmt.Errorf("far %v not clearly above near %v", far.Mean, near.Mean)
+		if far < 2*near {
+			return fmt.Errorf("far %v not clearly above near %v", far, near)
 		}
 		return nil
 	})

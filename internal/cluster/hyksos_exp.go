@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chariots"
@@ -11,100 +10,109 @@ import (
 	"repro/internal/workload"
 )
 
-// HyksosOptions configures the application-level benchmark: concurrent
-// sessions running a put/get mix over a Zipf-distributed (skew 1.2) key
-// space on one Chariots datacenter.
-type HyksosOptions struct {
-	Sessions int
-	Keys     int
-	// PutFraction in [0,1]; the rest are gets.
-	PutFraction float64
-	Duration    time.Duration
+// hyksosWorkload drives the key-value store case study (§4.1) at two
+// put/get mixes, d each: 4 concurrent sessions over 200 Zipf-distributed
+// (skew 1.2) keys on one Chariots datacenter, each session interleaving
+// puts and gets and running a get-transaction over a key group every 50
+// operations. An operation that fails fails the row.
+func hyksosWorkload(d time.Duration, rep *Report) error {
+	for _, mix := range []struct {
+		name string
+		put  float64
+	}{{"read-heavy (10% put)", 0.1}, {"balanced (50% put)", 0.5}} {
+		if err := hyksosMix(mix.name, mix.put, d, rep); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// HyksosResult summarizes the run.
-type HyksosResult struct {
-	Puts, Gets      uint64
-	OpsPerSec       float64
-	PutMean, PutP99 time.Duration
-	GetMean, GetP99 time.Duration
-	TxnMean         time.Duration
-}
-
-// RunHyksos drives the key-value store case study (§4.1): each session
-// interleaves puts and gets, then runs get-transactions over a key group,
-// measuring operation latencies and total throughput.
-func RunHyksos(opts HyksosOptions) (*HyksosResult, error) {
+// hyksosMix runs one mix of hyksosWorkload and reports its throughput and
+// operation latencies.
+func hyksosMix(name string, putFraction float64, d time.Duration, rep *Report) error {
+	const sessions, keys = 4, 200
 	dc, err := chariots.New(chariots.Config{
 		NumDCs:      1,
 		Maintainers: 2,
 		Indexers:    2,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dc.Start()
 	defer dc.Stop()
 	store := hyksos.NewStore(dc)
+	chooser := workload.NewZipfKeys(keys, 1.2, 1)
 
-	chooser := workload.NewZipfKeys(opts.Keys, 1.2, 1)
+	// Seed every key so gets never miss.
+	seed := store.NewSession()
+	for k := 0; k < keys; k++ {
+		if err := seed.Put(fmt.Sprintf("k%d", k), "0"); err != nil {
+			return err
+		}
+	}
 
-	res := &HyksosResult{}
 	putHist := metrics.NewHistogram(0)
 	getHist := metrics.NewHistogram(0)
 	txnHist := metrics.NewHistogram(0)
 	// timed runs op and records its latency (the histograms lock
-	// themselves); false means the op failed and the session gives up.
-	timed := func(h *metrics.Histogram, op func() error) bool {
+	// themselves).
+	timed := func(h *metrics.Histogram, op func() error) error {
 		start := time.Now()
-		if op() != nil {
-			return false
+		if err := op(); err != nil {
+			return err
 		}
 		h.Observe(time.Since(start))
-		return true
+		return nil
 	}
-
-	// Seed every key so gets never miss.
-	seed := store.NewSession()
-	for k := 0; k < opts.Keys; k++ {
-		if err := seed.Put(fmt.Sprintf("k%d", k), "0"); err != nil {
-			return nil, err
-		}
-	}
-
-	var wg sync.WaitGroup
 	watch := metrics.NewStopwatch()
-	for range opts.Sessions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess := store.NewSession()
-			for i := 0; watch.Elapsed() < opts.Duration; i++ {
-				key := chooser.Key()
-				hist, op := getHist, func() error { _, err := sess.Get(key); return err }
-				if float64(i%100)/100 < opts.PutFraction {
-					hist, op = putHist, func() error { return sess.Put(key, fmt.Sprint(i)) }
-				}
-				if !timed(hist, op) {
-					return
-				}
-				// Periodic get-transaction over a small key group.
-				if i%50 == 49 && !timed(txnHist, func() error {
+	session := func() error {
+		sess := store.NewSession()
+		for i := 0; watch.Elapsed() < d; i++ {
+			key := chooser.Key()
+			hist, op := getHist, func() error { _, err := sess.Get(key); return err }
+			if float64(i%100)/100 < putFraction {
+				hist, op = putHist, func() error { return sess.Put(key, fmt.Sprint(i)) }
+			}
+			if err := timed(hist, op); err != nil {
+				return err
+			}
+			// Periodic get-transaction over a small key group.
+			if i%50 == 49 {
+				if err := timed(txnHist, func() error {
 					_, err := sess.GetTxn(chooser.Key(), chooser.Key(), chooser.Key())
 					return err
-				}) {
-					return
+				}); err != nil {
+					return err
 				}
 			}
-		}()
+		}
+		return nil
 	}
-	wg.Wait()
+	errs := make(chan error, sessions)
+	for range sessions {
+		go func() { errs <- session() }()
+	}
+	for range sessions {
+		if serr := <-errs; serr != nil && err == nil {
+			err = serr
+		}
+	}
 	watch.Stop()
+	if err != nil {
+		return fmt.Errorf("cluster: hyksos %s: %w", name, err)
+	}
 
-	res.Puts, res.Gets = putHist.Count(), getHist.Count()
-	res.OpsPerSec = float64(res.Puts+res.Gets) / watch.Elapsed().Seconds()
-	res.PutMean, res.PutP99 = putHist.Mean(), putHist.Quantile(0.99)
-	res.GetMean, res.GetP99 = getHist.Mean(), getHist.Quantile(0.99)
-	res.TxnMean = txnHist.Mean()
-	return res, nil
+	puts, gets := putHist.Count(), getHist.Count()
+	if puts == 0 || gets == 0 {
+		return fmt.Errorf("cluster: hyksos %s measured %d puts and %d gets, want both", name, puts, gets)
+	}
+	opsPerSec := float64(puts+gets) / watch.Elapsed().Seconds()
+	rep.Printf("%-22s %6.0f ops/s | put mean %v p99 %v | get mean %v p99 %v | get_txn mean %v\n",
+		name, opsPerSec,
+		putHist.Mean().Round(10*time.Microsecond), putHist.Quantile(0.99).Round(10*time.Microsecond),
+		getHist.Mean().Round(10*time.Microsecond), getHist.Quantile(0.99).Round(10*time.Microsecond),
+		txnHist.Mean().Round(10*time.Microsecond))
+	rep.Metric(fmt.Sprintf("ops/s@put=%.0f%%", 100*putFraction), opsPerSec)
+	return nil
 }

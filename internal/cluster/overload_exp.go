@@ -174,20 +174,20 @@ func runOverloadArm(window time.Duration, admission bool) (OverloadArm, error) {
 	return arm, nil
 }
 
-// RunOverload executes both arms, each measured over window, and derives
-// the comparison ratios.
-func RunOverload(window time.Duration) (OverloadResult, error) {
+// overload runs both arms, each measured over d/2, derives the comparison
+// ratios and writes the BENCH_overload.json payload.
+func overload(d time.Duration, rep *Report) error {
 	res := OverloadResult{
 		MaintainerRate: overloadMaintainerRate,
 		OfferedRate:    overloadMaintainerRate * overloadFactor,
 		Credits:        overloadCredits,
 	}
 	var err error
-	if res.On, err = runOverloadArm(window, true); err != nil {
-		return res, fmt.Errorf("cluster: admission-on arm: %w", err)
+	if res.On, err = runOverloadArm(d/2, true); err != nil {
+		return fmt.Errorf("cluster: admission-on arm: %w", err)
 	}
-	if res.Off, err = runOverloadArm(window, false); err != nil {
-		return res, fmt.Errorf("cluster: admission-off arm: %w", err)
+	if res.Off, err = runOverloadArm(d/2, false); err != nil {
+		return fmt.Errorf("cluster: admission-off arm: %w", err)
 	}
 	if res.On.CreditHighWater > 0 {
 		res.HighWaterRatio = float64(res.Off.CreditHighWater) / float64(res.On.CreditHighWater)
@@ -195,5 +195,23 @@ func RunOverload(window time.Duration) (OverloadResult, error) {
 	if res.On.ProbeP99Ms > 0 {
 		res.P99Ratio = res.Off.ProbeP99Ms / res.On.ProbeP99Ms
 	}
-	return res, nil
+	rep.Data = res
+	for _, arm := range []OverloadArm{res.On, res.Off} {
+		mode := "off"
+		if arm.Admission {
+			mode = "on "
+		}
+		rep.Printf("admission %s  offered %7d accepted %7d shed %7d | in-flight high water %6d | probe p50 %7.1fms p99 %7.1fms (%d probes, %d shed) | accept p50 %7.1fms p99 %7.1fms | applied %7.0f recs/s\n",
+			mode, arm.Offered, arm.Accepted, arm.Shed, arm.CreditHighWater,
+			arm.ProbeP50Ms, arm.ProbeP99Ms, arm.ProbeCount, arm.ProbeSheds,
+			arm.AcceptP50Ms, arm.AcceptP99Ms, arm.AppliedPerSec)
+	}
+	rep.Printf("high-water ratio (off/on) %.1fx | p99 ratio (off/on) %.1fx\n", res.HighWaterRatio, res.P99Ratio)
+	rep.Metric("high-water-ratio-x", res.HighWaterRatio)
+	rep.Metric("probe-p99-ratio-x", res.P99Ratio)
+	rep.Bar("admission-on in-flight high water vs the credit bound (records)", float64(res.On.CreditHighWater), "<=", float64(res.Credits))
+	rep.Bar("in-flight high-water ratio off/on", res.HighWaterRatio, ">=", 2)
+	rep.Bar("admission-on probe p99 (ms)", res.On.ProbeP99Ms, "<=", 500)
+	rep.Bar("probe p99 ratio off/on", res.P99Ratio, ">=", 2)
+	return nil
 }

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/chariots"
@@ -12,206 +12,100 @@ import (
 	"repro/internal/workload"
 )
 
-// PipelineOptions configures one Chariots pipeline run (Tables 2–5,
-// Figure 9): the number of machines per stage and either a duration
-// (steady-state throughput tables) or a fixed record count (the Figure 9
-// drain study).
-type PipelineOptions struct {
-	Profile  Profile
-	Clients  int
-	Batchers int
-	Filters  int
-	// Queues is also the maintainer count (the paper's tables pair them).
-	Queues int
+// stages is a Chariots pipeline deployment (Tables 2–5, Figure 9): machines
+// per stage, with queues also the maintainer count (the paper's tables
+// pair them).
+type stages struct{ clients, batchers, filters, queues int }
 
-	// Duration runs the generators for a fixed time (tables), while
-	// Records pushes a fixed record count and waits for the pipeline to
-	// drain (Figure 9). Exactly one must be set.
-	Duration time.Duration
-	Records  uint64
-
-	// SampleWindow, when > 0, records a per-machine throughput
-	// timeseries at this granularity (Figure 9).
-	SampleWindow time.Duration
-
-	// FlushThreshold overrides the batcher flush threshold (default
-	// 512) — the §6.2 batching ablation.
-	FlushThreshold int
-
-	// ChannelDepth overrides the inter-stage buffer depth in records
-	// (default 1<<15). The Figure 9 drain study uses a deep buffer so
-	// the filter-stage backlog (and the end-of-run egress spike) is
-	// visible, as in the paper's 40-second drain tail.
-	ChannelDepth int
+// machine is one simulated machine's throughput counter.
+type machine struct {
+	name  string
+	count *metrics.Counter
 }
 
-// MachineRow is one row of a Table 2–5-style report.
-type MachineRow struct {
-	Name   string
-	PerSec float64
+// machineRate is one machine's measured throughput, in paper units.
+type machineRate struct {
+	name   string
+	perSec float64
 }
 
-// PipelineResult is one pipeline run's measurements.
-type PipelineResult struct {
-	Rows       []MachineRow
-	Applied    uint64
-	Elapsed    time.Duration
-	Samples    map[string][]metrics.Sample
-	Bottleneck string
-}
-
-// RunPipeline executes one pipeline experiment.
-func RunPipeline(opts PipelineOptions) (*PipelineResult, error) {
-	if opts.Clients < 1 {
-		return nil, fmt.Errorf("cluster: need >= 1 client")
-	}
-	if (opts.Duration == 0) == (opts.Records == 0) {
-		return nil, fmt.Errorf("cluster: set exactly one of Duration or Records")
-	}
-	// Buffer and batch sizes scale with the rates so buffering *time*
-	// (records ÷ rate) matches the unscaled system: backpressure and
-	// drain-tail shapes depend on it.
-	scale := opts.Profile.ScaleFactor()
+// startPipeline starts one datacenter with s's machines per stage behind
+// p's capacity limiters, and the closed-loop generators of its client
+// machines (bounded by the client machine's own capacity and by pipeline
+// backpressure). machines lists every machine's counter, clients first.
+// flush (the batcher flush threshold) and depth (the inter-stage buffer, in
+// records) are paper-unit sizes: buffer and batch sizes scale with the
+// rates so buffering *time* (records ÷ rate) matches the unscaled system —
+// backpressure and drain-tail shapes depend on it.
+func startPipeline(p profile, s stages, flush, depth int) (*chariots.Datacenter, []*workload.ClosedLoopGen, []machine, error) {
+	scale := p.scaleFactor()
 	dc, err := chariots.New(chariots.Config{
 		NumDCs:         1,
-		Batchers:       opts.Batchers,
-		Filters:        opts.Filters,
-		Queues:         opts.Queues,
-		Maintainers:    opts.Queues,
+		Batchers:       s.batchers,
+		Filters:        s.filters,
+		Queues:         s.queues,
+		Maintainers:    s.queues,
 		PlacementBatch: 1000,
-		FlushThreshold: scaledSize(cmp.Or(opts.FlushThreshold, 512), scale, 8),
-		Rates:          opts.Profile.stageRates(),
-		FilterNICRate:  opts.Profile.down(opts.Profile.FilterNICRate),
-		ChannelDepth:   scaledSize(cmp.Or(opts.ChannelDepth, 1<<15), scale, 512),
+		FlushThreshold: scaledSize(flush, scale, 8),
+		Rates:          p.stageRates(),
+		FilterNICRate:  p.down(p.FilterNICRate),
+		ChannelDepth:   scaledSize(depth, scale, 512),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	dc.Start()
-	defer dc.Stop()
-
-	// Client machines: closed-loop generators bounded by the client
-	// machine's own capacity and by pipeline backpressure.
-	gens := make([]*workload.ClosedLoopGen, opts.Clients)
-	for i := range gens {
-		gens[i] = &workload.ClosedLoopGen{
-			RatePerSec: opts.Profile.down(opts.Profile.ClientRate),
-			BatchSize:  scaledSize(256, scale, 8),
-		}
-	}
-
-	// Every machine's throughput counter, clients first.
-	type machine struct {
-		name  string
-		count *metrics.Counter
-	}
+	gens := make([]*workload.ClosedLoopGen, s.clients)
 	var machines []machine
-	for i, g := range gens {
-		machines = append(machines, machine{clientName(i, opts.Clients), &g.Sent})
+	for i := range gens {
+		gens[i] = &workload.ClosedLoopGen{RatePerSec: p.down(p.ClientRate), BatchSize: scaledSize(256, scale, 8)}
+		name := "Client"
+		if s.clients > 1 {
+			name = fmt.Sprintf("Client %d", i+1)
+		}
+		machines = append(machines, machine{name, &gens[i].Sent})
 	}
 	for _, m := range dc.Machines() {
 		machines = append(machines, machine{m.Name, &m.Processed})
 	}
+	return dc, gens, machines, nil
+}
 
-	// Samplers (Figure 9): one per machine.
-	samplers := make(map[string]*metrics.ThroughputSampler)
-	if opts.SampleWindow > 0 {
-		for _, m := range machines {
-			s := metrics.NewThroughputSampler(m.count, opts.SampleWindow)
-			s.Start()
-			defer s.Stop()
-			samplers[m.name] = s
-		}
+// pipelineRates runs s's pipeline at steady state and returns every
+// machine's throughput over the window d, clients first. flush is the
+// batcher flush threshold (the paper's is 512).
+func pipelineRates(p profile, s stages, d time.Duration, flush int) ([]machineRate, error) {
+	dc, gens, machines, err := startPipeline(p, s, flush, 1<<15)
+	if err != nil {
+		return nil, err
 	}
-
+	defer dc.Stop()
 	stop := make(chan struct{})
-	done := make(chan struct{}, opts.Clients)
-	quota := opts.Records / uint64(opts.Clients)
-	watch := metrics.NewStopwatch()
+	var wg sync.WaitGroup
 	for _, g := range gens {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
-			genStop, sent := stop, uint64(0)
-			if quota > 0 {
-				genStop = make(chan struct{}) // fixed record count: closed by the sink once the quota is in
-			}
-			g.Run(func(recs []*core.Record) {
-				dc.Inject(recs)
-				if sent += uint64(len(recs)); quota > 0 && sent >= quota {
-					close(genStop)
-				}
-			}, genStop)
+			defer wg.Done()
+			g.Run(dc.Inject, stop)
 		}()
 	}
-
-	base := make(map[string]uint64)
-	if opts.Duration > 0 {
-		// The warmup excludes the buffer-fill transient: counters are
-		// snapshotted after it and rates use only the steady window.
-		time.Sleep(max(opts.Duration/3, 200*time.Millisecond))
-		for _, m := range machines {
-			base[m.name] = m.count.Value()
-		}
-		watch = metrics.NewStopwatch()
-		time.Sleep(opts.Duration)
-		close(stop)
-		for range gens {
-			<-done
-		}
-	} else {
-		for range gens {
-			<-done
-		}
-		// Wait for the pipeline to drain every injected record.
-		var sentTotal uint64
-		for _, g := range gens {
-			sentTotal += g.Sent.Value()
-		}
-		deadline := time.Now().Add(2 * time.Minute)
-		for dc.AppliedCount() < sentTotal {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("cluster: pipeline drained %d of %d records",
-					dc.AppliedCount(), sentTotal)
-			}
-			time.Sleep(time.Millisecond)
-		}
+	// The warmup excludes the buffer-fill transient: counters are
+	// snapshotted after it and rates use only the steady window.
+	time.Sleep(max(d/3, 200*time.Millisecond))
+	base := make([]uint64, len(machines))
+	for i, m := range machines {
+		base[i] = m.count.Value()
 	}
+	watch := metrics.NewStopwatch()
+	time.Sleep(d)
+	close(stop)
+	wg.Wait()
 	watch.Stop()
-	for _, s := range samplers {
-		s.Stop() // sampling ends with the measurement; the deferred Stop covers error returns
+	rates := make([]machineRate, len(machines))
+	for i, m := range machines {
+		rates[i] = machineRate{m.name, float64(m.count.Value()-base[i]) / watch.Elapsed().Seconds() * p.scaleFactor()}
 	}
-
-	res := &PipelineResult{
-		Applied: dc.AppliedCount(),
-		Elapsed: watch.Elapsed(),
-	}
-	for _, m := range machines {
-		n := m.count.Value() - base[m.name]
-		res.Rows = append(res.Rows, MachineRow{Name: m.name, PerSec: float64(n) / watch.Elapsed().Seconds() * scale})
-	}
-	// The bottleneck is the non-client stage with the lowest cumulative
-	// throughput (stage capacity is the sum of its machines).
-	minRate := -1.0
-	for stage, rate := range res.StageTotals() {
-		if stage == "Client" || rate == 0 {
-			continue
-		}
-		if minRate < 0 || rate < minRate {
-			minRate = rate
-			res.Bottleneck = stage
-		}
-	}
-	if len(samplers) > 0 {
-		res.Samples = make(map[string][]metrics.Sample, len(samplers))
-		for name, s := range samplers {
-			samples := s.Samples()
-			for i := range samples {
-				samples[i].Rate *= scale
-			}
-			res.Samples[name] = samples
-		}
-	}
-	return res, nil
+	return rates, nil
 }
 
 // scaledSize divides a record-count-denominated size by the simulation
@@ -224,35 +118,152 @@ func scaledSize(v int, scale float64, min int) int {
 	return out
 }
 
-func clientName(i, total int) string {
-	if total == 1 {
-		return "Client"
-	}
-	return fmt.Sprintf("Client %d", i+1)
+// stageOf names a machine's stage: "Batcher 2" is a "Batcher".
+func stageOf(name string) string {
+	stage, _, _ := strings.Cut(name, " ")
+	return stage
 }
 
-// Table renders the result the way the paper prints Tables 2–5.
-func (r *PipelineResult) Table() string {
+// stageTotals sums per-stage throughput across machines of the same kind.
+func stageTotals(rates []machineRate) map[string]float64 {
+	totals := make(map[string]float64)
+	for _, r := range rates {
+		totals[stageOf(r.name)] += r.perSec
+	}
+	return totals
+}
+
+// table is the row of one of Tables 2–5: s's pipeline on the private-cloud
+// profile over d, printed the way the paper prints the tables, with the
+// bottleneck — the non-client stage with the lowest cumulative throughput
+// (stage capacity is the sum of its machines).
+func (s stages) table(d time.Duration, rep *Report) error {
+	rates, err := pipelineRates(privateCloud(), s, d, 512)
+	if err != nil {
+		return err
+	}
 	tb := &metrics.Table{Header: []string{"Machine", "Throughput (Kappends/s)"}}
-	for _, row := range r.Rows {
-		tb.AddRow(row.Name, fmt.Sprintf("%.1f", row.PerSec/1000))
+	for _, r := range rates {
+		tb.AddRow(r.name, fmt.Sprintf("%.1f", r.perSec/1000))
 	}
-	return tb.String()
+	rep.Printf("%s", tb)
+	totals := stageTotals(rates)
+	bottleneck, minRate := "", -1.0
+	for stage, rate := range totals {
+		if stage != "Client" && rate > 0 && (minRate < 0 || rate < minRate) {
+			bottleneck, minRate = stage, rate
+		}
+	}
+	rep.Printf("bottleneck stage: %s\n", bottleneck)
+	rep.Metric("client-appends/s", totals["Client"])
+	rep.Metric("bottleneck-appends/s", totals[bottleneck])
+	return nil
 }
 
-// QueueSpike summarizes a sampled drain run (Figure 9): the queue stage's
-// mean rate while batcher 1 was still transmitting, and its peak rate
-// after the batcher stopped.
-func (r *PipelineResult) QueueSpike() (steady, spike float64) {
+// drainPipeline is the Figure 9 run: the Table 4 configuration pushes a
+// fixed record count (paper units) and waits for the pipeline to drain
+// it, sampling every machine's throughput at window granularity. Deep
+// buffering makes the drain tail visible: the batchers finish absorbing
+// early while the filter's inbox holds the backlog, and once their
+// transmissions end the filter's whole NIC serves egress — the paper's
+// abrupt queue increase.
+func drainPipeline(records float64, window time.Duration) (samples map[string][]metrics.Sample, applied uint64, elapsed time.Duration, err error) {
+	p := privateCloud()
+	dc, gens, machines, err := startPipeline(p, stages{2, 2, 1, 1}, 512, 1<<21)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer dc.Stop()
+	samplers := make(map[string]*metrics.ThroughputSampler)
+	for _, m := range machines {
+		s := metrics.NewThroughputSampler(m.count, window)
+		s.Start()
+		defer s.Stop()
+		samplers[m.name] = s
+	}
+
+	// The record count scales with the simulation so the drain tail spans
+	// the same wall-clock shape on any host.
+	quota := uint64(records/p.scaleFactor()) / uint64(len(gens))
+	watch := metrics.NewStopwatch()
+	var wg sync.WaitGroup
+	for _, g := range gens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop, sent := make(chan struct{}), uint64(0)
+			g.Run(func(recs []*core.Record) {
+				dc.Inject(recs)
+				if sent += uint64(len(recs)); sent >= quota {
+					close(stop)
+				}
+			}, stop)
+		}()
+	}
+	wg.Wait()
+	var sentTotal uint64
+	for _, g := range gens {
+		sentTotal += g.Sent.Value()
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for dc.AppliedCount() < sentTotal {
+		if time.Now().After(deadline) {
+			return nil, 0, 0, fmt.Errorf("cluster: pipeline drained %d of %d records", dc.AppliedCount(), sentTotal)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	watch.Stop()
+
+	samples = make(map[string][]metrics.Sample, len(samplers))
+	for name, s := range samplers {
+		s.Stop() // sampling ends with the measurement; the deferred Stop covers error returns
+		got := s.Samples()
+		for i := range got {
+			got[i].Rate *= p.scaleFactor()
+		}
+		samples[name] = got
+	}
+	return samples, dc.AppliedCount(), watch.Elapsed(), nil
+}
+
+// fig9 prints the Figure 9 timeseries of a 600K-record drain (a fixed
+// record count, so d does not size it) and the queue's steady rate while
+// batcher 1 was still transmitting against its peak rate after.
+func fig9(_ time.Duration, rep *Report) error {
+	const window = 250 * time.Millisecond
+	samples, applied, elapsed, err := drainPipeline(600_000, window)
+	if err != nil {
+		return err
+	}
+	names := []string{"Client 1", "Batcher 1", "Queue"}
+	tb := &metrics.Table{Header: append([]string{"t (s)"}, names...)}
+	rows := 0
+	for _, name := range names {
+		rows = max(rows, len(samples[name]))
+	}
+	for i := 0; i < rows; i++ {
+		row := []string{fmt.Sprintf("%.2f", float64(i+1)*window.Seconds())}
+		for _, name := range names {
+			if s := samples[name]; i < len(s) {
+				row = append(row, kilo(s[i].Rate))
+			} else {
+				row = append(row, "-")
+			}
+		}
+		tb.AddRow(row...)
+	}
+	rep.Printf("%s", tb)
+	rep.Printf("total records: %d drained in %v\n", applied, elapsed.Round(10*time.Millisecond))
+
 	var batcherEnd time.Duration
-	for _, s := range r.Samples["Batcher 1"] {
+	for _, s := range samples["Batcher 1"] {
 		if s.Count > 0 {
 			batcherEnd = s.Elapsed
 		}
 	}
-	var sum float64
+	var sum, spike float64
 	var n int
-	for _, s := range r.Samples["Queue"] {
+	for _, s := range samples["Queue"] {
 		if s.Elapsed <= batcherEnd {
 			sum += s.Rate
 			n++
@@ -260,22 +271,7 @@ func (r *PipelineResult) QueueSpike() (steady, spike float64) {
 			spike = max(spike, s.Rate)
 		}
 	}
-	if n > 0 {
-		steady = sum / float64(n)
-	}
-	return steady, spike
-}
-
-// StageTotals sums per-stage throughput across machines of the same kind.
-func (r *PipelineResult) StageTotals() map[string]float64 {
-	totals := make(map[string]float64)
-	for _, row := range r.Rows {
-		totals[stageOf(row.Name)] += row.PerSec
-	}
-	return totals
-}
-
-func stageOf(name string) string {
-	stage, _, _ := strings.Cut(name, " ")
-	return stage
+	rep.Metric("queue-steady-appends/s", sum/float64(max(n, 1)))
+	rep.Metric("queue-after-spike-appends/s", spike)
+	return nil
 }

@@ -17,7 +17,7 @@ import (
 	"repro/internal/chariots"
 )
 
-// Profile is one machine-capacity profile (records/second per machine).
+// profile is one machine-capacity profile (records/second per machine).
 // Rates are in *paper units* (the real machines' records/second); when the
 // host running the simulation cannot sustain the aggregate paper-unit
 // load (the paper used up to 20 real machines), Scale divides every
@@ -25,7 +25,7 @@ import (
 // relative shape — scaling slopes, saturation points, bottleneck
 // hand-offs are ratios of machine capacities and are invariant under a
 // common scale factor.
-type Profile struct {
+type profile struct {
 	Name string
 
 	// Scale divides all simulated rates (≥ 1; see autoScale).
@@ -54,12 +54,12 @@ type Profile struct {
 	StoreRate     float64
 }
 
-// PrivateCloud models the paper's in-house cluster (Intel Xeon E5620,
+// privateCloud models the paper's in-house cluster (Intel Xeon E5620,
 // 10 GbE): a maintainer sustains ≈131K appends/s (Figure 8) and peaks
 // ≈150K before degrading toward ≈120K under heavy overload (Figure 7);
 // pipeline machines process ≈124–132K records/s (Table 2).
-func PrivateCloud() Profile {
-	return Profile{
+func privateCloud() profile {
+	return profile{
 		Name:          "private",
 		Scale:         autoScale(),
 		MaintainerCap: 150_000,
@@ -73,10 +73,10 @@ func PrivateCloud() Profile {
 	}
 }
 
-// PublicCloud models the paper's AWS c3.large machines: lower and noisier
+// publicCloud models the paper's AWS c3.large machines: lower and noisier
 // per-machine capacity (a maintainer achieves ≈97–119K appends/s).
-func PublicCloud() Profile {
-	return Profile{
+func publicCloud() profile {
+	return profile{
 		Name:          "public",
 		Scale:         autoScale(),
 		MaintainerCap: 135_000,
@@ -94,7 +94,7 @@ func PublicCloud() Profile {
 // largest configurations aggregate ≈2.5M records/s across what were 20
 // physical machines, which a many-core host can simulate at full rate but
 // a small one cannot. Rates divide by the scale; measurements multiply
-// back (see Profile).
+// back (see profile).
 func autoScale() float64 {
 	switch cpus := runtime.NumCPU(); {
 	case cpus >= 16:
@@ -108,17 +108,17 @@ func autoScale() float64 {
 	}
 }
 
-// ScaleFactor returns the effective simulation scale divisor (≥ 1).
+// scaleFactor returns the effective simulation scale divisor (≥ 1).
 // Callers sizing fixed workloads (record counts) divide by it so run
 // times stay comparable across hosts.
-func (p Profile) ScaleFactor() float64 { return max(p.Scale, 1) }
+func (p profile) scaleFactor() float64 { return max(p.Scale, 1) }
 
 // down converts a paper-unit rate to the simulated rate.
-func (p Profile) down(rate float64) float64 { return rate / p.ScaleFactor() }
+func (p profile) down(rate float64) float64 { return rate / p.scaleFactor() }
 
 // stageRates converts the profile to the chariots per-stage limits, in
 // simulated (scaled-down) units.
-func (p Profile) stageRates() chariots.StageRates {
+func (p profile) stageRates() chariots.StageRates {
 	return chariots.StageRates{
 		Batcher:    p.down(p.BatcherRate),
 		Queue:      p.down(p.QueueRate),

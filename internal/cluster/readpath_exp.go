@@ -38,8 +38,7 @@ type ReadPathResult struct {
 	RangeSpeedup     float64 `json:"range_speedup"`
 	// ReadScaling is the replica-count sweep: aggregate hot-range read
 	// throughput as the group size R grows, every replica serving valid
-	// reads locally under the invalidation protocol. Filled by the readpath
-	// table entry from RunReadScaling, not by RunReadPath.
+	// reads locally under the invalidation protocol.
 	ReadScaling []ReadScalingPoint `json:"read_scaling,omitempty"`
 	// ReadScalingX is the largest-R/smallest-R aggregate throughput ratio
 	// — the acceptance bar is ≥ 2× for R 1→3.
@@ -145,31 +144,34 @@ func runClosedLoopTail(c *flstore.Client, tail tailFunc, budget time.Duration) (
 	return int(seen), float64(seen) / elapsed.Seconds(), nil
 }
 
-// RunReadPath measures the four read-path rates, each within budget.
-func RunReadPath(budget time.Duration) (ReadPathResult, error) {
+// readPath measures the four read-path rates, each within budget d, then
+// the replica read-scaling sweep (R = 1..3, d/2 per point), and writes the
+// BENCH_readpath.json payload.
+func readPath(d time.Duration, rep *Report) error {
 	res := ReadPathResult{Maintainers: readPathMaintainers, Records: readPathRecords}
+	rep.Data = &res
 
 	// Closed-loop tail, push then poll, each on a fresh log.
 	pushRig, err := NewRig(readPathSpec)
 	if err != nil {
-		return res, err
+		return err
 	}
 	defer pushRig.Close()
 	push := pushRig.Client
-	if res.TailPushRecords, res.TailPushPerSec, err = runClosedLoopTail(push, push.Tail, budget); err != nil {
-		return res, err
+	if res.TailPushRecords, res.TailPushPerSec, err = runClosedLoopTail(push, push.Tail, d); err != nil {
+		return err
 	}
 
 	pollRig, err := NewRig(readPathSpec)
 	if err != nil {
-		return res, err
+		return err
 	}
 	defer pollRig.Close()
 	res.TailPollRecords, res.TailPollPerSec, err = runClosedLoopTail(pollRig.Client, func(ctx context.Context, from uint64, fn func(*core.Record) bool) error {
 		return pollTail(ctx, pollRig.Client, from, fn)
-	}, budget)
+	}, d)
 	if err != nil {
-		return res, err
+		return err
 	}
 	if res.TailPollPerSec > 0 {
 		res.TailSpeedup = res.TailPushPerSec / res.TailPollPerSec
@@ -179,24 +181,24 @@ func RunReadPath(budget time.Duration) (ReadPathResult, error) {
 	// one round trip per record, both capped by the budget.
 	head, err := push.HeadExact()
 	if err != nil {
-		return res, err
+		return err
 	}
 	start := time.Now()
 	recs, err := push.ReadRange(1, head)
 	if err != nil {
-		return res, err
+		return err
 	}
 	if uint64(len(recs)) != head {
-		return res, fmt.Errorf("cluster: range read returned %d of %d records", len(recs), head)
+		return fmt.Errorf("cluster: range read returned %d of %d records", len(recs), head)
 	}
 	res.RangeReadPerSec = float64(len(recs)) / time.Since(start).Seconds()
 
 	start = time.Now()
-	deadline := start.Add(budget)
+	deadline := start.Add(d)
 	read := 0
 	for lid := uint64(1); lid <= head && time.Now().Before(deadline); lid++ {
 		if _, err := push.ReadLId(lid); err != nil {
-			return res, err
+			return err
 		}
 		read++
 	}
@@ -204,5 +206,30 @@ func RunReadPath(budget time.Duration) (ReadPathResult, error) {
 	if res.SingleReadPerSec > 0 {
 		res.RangeSpeedup = res.RangeReadPerSec / res.SingleReadPerSec
 	}
-	return res, nil
+	rep.Printf("tail  push %7.0f recs/s (%d recs) | poll %7.0f recs/s (%d recs) | speedup %.1fx (bar: >= 5x)\n",
+		res.TailPushPerSec, res.TailPushRecords, res.TailPollPerSec, res.TailPollRecords, res.TailSpeedup)
+	rep.Printf("read  range %6.0f recs/s | single %6.0f recs/s | speedup %.1fx\n",
+		res.RangeReadPerSec, res.SingleReadPerSec, res.RangeSpeedup)
+
+	// Replica read-scaling sweep: the same hot range read with R=1..3
+	// group members, every valid replica answering locally under the
+	// invalidation protocol.
+	for _, r := range []int{1, 2, 3} {
+		pt, err := readScalingPoint(r, d/2)
+		if err != nil {
+			return fmt.Errorf("cluster: read scaling R=%d: %w", r, err)
+		}
+		res.ReadScaling = append(res.ReadScaling, pt)
+		rep.Printf("scale R=%d %7.0f reads/s (%d hot records)\n", pt.Replication, pt.ReadsPerSec, pt.Records)
+	}
+	first, last := res.ReadScaling[0], res.ReadScaling[len(res.ReadScaling)-1]
+	res.ReadScalingX = last.ReadsPerSec / first.ReadsPerSec
+	rep.Printf("scale R=%d -> R=%d aggregate read throughput %.1fx (bar: >= 2x)\n",
+		first.Replication, last.Replication, res.ReadScalingX)
+	rep.Metric("tail-speedup-x", res.TailSpeedup)
+	rep.Metric("range-speedup-x", res.RangeSpeedup)
+	rep.Metric("read-scaling-x", res.ReadScalingX)
+	rep.Bar("push/poll tail speedup", res.TailSpeedup, ">=", 5)
+	rep.Bar("R=1 -> R=3 read scaling", res.ReadScalingX, ">=", 2)
+	return nil
 }

@@ -11,29 +11,22 @@ import (
 	"repro/internal/replica"
 )
 
-// ReadScalingOptions configures the replica read-scaling sweep: the same
-// hot range read by three maintainers under growing replica-group sizes.
-// Every point runs over real loopback TCP with one shared connection per
-// maintainer, so each member models a fixed serving capacity (the server
-// handles one connection's requests in order); the sweep measures how much
-// aggregate read throughput the invalidation protocol unlocks by letting
-// any valid replica answer locally instead of funneling every read to the
-// owner.
-type ReadScalingOptions struct {
-	BatchSize uint64
-	// Records is the preloaded log size per point.
-	Records int
-	// Readers is the number of concurrent reader goroutines per point.
-	Readers int
-	// Budget caps the measured wall clock per point.
-	Budget time.Duration
-	// Replicas are the R values swept, ascending.
-	Replicas []int
-}
-
+// The replica read-scaling sweep: the same hot range read by three
+// maintainers under growing replica-group sizes. Every point runs over
+// real loopback TCP with one shared connection per maintainer, so each
+// member models a fixed serving capacity (the server handles one
+// connection's requests in order); the sweep measures how much aggregate
+// read throughput the invalidation protocol unlocks by letting any valid
+// replica answer locally instead of funneling every read to the owner.
 const (
 	readScalingMaintainers = 3
 	readScalingRecordSize  = 128
+	// readScalingRound, readScalingRecords and readScalingReaders are the
+	// placement round, the preloaded log size and the concurrent reader
+	// goroutines of every point.
+	readScalingRound   = 8
+	readScalingRecords = 3_000
+	readScalingReaders = 16
 	// readServiceDelay is each member's per-read service time: the serving
 	// loop holds the connection for this long per request, modeling a
 	// member whose reads cost real work (storage, WAN hop) rather than a
@@ -56,21 +49,10 @@ func (p pacedMember) Read(lid uint64) (*core.Record, error) {
 	return p.Maintainer.Read(lid)
 }
 
-// RunReadScaling measures aggregate single-record read throughput against
-// one hot range for each configured replica-group size.
-func RunReadScaling(opts ReadScalingOptions) ([]ReadScalingPoint, error) {
-	points := make([]ReadScalingPoint, 0, len(opts.Replicas))
-	for _, r := range opts.Replicas {
-		pt, err := runReadScalingPoint(opts, r)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: read scaling R=%d: %w", r, err)
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, error) {
+// readScalingPoint measures aggregate single-record read throughput
+// against one hot range, read for budget, with r members per replica
+// group.
+func readScalingPoint(r int, budget time.Duration) (ReadScalingPoint, error) {
 	pt := ReadScalingPoint{Replication: r}
 
 	// Real TCP stack, one shared pipelined connection per maintainer: the
@@ -82,7 +64,7 @@ func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, erro
 	// every payload before the measurement starts, so reads never block on
 	// an in-flight invalidation and the sweep isolates read-path capacity.
 	rig, err := NewRig(RigSpec{
-		Maintainers: readScalingMaintainers, Replication: r, Round: opts.BatchSize,
+		Maintainers: readScalingMaintainers, Replication: r, Round: readScalingRound,
 		Ack: replica.AckAll, TCP: true,
 		Serve: func(_ int, m *flstore.Maintainer) flstore.MaintainerAPI { return pacedMember{m} },
 	})
@@ -93,7 +75,7 @@ func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, erro
 	client, p := rig.Client, rig.Placement
 	client.Session().SetReadPolicy(replica.SpreadReads())
 	body := make([]byte, readScalingRecordSize)
-	for appended := 0; appended < opts.Records; appended++ {
+	for appended := 0; appended < readScalingRecords; appended++ {
 		if _, err := client.Append(body, nil); err != nil {
 			return pt, err
 		}
@@ -123,7 +105,7 @@ func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, erro
 		fail  atomic.Pointer[error]
 	)
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Readers; w++ {
+	for range readScalingReaders {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -139,12 +121,15 @@ func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, erro
 		}()
 	}
 	start := time.Now()
-	time.Sleep(opts.Budget)
+	time.Sleep(budget)
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
 	if ep := fail.Load(); ep != nil {
 		return pt, *ep
+	}
+	if reads.Load() == 0 {
+		return pt, fmt.Errorf("no read completed in %v", budget)
 	}
 	pt.ReadsPerSec = float64(reads.Load()) / elapsed.Seconds()
 	return pt, nil

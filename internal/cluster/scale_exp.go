@@ -9,6 +9,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/scale"
@@ -20,9 +21,9 @@ type ScaleBench struct {
 	Scenarios []scale.Result `json:"scenarios"`
 }
 
-// RunScaleScenario runs one named scenario and verifies the replay
-// contract on the way out.
-func RunScaleScenario(name string, opt scale.Options) (scale.Result, error) {
+// scaleScenario runs one named scenario and verifies the replay contract
+// on the way out.
+func scaleScenario(name string, opt scale.Options) (scale.Result, error) {
 	sc, ok := scale.Lookup(name)
 	if !ok {
 		return scale.Result{}, fmt.Errorf("cluster: unknown scale scenario %q (known: %v)", name, scale.Names())
@@ -44,13 +45,13 @@ func RunScaleScenario(name string, opt scale.Options) (scale.Result, error) {
 // scaleSeed seeds every scenario run of the matrix.
 const scaleSeed = 1
 
-// RunScaleMatrix runs the named scenarios at their declared full size,
+// scaleMatrix runs the named scenarios at their declared full size,
 // registering each run's scale_* series on a fresh metrics registry.
-func RunScaleMatrix(names []string) (ScaleBench, error) {
+func scaleMatrix(names []string) (ScaleBench, error) {
 	bench := ScaleBench{Seed: scaleSeed}
 	for _, name := range names {
 		reg := metrics.NewRegistry()
-		res, err := RunScaleScenario(name, scale.Options{Seed: scaleSeed, Registry: reg})
+		res, err := scaleScenario(name, scale.Options{Seed: scaleSeed, Registry: reg})
 		if err != nil {
 			return bench, err
 		}
@@ -60,4 +61,35 @@ func RunScaleMatrix(names []string) (ScaleBench, error) {
 		bench.Scenarios = append(bench.Scenarios, res)
 	}
 	return bench, nil
+}
+
+// ScaleExperiment is the scale entry over the named scenarios of the
+// internal/scale matrix (the table runs steady + partition; `repro
+// -scenario` substitutes one).
+func ScaleExperiment(scenarios ...string) Experiment {
+	return Experiment{
+		Name: "scale", Kind: Measured, Artifact: "scale",
+		Title: "Extension — million-client scale harness (open-loop sessions over emulated WAN)",
+		Claim: "not in the paper's evaluation: tens of thousands of concurrent open-loop sessions with coordinated-omission-safe latency, seeded WAN link profiles, and scripted partition/heal on one replayable event log; scenarios run at their declared full size regardless of -dur so the schedules stay reproducible",
+		run: func(_ time.Duration, rep *Report) error {
+			bench, err := scaleMatrix(scenarios)
+			if err != nil {
+				return err
+			}
+			rep.Data = bench
+			tb := &metrics.Table{Header: []string{"scenario", "dcs", "sessions", "offered/s", "achieved/s", "p50", "p99", "p999", "shed", "converge", "wan evs", "log fp"}}
+			for _, r := range bench.Scenarios {
+				tb.AddRow(r.Scenario, fmt.Sprint(r.DCs), fmt.Sprint(r.Sessions),
+					fmt.Sprintf("%.0f", r.OfferedPerSec), fmt.Sprintf("%.0f", r.AchievedPerSec),
+					fmt.Sprintf("%.1fms", r.P50Ms), fmt.Sprintf("%.1fms", r.P99Ms), fmt.Sprintf("%.1fms", r.P999Ms),
+					fmt.Sprint(r.ShedServer+r.ShedClient), fmt.Sprintf("%.0fms", r.ConvergeMs),
+					fmt.Sprint(r.WANEvents), r.EventLogFingerprint)
+				rep.Metric("p99-ms@"+r.Scenario, r.P99Ms)
+				rep.Bar(r.Scenario+" sessions", float64(r.Sessions), ">=", 10000)
+				rep.Bar(r.Scenario+" completed appends", float64(r.Completed), ">=", 1)
+			}
+			rep.Printf("%s", tb)
+			return nil
+		},
+	}
 }

@@ -15,18 +15,9 @@ import (
 func TestScaleInvariance(t *testing.T) {
 	checkShape(t, "scale invariance", func() error {
 		measure := func(scale float64) (float64, error) {
-			p := PrivateCloud()
+			p := privateCloud()
 			p.Scale = scale
-			res, err := RunFLStore(FLStoreOptions{
-				Profile:         p,
-				Maintainers:     2,
-				TargetPerClient: 125_000,
-				Duration:        500 * time.Millisecond,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return res.AchievedTotal, nil
+			return appendRate(p, RigSpec{Maintainers: 2}, 125_000, 500*time.Millisecond, nil)
 		}
 		atLow, err := measure(10)
 		if err != nil {
@@ -50,17 +41,13 @@ func TestScaleInvariance(t *testing.T) {
 func TestScaleInvariancePipeline(t *testing.T) {
 	checkShape(t, "pipeline scale invariance", func() error {
 		measure := func(scale float64) (float64, error) {
-			p := PrivateCloud()
+			p := privateCloud()
 			p.Scale = scale
-			res, err := RunPipeline(PipelineOptions{
-				Profile: p,
-				Clients: 2, Batchers: 1, Filters: 1, Queues: 1,
-				Duration: 500 * time.Millisecond,
-			})
+			rates, err := pipelineRates(p, stages{2, 1, 1, 1}, 500*time.Millisecond, 512)
 			if err != nil {
 				return 0, err
 			}
-			return res.StageTotals()["Client"], nil
+			return stageTotals(rates)["Client"], nil
 		}
 		atLow, err := measure(10)
 		if err != nil {

@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/chariots"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/trace"
 )
 
 // This file is the stage-latency attribution experiment behind
-// `repro -exp tracelat` and the trace smoke test: it force-samples every
+// `repro -exp tracelat` and `make trace-smoke`: it force-samples every
 // operation, drives appends through the two deployments that together
 // exercise the full record lifecycle, and checks that the recorded spans
 // account for (attribute) at least 90% of the latency the client actually
@@ -53,16 +55,19 @@ type TraceLatResult struct {
 	Stages []StageBudget `json:"stages"`
 	// AppendStages / PipelineStages are the distinct stage names reached
 	// by the FLStore append traces and the chariots pipeline traces — the
-	// smoke test asserts the lifecycle legs all appear.
+	// row's bars assert the lifecycle legs all appear.
 	AppendStages   []string `json:"append_stages"`
 	PipelineStages []string `json:"pipeline_stages"`
 }
 
-// RunTraceLat executes the experiment against in-process deployments,
-// measuring the given number of client appends. It force-samples every
-// operation for the duration of the run and restores the prior sampling
-// rate (and clears the flight recorder) on return.
-func RunTraceLat(appends int) (TraceLatResult, error) {
+// traceLat runs the experiment against in-process deployments, measuring
+// one client append per 5 ms of d (at least 100), and writes the
+// BENCH_trace.json payload. It force-samples every operation for the
+// duration of the run and restores the prior sampling rate (and clears the
+// flight recorder) on return. The run fails if no append trace was
+// recorded or the stage rows do not sum to the covered time.
+func traceLat(d time.Duration, rep *Report) error {
+	appends := max(100, int(d/(5*time.Millisecond)))
 	var res TraceLatResult
 
 	prev := trace.SamplingRate()
@@ -75,7 +80,7 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 	// --- FLStore leg: three maintainers, R=2, over local RPC. ---
 	rig, err := NewRig(RigSpec{Maintainers: 3, Replication: 2, Round: 8, Ack: replica.AckMajority})
 	if err != nil {
-		return res, err
+		return err
 	}
 	defer rig.Close()
 	client := rig.Client
@@ -84,7 +89,7 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 	trace.SetSampling(0)
 	for i := 0; i < 16; i++ {
 		if _, err := client.Append([]byte(fmt.Sprintf("warm-%d", i)), nil); err != nil {
-			return res, fmt.Errorf("cluster: tracelat warmup: %w", err)
+			return fmt.Errorf("cluster: tracelat warmup: %w", err)
 		}
 	}
 	trace.SetSampling(1)
@@ -108,7 +113,7 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 	for i, batch := range batches {
 		start := time.Now()
 		if _, err := client.AppendBatch(batch); err != nil {
-			return res, fmt.Errorf("cluster: tracelat append %d: %w", i, err)
+			return fmt.Errorf("cluster: tracelat append %d: %w", i, err)
 		}
 		measured += time.Since(start).Nanoseconds()
 	}
@@ -121,9 +126,7 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 	res.MeasuredNs = measured
 	res.CoveredNs = b.CoveredNs
 	res.Traces = b.Traces
-	if measured > 0 {
-		res.Coverage = float64(b.CoveredNs) / float64(measured)
-	}
+	res.Coverage = float64(b.CoveredNs) / float64(measured)
 	res.Stages = budgetRows(b)
 	res.AppendStages = stageSet(appendSpans)
 
@@ -139,24 +142,52 @@ func RunTraceLat(appends int) (TraceLatResult, error) {
 		PlacementBatch: 4,
 	})
 	if err != nil {
-		return res, err
+		return err
 	}
 	dc.Start()
 	defer dc.Stop()
 
 	for i := 0; i < max(appends/3, 20); i++ {
 		if _, err := dc.Append([]byte(fmt.Sprintf("pl-%d", i)), nil); err != nil {
-			return res, fmt.Errorf("cluster: tracelat pipeline append %d: %w", i, err)
+			return fmt.Errorf("cluster: tracelat pipeline append %d: %w", i, err)
 		}
 	}
 	time.Sleep(20 * time.Millisecond)
 	res.PipelineStages = stageSet(spansOfRootStage(rec.Snapshot(trace.Filter{}), "dc.append"))
-	return res, nil
+	rep.Data = res
+
+	rep.Printf("appends %d | mean e2e %v | traces %d | span coverage %.1f%% of measured latency (bar: >= 90%%)\n",
+		res.Appends, time.Duration(res.MeasuredNs/int64(res.Appends)).Round(time.Microsecond), res.Traces, 100*res.Coverage)
+	tb := &metrics.Table{Header: []string{"stage", "total", "queue", "share"}}
+	var stageSum int64
+	for _, row := range res.Stages {
+		tb.AddRow(row.Stage,
+			time.Duration(row.TotalNs).Round(time.Microsecond).String(),
+			time.Duration(row.QueueNs).Round(time.Microsecond).String(),
+			fmt.Sprintf("%.1f%%", 100*row.Share))
+		stageSum += row.TotalNs
+	}
+	rep.Printf("%s", tb)
+	rep.Printf("append stages traced: %s\n", strings.Join(res.AppendStages, ", "))
+	rep.Printf("pipeline stages traced: %s\n", strings.Join(res.PipelineStages, ", "))
+	rep.Metric("span-coverage", res.Coverage)
+	rep.Bar("span coverage of measured append latency", res.Coverage, ">=", 0.90)
+	rep.Bar("append trace reaches client.append, rpc.call, maint.assign, maint.store, replica.ack",
+		b2f(hasStages(res.AppendStages, "client.append", "rpc.call", "maint.assign", "maint.store", "replica.ack")), ">=", 1)
+	rep.Bar("pipeline trace reaches dc.append, pipe.batch, pipe.filter, pipe.queue, maint.ingest, maint.store",
+		b2f(hasStages(res.PipelineStages, "dc.append", "pipe.batch", "pipe.filter", "pipe.queue", "maint.ingest", "maint.store")), ">=", 1)
+	if res.Traces == 0 {
+		return fmt.Errorf("cluster: tracelat recorded no append traces")
+	}
+	if stageSum != res.CoveredNs {
+		return fmt.Errorf("cluster: tracelat stage rows sum to %d ns, covered = %d ns", stageSum, res.CoveredNs)
+	}
+	return nil
 }
 
-// HasStages reports whether every named stage appears in the set (a
+// hasStages reports whether every named stage appears in the set (a
 // sorted stageSet result).
-func HasStages(set []string, want ...string) bool {
+func hasStages(set []string, want ...string) bool {
 	for _, w := range want {
 		if !slices.Contains(set, w) {
 			return false

@@ -1,10 +1,11 @@
 package flstore
 
 // Orchestrator drives live elasticity (§6.3) end-to-end: given a new
-// placement it computes a round-aligned future boundary, constructs the
-// new member set, announces the epoch (journal + topology), seals and
-// drains the old owners, pads their ranges dense to the boundary, and
-// streams the old epoch's records to the new owners in the background.
+// placement it computes a round-aligned future boundary, seals the old
+// owners at it, constructs the new member set, announces the epoch
+// (journal + topology), drains the old owners, pads their ranges dense to
+// the boundary, and streams the old epoch's records to the new owners in
+// the background.
 // It implements AdminServer, so Admin.ProposeEpoch against an elastic
 // deployment performs an actual switchover.
 
@@ -145,10 +146,38 @@ func (o *Orchestrator) boundaryFor(oldP, newP Placement, old MemberSet) uint64 {
 	return rounds*rl + 1
 }
 
-// Grow switches the deployment to a new placement: announce, seal, drain,
-// pad, and kick off background migration. It returns once the old epoch
-// is dense up to the boundary and the new epoch is serving; migration of
-// old records proceeds asynchronously (track with Epochs / WaitMigration).
+// sealAttempts bounds how often Grow re-picks a boundary that live appends
+// outran between the pick and the seal.
+const sealAttempts = 3
+
+// seal picks the boundary and seals every old owner at it, back to back, so
+// the seals land inside the boundary's headroom. An owner whose frontier
+// already passed the pick refuses its seal; the boundary is then re-picked
+// above every frontier and all owners resealed (SealAt raises an unpadded
+// seal).
+func (o *Orchestrator) seal(oldP, newP Placement, old MemberSet) (uint64, error) {
+	var err error
+	for range sealAttempts {
+		firstLId := o.boundaryFor(oldP, newP, old)
+		for i, m := range old.Maintainers {
+			if err = m.SealAt(firstLId); err != nil {
+				err = fmt.Errorf("flstore: sealing maintainer %d: %w", i, err)
+				break
+			}
+		}
+		if err == nil {
+			return firstLId, nil
+		}
+	}
+	return 0, err
+}
+
+// Grow switches the deployment to a new placement: seal, construct,
+// announce, drain, pad, and kick off background migration. It returns once
+// the old epoch is dense up to the boundary and the new epoch is serving;
+// migration of old records proceeds asynchronously (track with Epochs /
+// WaitMigration). A Grow that fails before the announce leaves the journal
+// unchanged and the old epoch unsealed.
 func (o *Orchestrator) Grow(newP Placement) (EpochStatus, error) {
 	if err := newP.Validate(); err != nil {
 		return EpochStatus{}, err
@@ -162,7 +191,23 @@ func (o *Orchestrator) Grow(newP Placement) (EpochStatus, error) {
 	oldP := old.Maintainers[0].cfg.Placement
 	o.mu.Unlock()
 
-	firstLId := o.boundaryFor(oldP, newP, old)
+	// Seal before anything is journalled: a boundary picked first and sealed
+	// after the (slow) build can be outrun by live appends, and the journal
+	// would then advertise a switchover that never happened. Appends that
+	// reach the cap meanwhile fail with EpochSealedError until the announce;
+	// a failure before it hands the log back to the old epoch.
+	announced := false
+	defer func() {
+		if !announced {
+			for _, m := range old.Maintainers {
+				m.unseal()
+			}
+		}
+	}()
+	firstLId, err := o.seal(oldP, newP, old)
+	if err != nil {
+		return EpochStatus{}, err
+	}
 
 	// Construct the new set before announcing: the journal must never
 	// advertise an epoch nobody serves.
@@ -177,16 +222,12 @@ func (o *Orchestrator) Grow(newP Placement) (EpochStatus, error) {
 	if err := o.cfg.Controller.AnnounceEpochTopology(firstLId, newP, next.Addrs); err != nil {
 		return EpochStatus{}, err
 	}
+	announced = true
 
-	// Seal every old owner, give in-flight appends a drain window, then
-	// pad each range dense to the boundary. Pads fan out to follower
-	// copies so the old groups stay mutually consistent for reads and for
-	// migration pulls from any group member.
-	for i, m := range old.Maintainers {
-		if err := m.SealAt(firstLId); err != nil {
-			return EpochStatus{}, fmt.Errorf("flstore: sealing maintainer %d: %w", i, err)
-		}
-	}
+	// Give in-flight appends a drain window, then pad each range dense to
+	// the boundary. Pads fan out to follower copies so the old groups stay
+	// mutually consistent for reads and for migration pulls from any group
+	// member.
 	time.Sleep(o.cfg.DrainWait)
 	layout := replica.Layout{N: oldP.NumMaintainers, R: o.cfg.Replication}
 	for i, m := range old.Maintainers {

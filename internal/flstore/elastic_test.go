@@ -38,11 +38,25 @@ func TestSealAtValidation(t *testing.T) {
 	if err := m.SealAt(17); err != nil {
 		t.Fatalf("idempotent reseal at same boundary: %v", err)
 	}
-	if err := m.SealAt(25); err == nil {
-		t.Error("reseal at a different boundary accepted")
+	// Until Pad a seal only rises: raising succeeds, lowering fails.
+	if err := m.SealAt(25); err != nil {
+		t.Fatalf("raising an unpadded seal: %v", err)
 	}
-	if m.sealLId != 17 {
-		t.Fatalf("sealed at %d, want 17", m.sealLId)
+	if err := m.SealAt(17); err == nil {
+		t.Error("lowering a seal accepted")
+	}
+	if m.sealLId != 25 {
+		t.Fatalf("sealed at %d, want 25", m.sealLId)
+	}
+	// Once padded the caps are final.
+	if _, err := m.Pad(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SealAt(33); err == nil {
+		t.Error("raising a padded seal accepted")
+	}
+	if err := m.SealAt(25); err != nil {
+		t.Fatalf("idempotent reseal after pad: %v", err)
 	}
 }
 
@@ -321,6 +335,94 @@ func TestOrchestratorGrowEndToEnd(t *testing.T) {
 	}
 	if lids[0] != boundary {
 		t.Fatalf("first new-epoch append got LId %d, want the boundary %d", lids[0], boundary)
+	}
+}
+
+// TestGrowSealsBeforeJournalling races live appends against Grow: the grow
+// factory appends to an old owner while the new set is built, far past any
+// headroom. A boundary picked before the build and sealed after it is
+// outrun, and the journal would advertise a switchover that never happened.
+// A Grow that fails must leave the journal as it was and the old epoch
+// taking appends; one that succeeds journals exactly one epoch, and every
+// acknowledged append lands below its boundary and stays readable.
+func TestGrowSealsBeforeJournalling(t *testing.T) {
+	pOld := Placement{NumMaintainers: 2, BatchSize: 4}
+	old := MemberSet{Maintainers: []*Maintainer{
+		newTestMaintainer(t, 0, 2, 4),
+		newTestMaintainer(t, 1, 2, 4),
+	}}
+	ctrl, err := NewController(Config{Placement: pOld})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked []uint64
+	appendOld := func(n int) (sealed int) {
+		for i := 0; i < n; i++ {
+			lids, err := old.Maintainers[0].Append([]*core.Record{bodyRec(fmt.Sprint(i))})
+			if errors.Is(err, ErrEpochSealed) {
+				sealed++
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, lids...)
+		}
+		return sealed
+	}
+	journal := func() int {
+		cfg, err := ctrl.GetConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(cfg.Epochs)
+	}
+	build, next := growSet(t)
+	factoryDown := true
+	orch, err := NewOrchestrator(OrchestratorConfig{
+		Controller: ctrl,
+		Current:    old,
+		Grow: func(p Placement, firstLId uint64) (MemberSet, error) {
+			appendOld(40)
+			if factoryDown {
+				return MemberSet{}, errors.New("factory down")
+			}
+			return build(p, firstLId)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pNew := Placement{NumMaintainers: 4, BatchSize: 4}
+
+	if _, err := orch.Grow(pNew); err == nil {
+		t.Fatal("Grow succeeded with a failing factory")
+	}
+	if n := journal(); n != 1 {
+		t.Fatalf("failed Grow left %d epochs in the journal, want 1", n)
+	}
+	if sealed := appendOld(8); sealed != 0 {
+		t.Fatalf("%d of 8 appends refused as sealed after a failed Grow", sealed)
+	}
+
+	factoryDown = false
+	st, err := orch.Grow(pNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := journal(); n != 2 {
+		t.Fatalf("journal has %d epochs after one Grow, want 2", n)
+	}
+	if err := orch.WaitMigration(); err != nil {
+		t.Fatal(err)
+	}
+	for _, lid := range acked {
+		if lid >= st.FirstLId {
+			t.Fatalf("acknowledged old-epoch LId %d at or above the boundary %d", lid, st.FirstLId)
+		}
+		if _, err := (*next)[pOld.Owner(lid)].Read(lid); err != nil {
+			t.Fatalf("acknowledged LId %d unreadable after the flip: %v", lid, err)
+		}
 	}
 }
 

@@ -188,6 +188,9 @@ type Maintainer struct {
 	// supersedes this maintainer: every hosted range is capped below it and
 	// appends crossing a cap fail with an EpochSealedError naming it.
 	sealLId uint64
+	// padded is set by Pad: the caps are now final, and the seal can no
+	// longer be raised or lifted.
+	padded bool
 
 	// tail caches recently appended records for the batched read path;
 	// nil when disabled.

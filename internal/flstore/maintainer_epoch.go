@@ -4,12 +4,13 @@ package flstore
 // the write authority of an old placement at a boundary LId F and hands
 // every position from F up to a new placement's owners:
 //
-//   1. the coordinator announces the new epoch (controller journal +
-//      epoch-carried topology), with F round-aligned under BOTH placements
-//      and above every old frontier;
-//   2. every old maintainer SealAt(F)s: hosted ranges cap their fill at
-//      their slot count below F, and batches that would cross the cap are
-//      rejected whole with an EpochSealedError carrying F;
+//   1. every old maintainer SealAt(F)s, with F round-aligned under BOTH
+//      placements and above every old frontier: hosted ranges cap their
+//      fill at their slot count below F, and batches that would cross the
+//      cap are rejected whole with an EpochSealedError carrying F;
+//   2. the coordinator announces the new epoch (controller journal +
+//      epoch-carried topology) — only once every old owner is sealed, so
+//      nothing journalled can be outrun by a live append;
 //   3. after a drain window for in-flight appends, each old owner Pad()s
 //      the remainder of its own range below F with tagged seal records, so
 //      the old epoch's prefix is dense and its head lands exactly at F−1 —
@@ -23,6 +24,7 @@ package flstore
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -39,7 +41,10 @@ const SealTagKey = "log.seal"
 // that would cross a cap fail with an EpochSealedError naming the
 // boundary. The boundary must be round-aligned under this placement (so
 // padding can close every range exactly at it) and at or above every
-// hosted fill frontier. Idempotent for the same boundary.
+// hosted fill frontier. Idempotent for the same boundary. Until Pad, a seal
+// may be raised — caps only rise, so nothing admitted under the lower one
+// is disturbed — which lets a coordinator whose boundary was outrun by live
+// appends re-pick above them; it can never be lowered.
 func (m *Maintainer) SealAt(firstLId uint64) error {
 	if firstLId <= 1 {
 		return fmt.Errorf("flstore: seal boundary %d is not a valid epoch start", firstLId)
@@ -49,11 +54,13 @@ func (m *Maintainer) SealAt(firstLId uint64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sealLId != 0 {
-		if m.sealLId == firstLId {
-			return nil
-		}
-		return fmt.Errorf("flstore: already sealed at %d, cannot reseal at %d", m.sealLId, firstLId)
+	switch {
+	case m.sealLId == firstLId:
+		return nil
+	case m.padded:
+		return fmt.Errorf("flstore: padded at seal %d, cannot reseal at %d", m.sealLId, firstLId)
+	case firstLId < m.sealLId:
+		return fmt.Errorf("flstore: sealed at %d, cannot lower the seal to %d", m.sealLId, firstLId)
 	}
 	for r, st := range m.hosted {
 		if cap := slotsBelowP(st.p, r, firstLId); st.filled > cap {
@@ -66,6 +73,21 @@ func (m *Maintainer) SealAt(firstLId uint64) error {
 	}
 	m.sealLId = firstLId
 	return nil
+}
+
+// unseal lifts a seal that has not been padded, so the hosted ranges are
+// unbounded again: a switchover that fails before it journals anything
+// hands the log back to the old epoch.
+func (m *Maintainer) unseal() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.padded {
+		return
+	}
+	for _, st := range m.hosted {
+		st.cap = math.MaxUint64
+	}
+	m.sealLId = 0
 }
 
 // Pad fills the remainder of this maintainer's own range below the sealed
@@ -84,6 +106,7 @@ func (m *Maintainer) Pad() ([]*core.Record, error) {
 		m.mu.Unlock()
 		return nil, errors.New("flstore: Pad before SealAt")
 	}
+	m.padded = true
 	st := m.hosted[m.cfg.Index]
 	sp := drainSpan{st: st, start: st.filled}
 	for slot := st.filled; slot < st.cap; slot++ {

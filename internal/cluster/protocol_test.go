@@ -145,8 +145,11 @@ const goldenErrorBase = 1000
 // goldenMaintainer answers every MaintainerAPI call with a fixed value.
 type goldenMaintainer struct{}
 
-func (goldenMaintainer) Append([]*core.Record) ([]uint64, error) { return []uint64{9, 10}, nil }
-func (goldenMaintainer) AppendAssigned([]*core.Record) error     { return nil }
+// The two appends' LIds carry the frontier vector past their length.
+func (goldenMaintainer) Append([]*core.Record) ([]uint64, error) {
+	return []uint64{9, 10, 11, 17, 25}[:2], nil
+}
+func (goldenMaintainer) AppendAssigned([]*core.Record) error { return nil }
 func (goldenMaintainer) AppendAfter(uint64, []*core.Record) ([]uint64, error) {
 	return []uint64{9, 10}, nil
 }
@@ -163,7 +166,7 @@ func (goldenMaintainer) GossipVecs(next, dur []uint64) ([]uint64, []uint64, erro
 	return []uint64{11, 17, 25}, []uint64{9, 17, 0}, nil
 }
 func (goldenMaintainer) AppendFor(int, []*core.Record) ([]uint64, error) {
-	return []uint64{17, 18}, nil
+	return []uint64{17, 18, 11, 19, 25}[:2], nil
 }
 func (goldenMaintainer) ReplicaAppend([]*core.Record) error { return nil }
 func (goldenMaintainer) RangeFrontier(int) (uint64, error)  { return 19, nil }

@@ -19,8 +19,8 @@ type MaintainerAPI interface {
 	InvalidationAPI
 	RangeReadAPI
 
-	// Append stores the records with post-assigned LIds (§5.2) and
-	// returns the assigned LIds in order. Records must not carry LIds.
+	// Append post-assigns LIds to records that carry none (§5.2), stores
+	// them, and returns the LIds in order, nextVec past their length.
 	Append(recs []*core.Record) ([]uint64, error)
 
 	// AppendAssigned stores records that already carry LIds owned by
@@ -65,7 +65,7 @@ type MaintainerAPI interface {
 // MaintainerAPI's Append and Read it is replica.Member.
 type ReplicaAPI interface {
 	// AppendFor post-assigns positions in a hosted range other than the
-	// maintainer's own — the acting-primary failover path.
+	// maintainer's own — the acting-primary failover path; replies as Append.
 	AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error)
 	// ReplicaAppend ingests copies of records already positioned by the
 	// range's acting primary. Idempotent per LId.

@@ -54,10 +54,6 @@ type OrchestratorConfig struct {
 	// MigrateBatch caps each migration pull (default 256, the catch-up
 	// batch size).
 	MigrateBatch int
-	// HeadroomRounds is how many extra common rounds (lcm of both epochs'
-	// round lengths) the boundary is placed above the highest live
-	// frontier, giving in-flight appends room to land (default 1).
-	HeadroomRounds int
 	// PullSources overrides where the migration of one old range pulls
 	// from, in failover-preference order. Nil uses the old replica group
 	// (owner first). Fault-injection tests substitute flaky sources here.
@@ -98,9 +94,6 @@ func NewOrchestrator(cfg OrchestratorConfig) (*Orchestrator, error) {
 	if cfg.MigrateBatch <= 0 {
 		cfg.MigrateBatch = 256
 	}
-	if cfg.HeadroomRounds <= 0 {
-		cfg.HeadroomRounds = 1
-	}
 	if cfg.Replication < 1 {
 		cfg.Replication = 1
 	}
@@ -126,8 +119,9 @@ func lcm(a, b uint64) uint64 { return a / gcd(a, b) * b }
 
 // boundaryFor picks the first LId of the next epoch: round-aligned under
 // BOTH placements (so every old range pads closed exactly at it and every
-// new range starts on a whole round) and HeadroomRounds common rounds
-// above the highest live frontier.
+// new range starts on a whole round) and headroomRounds common rounds
+// (lcm of both epochs' round lengths) above the highest live frontier,
+// giving in-flight appends room to land.
 func (o *Orchestrator) boundaryFor(oldP, newP Placement, old MemberSet) uint64 {
 	rl := lcm(uint64(oldP.NumMaintainers)*oldP.BatchSize,
 		uint64(newP.NumMaintainers)*newP.BatchSize)
@@ -141,8 +135,8 @@ func (o *Orchestrator) boundaryFor(oldP, newP Placement, old MemberSet) uint64 {
 		}
 		m.mu.Unlock()
 	}
-	rounds := (maxNext - 1 + rl - 1) / rl // ceil to a common round
-	rounds += uint64(o.cfg.HeadroomRounds)
+	const headroomRounds = 1
+	rounds := (maxNext-1+rl-1)/rl + headroomRounds // ceil to a common round, plus headroom
 	return rounds*rl + 1
 }
 

@@ -194,30 +194,34 @@ func TestIntegrationHeadConvergesViaGossip(t *testing.T) {
 
 func TestIntegrationTagReadThroughIndexer(t *testing.T) {
 	client, _, _ := buildTCPDeployment(t, 2, 2, 3)
-	for v := 1; v <= 9; v++ {
-		_, err := client.Append([]byte(fmt.Sprintf("v=%d", v)),
-			[]core.Tag{{Key: "key-a", Value: fmt.Sprint(v)}})
-		if err != nil {
+	tagged := func(v int) []*core.Record {
+		return []*core.Record{{Body: []byte(fmt.Sprintf("v=%d", v)), Tags: []core.Tag{{Key: "key-a", Value: fmt.Sprint(v)}}}}
+	}
+	// Single-record appends fill the log densely: v=1..8 end at LId 8,
+	// where maintainer 0's range is next at 9 and maintainer 1's at 10.
+	for v := 1; v <= 8; v++ {
+		if _, err := client.AppendBatch(tagged(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// With 9 round-robin appends over 2 maintainers (batch 3), the head
-	// is 8 and "v=9" sits at LId 8 — the most recent *readable* tagged
-	// record ("v=8" is at LId 10, above the head, so it is excluded).
+	// v=9 goes to maintainer 1's range on purpose: LId 10, above the head.
+	if lids, err := client.Session().AppendRange(1, tagged(9)); err != nil || lids[0] != 10 {
+		t.Fatalf("AppendRange = %v, %v; want LId 10", lids, err)
+	}
 	recs, err := client.Read(core.Rule{TagKey: "key-a", MostRecent: true, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || string(recs[0].Body) != "v=9" {
+	if len(recs) != 1 || string(recs[0].Body) != "v=8" {
 		t.Fatalf("most recent = %+v", recs)
 	}
-	// Value predicate through the indexer; only v=9 is below the head.
+	// Value predicate through the indexer; only v=8 is below the head.
 	recs, err = client.Read(core.Rule{TagKey: "key-a", TagCmp: core.CmpGE, TagValue: "8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || string(recs[0].Body) != "v=9" {
-		t.Errorf("key-a >= 8 returned %d records, want just v=9 (v=8 is past the head)", len(recs))
+	if len(recs) != 1 || string(recs[0].Body) != "v=8" {
+		t.Errorf("key-a >= 8 returned %d records, want just v=8 (v=9 is past the head)", len(recs))
 	}
 }
 

@@ -133,6 +133,7 @@ type tail struct {
 	recs   []*core.Record
 	spans  []drainSpan
 	stored bool
+	vec    []uint64 // when set, receives nextVec as the tail publishes
 }
 
 // rangeSet is a group of hosted ranges laid out under one placement, keyed
@@ -570,7 +571,7 @@ func (m *Maintainer) commit(tc trace.Ctx, key uint64, t tail) (err error) {
 	m.mu.Lock()
 	if err != nil {
 		// A copy: the caller's spans live on its stack.
-		m.failed = append(m.failed, tail{t.mode, t.recs, append([]drainSpan(nil), t.spans...), t.stored})
+		m.failed = append(m.failed, tail{t.mode, t.recs, append([]drainSpan(nil), t.spans...), t.stored, nil})
 		m.mu.Unlock()
 		return err
 	}
@@ -579,6 +580,7 @@ func (m *Maintainer) commit(tc trace.Ctx, key uint64, t tail) (err error) {
 			m.publishLocked(sp)
 		}
 	}
+	copy(t.vec, m.nextVec)
 	m.mu.Unlock()
 	m.wakeWaiters()
 	return nil
@@ -613,8 +615,8 @@ func (m *Maintainer) Append(recs []*core.Record) ([]uint64, error) {
 
 // AppendFor post-assigns positions in any hosted range — rangeIdx equal to
 // the maintainer's own index is the normal append path, other hosted
-// ranges are the failover path where this maintainer acts as primary for a
-// dead owner's range.
+// ranges are the failover path for a dead owner's range. Past their length
+// the LIds carry nextVec as the commit tail left it (replica.Member).
 func (m *Maintainer) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -657,7 +659,7 @@ func (m *Maintainer) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, err
 	// One range assignment for the whole batch: the range fills its slots
 	// densely, so the batch occupies slots [filled, filled+len).
 	sp := drainSpan{st: st, start: st.filled}
-	lids := make([]uint64, len(recs))
+	lids := make([]uint64, len(recs), len(recs)+len(m.nextVec))
 	st.p.LIdsOfSlots(rangeIdx, st.filled, lids)
 	for i, r := range recs {
 		r.LId = lids[i]
@@ -675,7 +677,7 @@ func (m *Maintainer) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, err
 	released := m.releasableOrderBatchesLocked()
 	m.mu.Unlock()
 
-	if err := m.commit(tc, lids[0], tail{mode: modeAssign, recs: ready, spans: []drainSpan{sp}}); err != nil {
+	if err := m.commit(tc, lids[0], tail{mode: modeAssign, recs: ready, spans: []drainSpan{sp}, vec: lids[len(lids):cap(lids)]}); err != nil {
 		return nil, err
 	}
 	for _, b := range released {

@@ -61,6 +61,8 @@ func protocolCases() []rowCase {
 			Body: []byte("a body that is long enough to matter")},
 	}
 	lids := []uint64{1, 2, 3}
+	// An append's reply: the LIds with the frontier vector past their length.
+	assigned := []uint64{1, 2, 3, 9, 17, 25}[:3]
 	rule := core.Rule{MinLId: 3, MaxLId: 9, HasHost: true, Host: 2, TagKey: "k", TagCmp: core.CmpEQ, TagValue: "v", Limit: 5, MostRecent: true}
 	cfg := &Config{
 		Placement:       Placement{NumMaintainers: 2, BatchSize: 4},
@@ -78,7 +80,7 @@ func protocolCases() []rowCase {
 	reg.Histogram("h_seconds", metrics.LatencyBuckets).Observe(0.01)
 	epoch := EpochStatus{Epoch: 1, FirstLId: 9, NumMaintainers: 2, BatchSize: 4, MaintainerAddrs: []string{"m0:1"}, RangesTotal: 2}
 	return []rowCase{
-		caseOf(&rowAppend, recs, lids),
+		caseOf(&rowAppend, recs, assigned),
 		caseOf(&rowAppendAssigned, recs, none{}),
 		caseOf(&rowAppendAfter, afterReq{7, recs}, lids),
 		caseOf(&rowRead, 7, recs[1]),
@@ -89,7 +91,7 @@ func protocolCases() []rowCase {
 		caseOf(&rowLookup, LookupQuery{Key: "k", Cmp: core.CmpEQ, Value: "v", MaxLIdExclusive: 9, Limit: 2, MostRecent: true}, lids),
 		caseOf(&rowGetConfig, none{}, cfg),
 		caseOf(&rowStats, none{}, reg.Snapshot()),
-		caseOf(&rowAppendFor, forReq{2, recs}, lids),
+		caseOf(&rowAppendFor, forReq{2, recs}, assigned),
 		caseOf(&rowReplicaAppend, recs, none{}),
 		caseOf(&rowRangeFrontier, 2, 17),
 		caseOf(&rowPullRange, pullReq{2, 17, 64}, recs),
@@ -128,6 +130,34 @@ func TestProtocolTableIsCovered(t *testing.T) {
 		}
 		if want := fmt.Sprintf("\nflstore %02x %s %s ", c.typ, c.name, class); !strings.Contains(string(snapshot), want) {
 			t.Errorf("api/protocol.txt has no line starting %q", want[1:])
+		}
+	}
+}
+
+// TestAppendReplyCarriesFrontierVector: the two append rows deliver the
+// maintainer's frontier vector behind the LIds, and the RPC handle hands it
+// on in the spare capacity of the LIds it stamps, whatever its width — a
+// narrower placement's vector is the session's to refuse
+// (replica.TestObserveRefusesOtherWidths).
+func TestAppendReplyCarriesFrontierVector(t *testing.T) {
+	for _, row := range []*rpc.Codec[[]uint64]{&rowAppend.Reply, &rowAppendFor.Reply} {
+		for _, sent := range [][]uint64{[]uint64{4, 5, 9, 17, 25}[:2], []uint64{4, 5, 9, 17}[:2], {4, 5}} {
+			p, err := row.Put(nil, sent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, err := row.Get(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := []*core.Record{{}, {}}
+			got := stampLIds(recs, reply)
+			if fmt.Sprint(got, got[len(got):cap(got)]) != fmt.Sprint(sent, sent[len(sent):cap(sent)]) {
+				t.Errorf("sent %v + %v, got %v + %v", sent, sent[len(sent):cap(sent)], got, got[len(got):cap(got)])
+			}
+			if recs[0].LId != 4 || recs[1].LId != 5 {
+				t.Errorf("stamped LIds %d, %d, want 4, 5", recs[0].LId, recs[1].LId)
+			}
 		}
 	}
 }

@@ -74,11 +74,12 @@ func TestAppendBroadcastsInvalidations(t *testing.T) {
 		t.Fatal(err)
 	}
 	upTo := lids[len(lids)-1] + 1
-	// Both followers of range 0 (members 1 and 2) saw the announcement;
+	// Both followers of the range the batch went to saw the announcement;
 	// the acting primary itself is not re-announced to.
-	for _, i := range []int{1, 2} {
+	r := int((lids[0] - 1) % 3)
+	for _, i := range []int{(r + 1) % 3, (r + 2) % 3} {
 		fakes[i].mu.Lock()
-		got := fakes[i].bound[0]
+		got := fakes[i].bound[r]
 		fakes[i].mu.Unlock()
 		if got != upTo {
 			t.Errorf("member %d announced bound = %d, want %d", i, got, upTo)

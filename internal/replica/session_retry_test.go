@@ -63,7 +63,8 @@ func TestFanOutRetriesTransientOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lids, err := s.Append([]*core.Record{{Body: []byte("a")}})
+	// Range 0, which member 1 follows.
+	lids, err := s.AppendRange(0, []*core.Record{{Body: []byte("a")}})
 	if err != nil {
 		t.Fatalf("Append with one transient follower shed = %v, want nil", err)
 	}
@@ -110,7 +111,7 @@ func TestFanOutRetryExhaustedDoesNotEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := s.Append([]*core.Record{{Body: []byte("a")}}); err != nil {
+	if _, err := s.AppendRange(0, []*core.Record{{Body: []byte("a")}}); err != nil {
 		t.Fatalf("quorum append = %v, want nil (2 of 3 acks)", err)
 	}
 	if s.fanoutFailures.Value() < 1 {

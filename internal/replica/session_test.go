@@ -22,10 +22,14 @@ type fakeMember struct {
 	recs     map[uint64]*core.Record
 	down     bool
 	calls    int
+	// vec is the width of the frontier vector append replies carry past
+	// their LIds, as the maintainer's do: the layout's N unless a test
+	// narrows it (0 sends none).
+	vec int
 }
 
 func newFakeMember(idx int, l Layout) *fakeMember {
-	f := &fakeMember{idx: idx, layout: l, frontier: map[int]uint64{}, recs: map[uint64]*core.Record{}}
+	f := &fakeMember{idx: idx, layout: l, frontier: map[int]uint64{}, recs: map[uint64]*core.Record{}, vec: l.N}
 	for _, r := range l.Hosts(idx) {
 		f.frontier[r] = 0
 	}
@@ -62,13 +66,20 @@ func (f *fakeMember) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, err
 	if _, ok := f.frontier[rangeIdx]; !ok {
 		return nil, fmt.Errorf("fake: member %d does not host range %d", f.idx, rangeIdx)
 	}
-	lids := make([]uint64, len(recs))
+	lids := make([]uint64, len(recs), len(recs)+f.vec)
 	for i, r := range recs {
 		lid := f.lidOfSlot(rangeIdx, f.frontier[rangeIdx])
 		f.frontier[rangeIdx]++
 		r.LId = lid
 		f.recs[lid] = r
 		lids[i] = lid
+	}
+	// The vector: exact for hosted ranges, unknown (0) for the rest.
+	vec := lids[len(lids):cap(lids)]
+	for r := range vec {
+		if slots, ok := f.frontier[r]; ok {
+			vec[r] = f.lidOfSlot(r, slots)
+		}
 	}
 	return lids, nil
 }

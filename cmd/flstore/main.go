@@ -238,10 +238,9 @@ func run(nMaintainers, nIndexers int, batch uint64, listen, dataDir, fsyncPolicy
 	flstore.ServeController(ctrlSrv, ctrl)
 	flstore.ServeStats(ctrlSrv, reg)
 	// Typed admin surface for `logctl epochs` / `logctl grow`: this node
-	// set has a fixed member roster, so proposals are journal-only (the
-	// operator supplies the boundary and the new set's addresses); an
-	// orchestrated deployment would serve an flstore.Orchestrator here
-	// instead and execute switchovers live.
+	// set has a fixed member roster and nothing to seal its owners with,
+	// so proposals are refused; an orchestrated deployment would serve an
+	// flstore.Orchestrator here instead and execute switchovers live.
 	flstore.ServeAdmin(ctrlSrv, &flstore.ControllerAdmin{Ctrl: ctrl})
 	// Replica status for `logctl replicas`: assembled at request time by
 	// polling the in-process maintainers' per-range frontiers.

@@ -120,10 +120,8 @@ commands:
   reads [-interval d]             per-maintainer read-path counters and cache hit ratio
   replicas                        per-group replica membership, health, lag
   epochs                          the epoch journal: placements, boundaries, migration progress
-  grow -maintainers n [-first lid] [-batch n] [-addrs a,b,...]
-                                  propose the next epoch (an elastic deployment
-                                  executes the switchover; a journal-only
-                                  controller requires -first and -addrs)
+  grow -maintainers n [-batch n]  switch to the next epoch (an elastic deployment
+                                  executes it; a static one refuses)
   trace -nodes a,b [-trace id] [-stage s] [-mindur d] [-budget]
                                   join the nodes' flight recorders into span trees`)
 	os.Exit(2)
@@ -498,28 +496,19 @@ func cmdEpochs(admin *flstore.Admin) {
 	fmt.Print(tbl.String())
 }
 
-// cmdGrow proposes the next epoch through the admin surface. Against a
-// deployment serving an flstore.Orchestrator the proposal executes a live
-// switchover; against a journal-only controller (cmd/flstore) it records
-// the epoch and requires the boundary and the new addresses explicitly.
+// cmdGrow proposes the next epoch through the admin surface. A deployment
+// serving an flstore.Orchestrator executes a live switchover, picking the
+// boundary and building the new member set itself; a static deployment
+// (cmd/flstore) has nothing to seal its owners with and refuses.
 func cmdGrow(admin *flstore.Admin, args []string) {
 	fs := flag.NewFlagSet("grow", flag.ExitOnError)
 	maintainers := fs.Int("maintainers", 0, "maintainer count of the new epoch (required)")
-	first := fs.Uint64("first", 0, "first LId of the new epoch (journal-only controllers; elastic deployments pick it)")
 	batch := fs.Uint64("batch", 0, "placement batch size (0 keeps the current)")
-	addrs := fs.String("addrs", "", "comma-separated maintainer addresses of the new epoch")
 	fs.Parse(args)
 	if *maintainers <= 0 {
 		usage()
 	}
-	prop := flstore.EpochProposal{
-		FirstLId:       *first,
-		NumMaintainers: *maintainers,
-		BatchSize:      *batch,
-	}
-	if *addrs != "" {
-		prop.MaintainerAddrs = strings.Split(*addrs, ",")
-	}
+	prop := flstore.EpochProposal{NumMaintainers: *maintainers, BatchSize: *batch}
 	st, err := admin.ProposeEpoch(context.Background(), prop)
 	if err != nil {
 		log.Fatalf("grow: %v", err)

@@ -249,7 +249,9 @@ func New(cfg Config) (*Datacenter, error) {
 	// Restart path: when the backing stores already hold records (a
 	// datacenter recovering with its persistent log), rebuild the
 	// ordering state — the token's applied vector and next LId, and the
-	// awareness table's self row — from the log itself.
+	// awareness table's self row — from the log itself. (Each maintainer
+	// already re-posted its recovered records' tags to the indexers when
+	// it was built, so tag reads cover the log from before the restart.)
 	dc.initialToken = NewToken(cfg.NumDCs)
 	if recs, err := dc.LogRecords(); err == nil && len(recs) > 0 {
 		for _, rec := range recs {

@@ -11,7 +11,7 @@ package flstore
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"time"
 
 	"repro/internal/metrics"
@@ -47,20 +47,17 @@ type EpochStatus struct {
 
 // EpochProposal asks the admin server to announce a new epoch.
 type EpochProposal struct {
-	// FirstLId pins the boundary; 0 lets the server pick the first
-	// round-aligned boundary above every live frontier (the normal case —
-	// only the server sees the frontiers race-free).
+	// FirstLId is not read: the Orchestrator picks the first round-aligned
+	// boundary above every live frontier, since only it sees the frontiers
+	// race-free.
 	FirstLId uint64 `json:"first_lid,omitempty"`
 	// NumMaintainers is the proposed placement width (required).
 	NumMaintainers int `json:"num_maintainers"`
 	// BatchSize is the proposed placement's batch size; 0 keeps the
 	// current epoch's.
 	BatchSize uint64 `json:"batch_size,omitempty"`
-	// MaintainerAddrs is the new set's topology, index-aligned with the
-	// proposed placement. Servers that construct their own member set
-	// (an Orchestrator with a grow factory) ignore it; journal-only
-	// servers require it — announcing an epoch nobody serves would strand
-	// clients.
+	// MaintainerAddrs is not read either: the Orchestrator builds the new
+	// member set with its grow factory.
 	MaintainerAddrs []string `json:"maintainer_addrs,omitempty"`
 }
 
@@ -144,9 +141,7 @@ func ServeAdmin(srv *rpc.Server, a AdminServer) {
 
 // ControllerAdmin serves the admin surface straight from a Controller for
 // static deployments (no orchestrator): Epochs is the bare journal, and
-// ProposeEpoch only journals operator-supplied topology — the operator
-// must already be running the new maintainers (constructed with the
-// boundary as their FirstLId) at the given addresses.
+// ProposeEpoch is refused.
 type ControllerAdmin struct {
 	Ctrl *Controller
 }
@@ -177,30 +172,10 @@ func epochStatuses(cfg *Config) []EpochStatus {
 	return out
 }
 
-// ProposeEpoch implements AdminServer: journal-only announcement of
-// operator-provided topology.
+// ProposeEpoch implements AdminServer by refusing: nothing in a static
+// deployment seals the serving owners at a boundary, and journalling an
+// epoch over unsealed owners lets both epochs acknowledge the same LIds.
 func (ca *ControllerAdmin) ProposeEpoch(prop EpochProposal) (EpochStatus, error) {
-	if prop.FirstLId == 0 {
-		return EpochStatus{}, fmt.Errorf("flstore: journal-only server needs an explicit boundary (first_lid)")
-	}
-	if len(prop.MaintainerAddrs) == 0 {
-		return EpochStatus{}, fmt.Errorf("flstore: journal-only server needs the new epoch's maintainer addrs")
-	}
-	cfg, err := ca.Ctrl.GetConfig()
-	if err != nil {
-		return EpochStatus{}, err
-	}
-	p := Placement{NumMaintainers: prop.NumMaintainers, BatchSize: prop.BatchSize}
-	if p.BatchSize == 0 {
-		p.BatchSize = cfg.Placement.BatchSize
-	}
-	if err := ca.Ctrl.AnnounceEpochTopology(prop.FirstLId, p, prop.MaintainerAddrs); err != nil {
-		return EpochStatus{}, err
-	}
-	cfg, err = ca.Ctrl.GetConfig()
-	if err != nil {
-		return EpochStatus{}, err
-	}
-	sts := epochStatuses(cfg)
-	return sts[len(sts)-1], nil
+	return EpochStatus{}, errors.New("flstore: a static deployment cannot switch epochs; " +
+		"grow through an Orchestrator served by ServeAdmin, which seals the old owners first")
 }

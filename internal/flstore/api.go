@@ -78,9 +78,10 @@ type ReplicaAPI interface {
 }
 
 // InvalidationAPI groups the Hermes-style invalidation methods: the
-// announcement an acting primary sends ahead of every fan-out payload and
-// the watermark a follower reports back. It is what replica.Invalidator and
-// replica.WatermarkReporter ask of a member.
+// standalone announcement (live fan-out needs none, since every replica
+// copy announces itself; catch-up replays one) and the watermark a follower
+// reports back. It is what replica.Invalidator and replica.WatermarkReporter
+// ask of a member.
 type InvalidationAPI interface {
 	// Invalidate announces that every position of rangeIdx strictly below
 	// upTo has been assigned by the range's acting primary; positions

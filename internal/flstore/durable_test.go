@@ -162,3 +162,52 @@ func TestReplicaAppendAdvancesDurableWatermark(t *testing.T) {
 		t.Fatalf("durable watermark = %d after both copies, want %d", wm, p.LIdOfSlot(0, 2))
 	}
 }
+
+// TestRecoveryRepostsTags: a maintainer reopened over its store posts the
+// recovered records' tags to its indexer, so a restarted deployment — whose
+// indexers start empty — still finds every record written before.
+func TestRecoveryRepostsTags(t *testing.T) {
+	dir := t.TempDir()
+	p := Placement{NumMaintainers: 1, BatchSize: 8}
+	open := func() (*Maintainer, *Client) {
+		st, err := storage.OpenSegmentStore(dir, storage.SegmentStoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := NewIndexer(nil)
+		m, err := NewMaintainer(MaintainerConfig{Placement: p, Store: st, Indexers: []IndexerAPI{ix}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewDirectClient(p, []MaintainerAPI{m}, []IndexerAPI{ix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, c
+	}
+	tagged := func(c *Client) int {
+		recs, err := c.Read(core.Rule{TagKey: "k", TagCmp: core.CmpEQ, TagValue: "v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(recs)
+	}
+	const n = 20
+	m, c := open()
+	for i := 0; i < n; i++ {
+		if _, err := m.Append([]*core.Record{{Body: []byte("t"), Tags: []core.Tag{{Key: "k", Value: "v"}}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tagged(c); got != n {
+		t.Fatalf("tag read before the restart found %d records, want %d", got, n)
+	}
+	if err := m.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, c = open()
+	defer m.Store().Close()
+	if got := tagged(c); got != n {
+		t.Errorf("tag read after the restart found %d records, want %d", got, n)
+	}
+}

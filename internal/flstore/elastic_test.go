@@ -829,42 +829,18 @@ func TestAdminRoundTrip(t *testing.T) {
 		t.Fatalf("initial journal %+v", eps)
 	}
 
-	// A journal-only proposal must be explicit about boundary and topology.
-	if _, err := admin.ProposeEpoch(ctx, EpochProposal{NumMaintainers: 4}); err == nil {
-		t.Fatal("proposal without first_lid/addrs accepted by the journal-only admin")
-	}
-	st, err := admin.ProposeEpoch(ctx, EpochProposal{
+	// Nothing here can seal the serving owners, so a proposal is refused —
+	// remotely, not retryably — and the journal does not move.
+	_, err = admin.ProposeEpoch(ctx, EpochProposal{
 		FirstLId:        17,
 		NumMaintainers:  4,
 		MaintainerAddrs: []string{"new-a:1", "new-b:1", "new-c:1", "new-d:1"},
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || IsRetryable(err) {
+		t.Fatalf("proposal to a static deployment = %v, want a non-retryable refusal", err)
 	}
-	if st.FirstLId != 17 || st.NumMaintainers != 4 || st.BatchSize != 4 {
-		t.Fatalf("proposed epoch status %+v", st)
-	}
-	eps, err = admin.Epochs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eps) != 2 || !eps[0].Sealed || eps[1].Sealed {
-		t.Fatalf("journal after proposal %+v", eps)
-	}
-	if len(eps[0].MaintainerAddrs) != 2 || eps[0].MaintainerAddrs[0] != "old-a:1" {
-		t.Fatalf("sealed epoch lost its serving addresses: %+v", eps[0])
-	}
-
-	// The typed config view picks up the flip.
-	cfg, err := admin.Config(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Placement.NumMaintainers != 4 || len(cfg.Epochs) != 2 {
-		t.Fatalf("config after flip %+v", cfg)
-	}
-	if len(cfg.MaintainerAddrs) != 4 || cfg.MaintainerAddrs[0] != "new-a:1" {
-		t.Fatalf("top-level addrs after flip %v", cfg.MaintainerAddrs)
+	if eps, err = admin.Epochs(ctx); err != nil || len(eps) != 1 || eps[0].Sealed {
+		t.Fatalf("journal after a refused proposal %+v, %v", eps, err)
 	}
 
 	// A dead context short-circuits before the wire.
@@ -873,18 +849,89 @@ func TestAdminRoundTrip(t *testing.T) {
 	if _, err := admin.Epochs(canceled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx error = %v", err)
 	}
+}
 
-	// A second proposal behind the boundary is rejected remotely and the
-	// error is typed, not a string blob.
-	_, err = admin.ProposeEpoch(ctx, EpochProposal{
-		FirstLId:        9,
-		NumMaintainers:  2,
-		MaintainerAddrs: []string{"x:1", "y:1"},
+// TestStaticGrowRefused: a static deployment's admin surface refuses an
+// epoch proposal, since nothing there seals the serving owners. Clients
+// that keep appending, the old one and one started after the proposal,
+// are never acknowledged the same LId twice.
+func TestStaticGrowRefused(t *testing.T) {
+	p := Placement{NumMaintainers: 2, BatchSize: 4}
+	serve := func(ms ...*Maintainer) []string {
+		var addrs []string
+		for _, m := range ms {
+			srv := rpc.NewServer()
+			ServeMaintainer(srv, m)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			addrs = append(addrs, addr.String())
+		}
+		return addrs
+	}
+	oldAddrs := serve(newTestMaintainer(t, 0, 2, 4), newTestMaintainer(t, 1, 2, 4))
+	fresh := make([]*Maintainer, 2)
+	for i := range fresh {
+		m, err := NewMaintainer(MaintainerConfig{Index: i, Placement: p, FirstLId: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = m
+	}
+	newAddrs := serve(fresh...)
+
+	ctrl, err := NewController(Config{Placement: p, MaintainerAddrs: oldAddrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer()
+	ServeController(srv, ctrl)
+	ServeAdmin(srv, &ControllerAdmin{Ctrl: ctrl})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	dial := func() rpc.Client {
+		conn, err := rpc.Dial(addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	client := func() *Client {
+		c, err := NewClient(NewControllerClient(dial()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	acked := make(map[uint64]string)
+	appendVia := func(c *Client, who string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			lid, err := c.Append([]byte(who), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, dup := acked[lid]; dup {
+				t.Errorf("LId %d acknowledged to client %s and again to client %s", lid, prev, who)
+			}
+			acked[lid] = who
+		}
+	}
+
+	a := client()
+	appendVia(a, "A", 8)
+	_, err = NewAdmin(dial()).ProposeEpoch(context.Background(), EpochProposal{
+		FirstLId: 17, NumMaintainers: 2, MaintainerAddrs: newAddrs,
 	})
 	if err == nil {
-		t.Fatal("stale boundary accepted")
+		t.Error("a static deployment accepted an epoch it cannot seal the owners for")
 	}
-	if IsRetryable(err) {
-		t.Fatalf("stale-boundary rejection should not be retryable: %v", err)
-	}
+	appendVia(a, "A", 20)
+	appendVia(client(), "B", 8)
 }

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ratelimit"
 	"repro/internal/replica"
 	"repro/internal/rpc"
+	"repro/internal/storage"
 )
 
 // follower returns maintainer 1 of a 3-maintainer/R=3 deployment: it owns
@@ -15,12 +17,15 @@ import (
 // non-owner invalidation paths.
 func follower(t *testing.T, readBlockWait time.Duration) *Maintainer {
 	t.Helper()
-	m, err := NewMaintainer(MaintainerConfig{
-		Index:         1,
-		Placement:     Placement{NumMaintainers: 3, BatchSize: 2},
-		Replication:   3,
-		readBlockWait: readBlockWait,
-	})
+	return followerWith(t, MaintainerConfig{readBlockWait: readBlockWait})
+}
+
+// followerWith is follower with the rest of cfg (store, limiter) set: range
+// 0's positions are LIds 1, 2, 7, 8, ...
+func followerWith(t *testing.T, cfg MaintainerConfig) *Maintainer {
+	t.Helper()
+	cfg.Index, cfg.Placement, cfg.Replication = 1, Placement{NumMaintainers: 3, BatchSize: 2}, 3
+	m, err := NewMaintainer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +155,81 @@ func TestBlockedReadWakesOnArrival(t *testing.T) {
 	if m.LocalReadBlocks.Value() != 1 {
 		t.Errorf("LocalReadBlocks = %d, want 1", m.LocalReadBlocks.Value())
 	}
+}
+
+// copyOf builds a replica copy of the given positions.
+func copyOf(lids ...uint64) []*core.Record {
+	recs := make([]*core.Record, len(lids))
+	for i, lid := range lids {
+		recs[i] = &core.Record{LId: lid, TOId: lid, Body: []byte{byte(lid)}}
+	}
+	return recs
+}
+
+// expectRead checks what Read of each lid returns: the record, or an error
+// matching want.
+func expectRead(t *testing.T, m *Maintainer, want error, lids ...uint64) {
+	t.Helper()
+	for _, lid := range lids {
+		rec, err := m.Read(lid)
+		if want == nil && (err != nil || rec.LId != lid) {
+			t.Errorf("Read(%d) = %v, %v; want the record", lid, rec, err)
+		} else if want != nil && !errors.Is(err, want) {
+			t.Errorf("Read(%d) = %v, want %v", lid, err, want)
+		}
+	}
+}
+
+// TestCopyAnnouncesItself: a replica copy is its own invalidation. While
+// the copy's store write is held its positions read blocked, not absent,
+// and the range's frontier has not moved; once the store returns they
+// serve.
+func TestCopyAnnouncesItself(t *testing.T) {
+	g := newGate()
+	m := followerWith(t, MaintainerConfig{Store: gatedStore{storage.NewMemStore(), g}, readBlockWait: -1})
+	release := g.arm()
+	done := make(chan error, 1)
+	go func() { done <- m.ReplicaAppend(copyOf(1, 2)) }()
+	<-g.entered
+	expectRead(t, m, ErrReadBlocked, 1, 2)
+	expectRead(t, m, core.ErrNoSuchRecord, 7)
+	if f, err := m.RangeFrontier(0); err != nil || f != 1 {
+		t.Errorf("RangeFrontier(0) with the copy held = %d, %v; want 1", f, err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	expectRead(t, m, nil, 1, 2)
+}
+
+// TestRefusedCopyStaysAnnounced: the announcement lands before anything may
+// refuse the copy, so the positions of a copy that admission sheds, or of
+// one refused behind a failed commit tail, read blocked — the reader fails
+// over — and never absent.
+func TestRefusedCopyStaysAnnounced(t *testing.T) {
+	t.Run("shed", func(t *testing.T) {
+		m := followerWith(t, MaintainerConfig{Limiter: ratelimit.New(1, 1), readBlockWait: -1}) // a one-record budget
+		if err := m.ReplicaAppend(copyOf(1, 2)); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("copy over the limiter's budget = %v, want ErrOverloaded", err)
+		}
+		expectRead(t, m, ErrReadBlocked, 1, 2)
+	})
+	t.Run("behind-failed-tail", func(t *testing.T) {
+		g := newGate()
+		m := followerWith(t, MaintainerConfig{Store: gatedStore{storage.NewMemStore(), g}, readBlockWait: -1})
+		fault := errors.New("injected store fault")
+		g.fail <- fault // fails copy A's tail
+		g.fail <- fault // and its re-run ahead of copy B
+		if err := m.ReplicaAppend(copyOf(1, 2)); !errors.Is(err, fault) {
+			t.Fatalf("copy A = %v, want the injected fault", err)
+		}
+		if err := m.ReplicaAppend(copyOf(7, 8)); !errors.Is(err, fault) {
+			t.Fatalf("copy B behind the failed tail = %v, want it refused with the fault", err)
+		}
+		expectRead(t, m, ErrReadBlocked, 1, 2, 7, 8)
+		expectRead(t, m, core.ErrNoSuchRecord, 13)
+	})
 }
 
 // TestReadBlockedOverRPC: the blocked-read rejection survives the wire —

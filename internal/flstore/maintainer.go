@@ -381,22 +381,27 @@ func NewMaintainer(cfg MaintainerConfig) (*Maintainer, error) {
 // Every record is attributed to its range; the scan is ascending, so a
 // range's dense prefix is the run of slots that keeps matching its
 // frontier. A non-dense range (a torn batch tail) stays at the dense
-// prefix and the rest is re-fetched by catch-up or migration.
+// prefix and the rest is re-fetched by catch-up or migration. The own
+// range's recovered tags are posted again: indexers keep no log of theirs.
 func (m *Maintainer) recoverRanges(set rangeSet, lo, hi uint64) error {
 	if m.store.MaxLId() < lo {
 		return nil
 	}
+	var tagged []*core.Record
 	err := m.store.Scan(lo, hi, func(r *core.Record) bool {
 		if st := set.ranges[set.p.Owner(r.LId)]; st != nil && set.p.SlotOf(r.LId) == st.filled {
 			st.filled++
 			st.stored = st.filled
+			if len(r.Tags) > 0 && len(m.cfg.Indexers) > 0 && st == m.hosted[m.cfg.Index] {
+				tagged = append(tagged, &core.Record{LId: r.LId, Tags: r.Tags}) // not the body
+			}
 		}
 		return true
 	})
 	if err != nil {
 		return fmt.Errorf("flstore: recovering frontiers: %w", err)
 	}
-	return nil
+	return m.postTags(tagged)
 }
 
 // Index returns the maintainer's placement index.
@@ -748,8 +753,24 @@ func (m *Maintainer) AppendAssigned(recs []*core.Record) error {
 // records at or below the dense frontier (and duplicates of buffered
 // slots) are silently skipped, so fan-out retries and duplicated network
 // frames are harmless. Tag postings are not re-sent — the acting primary
-// already streamed them to the indexers.
+// already streamed them to the indexers. The copy is its own announcement
+// (Invalidate), folded in before admission or the claim may refuse it: a
+// refused copy's positions of this epoch's ranges read blocked, not absent.
 func (m *Maintainer) ReplicaAppend(recs []*core.Record) error {
+	moved := false
+	m.mu.Lock()
+	for _, r := range recs {
+		if r.LId < m.cfg.FirstLId {
+			continue // LId 0 or the previous epoch's: the claim refuses it
+		}
+		if st := m.hosted[m.cfg.Placement.Owner(r.LId)]; st != nil {
+			moved = m.announceLocked(st, r.LId+1) || moved
+		}
+	}
+	m.mu.Unlock()
+	if moved {
+		m.wakeWaiters() // once per copy, not per record
+	}
 	return m.ingestPlaced(recs, modeReplica)
 }
 
@@ -904,11 +925,11 @@ func IndexerFor(key string, numIndexers int) int {
 
 // defaultReadBlockWait bounds Read's park on a locally-invalid position —
 // one an invalidation announced but whose payload has not resolved here:
-// the payload normally lands within a round trip, so 2 ms resolves the
-// common race in place without stalling the serving goroutine.
-// readBlockHint is the pacing hint attached when the wait expires (the
-// payload is one fan-out round trip behind the announcement, so a
-// millisecond is normally enough for a retry to land after it).
+// the announcing copy is normally in this member's own store, so 2 ms
+// resolves the common race in place without stalling the serving
+// goroutine. readBlockHint is the pacing hint attached when the wait
+// expires (a copy refused here is re-sent after a paced pause of about a
+// millisecond, so a retry normally lands after it).
 const (
 	defaultReadBlockWait = 2 * time.Millisecond
 	readBlockHint        = time.Millisecond
@@ -918,11 +939,11 @@ const (
 // rangeIdx strictly below upTo has been assigned by the range's acting
 // primary. The bound folds into nextVec — the same vector gossip and
 // replica ingestion advance — so the head of the log sees the assignment
-// immediately while the positions between the local frontier and the
-// bound become locally *invalid*: Read blocks or fails over for them
-// instead of reporting them absent. This is the one signal allowed to run
-// ahead of the local payload — the acting primary announces a batch only
-// after its own commit tail finished. Idempotent and monotone; stale
+// at once while the positions between the local frontier and the bound
+// are locally *invalid*: Read blocks or fails over for them instead of
+// reporting them absent. A replica copy announces itself the same way on
+// arrival (ReplicaAppend), so live fan-out sends no Invalidate; catch-up
+// replays a peer's bound through it. Idempotent and monotone; stale
 // announcements are no-ops.
 func (m *Maintainer) Invalidate(rangeIdx int, upTo uint64) error {
 	st, err := m.hostedRange(rangeIdx)
@@ -931,15 +952,19 @@ func (m *Maintainer) Invalidate(rangeIdx int, upTo uint64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Normalize the bound to frontier form (the next-unfilled LId of the
-	// range given the announced slot count) so nextVec stays comparable
-	// with the values local fills and gossip write.
-	bound := st.p.LIdOfSlot(rangeIdx, slotsBelowP(st.p, rangeIdx, upTo))
-	if bound > m.nextVec[rangeIdx] {
-		m.nextVec[rangeIdx] = bound
+	if m.announceLocked(st, upTo) {
 		m.wakeWaiters()
 	}
 	return nil
+}
+
+// announceLocked folds an assignment bound for st into nextVec, in frontier
+// form so it compares with local fills and gossip, and reports whether the
+// entry moved (the caller then wakes waiters). Caller holds mu.
+func (m *Maintainer) announceLocked(st *rangeState, upTo uint64) bool {
+	bound, old := st.p.LIdOfSlot(st.idx, slotsBelowP(st.p, st.idx, upTo)), m.nextVec[st.idx]
+	m.nextVec[st.idx] = max(bound, old)
+	return bound > old
 }
 
 // slotsBelowP counts how many of rangeIdx's positions lie strictly below

@@ -414,8 +414,8 @@ var (
 	// TailWait is detached: a parked long-poll must not head-of-line-block
 	// the pipelined requests behind it on a shared connection.
 	rowTailWait = rpc.Message[tailReq, uint64]{Type: msgTailWait, Name: "TailWait", Detached: true, Req: tailShape, Reply: u64Shape}
-	// Invalidate rides ahead of every fan-out payload: two fixed words, no
-	// reply body.
+	// Invalidate is the standalone announcement catch-up replays (a live
+	// copy announces itself): two fixed words, no reply body.
 	rowInvalidate   = rpc.Message[boundReq, none]{Type: msgInvalidate, Name: "Invalidate", Req: boundShape, Reply: rpc.Empty}
 	rowWatermark    = rpc.Message[uint64, marks]{Type: msgWatermark, Name: "Watermark", Req: u64Shape, Reply: marksShape}
 	rowGossipVecs   = rpc.Message[vecs, vecs]{Type: msgGossipVecs, Name: "GossipVecs", Req: vecsShape, Reply: vecsShape}

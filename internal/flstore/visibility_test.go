@@ -281,7 +281,11 @@ func TestFrontierPublishedAfterStoreAndPostings(t *testing.T) {
 					t.Fatalf("batch B behind the failed tail = %v, want it refused with the fault", err)
 				}
 				v.expect("batch B refused", 0)
-				if _, err := m.Read(n + 1); !errors.Is(err, core.ErrNoSuchRecord) {
+				// Never claimed, so absent — except that a copy announces its
+				// positions on arrival, before anything may refuse it.
+				if _, err := m.Read(n + 1); e.name == "ReplicaAppend" && !errors.Is(err, ErrReadBlocked) {
+					t.Errorf("Read of refused copy B's announced position = %v, want ErrReadBlocked", err)
+				} else if e.name != "ReplicaAppend" && !errors.Is(err, core.ErrNoSuchRecord) {
 					t.Errorf("Read of refused batch B's position = %v, want ErrNoSuchRecord (never claimed)", err)
 				}
 

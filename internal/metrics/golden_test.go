@@ -73,7 +73,6 @@ var goldenFamilies = []string{
 	"replica_fanout_failures_total",
 	"replica_fanout_retries_total",
 	"replica_invalidation_backlog",
-	"replica_invalidations_total",
 	"replica_local_read_blocks_total",
 	"replica_local_read_hits_total",
 	"replica_member_state",

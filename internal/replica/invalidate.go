@@ -7,14 +7,15 @@ import (
 
 // Invalidator is the optional invalidation surface of a Member. A member
 // that implements it participates in Hermes-style invalidation
-// replication: the acting primary announces each batch's assignment
-// (range plus exclusive upper LId bound) ahead of the record payload, so
-// every group member knows which positions exist before it holds their
-// bytes. Positions that are announced but not yet resolved locally are
-// *invalid* — a member must not answer reads for them with "no such
-// record"; it blocks briefly for the in-flight payload or tells the
-// caller to retry. Members that do not implement Invalidator keep the
-// PR-3 failover-only behavior.
+// replication: each replica copy it receives announces the batch's
+// assignment (range plus exclusive upper LId bound) on arrival, before the
+// member stores or refuses it, so the member knows which positions exist
+// before it holds their bytes. Positions that are announced but not yet
+// resolved locally are *invalid* — a member must not answer reads for them
+// with "no such record"; it blocks briefly for the payload or tells the
+// caller to retry. Invalidate is the standalone announcement catch-up
+// replays. Members that do not implement Invalidator keep the
+// failover-only behavior.
 type Invalidator interface {
 	// Invalidate announces that every position of rangeIdx strictly below
 	// upTo has been assigned by the range's acting primary. Idempotent and

@@ -36,7 +36,9 @@ type Member interface {
 	AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error)
 	// ReplicaAppend ingests copies of records whose LIds were assigned by
 	// the range's acting primary; the member derives the range from each
-	// record's LId. Idempotent per LId at the dense-frontier level.
+	// record's LId. Idempotent per LId at the dense-frontier level. A member
+	// that implements Invalidator treats the copy as the announcement of
+	// its positions too, even when it then refuses the copy.
 	ReplicaAppend(recs []*core.Record) error
 	// Read serves any hosted position (owned or followed).
 	Read(lid uint64) (*core.Record, error)
@@ -106,7 +108,6 @@ type Session struct {
 	fanoutFailures  metrics.Counter
 	fanoutRetries   metrics.Counter
 	catchupRecords  metrics.Counter
-	invalidations   metrics.Counter
 	ackLatency      *metrics.BucketHistogram
 }
 
@@ -160,10 +161,6 @@ func (s *Session) ReadPolicy() ReadPolicy {
 	return s.policy
 }
 
-// Invalidations returns how many invalidation announcements the session
-// has delivered ahead of fan-out payloads.
-func (s *Session) Invalidations() uint64 { return s.invalidations.Value() }
-
 // EnableMetrics exports the session's replication instrumentation: append
 // ack latency (observed per successful quorum), append/read failovers,
 // fan-out copy failures, catch-up volume, eviction/readmission totals, and
@@ -176,7 +173,6 @@ func (s *Session) EnableMetrics(reg *metrics.Registry, extra ...metrics.Label) {
 	reg.CounterFunc("replica_read_failovers_total", func() float64 { return float64(s.readFailovers.Value()) }, extra...)
 	reg.CounterFunc("replica_fanout_failures_total", func() float64 { return float64(s.fanoutFailures.Value()) }, extra...)
 	reg.CounterFunc("replica_fanout_retries_total", func() float64 { return float64(s.fanoutRetries.Value()) }, extra...)
-	reg.CounterFunc("replica_invalidations_total", func() float64 { return float64(s.invalidations.Value()) }, extra...)
 	reg.CounterFunc("replica_catchup_records_total", func() float64 { return float64(s.catchupRecords.Value()) }, extra...)
 	reg.CounterFunc("replica_evictions_total", func() float64 { return float64(s.health.Evictions.Value()) }, extra...)
 	reg.CounterFunc("replica_readmissions_total", func() float64 { return float64(s.health.Readmissions.Value()) }, extra...)
@@ -360,7 +356,7 @@ func (s *Session) appendAttempt(rangeIdx int, recs []*core.Record, start time.Ti
 	// cost a client-visible append pays beyond the primary's assignment
 	// and store.
 	fo := trace.Begin(tc, "replica.ack")
-	acks := 1 + s.fanOut(rangeIdx, ap, lids[len(lids)-1]+1, recs)
+	acks := 1 + s.fanOut(rangeIdx, ap, recs)
 	if acks < s.cfg.Ack.Required(s.cfg.Layout.R) {
 		fo.End(trace.Default(), "acks", lids[0], len(recs))
 		return lids, &AckError{Acked: acks, Required: s.cfg.Ack.Required(s.cfg.Layout.R),
@@ -404,12 +400,9 @@ func (s *Session) primaryAppend(ap, rangeIdx int, recs []*core.Record) ([]uint64
 // ack policy, leaving stragglers to finish detached — an ack from a member
 // means the copy is *stored* there (fsynced when the member's store is
 // durable), so a quorum return is a durability quorum, not a buffer
-// quorum. Members that implement Invalidator first receive the batch's
-// assignment announcement (upTo is the exclusive LId bound: one past the
-// batch's last assigned position), so a follower knows the positions
-// exist — and stops serving stale no-such-record for them — before the
-// payload lands.
-func (s *Session) fanOut(rangeIdx, actingPrimary int, upTo uint64, recs []*core.Record) int {
+// quorum. Each member gets one message, the copy, which also announces
+// its positions there (Member.ReplicaAppend).
+func (s *Session) fanOut(rangeIdx, actingPrimary int, recs []*core.Record) int {
 	g := s.cfg.Layout.Group(rangeIdx)
 	// Buffered to the fan-out width so detached stragglers never block.
 	results := make(chan bool, len(g.Members))
@@ -421,7 +414,7 @@ func (s *Session) fanOut(rangeIdx, actingPrimary int, upTo uint64, recs []*core.
 		mi := mi
 		launched++
 		go func() {
-			results <- s.fanOutOne(mi, rangeIdx, upTo, recs)
+			results <- s.fanOutOne(mi, recs)
 		}()
 	}
 	// The acting primary's own store counts as the first ack.
@@ -439,20 +432,10 @@ func (s *Session) fanOut(rangeIdx, actingPrimary int, upTo uint64, recs []*core.
 	return acked
 }
 
-// fanOutOne delivers the invalidation announcement and the record copies
-// to member mi, reporting health and counters; it returns whether the
-// member acked (stored) the copy.
-func (s *Session) fanOutOne(mi, rangeIdx int, upTo uint64, recs []*core.Record) bool {
-	m := s.Member(mi)
-	if inv, ok := m.(Invalidator); ok && upTo > 0 {
-		// Best-effort: the copy that follows carries the same
-		// information; a dropped invalidation only delays local
-		// readability, never correctness.
-		if err := inv.Invalidate(rangeIdx, upTo); err == nil {
-			s.invalidations.Inc()
-		}
-	}
-	err := m.ReplicaAppend(recs)
+// fanOutOne delivers the record copies to member mi, reporting health and
+// counters; it returns whether the member acked (stored) the copy.
+func (s *Session) fanOutOne(mi int, recs []*core.Record) bool {
+	err := s.Member(mi).ReplicaAppend(recs)
 	if err != nil && s.retryable(err) {
 		// A saturated follower rejected the copy; wait out its
 		// pacing hint (capped) and try once more before giving the

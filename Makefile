@@ -1,8 +1,9 @@
 # Tier-1 gate: `make check` is what CI and pre-merge runs — build, vet,
 # the full test suite, the whole tree again under the race detector
 # (`make race`), and a -count=50 stress of the cross-datacenter hand-off
-# tests that pin the visibility contract (DESIGN.md §7) and of the pipeline's
-# work-paced hand-off tests (DESIGN.md §3.3) — the ones a lost wake-up breaks.
+# tests that pin the visibility contract (DESIGN.md §7), of the pipeline's
+# work-paced hand-off tests (DESIGN.md §3.3) — the ones a lost wake-up breaks —
+# and of the resync and garbage-collection reads by position (DESIGN.md §7.5).
 GO ?= go
 
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
@@ -58,7 +59,7 @@ fmt-check:
 
 check: build vet fmt-check test api-check trace-smoke bench-scale bench-durability bench-elastic bench-e2e race
 	$(GO) test -count=50 -run 'TestCausalPropagationAcrossDCs|TestFigure2Scenario' ./internal/hyksos
-	$(GO) test -count=50 -run 'TestTokenRestsOnBlockedRecord|TestRingAppliesInputAtNonHolder|TestTableShipmentsConvergeThenQuiesce|TestSenderShipsBatchesAndHeartbeats|TestMsgFuturesCommitsOnChangeDrivenTables' ./internal/chariots
+	$(GO) test -count=50 -run 'TestTokenRestsOnBlockedRecord|TestRingAppliesInputAtNonHolder|TestTableShipmentsConvergeThenQuiesce|TestSenderShipsBatchesAndHeartbeats|TestMsgFuturesCommitsOnChangeDrivenTables|TestResyncShipsExactlyTheOracleRecords|TestCollectGarbageProgression' ./internal/chariots
 
 # trace-smoke proves the tracing layer end to end: the tracelat row, run
 # at the test size, must record append traces whose stage rows sum to the

@@ -392,13 +392,13 @@ func cmdStats(admin *flstore.Admin, args []string) {
 
 // cmdReads renders the read path per maintainer: range-read / multi-read /
 // tail-wait rates over the sampling window, records per range batch, and
-// the cumulative tail-cache hit ratio with the store-scan counters that
-// show whether tailing readers are touching the store at all.
+// the cumulative tail-cache hit ratio with the store-scan counter that
+// shows whether tailing readers are touching the store at all.
 func cmdReads(admin *flstore.Admin, args []string) {
 	w := sampleStats(admin, "reads", "sampling window for rates", args)
 	tbl := metrics.Table{Header: []string{
 		"maintainer", "range reads/s", "recs/batch", "multi reads/s",
-		"tail waits/s", "cache hit%", "store scans", "full scans"}}
+		"tail waits/s", "cache hit%", "store scans"}}
 	for _, m := range w.maintainers {
 		reads := w.delta("flstore_range_reads_total", m)
 		recs := w.delta("flstore_range_records_total", m)
@@ -418,8 +418,7 @@ func cmdReads(admin *flstore.Admin, args []string) {
 			w.rate("flstore_multi_reads_total", m),
 			w.rate("flstore_tail_waits_total", m),
 			hitRatio,
-			strconv.FormatUint(uint64(val(w.after, "flstore_store_scans_total", m)), 10),
-			strconv.FormatUint(uint64(val(w.after, "flstore_scan_calls_total", m)), 10))
+			strconv.FormatUint(uint64(val(w.after, "flstore_store_scans_total", m)), 10))
 	}
 	fmt.Print(tbl.String())
 }

@@ -3,7 +3,6 @@ package chariots
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,6 +155,14 @@ type Datacenter struct {
 	maintainerMachines []*StageMachine
 	reader             *flstore.Client
 
+	// gc is the collected bound: the highest LId whose prefix
+	// CollectGarbage released. Every read of the log starts above it, and
+	// a reader holds mu so that no collection trims the window under it.
+	gc struct {
+		mu    sync.Mutex
+		bound uint64
+	}
+
 	initialToken *Token
 
 	rrBatcher atomic.Uint64
@@ -249,17 +256,21 @@ func New(cfg Config) (*Datacenter, error) {
 	// Restart path: when the backing stores already hold records (a
 	// datacenter recovering with its persistent log), rebuild the
 	// ordering state — the token's applied vector and next LId, and the
-	// awareness table's self row — from the log itself. (Each maintainer
+	// awareness table's self row — from the stores. (Each maintainer
 	// already re-posted its recovered records' tags to the indexers when
 	// it was built, so tag reads cover the log from before the restart.)
+	// This is the one walk of whole stores in the package, and it cannot
+	// be a read by position: after a crash, records past a hole exist only
+	// in the stores, and the token would hand their LIds out again.
 	dc.initialToken = NewToken(cfg.NumDCs)
-	if recs, err := dc.LogRecords(); err == nil && len(recs) > 0 {
-		for _, rec := range recs {
+	for _, st := range dc.stores {
+		if err := st.Scan(0, 0, func(rec *core.Record) bool {
 			dc.initialToken.Applied.Advance(rec.Host, rec.TOId)
 			dc.state.atable.RecordApplied(rec.Host, rec.TOId)
-			if rec.LId >= dc.initialToken.NextLId {
-				dc.initialToken.NextLId = rec.LId + 1
-			}
+			dc.initialToken.NextLId = max(dc.initialToken.NextLId, rec.LId+1)
+			return true
+		}); err != nil {
+			return nil, fmt.Errorf("chariots: recovering from the stores: %w", err)
 		}
 	}
 
@@ -537,31 +548,13 @@ func (dc *Datacenter) Applied() vclock.Vector { return dc.state.atable.SelfVecto
 // Head returns the readable head of the datacenter's log.
 func (dc *Datacenter) Head() (uint64, error) { return dc.reader.HeadExact() }
 
-// LogRecords returns every applied record ordered by LId (test,
-// equivalence-check, and restart-recovery introspection). The gap-free
-// prefix up to the head comes from one scatter-gather range read, already
-// in LId order; only the partially filled tail rounds past the head (which
-// restart recovery needs for NextLId) fall back to bounded maintainer
-// scans.
+// LogRecords returns the applied records above the collected bound, up to
+// the head of the log, in LId order: one read by position (test,
+// equivalence-check and resync introspection).
 func (dc *Datacenter) LogRecords() ([]*core.Record, error) {
-	head, err := dc.reader.HeadExact()
-	if err != nil {
-		return nil, err
-	}
-	all, err := dc.reader.ReadRange(1, head)
-	if err != nil {
-		return nil, err
-	}
-	var tail []*core.Record
-	for _, m := range dc.maintainers {
-		recs, err := m.Scan(core.Rule{MinLId: head + 1})
-		if err != nil {
-			return nil, err
-		}
-		tail = append(tail, recs...)
-	}
-	sort.Slice(tail, func(i, j int) bool { return tail[i].LId < tail[j].LId })
-	return append(all, tail...), nil
+	dc.gc.mu.Lock()
+	defer dc.gc.mu.Unlock()
+	return dc.reader.ReadRange(dc.gc.bound+1, 0)
 }
 
 // Machines returns every stage machine's (name, processed count) rows in

@@ -1,144 +1,56 @@
 package chariots
 
-import (
-	"sync"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/metrics"
-)
-
-// GCState holds the datacenter's garbage-collection cursor.
-type GCState struct {
-	mu       sync.Mutex
-	frontier uint64 // highest LId whose prefix has been collected
-}
-
 // CollectGarbage applies the §6.1 rule: a record may be dropped only once
 // every datacenter is known (per the Awareness Table) to have its host's
 // records up to its TOId — on top of which deployments layer their own
-// temporal/spatial policies. It releases the longest GC-safe log prefix to
-// the maintainers' stores and returns how many records were removed and
-// the new prefix frontier (an LId).
+// temporal/spatial policies. It reads the log by position above the
+// datacenter's collected bound, extends the bound over the longest GC-safe
+// run, trims that prefix from the maintainers and returns how many records
+// were removed and the new bound (an LId).
 //
 // keepAfter, when nonzero, caps collection below that LId regardless of
 // safety (the "system designer rule": e.g. retain the most recent N
 // positions for readers).
-func (dc *Datacenter) CollectGarbage(gcs *GCState, keepAfter uint64) (int, uint64, error) {
-	gcs.mu.Lock()
-	defer gcs.mu.Unlock()
+func (dc *Datacenter) CollectGarbage(keepAfter uint64) (int, uint64, error) {
+	dc.gc.mu.Lock()
+	defer dc.gc.mu.Unlock()
+	bound := dc.gc.bound
 
 	head, err := dc.reader.HeadExact()
 	if err != nil {
-		return 0, gcs.frontier, err
+		return 0, bound, err
 	}
 	limit := head
 	if keepAfter != 0 && keepAfter-1 < limit {
 		limit = keepAfter - 1
 	}
-	if limit <= gcs.frontier {
-		return 0, gcs.frontier, nil
+	if limit <= bound {
+		return 0, bound, nil
 	}
-
-	// Walk the candidate window in LId order and extend the safe prefix.
-	var window []*core.Record
-	for _, m := range dc.maintainers {
-		recs, err := m.Scan(core.Rule{MinLId: gcs.frontier + 1, MaxLId: limit})
-		if err != nil {
-			return 0, gcs.frontier, err
-		}
-		window = append(window, recs...)
+	window, err := dc.reader.ReadRange(bound+1, limit)
+	if err != nil {
+		return 0, bound, err
 	}
-	byLId := make(map[uint64]*core.Record, len(window))
-	for _, r := range window {
-		byLId[r.LId] = r
-	}
-	newFrontier := gcs.frontier
-	for lid := gcs.frontier + 1; lid <= limit; lid++ {
-		rec, ok := byLId[lid]
-		if !ok || !dc.state.atable.GCSafe(rec.Host, rec.TOId) {
+	next := bound
+	for _, rec := range window {
+		if !dc.state.atable.GCSafe(rec.Host, rec.TOId) {
 			break
 		}
-		newFrontier = lid
+		next = rec.LId
 	}
-	if newFrontier == gcs.frontier {
-		return 0, gcs.frontier, nil
+	if next == bound {
+		return 0, bound, nil
 	}
-
+	// Reads start above the bound from here on, so a maintainer whose trim
+	// fails keeps garbage no read reaches; the next collection retries it.
+	dc.gc.bound = next
 	removed := 0
 	for _, m := range dc.maintainers {
-		n, err := m.Store().GC(newFrontier)
-		if err != nil {
-			return removed, gcs.frontier, err
-		}
+		n, err := m.Trim(next)
 		removed += n
-	}
-	gcs.frontier = newFrontier
-	return removed, newFrontier, nil
-}
-
-// GCRunner periodically applies CollectGarbage — the background reclaim
-// loop a long-running deployment pairs with the §6.1 rule. KeepAfter, when
-// nonzero, always retains positions at or above it (the "system designer
-// rule" for readers that lag).
-type GCRunner struct {
-	dc        *Datacenter
-	state     GCState
-	interval  time.Duration
-	keepAfter uint64
-	stop      chan struct{}
-	done      chan struct{}
-
-	// Collected counts records reclaimed over the runner's lifetime.
-	Collected metrics.Counter
-}
-
-// NewGCRunner builds (but does not start) a runner.
-func NewGCRunner(dc *Datacenter, interval time.Duration, keepAfter uint64) *GCRunner {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	return &GCRunner{
-		dc:        dc,
-		interval:  interval,
-		keepAfter: keepAfter,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-}
-
-// Start launches the reclaim loop.
-func (g *GCRunner) Start() {
-	go func() {
-		defer close(g.done)
-		ticker := time.NewTicker(g.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-g.stop:
-				return
-			case <-ticker.C:
-				if n, _, err := g.dc.CollectGarbage(&g.state, g.keepAfter); err == nil {
-					g.Collected.Add(uint64(n))
-				}
-			}
+		if err != nil {
+			return removed, next, err
 		}
-	}()
-}
-
-// Stop halts the loop and waits for it.
-func (g *GCRunner) Stop() {
-	select {
-	case <-g.stop:
-	default:
-		close(g.stop)
 	}
-	<-g.done
-}
-
-// Frontier returns the highest LId whose prefix has been reclaimed.
-func (g *GCRunner) Frontier() uint64 {
-	g.state.mu.Lock()
-	defer g.state.mu.Unlock()
-	return g.state.frontier
+	return removed, next, nil
 }

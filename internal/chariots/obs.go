@@ -205,11 +205,3 @@ func (dc *Datacenter) EnableMetrics(reg *metrics.Registry) {
 		}, rLbl, dcLbl)
 	}
 }
-
-// EnableMetrics exports the GC runner's reclaim progress: the prefix
-// frontier (highest reclaimed LId) and total records collected.
-func (g *GCRunner) EnableMetrics(reg *metrics.Registry) {
-	dcLbl := metrics.L("dc", strconv.Itoa(int(g.dc.cfg.Self)))
-	reg.GaugeFunc("chariots_gc_frontier_lid", func() float64 { return float64(g.Frontier()) }, dcLbl)
-	reg.CounterFunc("chariots_gc_collected_total", func() float64 { return float64(g.Collected.Value()) }, dcLbl)
-}

@@ -146,41 +146,3 @@ func TestPipelineMetricsMidRun(t *testing.T) {
 		findValue(t, reg, "chariots_replication_lag_records", lagLbl),
 		findValue(t, reg, "chariots_replication_lag_seconds", lagLbl))
 }
-
-// TestGCRunnerMetrics exercises the reclaim gauges against a single-DC
-// datacenter whose whole log is GC-safe.
-func TestGCRunnerMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	dc, err := New(fastCfg(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc.EnableMetrics(reg)
-	dc.Start()
-	t.Cleanup(dc.Stop)
-
-	const n = 64
-	for i := 0; i < n; i++ {
-		if _, err := dc.Append([]byte("x"), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := NewGCRunner(dc, time.Millisecond, 0)
-	g.EnableMetrics(reg)
-	g.Start()
-	t.Cleanup(g.Stop)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if findValue(t, reg, "chariots_gc_frontier_lid", map[string]string{"dc": "0"}) >= n {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if v := findValue(t, reg, "chariots_gc_frontier_lid", map[string]string{"dc": "0"}); v < n {
-		t.Errorf("gc frontier = %v, want >= %d", v, n)
-	}
-	if v := findValue(t, reg, "chariots_gc_collected_total", map[string]string{"dc": "0"}); v == 0 {
-		t.Error("gc collected = 0, want > 0")
-	}
-}

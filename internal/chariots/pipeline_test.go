@@ -1,6 +1,7 @@
 package chariots
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -267,9 +268,8 @@ func TestPipelineGarbageCollection(t *testing.T) {
 	}
 	a.Quiesce(30*time.Millisecond, 5*time.Second)
 
-	var gcs GCState
 	head, _ := a.Head()
-	removed, frontier, err := a.CollectGarbage(&gcs, 0)
+	removed, frontier, err := a.CollectGarbage(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +280,7 @@ func TestPipelineGarbageCollection(t *testing.T) {
 		t.Errorf("frontier = %d, head = %d", frontier, head)
 	}
 	// keepAfter must stop collection.
-	var gcs2 GCState
-	_, frontier2, _ := b.CollectGarbage(&gcs2, 10)
+	_, frontier2, _ := b.CollectGarbage(10)
 	if frontier2 >= 10 {
 		t.Errorf("keepAfter ignored: frontier %d", frontier2)
 	}
@@ -333,32 +332,87 @@ func TestPipelineTable1Properties(t *testing.T) {
 	}
 }
 
-func TestGCRunnerReclaimsContinuously(t *testing.T) {
+// TestCollectGarbageProgression: repeated collections with appends in
+// flight between them move the datacenter's collected bound forward
+// monotonically, never over a record the awareness table calls unsafe, and
+// once both datacenters know the whole log, up to its head. A collected
+// position then reads as absent at once, and LogRecords starts above it.
+func TestCollectGarbageProgression(t *testing.T) {
 	a := startDC(t, fastCfg(0, 2))
 	b := startDC(t, fastCfg(1, 2))
 	a.ConnectTo(1, b.Receivers())
 	b.ConnectTo(0, a.Receivers())
 
-	gc := NewGCRunner(a, 5*time.Millisecond, 0)
-	gc.Start()
-	defer gc.Stop()
-
-	const n = 200
-	for i := 0; i < n; i++ {
-		a.AppendAsync([]byte(fmt.Sprintf("r%d", i)), nil)
-	}
-	// Once B has everything and A knows it, the runner reclaims the
-	// prefix without any explicit call.
-	deadline := time.Now().Add(15 * time.Second)
-	for gc.Collected.Value() < n/2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("GC runner reclaimed only %d records (frontier %d, T[B][A]=%d)",
-				gc.Collected.Value(), gc.Frontier(), a.ATable().Get(1, 0))
+	var bound uint64
+	collect := func() {
+		t.Helper()
+		window, err := a.LogRecords()
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		_, next, err := a.CollectGarbage(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next < bound {
+			t.Fatalf("collected bound went back from %d to %d", bound, next)
+		}
+		// The awareness table only grows, so a record unsafe now was
+		// unsafe when it was collected.
+		for _, r := range window {
+			if r.LId <= next && !a.ATable().GCSafe(r.Host, r.TOId) {
+				t.Fatalf("bound %d passed LId %d (host %d, TOId %d), which is not GC-safe", next, r.LId, r.Host, r.TOId)
+			}
+		}
+		bound = next
 	}
-	if gc.Frontier() == 0 {
-		t.Error("frontier did not advance")
+	const rounds, perRound = 6, 25
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < perRound; i++ {
+			a.AppendAsync([]byte(fmt.Sprintf("a%d-%d", round, i)), nil)
+			if i%5 == 0 {
+				b.AppendAsync([]byte(fmt.Sprintf("b%d-%d", round, i)), nil)
+			}
+		}
+		collect()
+	}
+	const fromA, fromB = rounds * perRound, rounds * perRound / 5
+	if !b.WaitForTOId(0, fromA, 10*time.Second) || !a.WaitForTOId(1, fromB, 10*time.Second) {
+		t.Fatal("no convergence")
+	}
+	const head = fromA + fromB
+	if h, err := a.Reader().WaitHead(head, 5*time.Second); err != nil || h != head {
+		t.Fatalf("head %d, %v; want %d", h, err, head)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for collect(); bound < head; collect() {
+		if time.Now().After(deadline) {
+			t.Fatalf("bound stuck at %d below head %d", bound, head)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if bound != head {
+		t.Fatalf("bound %d past head %d", bound, head)
+	}
+
+	start := time.Now()
+	if _, err := a.Reader().ReadLId(5); !errors.Is(err, core.ErrNoSuchRecord) {
+		t.Errorf("ReadLId of a collected position = %v, want ErrNoSuchRecord", err)
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("ReadLId of a collected position took %v", d)
+	}
+	// An applied record reaches the readable head one gossip round later.
+	ack, err := a.Append([]byte("after"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := a.Reader().WaitHead(ack.LId, 5*time.Second); err != nil || h < ack.LId {
+		t.Fatalf("head %d, %v; want it to reach LId %d", h, err, ack.LId)
+	}
+	recs, err := a.LogRecords()
+	if err != nil || len(recs) != 1 || recs[0].LId != bound+1 {
+		t.Errorf("LogRecords after collection = %d records, %v; want one at LId %d", len(recs), err, bound+1)
 	}
 }
 

@@ -1,10 +1,8 @@
 package chariots
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -156,8 +154,10 @@ func (ic *IngestClient) Applied() (vclock.Vector, error) {
 // Resync re-ships this datacenter's local records that, per the awareness
 // table, the remote datacenter has not acknowledged — the recovery path
 // after a receiver failure, dropped link, or filter-reorder overflow. It
-// scans the log maintainers (senders normally consume the live feed; the
-// scan is the slow path) and sends one snapshot through the given sender.
+// reads the log by position up to the head (senders normally consume the
+// live feed; this is the slow path) and sends one snapshot through the
+// given sender. A record past the head is still in the live feed, and the
+// callers resync again once it is readable.
 func (dc *Datacenter) Resync(remote core.DCID, s *Sender) (int, error) {
 	return dc.resyncFrom(dc.state.atable.Get(remote, dc.cfg.Self)+1, remote, s)
 }
@@ -173,26 +173,23 @@ func (dc *Datacenter) ResyncAll(remote core.DCID, s *Sender) (int, error) {
 	return dc.resyncFrom(0, remote, s)
 }
 
-// resyncFrom ships the local records whose TOId is at least minTOId.
+// resyncFrom ships the local records whose TOId is at least minTOId, in
+// TOId order so the remote filter sees its expected sequence: the log holds
+// each host's records in TOId order (CheckCausalInvariant), so LId order is
+// that order already.
 func (dc *Datacenter) resyncFrom(minTOId uint64, remote core.DCID, s *Sender) (int, error) {
-	var stale []*core.Record
-	for _, m := range dc.maintainers {
-		recs, err := m.Scan(core.Rule{HasHost: true, Host: dc.cfg.Self, MinTOId: minTOId})
-		if err != nil {
-			return 0, err
+	log, err := dc.LogRecords()
+	if err != nil {
+		return 0, err
+	}
+	var copies []*core.Record
+	for _, r := range log {
+		if r.Host == dc.cfg.Self && r.TOId >= minTOId {
+			copies = append(copies, r.Clone())
 		}
-		stale = append(stale, recs...)
 	}
-	if len(stale) == 0 {
+	if len(copies) == 0 {
 		return 0, nil
-	}
-	// Ship in TOId order so the remote filter sees its expected sequence.
-	// Each maintainer's scan is sorted, but the concatenation is one run
-	// per maintainer, interleaved — and for ResyncAll it is the whole log.
-	slices.SortFunc(stale, func(a, b *core.Record) int { return cmp.Compare(a.TOId, b.TOId) })
-	copies := make([]*core.Record, len(stale))
-	for i, r := range stale {
-		copies[i] = r.Clone()
 	}
 	snap := Snapshot{From: dc.cfg.Self, Records: copies, ATable: dc.state.atable.Snapshot(), Owned: true}
 	s.mu.Lock()

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,6 +194,124 @@ func TestResyncAfterDroppedLink(t *testing.T) {
 type blackhole struct{}
 
 func (*blackhole) Deliver(Snapshot) error { return nil }
+
+// capture keeps every snapshot delivered to it.
+type capture struct {
+	mu    sync.Mutex
+	snaps []Snapshot
+}
+
+func (c *capture) Deliver(s Snapshot) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.snaps = append(c.snaps, s)
+	return nil
+}
+
+// TestResyncShipsExactlyTheOracleRecords runs three datacenters on a seeded
+// schedule, collects part of A's log, then blackholes A's link to C for a
+// second seeded phase. Resync and ResyncAll must then ship exactly what an
+// oracle computes from LogRecords — A's own records from the awareness
+// table's bound for C (Resync) or from the collected bound (ResyncAll) —
+// in TOId order.
+func TestResyncShipsExactlyTheOracleRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	dcs := []*Datacenter{startDC(t, fastCfg(0, 3)), startDC(t, fastCfg(1, 3)), startDC(t, fastCfg(2, 3))}
+	for _, from := range dcs {
+		for _, to := range dcs {
+			if from != to {
+				from.ConnectTo(to.Self(), to.Receivers())
+			}
+		}
+	}
+	a := dcs[0]
+	var count [3]uint64
+	for i := 0; i < 60; i++ {
+		h := rng.Intn(3)
+		dcs[h].AppendAsync([]byte(fmt.Sprintf("p1-%d-%d", h, i)), nil)
+		count[h]++
+	}
+	// Wait until A knows that every datacenter holds every record, so the
+	// collection below has a safe prefix to take.
+	deadline := time.Now().Add(10 * time.Second)
+	for known := false; !known; {
+		known = true
+		for row := range dcs {
+			for h := range dcs {
+				known = known && a.ATable().Get(core.DCID(row), core.DCID(h)) >= count[h]
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("awareness never settled: %v", a.ATable().Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	head, _ := a.Head()
+	_, bound, err := a.CollectGarbage(head/2 + 1)
+	if err != nil || bound == 0 || bound > head/2 {
+		t.Fatalf("CollectGarbage = bound %d, %v; want 1..%d", bound, err, head/2)
+	}
+
+	a.ConnectTo(2, []ReceiverAPI{&blackhole{}})
+	var last AppendAck
+	for i := 0; i < 20+rng.Intn(20); i++ {
+		if last, err = a.Append([]byte(fmt.Sprintf("p2-%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Quiesce(30*time.Millisecond, 5*time.Second)
+	// The oracle and both resyncs must read the same window: wait until
+	// every applied record is below the readable head.
+	if h, err := a.Reader().WaitHead(last.LId, 5*time.Second); err != nil || h < last.LId {
+		t.Fatalf("head %d, %v; want it to reach LId %d", h, err, last.LId)
+	}
+
+	log, err := a.LogRecords()
+	if err != nil || len(log) == 0 || log[0].LId != bound+1 {
+		t.Fatalf("LogRecords = %d records, %v; want them to start at LId %d", len(log), err, bound+1)
+	}
+	oracle := func(minTOId uint64) []*core.Record {
+		var want []*core.Record
+		for _, r := range log {
+			if r.Host == a.Self() && r.TOId >= minTOId {
+				want = append(want, r)
+			}
+		}
+		return want
+	}
+	rx := &capture{}
+	probe := NewSender("probe", nil, a.state, 16)
+	probe.Connect(2, []ReceiverAPI{rx})
+	for _, tc := range []struct {
+		name   string
+		min    uint64
+		resync func(core.DCID, *Sender) (int, error)
+	}{
+		{"Resync", a.ATable().Get(2, a.Self()) + 1, a.Resync},
+		{"ResyncAll", 0, a.ResyncAll},
+	} {
+		want := oracle(tc.min)
+		sent, err := tc.resync(2, probe)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.min > 0 && a.ATable().Get(2, a.Self())+1 != tc.min {
+			t.Fatalf("%s: the awareness bound moved during the test", tc.name)
+		}
+		got := rx.snaps[len(rx.snaps)-1].Records
+		if sent != len(want) || len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%s shipped %d (%d in the snapshot), oracle %d", tc.name, sent, len(got), len(want))
+		}
+		for i, r := range got {
+			if r.LId != want[i].LId || r.TOId != want[i].TOId || string(r.Body) != string(want[i].Body) {
+				t.Fatalf("%s record %d = LId %d TOId %d, oracle LId %d TOId %d", tc.name, i, r.LId, r.TOId, want[i].LId, want[i].TOId)
+			}
+			if i > 0 && r.TOId <= got[i-1].TOId {
+				t.Fatalf("%s record %d: TOId %d after %d", tc.name, i, r.TOId, got[i-1].TOId)
+			}
+		}
+	}
+}
 
 // TestIngressRefusesUnencodableRecord: a record the log could not read back
 // (core.CheckEncodable) is refused at every way in — the in-process append,

@@ -159,9 +159,8 @@ func (goldenMaintainer) Read(lid uint64) (*core.Record, error) {
 	}
 	return goldenStored()[1], nil
 }
-func (goldenMaintainer) Scan(core.Rule) ([]*core.Record, error) { return goldenStored(), nil }
-func (goldenMaintainer) Head() (uint64, error)                  { return 10, nil }
-func (goldenMaintainer) NextUnfilled() (uint64, error)          { return 11, nil }
+func (goldenMaintainer) Head() (uint64, error)         { return 10, nil }
+func (goldenMaintainer) NextUnfilled() (uint64, error) { return 11, nil }
 func (goldenMaintainer) GossipVecs(next, dur []uint64) ([]uint64, []uint64, error) {
 	return []uint64{11, 17, 25}, []uint64{9, 17, 0}, nil
 }
@@ -262,8 +261,6 @@ func protocolLines(t *testing.T) []string {
 	ix := flstore.NewIndexerClient(flTap)
 	admin := flstore.NewAdmin(flTap)
 	ctx := context.Background()
-	rule := core.Rule{MinLId: 3, MaxLId: 9, MaxLIdExclusive: 10, HasHost: true, Host: 2, MinTOId: 1, MaxTOId: 8,
-		TagKey: "k", TagCmp: core.CmpEQ, TagValue: "v", Limit: 5, MostRecent: true}
 	var readType uint8
 	for _, s := range []struct {
 		name, class string
@@ -273,7 +270,6 @@ func protocolLines(t *testing.T) []string {
 		{"AppendAssigned", "in-order", func() error { return mc.AppendAssigned(goldenStored()) }},
 		{"AppendAfter", "in-order", func() error { _, err := mc.AppendAfter(8, goldenRecords()); return err }},
 		{"Read", "in-order", func() error { _, err := mc.Read(10); return err }},
-		{"Scan", "in-order", func() error { _, err := mc.Scan(rule); return err }},
 		{"Head", "in-order", func() error { _, err := mc.Head(); return err }},
 		{"NextUnfilled", "in-order", func() error { _, err := mc.NextUnfilled(); return err }},
 		{"Post", "in-order", func() error {

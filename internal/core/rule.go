@@ -104,7 +104,7 @@ func (ru *Rule) Match(r *Record) bool {
 }
 
 // EffectiveMaxLId returns the tightest inclusive LId upper bound implied by
-// the rule, or 0 if unbounded. Log maintainers use it to prune scans.
+// the rule, or 0 if unbounded. The client bounds a rule's range read with it.
 func (ru *Rule) EffectiveMaxLId() uint64 {
 	max := ru.MaxLId
 	if ru.MaxLIdExclusive != 0 {

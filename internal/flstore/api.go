@@ -38,11 +38,6 @@ type MaintainerAPI interface {
 	// the head of the log unless the maintainer is configured otherwise.
 	Read(lid uint64) (*core.Record, error)
 
-	// Scan returns this maintainer's records matching the rule, in
-	// ascending LId order (descending if rule.MostRecent), capped at
-	// rule.Limit.
-	Scan(rule core.Rule) ([]*core.Record, error)
-
 	// Head returns this maintainer's current estimate of the head of
 	// the log (HL): every position ≤ Head is readable somewhere.
 	Head() (uint64, error)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -453,13 +454,35 @@ func (c *Client) ReadLIdCtx(ctx context.Context, lid uint64) (*core.Record, erro
 }
 
 // Read returns the records matching the rule (§3's Read(rules)). Rules
-// with a tag key are resolved through the indexers; others fan out as
-// scans to every maintainer and merge.
+// with a tag key are resolved through the indexers when there are any.
+// Every other rule reads its LId window by position — one range read, up
+// to the head of the log, in LId order — and keeps the records that match.
 func (c *Client) Read(rule core.Rule) ([]*core.Record, error) {
 	if rule.TagKey != "" && len(c.indexers) > 0 {
 		return c.readByTag(rule)
 	}
-	return c.readByScan(rule)
+	window, err := c.ReadRange(max(rule.MinLId, 1), rule.EffectiveMaxLId())
+	if err != nil {
+		return nil, err
+	}
+	var recs []*core.Record
+	for _, rec := range window {
+		if rule.Match(rec) {
+			recs = append(recs, rec)
+		}
+	}
+	if rule.MostRecent {
+		slices.Reverse(recs)
+	}
+	return limitTo(recs, rule.Limit), nil
+}
+
+// limitTo cuts recs at limit (0: no cap).
+func limitTo(recs []*core.Record, limit int) []*core.Record {
+	if limit > 0 && len(recs) > limit {
+		return recs[:limit]
+	}
+	return recs
 }
 
 func (c *Client) readByTag(rule core.Rule) ([]*core.Record, error) {
@@ -478,8 +501,13 @@ func (c *Client) readByTag(rule core.Rule) ([]*core.Record, error) {
 		Cmp:             rule.TagCmp,
 		Value:           rule.TagValue,
 		MaxLIdExclusive: rule.MaxLIdExclusive,
-		Limit:           rule.Limit,
 		MostRecent:      rule.MostRecent,
+	}
+	// The indexer sees tags and LIds only, so it may cut at the limit
+	// itself only when no constraint it cannot check would drop some of
+	// what it returns.
+	if rule.MinLId == 0 && !rule.HasHost && rule.MinTOId == 0 && rule.MaxTOId == 0 {
+		q.Limit = rule.Limit
 	}
 	if rule.MaxLId != 0 && (q.MaxLIdExclusive == 0 || rule.MaxLId+1 < q.MaxLIdExclusive) {
 		q.MaxLIdExclusive = rule.MaxLId + 1
@@ -512,76 +540,7 @@ func (c *Client) readByTag(rule core.Rule) ([]*core.Record, error) {
 			recs = append(recs, rec)
 		}
 	}
-	return recs, nil
-}
-
-// scanMerged fans a scan out to every maintainer, deduplicates by LId
-// (replica copies appear at up to R maintainers), and reports whether at
-// least one maintainer answered. An unreachable or evicted maintainer is
-// skipped — its records are served by its group peers.
-func (c *Client) scanMerged(rule core.Rule) ([]*core.Record, error) {
-	var all []*core.Record
-	seen := make(map[uint64]struct{})
-	answered := 0
-	var lastErr error
-	for i, m := range c.maintainers {
-		if !c.session.Health().Usable(i) {
-			continue
-		}
-		recs, err := m.Scan(rule)
-		if err != nil {
-			if isLogicError(err) {
-				return nil, err
-			}
-			c.session.Health().ReportFailure(i)
-			lastErr = err
-			continue
-		}
-		answered++
-		for _, r := range recs {
-			if _, dup := seen[r.LId]; dup {
-				continue
-			}
-			seen[r.LId] = struct{}{}
-			all = append(all, r)
-		}
-	}
-	if answered == 0 {
-		if lastErr == nil {
-			lastErr = replica.ErrNoUsableGroup
-		}
-		return nil, lastErr
-	}
-	return all, nil
-}
-
-func (c *Client) readByScan(rule core.Rule) ([]*core.Record, error) {
-	// Reads must not cross the head of the log: cap the scan at HL.
-	head, err := c.HeadExact()
-	if err != nil {
-		return nil, err
-	}
-	capped := rule
-	if capped.MaxLId == 0 || capped.MaxLId > head {
-		capped.MaxLId = head
-	}
-	if head == 0 {
-		return nil, nil
-	}
-	all, err := c.scanMerged(capped)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if rule.MostRecent {
-			return all[i].LId > all[j].LId
-		}
-		return all[i].LId < all[j].LId
-	})
-	if rule.Limit > 0 && len(all) > rule.Limit {
-		all = all[:rule.Limit]
-	}
-	return all, nil
+	return limitTo(recs, rule.Limit), nil
 }
 
 // Maintainers exposes the session's maintainer handles (used by layered

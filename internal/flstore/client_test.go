@@ -3,6 +3,7 @@ package flstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -146,6 +147,70 @@ func TestClientReadByTagWithoutIndexersFallsBackToScan(t *testing.T) {
 	}
 	if len(recs) != 1 || string(recs[0].Body) != "tagged" {
 		t.Errorf("scan-fallback tag read = %+v", recs)
+	}
+}
+
+// TestClientReadRulesAgreeWithAndWithoutIndexers: every rule returns the
+// same records whether the indexers resolve its tag or the client reads the
+// log by position — and both are what the rule selects from the whole log.
+// Constraints the indexer cannot check (MinLId, host, TOId) must not let it
+// cut at the limit before they apply.
+func TestClientReadRulesAgreeWithAndWithoutIndexers(t *testing.T) {
+	var all []*core.Record
+	clients := make([]*Client, 2)
+	for ix := range clients {
+		clients[ix], _ = buildDirect(t, 2, ix, 3)
+		for i := 1; i <= 20; i++ {
+			tags := []core.Tag{{Key: "k", Value: fmt.Sprint(i)}}
+			if i%2 == 0 {
+				tags = append(tags, core.Tag{Key: "even", Value: fmt.Sprint(i)})
+			}
+			rec := &core.Record{Host: core.DCID(i % 3), TOId: uint64(i), Tags: tags, Body: []byte{byte(i)}}
+			if _, err := clients[ix].AppendBatch([]*core.Record{rec}); err != nil {
+				t.Fatal(err)
+			}
+			if ix == 0 {
+				all = append(all, rec)
+			}
+		}
+	}
+	for _, rule := range []core.Rule{
+		{TagKey: "k", MinLId: 10, Limit: 3},
+		{TagKey: "k", MinLId: 10, Limit: 3, MostRecent: true},
+		{TagKey: "k", HasHost: true, Host: 1, Limit: 2},
+		{TagKey: "k", MinTOId: 5, MaxTOId: 12, Limit: 3, MostRecent: true},
+		{TagKey: "k", TagCmp: core.CmpGT, TagValue: "15"},
+		{TagKey: "k", MaxLId: 9, Limit: 2, MostRecent: true},
+		{TagKey: "even", Limit: 3},
+		{TagKey: "even", Limit: 2, MostRecent: true},
+		{MinLId: 5, MaxLIdExclusive: 8},
+		{HasHost: true, Host: 2, Limit: 4, MostRecent: true},
+	} {
+		var want []uint64
+		for _, r := range all {
+			if rule.Match(r) {
+				want = append(want, r.LId)
+			}
+		}
+		if rule.MostRecent {
+			slices.Reverse(want)
+		}
+		if rule.Limit > 0 && len(want) > rule.Limit {
+			want = want[:rule.Limit]
+		}
+		for ix, c := range clients {
+			recs, err := c.Read(rule)
+			if err != nil {
+				t.Fatalf("%d indexers, %+v: %v", ix, rule, err)
+			}
+			got := make([]uint64, len(recs))
+			for i, r := range recs {
+				got[i] = r.LId
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%d indexers, %+v: LIds %v, want %v", ix, rule, got, want)
+			}
+		}
 	}
 }
 

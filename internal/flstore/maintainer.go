@@ -110,6 +110,9 @@ type rangeState struct {
 	stored uint64
 	// done parks tails that finished out of order: start slot → end slot.
 	done map[uint64]uint64
+	// trimmed is the highest LId Trim released from the store: a store
+	// miss at or below it is a collected position, not one in flight.
+	trimmed uint64
 }
 
 func newRange(p Placement, idx int, announce bool, base, cap uint64) *rangeState {
@@ -212,9 +215,7 @@ type Maintainer struct {
 	// the limiter-driven Rejected).
 	BacklogRejects metrics.Counter
 	// Read-path counters: range/multi-read calls and records served,
-	// tail long-polls, tail-ring hits/misses, ring-miss store scans, and
-	// full Scan calls (the legacy read path — a caught-up tail issues
-	// none).
+	// tail long-polls, tail-ring hits/misses and ring-miss store scans.
 	RangeReads      metrics.Counter
 	RangeRecords    metrics.Counter
 	MultiReads      metrics.Counter
@@ -222,7 +223,6 @@ type Maintainer struct {
 	TailCacheHits   metrics.Counter
 	TailCacheMisses metrics.Counter
 	StoreScans      metrics.Counter
-	ScanCalls       metrics.Counter
 	// LocalReadHits counts single reads served from the local store (the
 	// invalidation protocol's payoff: any valid replica answers without
 	// an owner round trip); LocalReadBlocks counts reads that parked on a
@@ -274,7 +274,6 @@ func (m *Maintainer) EnableMetrics(reg *metrics.Registry, extra ...metrics.Label
 	reg.CounterFunc("flstore_tail_cache_hits_total", func() float64 { return float64(m.TailCacheHits.Value()) }, lbls...)
 	reg.CounterFunc("flstore_tail_cache_misses_total", func() float64 { return float64(m.TailCacheMisses.Value()) }, lbls...)
 	reg.CounterFunc("flstore_store_scans_total", func() float64 { return float64(m.StoreScans.Value()) }, lbls...)
-	reg.CounterFunc("flstore_scan_calls_total", func() float64 { return float64(m.ScanCalls.Value()) }, lbls...)
 	reg.CounterFunc("replica_local_read_hits_total", func() float64 { return float64(m.LocalReadHits.Value()) }, lbls...)
 	reg.CounterFunc("replica_local_read_blocks_total", func() float64 { return float64(m.LocalReadBlocks.Value()) }, lbls...)
 	// Per hosted range: the validity watermark (dense-prefix frontier LId
@@ -1063,7 +1062,8 @@ func (m *Maintainer) Read(lid uint64) (*core.Record, error) {
 // commit tail is still running, is assigned — locally invalid, not absent
 // — so the read parks on the progress channel for the in-flight payload
 // (bounded by readBlockWait) rather than serving a stale no-such-record.
-// Positions past both keep the legacy absent semantics.
+// Positions past both, and collected ones (at or below the Trim bound),
+// keep the legacy absent semantics.
 func (m *Maintainer) blockedRead(st *rangeState, lid uint64) (*core.Record, error) {
 	// A negative readBlockWait puts the deadline in the past: no parking.
 	deadline := time.Now().Add(m.cfg.readBlockWait)
@@ -1072,7 +1072,7 @@ func (m *Maintainer) blockedRead(st *rangeState, lid uint64) (*core.Record, erro
 		// check and the park closes this channel, so no wakeup is lost.
 		ch := m.waitChan()
 		m.mu.Lock()
-		absent := lid >= m.announcedLocked(st) && st.p.SlotOf(lid) >= st.filled
+		absent := lid <= st.trimmed || (lid >= m.announcedLocked(st) && st.p.SlotOf(lid) >= st.filled)
 		m.mu.Unlock()
 		if absent {
 			return nil, core.ErrNoSuchRecord
@@ -1091,38 +1091,6 @@ func (m *Maintainer) blockedRead(st *rangeState, lid uint64) (*core.Record, erro
 			return nil, &ReadBlockedError{LId: lid, RetryAfter: readBlockHint}
 		}
 	}
-}
-
-// Scan implements MaintainerAPI. It serves only this maintainer's stored
-// records (including follower copies); the client library merges scans
-// across maintainers, deduplicates by LId, and applies head-of-log bounds.
-func (m *Maintainer) Scan(rule core.Rule) ([]*core.Record, error) {
-	m.ScanCalls.Inc()
-	var out []*core.Record
-	err := m.store.Scan(rule.MinLId, rule.EffectiveMaxLId(), func(r *core.Record) bool {
-		if rule.Match(r) {
-			out = append(out, r)
-			// For ascending scans the limit can stop the scan
-			// early; descending ("most recent") needs the full
-			// window before trimming.
-			if !rule.MostRecent && rule.Limit > 0 && len(out) == rule.Limit {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rule.MostRecent {
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-		if rule.Limit > 0 && len(out) > rule.Limit {
-			out = out[:rule.Limit]
-		}
-	}
-	return out, nil
 }
 
 func (m *Maintainer) currentHead() uint64 {
@@ -1197,6 +1165,26 @@ func (m *Maintainer) OrderBuffered() int {
 
 // Store exposes the underlying store (used by senders and tests).
 func (m *Maintainer) Store() storage.Store { return m.store }
+
+// Trim releases the stored prefix up to upTo — the log prefix a layer
+// above has collected (Chariots' §6.1 garbage collection) — and returns how
+// many records the store dropped. The bound is recorded on every hosted
+// range before the store lets go, so a read of a collected position answers
+// core.ErrNoSuchRecord at once rather than parking as if its payload were
+// still in flight.
+func (m *Maintainer) Trim(upTo uint64) (int, error) {
+	m.mu.Lock()
+	for _, st := range m.hosted {
+		st.trimmed = max(st.trimmed, upTo)
+	}
+	if mg := m.migrated.Load(); mg != nil {
+		for _, st := range mg.ranges {
+			st.trimmed = max(st.trimmed, upTo)
+		}
+	}
+	m.mu.Unlock()
+	return m.store.GC(upTo)
+}
 
 // orderBatch is an AppendAfter batch waiting for its LId lower bound.
 type orderBatch struct {

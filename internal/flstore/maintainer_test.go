@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ratelimit"
@@ -206,13 +207,13 @@ func TestMaintainerAppendAfterBuffersUntilBoundPasses(t *testing.T) {
 		t.Fatalf("OrderBuffered = %d, want 0 after release", m.OrderBuffered())
 	}
 	// The released record must have an LId > 7.
-	recs, _ := m.Scan(core.Rule{})
 	var found *core.Record
-	for _, r := range recs {
+	m.Store().Scan(0, 0, func(r *core.Record) bool {
 		if string(r.Body) == "ordered" {
 			found = r
 		}
-	}
+		return true
+	})
 	if found == nil {
 		t.Fatal("ordered record not stored after release")
 	}
@@ -234,29 +235,26 @@ func TestMaintainerAppendAfterBacklogBound(t *testing.T) {
 	}
 }
 
-func TestMaintainerScanRules(t *testing.T) {
+// TestMaintainerTrimAnswersCollectedPositionsAtOnce: once Trim has
+// released a prefix, a read inside it is a plain miss — not a position whose
+// payload is in flight, which would park and then fail retryably.
+func TestMaintainerTrimAnswersCollectedPositionsAtOnce(t *testing.T) {
 	m := newTestMaintainer(t, 0, 1, 1000)
-	for i := 1; i <= 20; i++ {
-		rec := &core.Record{Body: []byte{byte(i)}}
-		if i%2 == 0 {
-			rec.Tags = []core.Tag{{Key: "even", Value: fmt.Sprint(i)}}
-		}
-		m.Append([]*core.Record{rec})
+	for i := 0; i < 20; i++ {
+		m.Append([]*core.Record{bodyRec(fmt.Sprint(i))})
 	}
-	recs, err := m.Scan(core.Rule{TagKey: "even", Limit: 3})
-	if err != nil {
-		t.Fatal(err)
+	if n, err := m.Trim(10); err != nil || n != 10 {
+		t.Fatalf("Trim(10) = %d, %v; want 10 records", n, err)
 	}
-	if len(recs) != 3 || recs[0].LId != 2 || recs[2].LId != 6 {
-		t.Errorf("ascending limited scan wrong: %d records", len(recs))
+	start := time.Now()
+	if _, err := m.Read(5); !errors.Is(err, core.ErrNoSuchRecord) {
+		t.Errorf("Read of a trimmed position = %v, want ErrNoSuchRecord", err)
 	}
-	recs, _ = m.Scan(core.Rule{TagKey: "even", Limit: 2, MostRecent: true})
-	if len(recs) != 2 || recs[0].LId != 20 || recs[1].LId != 18 {
-		t.Errorf("most-recent scan = %v", []uint64{recs[0].LId, recs[1].LId})
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("Read of a trimmed position took %v", d)
 	}
-	recs, _ = m.Scan(core.Rule{MinLId: 5, MaxLIdExclusive: 8})
-	if len(recs) != 3 {
-		t.Errorf("bounded scan returned %d records, want 3", len(recs))
+	if rec, err := m.Read(11); err != nil || rec.LId != 11 {
+		t.Errorf("Read(11) above the bound = %v, %v", rec, err)
 	}
 }
 

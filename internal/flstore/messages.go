@@ -25,7 +25,7 @@ const (
 	msgAppendAssigned
 	msgAppendAfter
 	msgRead
-	msgScan
+	_ // 05: the retired Scan row; its slot stays so no later type byte moves
 	msgHead
 	msgNextUnfilled
 	msgPost
@@ -154,7 +154,6 @@ var (
 	boundShape    = rpc.Codec[boundReq]{Put: putBoundReq, Get: getBoundReq}
 	queryShape    = rpc.Codec[RangeQuery]{Put: putRangeQuery, Get: getRangeQuery}
 	resultShape   = rpc.Codec[RangeResult]{Put: putRangeResult, Get: getRangeResult}
-	ruleShape     = rpc.Codec[core.Rule]{Put: putRule, Get: getRule}
 	lookupShape   = rpc.Codec[LookupQuery]{Put: putLookup, Get: getLookup}
 	postingsShape = rpc.Codec[[]Posting]{Put: putPostings, Get: getPostings}
 	vecsShape     = rpc.Codec[vecs]{
@@ -322,34 +321,6 @@ func getRangeResult(p []byte, _ *trace.Ctx) (RangeResult, error) {
 	return RangeResult{Records: recs, CoveredHi: covered}, err
 }
 
-func putRule(dst []byte, ru core.Rule) ([]byte, error) {
-	dst = binary.LittleEndian.AppendUint64(dst, ru.MinLId)
-	dst = binary.LittleEndian.AppendUint64(dst, ru.MaxLId)
-	dst = binary.LittleEndian.AppendUint64(dst, ru.MaxLIdExclusive)
-	dst = wire.AppendBool(dst, ru.HasHost)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(ru.Host))
-	dst = binary.LittleEndian.AppendUint64(dst, ru.MinTOId)
-	dst = binary.LittleEndian.AppendUint64(dst, ru.MaxTOId)
-	dst = wire.AppendString(dst, ru.TagKey)
-	dst = append(dst, byte(ru.TagCmp))
-	dst = wire.AppendString(dst, ru.TagValue)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ru.Limit))
-	return wire.AppendBool(dst, ru.MostRecent), nil
-}
-
-func getRule(p []byte, _ *trace.Ctx) (core.Rule, error) {
-	d := wire.NewDec(p)
-	// The fields of a struct literal are evaluated in the order written,
-	// which is the order on the wire.
-	return core.Rule{
-		MinLId: d.U64(), MaxLId: d.U64(), MaxLIdExclusive: d.U64(),
-		HasHost: d.Bool(), Host: core.DCID(d.U16()),
-		MinTOId: d.U64(), MaxTOId: d.U64(),
-		TagKey: d.Str(), TagCmp: core.CmpOp(d.U8()), TagValue: d.Str(),
-		Limit: int(d.U32()), MostRecent: d.Bool(),
-	}, d.Err()
-}
-
 func putLookup(dst []byte, q LookupQuery) ([]byte, error) {
 	dst = wire.AppendString(dst, q.Key)
 	dst = append(dst, byte(q.Cmp))
@@ -395,7 +366,6 @@ var (
 	rowAppendAfter    = rpc.Message[afterReq, []uint64]{Type: msgAppendAfter, Name: "AppendAfter", Req: afterShape, Reply: lidsShape,
 		TraceOf: func(q afterReq) trace.Ctx { return batchTrace(q.Recs) }}
 	rowRead         = rpc.Message[uint64, *core.Record]{Type: msgRead, Name: "Read", Req: u64Shape, Reply: recordShape}
-	rowScan         = rpc.Message[core.Rule, []*core.Record]{Type: msgScan, Name: "Scan", Req: ruleShape, Reply: recordsShape}
 	rowHead         = rpc.Message[none, uint64]{Type: msgHead, Name: "Head", Req: rpc.Empty, Reply: u64Shape}
 	rowNextUnfilled = rpc.Message[none, uint64]{Type: msgNextUnfilled, Name: "NextUnfilled", Req: rpc.Empty, Reply: u64Shape}
 	rowPost         = rpc.Message[[]Posting, none]{Type: msgPost, Name: "Post", Req: postingsShape, Reply: rpc.Empty}
@@ -431,7 +401,6 @@ func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
 	rowAppendAssigned.Serve(srv, rpc.NoReply(m.AppendAssigned))
 	rowAppendAfter.Serve(srv, func(q afterReq) ([]uint64, error) { return m.AppendAfter(q.Min, q.Recs) })
 	rowRead.Serve(srv, m.Read)
-	rowScan.Serve(srv, m.Scan)
 	rowHead.Serve(srv, rpc.NoArg(m.Head))
 	rowNextUnfilled.Serve(srv, rpc.NoArg(m.NextUnfilled))
 	rowGossipVecs.Serve(srv, func(q vecs) (vecs, error) {
@@ -522,10 +491,6 @@ func (mc *maintainerClient) AppendAfter(minLId uint64, recs []*core.Record) ([]u
 
 func (mc *maintainerClient) Read(lid uint64) (*core.Record, error) {
 	return rowRead.Call(mc.c, lid)
-}
-
-func (mc *maintainerClient) Scan(rule core.Rule) ([]*core.Record, error) {
-	return rowScan.Call(mc.c, rule)
 }
 
 func (mc *maintainerClient) Head() (uint64, error) { return rowHead.Call(mc.c, none{}) }

@@ -24,8 +24,6 @@ var goldenFamilies = []string{
 	"chariots_feed_batches",
 	"chariots_filter_dropped_total",
 	"chariots_filter_overflow_total",
-	"chariots_gc_collected_total",
-	"chariots_gc_frontier_lid",
 	"chariots_queue_applied_total",
 	"chariots_queue_buffered_batches",
 	"chariots_replication_lag_records",
@@ -57,7 +55,6 @@ var goldenFamilies = []string{
 	"flstore_range_records_total",
 	"flstore_read_seconds",
 	"flstore_rejected_total",
-	"flstore_scan_calls_total",
 	"flstore_store_scans_total",
 	"flstore_stored_records",
 	"flstore_tail_cache_hits_total",

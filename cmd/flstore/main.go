@@ -14,7 +14,8 @@
 // Ports: the controller listens on -listen; maintainer i on port+1+i;
 // indexer j after the maintainers. With -data, records persist in segment
 // files under the directory (one subdirectory per maintainer) and survive
-// restarts; without it the log is in memory.
+// restarts; without it the log is in memory. Nothing here collects garbage:
+// the log only grows, and there is no archive tier to move it to.
 //
 // Observability: every component registers its metrics in one process-wide
 // registry served over HTTP on -metrics (default: controller port + 100) at
@@ -52,7 +53,6 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:7000", "controller listen address; components use consecutive ports")
 		dataDir      = flag.String("data", "", "directory for persistent segment stores (empty = in-memory)")
 		fsyncPolicy  = flag.String("fsync", "group", "segment fsync policy: group (a lone append syncs at once; appends landing during an fsync share the next one), each (one fsync per batch, serialized), never")
-		tiered       = flag.Bool("tiered", false, "tier sealed segments into a cold archive (requires -data); compaction via storage.TieredStore")
 		gossipEvery  = flag.Duration("gossip", 5*time.Millisecond, "head-of-log gossip interval")
 		metricsAddr  = flag.String("metrics", "", `metrics HTTP listen address ("" = controller port + 100, "off" = disabled)`)
 		replication  = flag.Int("replication", 1, "replicas per LId range (1 = unreplicated)")
@@ -67,12 +67,12 @@ func main() {
 	trace.SetSampling(uint32(*traceSample))
 	trace.SetSlowOpThreshold(*traceSlow)
 	trace.SetNodeName("flstore@" + *listen)
-	if err := run(*nMaintainers, *nIndexers, *batch, *listen, *dataDir, *fsyncPolicy, *tiered, *gossipEvery, *metricsAddr, *replication, *ackPolicy, *admitRate, *admitBurst, *backlog); err != nil {
+	if err := run(*nMaintainers, *nIndexers, *batch, *listen, *dataDir, *fsyncPolicy, *gossipEvery, *metricsAddr, *replication, *ackPolicy, *admitRate, *admitBurst, *backlog); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(nMaintainers, nIndexers int, batch uint64, listen, dataDir, fsyncPolicy string, tiered bool, gossipEvery time.Duration, metricsAddr string, replication int, ackPolicy string, admitRate float64, admitBurst, backlog int) error {
+func run(nMaintainers, nIndexers int, batch uint64, listen, dataDir, fsyncPolicy string, gossipEvery time.Duration, metricsAddr string, replication int, ackPolicy string, admitRate float64, admitBurst, backlog int) error {
 	host, portStr, err := net.SplitHostPort(listen)
 	if err != nil {
 		return fmt.Errorf("bad -listen: %w", err)
@@ -140,29 +140,16 @@ func run(nMaintainers, nIndexers int, batch uint64, listen, dataDir, fsyncPolicy
 	default:
 		return fmt.Errorf("bad -fsync %q (want group, each, or never)", fsyncPolicy)
 	}
-	if tiered && dataDir == "" {
-		return fmt.Errorf("-tiered requires -data")
-	}
 	for i := 0; i < nMaintainers; i++ {
 		var st storage.Store
 		if dataDir != "" {
 			dir := filepath.Join(dataDir, fmt.Sprintf("maintainer-%d", i))
-			opts := storage.SegmentStoreOptions{Sync: syncPolicy}
-			if tiered {
-				ts, serr := storage.OpenTieredStore(dir, opts)
-				if serr != nil {
-					return fmt.Errorf("maintainer %d store: %w", i, serr)
-				}
-				ts.Hot().EnableMetrics(reg, metrics.L("maintainer", strconv.Itoa(i)))
-				st = ts
-			} else {
-				seg, serr := storage.OpenSegmentStore(dir, opts)
-				if serr != nil {
-					return fmt.Errorf("maintainer %d store: %w", i, serr)
-				}
-				seg.EnableMetrics(reg, metrics.L("maintainer", strconv.Itoa(i)))
-				st = seg
+			seg, serr := storage.OpenSegmentStore(dir, storage.SegmentStoreOptions{Sync: syncPolicy})
+			if serr != nil {
+				return fmt.Errorf("maintainer %d store: %w", i, serr)
 			}
+			seg.EnableMetrics(reg, metrics.L("maintainer", strconv.Itoa(i)))
+			st = seg
 		}
 		var limiter *ratelimit.Limiter
 		if admitRate > 0 {

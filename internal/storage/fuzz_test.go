@@ -7,65 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
 )
-
-// encodeVolume frames recs with the archive's checksummed entry framing —
-// the same bytes Archive.Put writes.
-func encodeVolume(recs []*core.Record) []byte {
-	var buf []byte
-	for _, r := range recs {
-		start := len(buf)
-		buf = append(buf, make([]byte, entryHeaderSize)...)
-		buf = core.AppendRecord(buf, r)
-		payload := buf[start+entryHeaderSize:]
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
-	}
-	return buf
-}
-
-// FuzzArchiveVolumeDecode drives the compacted-volume reader over
-// arbitrary bytes: it must never panic or over-allocate, must accept
-// exactly the volumes the writer produces, and must reject every torn or
-// bit-flipped mutation with an error rather than yielding records past
-// the corruption.
-func FuzzArchiveVolumeDecode(f *testing.F) {
-	seed := []*core.Record{
-		{LId: 1, TOId: 3, Host: 1, Body: []byte("a")},
-		{LId: 2, TOId: 6, Host: 0, Tags: []core.Tag{{Key: "k", Value: "v"}}, Body: []byte("bb")},
-		{LId: 7, TOId: 9, Host: 2, Deps: []core.Dep{{DC: 1, TOId: 4}}, Body: bytes.Repeat([]byte("c"), 100)},
-	}
-	full := encodeVolume(seed)
-	f.Add(full)
-	f.Add([]byte{})
-	f.Add(full[:len(full)-3]) // torn mid-payload
-	f.Add(full[:5])           // torn mid-header
-	corrupt := append([]byte(nil), full...)
-	corrupt[entryHeaderSize+1] ^= 0x40 // payload bit flip → CRC mismatch
-	f.Add(corrupt)
-	huge := make([]byte, entryHeaderSize)
-	binary.LittleEndian.PutUint32(huge, 0xFFFFFFF0) // absurd length prefix
-	f.Add(huge)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var recs []*core.Record
-		err := decodeArchiveVolume(bytes.NewReader(data), func(r *core.Record) bool {
-			recs = append(recs, r)
-			return true
-		})
-		if err != nil {
-			return
-		}
-		// A cleanly decoded stream must round-trip: re-framing the decoded
-		// records reproduces the input exactly (framing has one canonical
-		// form), so the decoder cannot have silently skipped bytes.
-		if got := encodeVolume(recs); !bytes.Equal(got, data) {
-			t.Fatalf("accepted stream does not round-trip: %d in, %d out", len(data), len(got))
-		}
-	})
-}
 
 // FuzzSegmentTableDecode drives the sealed-segment table reader over
 // arbitrary bytes: it must never panic, must allocate nothing however large

@@ -1,6 +1,7 @@
 package flstore
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -99,6 +100,21 @@ func (ix *Indexer) Lookup(q LookupQuery) ([]uint64, error) {
 		}
 	}
 	return lids, nil
+}
+
+// prune drops the postings of every LId at or below upTo, a collected
+// prefix of the log (Maintainer.Trim).
+func (ix *Indexer) prune(upTo uint64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for key, list := range ix.postings {
+		switch i := sort.Search(len(list), func(i int) bool { return list[i].LId > upTo }); {
+		case i == len(list):
+			delete(ix.postings, key)
+		case i > 0:
+			ix.postings[key] = slices.Clone(list[i:])
+		}
+	}
 }
 
 // Keys returns the number of distinct tag keys indexed (introspection).

@@ -235,7 +235,7 @@ func TestSegmentStoreGCWholeSegments(t *testing.T) {
 	for lid := uint64(1); lid <= 40; lid++ {
 		s.Append(rec(lid))
 	}
-	removed, err := s.GC(20)
+	removed, err := s.GC(20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
